@@ -34,11 +34,7 @@ class OutOfBox(RssdError):
 
 
 class DetVanishesOnContour(RssdError):
-    """det(I + P2~ P1) vanishes on the winding-number contour."""
-
-
-class PhaseJumpTooLarge(RssdError):
-    """Adjacent-sample phase step exceeds pi/2 even after maximal refinement."""
+    """det(I + P2~ P1) has a zero on the imaginary axis or at infinity."""
 
 
 class IllPosedLoop(RssdError):

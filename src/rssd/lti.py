@@ -7,7 +7,7 @@ function, so frequency sweeps can be evaluated point-parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,8 +195,10 @@ def spectrum(plant: StateSpacePlant) -> list[EigenInfo]:
     return [eigen_info(lam) for lam in eig[order]]
 
 
-def is_imag_axis(lam: complex) -> bool:
-    return abs(lam.real) <= IMAG_AXIS_RTOL * max(1.0, abs(lam))
+def is_imag_axis(lam):
+    """Whether each eigenvalue lies on the imaginary axis (elementwise)."""
+    lam = np.asarray(lam)
+    return np.abs(lam.real) <= IMAG_AXIS_RTOL * np.maximum(1.0, np.abs(lam))
 
 
 def eval_response(plant: StateSpacePlant, s_values) -> np.ndarray:
@@ -370,14 +372,3 @@ def realize_bank(bank: CompensatorBank) -> StateSpacePlant:
         D[ch, ch] = s.a / s.c
         i += 1
     return StateSpacePlant(A, B, C, D, f"bank_{bank.side}")
-
-
-def block_diag_plants(*plants: StateSpacePlant) -> StateSpacePlant:
-    """Block-diagonal (decoupled parallel) concatenation of plants."""
-    from scipy.linalg import block_diag
-
-    A = block_diag(*[p.A for p in plants])
-    B = block_diag(*[p.B for p in plants])
-    C = block_diag(*[p.C for p in plants])
-    D = block_diag(*[p.D for p in plants])
-    return StateSpacePlant(A, B, C, D)

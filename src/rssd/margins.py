@@ -9,12 +9,12 @@ L = -K P so classical negative-feedback margin formulas apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IllPosedLoop, UnstableLoop
-from .lti import FrequencyGrid, StateSpacePlant, eval_response, spectrum
+from .lti import FrequencyGrid, StateSpacePlant, eval_response, is_imag_axis
 from .sweep import grid_peak
 
 
@@ -66,7 +66,7 @@ def linf_norm(sys: StateSpacePlant, grid: FrequencyGrid) -> tuple[float, float]:
     """
     if sys.n:
         eig = np.linalg.eigvals(sys.A)
-        on_axis = np.abs(eig.real) <= 1e-9 * np.maximum(1.0, np.abs(eig))
+        on_axis = is_imag_axis(eig)
         if np.any(on_axis):
             return np.inf, float(np.abs(eig[on_axis][0].imag))
 

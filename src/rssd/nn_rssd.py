@@ -11,7 +11,7 @@ quantified nu-gap robustness ball around the central plant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

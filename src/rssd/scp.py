@@ -8,7 +8,7 @@ is the flat list of their coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eig as generalized_eig

@@ -9,7 +9,7 @@ compensator plus optional uncertainty-weight states).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

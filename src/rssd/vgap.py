@@ -5,9 +5,13 @@ The gap between two plants is the L-infinity peak of
     Psi = (I + P2 P2*)^(-1/2) (P1 - P2) (I + P1* P1)^(-1/2)
 
 when the determinant and winding-number conditions hold, and 1 otherwise.
-The winding number is evaluated on det(I + P2~(s) P1(s)) with P2~ the
+The winding number is taken of det(I + P2~(s) P1(s)) with P2~ the
 paraconjugate P2(-s)^T, which keeps the test well defined for non-square
-plants and makes the gap symmetric for mixed stable/unstable pairs.
+plants and makes the gap symmetric for mixed stable/unstable pairs.  It is
+counted exactly from the eigenvalues of one state-space realization of
+I + P2~ P1 and its inverse (Vinnicombe, IEEE TAC 38(9), 1993), so no contour
+is sampled.  Every member of a set is evaluated once on the grid; each pair
+then only combines the stored responses and factors.
 """
 
 from __future__ import annotations
@@ -16,19 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DetVanishesOnContour, DimensionMismatch, PhaseJumpTooLarge
+from .errors import DetVanishesOnContour, DimensionMismatch
 from .lti import (
-    IMAG_AXIS_RTOL,
     FrequencyGrid,
     PlantSet,
     StateSpacePlant,
+    cascade,
     eval_response,
+    is_imag_axis,
 )
 from .sweep import grid_peak
 
-# right indentation radius around an imaginary-axis pole at j*w0
-def _indent_radius(w0: float) -> float:
-    return 1e-6 * max(1.0, abs(w0))
+# An eigenvalue of A_z this close (relative) to an imaginary-axis eigenvalue
+# of A_x lies inside the contour's right indentation around that pole.
+SHARED_AXIS_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,39 @@ class CentralPlantResult:
     gap_matrix: np.ndarray
 
 
+@dataclass(frozen=True)
+class SampledPlant:
+    """A plant with its response on ``grid`` and the per-point factors a pair
+    needs: sigma_max P, (I + P P*)^(-1/2) and (I + P* P)^(-1/2)."""
+
+    plant: StateSpacePlant
+    grid: FrequencyGrid
+    response: np.ndarray
+    sigma: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+
+def sample(plant: StateSpacePlant, grid: FrequencyGrid) -> SampledPlant:
+    """Evaluate ``plant`` once on ``grid`` for any number of nu-gap pairs."""
+    resp = eval_response(plant, 1j * grid.points)
+    return SampledPlant(plant, grid, resp,
+                        np.linalg.norm(resp, ord=2, axis=(1, 2)),
+                        _left_factor(resp), _right_factor(resp))
+
+
+def _sampled(p, grid: FrequencyGrid) -> SampledPlant:
+    if not isinstance(p, SampledPlant):
+        return sample(p, grid)
+    if p.grid is not grid:
+        raise DimensionMismatch("plant was sampled on a different grid")
+    return p
+
+
+def _rhp_count(eig: np.ndarray) -> int:
+    return int(np.count_nonzero(~is_imag_axis(eig) & (eig.real > 0)))
+
+
 def pole_counts(plant: StateSpacePlant) -> tuple[int, int]:
     """(open-RHP pole count, imaginary-axis pole count) from eigenvalues of A.
 
@@ -55,10 +93,7 @@ def pole_counts(plant: StateSpacePlant) -> tuple[int, int]:
     if plant.n == 0:
         return 0, 0
     eig = np.linalg.eigvals(plant.A)
-    on_axis = np.abs(eig.real) <= IMAG_AXIS_RTOL * np.maximum(1.0, np.abs(eig))
-    eta0 = int(np.count_nonzero(on_axis))
-    eta = int(np.count_nonzero(~on_axis & (eig.real > 0)))
-    return eta, eta0
+    return _rhp_count(eig), int(np.count_nonzero(is_imag_axis(eig)))
 
 
 def paraconjugate(plant: StateSpacePlant) -> StateSpacePlant:
@@ -68,135 +103,36 @@ def paraconjugate(plant: StateSpacePlant) -> StateSpacePlant:
     )
 
 
-def _axis_pole_freqs(*plants: StateSpacePlant) -> list[float]:
-    freqs: list[float] = []
-    for p in plants:
-        if p.n == 0:
-            continue
-        eig = np.linalg.eigvals(p.A)
-        for lam in eig:
-            if abs(lam.real) <= IMAG_AXIS_RTOL * max(1.0, abs(lam)):
-                freqs.append(float(lam.imag))
-    # merge frequencies that coincide within indentation scale
-    freqs.sort()
-    merged: list[float] = []
-    for w in freqs:
-        if merged and abs(w - merged[-1]) <= 0.5 * _indent_radius(w):
-            continue
-        merged.append(w)
-    return merged
-
-
-def _contour_segments(p1, p2, grid):
-    """RHP-boundary contour (upward imaginary axis, indented right around
-    axis poles of either factor) as parametrized segments.
-
-    Each segment is (map t in [0,1] -> complex s, initial t samples).
-    """
-    w_max = float(grid.points[-1])
-    poles = [w for w in _axis_pole_freqs(p1, p2) if abs(w) < w_max]
-
-    base = grid.points[grid.points > 0]
-    omegas = np.unique(np.concatenate([-base[::-1], [0.0], base]))
-
-    # blocked intervals around each indentation
-    blocks = [(w0 - _indent_radius(w0), w0 + _indent_radius(w0)) for w0 in poles]
-
-    segments = []
-    lo = -w_max
-    for (blo, bhi), w0 in zip(blocks, poles):
-        seg_pts = omegas[(omegas > lo) & (omegas < blo)]
-        ts = _axis_segment(lo, blo, seg_pts)
-        segments.append(ts)
-        rho = _indent_radius(w0)
-        theta = np.linspace(-np.pi / 2, np.pi / 2, 34)
-
-        def arc(t, w0=w0, rho=rho):
-            ang = -np.pi / 2 + np.asarray(t) * np.pi
-            return 1j * w0 + rho * np.exp(1j * ang)
-
-        segments.append((arc, np.linspace(0.0, 1.0, theta.size)))
-        lo = bhi
-    seg_pts = omegas[(omegas > lo) & (omegas < w_max)]
-    segments.append(_axis_segment(lo, w_max, seg_pts))
-    return segments
-
-
-def _axis_segment(w_lo, w_hi, interior):
-    span = w_hi - w_lo
-    ts = np.unique(np.concatenate([[0.0, 1.0], (interior - w_lo) / span]))
-
-    def seg(t, w_lo=w_lo, span=span):
-        return 1j * (w_lo + np.asarray(t) * span)
-
-    return seg, ts
-
-
-def winding_number_det(p1: StateSpacePlant, p2: StateSpacePlant,
-                       grid: FrequencyGrid) -> int:
+def winding_number_det(p1: StateSpacePlant, p2: StateSpacePlant) -> int:
     """Winding number (RHP zeros minus RHP poles) of det(I + P2~ P1).
 
-    Phase is accumulated along the indented imaginary axis with adaptive
-    bisection until adjacent phase steps stay below pi/2; the closing arc
-    at infinity contributes no phase for proper systems.
+    With X = P2~ P1 realized as one cascade (A_x, B_x, C_x, D_x),
+    det(I + X(s)) = det(I + D_x) det(sI - A_z) / det(sI - A_x) with
+    A_z = A_x - B_x (I + D_x)^(-1) C_x, so the count is
+    #RHP eig(A_z) - #RHP eig(A_x) over the whole right half-plane.  The
+    contour passes right of imaginary-axis eigenvalues of A_x: a zero there
+    is a cancellation and is not counted.  Any other imaginary-axis
+    eigenvalue of A_z, or a singular I + D_x, puts a zero of the
+    determinant on the contour and raises DetVanishesOnContour.
     """
     if (p1.m, p1.r) != (p2.m, p2.r):
         raise DimensionMismatch("plants must share input/output dimensions")
-    p2t = paraconjugate(p2)
-
-    def det_fun(s):
-        r1 = eval_response(p1, s)
-        r2t = eval_response(p2t, s)
-        prod = r2t @ r1
-        return np.linalg.det(np.eye(p1.m) + prod)
-
-    def scale_fun(s):
-        r1 = eval_response(p1, s)
-        r2 = eval_response(p2, s)
-        s1 = np.linalg.norm(r1, ord=2, axis=(1, 2)) if r1.size else np.zeros(len(s))
-        s2 = np.linalg.norm(r2, ord=2, axis=(1, 2)) if r2.size else np.zeros(len(s))
-        return 1.0 + s1 * s2
-
-    total_phase = 0.0
-    for seg_map, ts in _contour_segments(p1, p2, grid):
-        ts = np.asarray(ts, dtype=float)
-        for _ in range(grid.max_refine_depth + 1):
-            s = seg_map(ts)
-            g = det_fun(s)
-            if np.any(np.abs(g) <= 1e-9 * scale_fun(s)):
-                raise DetVanishesOnContour("det(I + P2~ P1) vanishes on contour")
-            phase = np.unwrap(np.angle(g))
-            steps = np.abs(np.diff(phase))
-            bad = np.nonzero(steps > np.pi / 2)[0]
-            if bad.size == 0:
-                total_phase += phase[-1] - phase[0]
-                break
-            mids = 0.5 * (ts[bad] + ts[bad + 1])
-            new_ts = np.unique(np.concatenate([ts, mids]))
-            if new_ts.size == ts.size:
-                raise PhaseJumpTooLarge("phase step > pi/2 at refinement limit")
-            ts = new_ts
-        else:
-            raise PhaseJumpTooLarge("phase step > pi/2 after maximal refinement")
-    # upward traversal is clockwise around the RHP: winding = Z - P
-    return int(np.rint(-total_phase / (2.0 * np.pi)))
-
-
-def _psi_sigma(p1, p2):
-    """sigma_max of Psi(P1(jw), P2(jw)) as a batch function of omega."""
-
-    def fun(omegas):
-        s = 1j * np.asarray(omegas, dtype=float)
-        r1 = eval_response(p1, s)
-        r2 = eval_response(p2, s)
-        m = p1.m
-        r = p1.r
-        left = np.eye(r) + r2 @ r2.conj().swapaxes(1, 2)
-        right = np.eye(m) + r1.conj().swapaxes(1, 2) @ r1
-        psi = _inv_sqrt_h(left) @ (r1 - r2) @ _inv_sqrt_h(right)
-        return np.linalg.norm(psi, ord=2, axis=(1, 2))
-
-    return fun
+    x = cascade(p1, paraconjugate(p2))
+    ipd = np.eye(p1.m) + x.D
+    if abs(np.linalg.det(ipd)) <= 1e-9 * (
+            1.0 + np.linalg.norm(p1.D, 2) * np.linalg.norm(p2.D, 2)):
+        raise DetVanishesOnContour("det(I + P2~ P1) vanishes at infinity")
+    if x.n == 0:
+        return 0
+    poles = np.linalg.eigvals(x.A)
+    zeros = np.linalg.eigvals(x.A - x.B @ np.linalg.solve(ipd, x.C))
+    axis_poles = poles[is_imag_axis(poles)]
+    indented = np.any(
+        np.abs(zeros[:, None] - axis_poles[None, :])
+        <= SHARED_AXIS_RTOL * np.maximum(1.0, np.abs(axis_poles)), axis=1)
+    if np.any(is_imag_axis(zeros) & ~indented):
+        raise DetVanishesOnContour("det(I + P2~ P1) vanishes on the imaginary axis")
+    return _rhp_count(zeros[~indented]) - _rhp_count(poles)
 
 
 def _inv_sqrt_h(mats):
@@ -206,36 +142,56 @@ def _inv_sqrt_h(mats):
     return (v * (1.0 / np.sqrt(w))[:, None, :]) @ v.conj().swapaxes(1, 2)
 
 
-def nu_gap(p1: StateSpacePlant, p2: StateSpacePlant,
+def _left_factor(resp):
+    """(I + P P*)^(-1/2) per point."""
+    return _inv_sqrt_h(np.eye(resp.shape[1]) + resp @ resp.conj().swapaxes(1, 2))
+
+
+def _right_factor(resp):
+    """(I + P* P)^(-1/2) per point."""
+    return _inv_sqrt_h(np.eye(resp.shape[2]) + resp.conj().swapaxes(1, 2) @ resp)
+
+
+def _psi_sigma(s1: SampledPlant, s2: SampledPlant):
+    """sigma_max of Psi(P1(jw), P2(jw)) as a batch function of omega.
+
+    The grid itself is read from the samples; refinement points off the grid
+    are evaluated from state space.
+    """
+
+    def fun(omegas):
+        if omegas is s1.grid.points:
+            l2, r1, r2, m1 = s2.left, s1.response, s2.response, s1.right
+        else:
+            s = 1j * np.asarray(omegas, dtype=float)
+            r1 = eval_response(s1.plant, s)
+            r2 = eval_response(s2.plant, s)
+            l2, m1 = _left_factor(r2), _right_factor(r1)
+        return np.linalg.norm(l2 @ (r1 - r2) @ m1, ord=2, axis=(1, 2))
+
+    return fun
+
+
+def nu_gap(p1: StateSpacePlant | SampledPlant, p2: StateSpacePlant | SampledPlant,
            grid: FrequencyGrid) -> VgapResult:
-    """nu-gap metric between two plants sharing (m, r)."""
+    """nu-gap metric between two plants sharing (m, r).
+
+    Either plant may be passed already sampled on ``grid``.
+    """
+    s1, s2 = _sampled(p1, grid), _sampled(p2, grid)
+    p1, p2 = s1.plant, s2.plant
     if (p1.m, p1.r) != (p2.m, p2.r):
         raise DimensionMismatch("plants must share input/output dimensions")
 
-    # densify around indentations so the det test sees near-pole behaviour
-    extra = []
-    for w0 in _axis_pole_freqs(p1, p2):
-        rho = _indent_radius(w0)
-        extra.extend(abs(w0) + rho * np.logspace(0, 6, 32))
-    work_grid = grid.with_points(extra) if extra else grid
-
-    omegas = work_grid.points
-    s = 1j * omegas
-    r1 = eval_response(p1, s)
-    r2 = eval_response(p2, s)
     det = np.linalg.det(
-        np.eye(p1.m) + r2.conj().swapaxes(1, 2) @ r1
+        np.eye(p1.m) + s2.response.conj().swapaxes(1, 2) @ s1.response
     )
-    n1 = np.linalg.norm(r1, ord=2, axis=(1, 2))
-    n2 = np.linalg.norm(r2, ord=2, axis=(1, 2))
-    det_ok = np.all(np.abs(det) > 1e-9 * (1.0 + n1 * n2))
-
+    cond = bool(np.all(np.abs(det) > 1e-9 * (1.0 + s1.sigma * s2.sigma)))
     wno = 0
-    cond = bool(det_ok)
     if cond:
         try:
-            wno = winding_number_det(p1, p2, work_grid)
-        except (DetVanishesOnContour, PhaseJumpTooLarge):
+            wno = winding_number_det(p1, p2)
+        except DetVanishesOnContour:
             cond = False
         else:
             eta1, _ = pole_counts(p1)
@@ -244,17 +200,18 @@ def nu_gap(p1: StateSpacePlant, p2: StateSpacePlant,
     if not cond:
         return VgapResult(1.0, False, wno, None)
 
-    value, peak_w = grid_peak(_psi_sigma(p1, p2), work_grid)
+    value, peak_w = grid_peak(_psi_sigma(s1, s2), grid)
     return VgapResult(float(min(max(value, 0.0), 1.0)), True, wno, peak_w)
 
 
 def gap_matrix(pset: PlantSet, grid: FrequencyGrid) -> np.ndarray:
     """Symmetric N x N matrix of pairwise nu-gaps (diagonal zero)."""
+    samples = [sample(p, grid) for p in pset]
     n = len(pset)
     mat = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            mat[i, j] = mat[j, i] = nu_gap(pset[i], pset[j], grid).value
+            mat[i, j] = mat[j, i] = nu_gap(samples[i], samples[j], grid).value
     return mat
 
 
@@ -262,8 +219,10 @@ def max_vgap(index: int, pset: PlantSet, grid: FrequencyGrid) -> float:
     """Maximum nu-gap from plant ``index`` to every member of the set."""
     if not 0 <= index < len(pset):
         raise DimensionMismatch(f"index {index} out of range for set of {len(pset)}")
+    center = sample(pset[index], grid)
     return max(
-        (nu_gap(pset[index], p, grid).value for k, p in enumerate(pset) if k != index),
+        (nu_gap(center, sample(p, grid), grid).value
+         for k, p in enumerate(pset) if k != index),
         default=0.0,
     )
 

@@ -18,6 +18,7 @@ from rssd.lti import (
     eigen_info,
     eval_response,
     freq_response,
+    is_imag_axis,
     realize_bank,
     spectrum,
 )
@@ -92,6 +93,12 @@ class TestSpectrum:
         assert pair[1] == pair[0] + 1
         assert values[pair[0]] == pytest.approx(np.conj(values[pair[1]]))
 
+
+    def test_imag_axis_test_is_elementwise_and_relative(self):
+        eig = np.array([0.0, 1e-12 + 5j, 1e-6 + 5e3j, 1e-6 + 1j, -2.0])
+        np.testing.assert_array_equal(is_imag_axis(eig),
+                                      [True, True, True, False, False])
+        assert is_imag_axis(2j) and not is_imag_axis(-1e-3 + 2j)
 
 class TestFreqResponse:
     def test_pole_on_axis_rejected(self):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import rssd.vgap
 from conftest import random_siso, random_stable_siso
-from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant
+from rssd.errors import DetVanishesOnContour
+from rssd.lti import PlantSet, StateSpacePlant, cascade, eval_response
 from rssd.vgap import (
     central_plant,
     gap_matrix,
@@ -20,6 +22,58 @@ def static(k):
 
 def static_gap(k1, k2):
     return abs(k1 - k2) / np.sqrt((1 + k1 ** 2) * (1 + k2 ** 2))
+
+
+def random_plant(rng, m, r, unstable, order=3):
+    """Random plant with orthogonally mixed real poles and a feedthrough."""
+    poles = rng.uniform(0.3, 4.0, size=order)
+    poles *= np.where(rng.random(order) < 0.5, 1.0, -1.0) if unstable else -1.0
+    q, _ = np.linalg.qr(rng.normal(size=(order, order)))
+    return StateSpacePlant(q @ np.diag(poles) @ q.T, rng.normal(size=(order, m)),
+                           rng.normal(size=(r, order)),
+                           0.3 * rng.normal(size=(r, m)))
+
+
+def random_family(rng, size, m, r, order=4):
+    """Members sharing B, C and a state basis, with one unstable pole; each
+    member moves every pole by up to 10%, so most pairs are closer than 1."""
+    q, _ = np.linalg.qr(rng.normal(size=(order, order)))
+    poles = -rng.uniform(0.5, 4.0, size=order)
+    poles[0] = 1.0
+    B = rng.normal(size=(order, m))
+    C = rng.normal(size=(r, order))
+    return PlantSet(tuple(
+        StateSpacePlant(q @ np.diag(poles * (1 + 0.1 * rng.uniform(-1, 1, order)))
+                        @ q.T, B, C, np.zeros((r, m)), f"member{k}")
+        for k in range(size)))
+
+
+def reference_winding(p1, p2, indent=1e-3, radius=1e6, num=4000):
+    """Winding number of det(I + P2~ P1) from densely sampled phase.
+
+    The contour runs up the imaginary axis from -j radius to j radius,
+    indented right around the axis poles of P1 and P2~, and closes along the
+    right semicircle of that radius.
+    """
+    p2t = paraconjugate(p2)
+    poles = [lam.imag for p in (p1, p2t) if p.n for lam in np.linalg.eigvals(p.A)
+             if abs(lam.real) < 1e-9]
+    w = np.logspace(-6, np.log10(radius), num)
+    axis = np.concatenate([-w[::-1], [0.0], w])
+    pieces, lo = [], -np.inf
+    for w0 in sorted(set(np.round(poles, 9))):
+        pieces.append(1j * axis[(axis > lo) & (axis < w0 - indent)])
+        theta = np.linspace(-np.pi / 2, np.pi / 2, 200)
+        pieces.append(1j * w0 + indent * np.exp(1j * theta))
+        lo = w0 + indent
+    pieces.append(1j * axis[axis > lo])
+    pieces.append(radius * np.exp(1j * np.linspace(np.pi / 2, -np.pi / 2, 2000)))
+    s = np.concatenate(pieces)
+    det = np.linalg.det(np.eye(p1.m) + eval_response(p2t, s) @ eval_response(p1, s))
+    steps = np.angle(det[1:] / det[:-1])
+    assert np.max(np.abs(steps)) < np.pi / 2, "reference contour too coarse"
+    # the closed path runs clockwise around the right half-plane
+    return int(np.rint(-steps.sum() / (2.0 * np.pi)))
 
 
 class TestPoleCounts:
@@ -46,17 +100,17 @@ class TestParaconjugate:
 
 
 class TestWindingNumber:
-    def test_static_versus_unstable(self, grid):
+    def test_static_versus_unstable(self):
         # det(I + P2~ P1) for P1 = 2, P2 = 1/(s-1): one RHP zero, no RHP pole
         p1 = static(2.0)
         p2 = StateSpacePlant.siso(1.0, 1.0)
-        assert winding_number_det(p1, p2, grid) == 1
+        assert winding_number_det(p1, p2) == 1
 
-    def test_symmetric_orderings_compensate(self, grid):
+    def test_symmetric_orderings_compensate(self):
         p1 = static(2.0)
         p2 = StateSpacePlant.siso(1.0, 1.0)
-        w12 = winding_number_det(p1, p2, grid)
-        w21 = winding_number_det(p2, p1, grid)
+        w12 = winding_number_det(p1, p2)
+        w21 = winding_number_det(p2, p1)
         eta1, _ = pole_counts(p1)
         eta2, eta0_2 = pole_counts(p2)
         assert w12 + eta1 - eta2 - eta0_2 == 0
@@ -64,6 +118,58 @@ class TestWindingNumber:
         eta1b, _ = pole_counts(p2)
         assert w21 + eta1b - eta2b - eta0b == 0
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("unstable", [(False, False), (False, True),
+                                          (True, True)])
+    def test_matches_dense_phase_reference(self, m, unstable):
+        rng = np.random.default_rng(40 + 10 * m + 2 * unstable[0] + unstable[1])
+        for _ in range(6):
+            p1 = random_plant(rng, m, m, unstable[0])
+            p2 = random_plant(rng, m, m, unstable[1])
+            assert winding_number_det(p1, p2) == reference_winding(p1, p2)
+            assert winding_number_det(p2, p1) == reference_winding(p2, p1)
+
+    def test_shared_axis_eigenvalue_is_a_cancellation(self):
+        # P2 = 1/(s+1) carries an unobservable integrator (in a mixed state
+        # basis), which stays in A_z as an uncontrollable mode of P2~ beside
+        # P1's integrator pole
+        T = np.array([[1.0, 0.4], [-0.3, 2.0]])
+        Ti = np.linalg.inv(T)
+        p1 = StateSpacePlant.siso(0.0, 1.0)
+        p2 = StateSpacePlant(T @ np.diag([-1.0, 0.0]) @ Ti, T @ [[1.0], [1.0]],
+                             np.array([[1.0, 0.0]]) @ Ti, [[0.0]])
+        x = cascade(p1, paraconjugate(p2))
+        assert np.min(np.abs(np.linalg.eigvals(x.A - x.B @ x.C))) < 1e-12
+        for a, b in ((p1, p2), (p2, p1)):
+            assert winding_number_det(a, b) == reference_winding(a, b)
+
+    def test_double_integrator_cancelled_by_double_zero(self):
+        # P1 = s^2/(s+1)^2 against P2 = 1/s^2: the hidden Jordan block at 0
+        # that A_z keeps splits off the axis by ~1e-8 and must not be counted
+        p1 = StateSpacePlant([[0.0, 1.0], [-1.0, -2.0]], [[0.0], [1.0]],
+                             [[-1.0, -2.0]], [[1.0]])
+        p2 = StateSpacePlant([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
+                             [[1.0, 0.0]], [[0.0]])
+        for a, b in ((p1, p2), (p2, p1)):
+            assert winding_number_det(a, b) == reference_winding(a, b)
+
+    def test_axis_zero_off_the_indentations_fails_condition(self, grid):
+        # det(1 + P2~ P1) = s/(s+1) for P1 = 2/(s+1), P2 = -1/2
+        p1 = StateSpacePlant.siso(-1.0, 2.0)
+        p2 = static(-0.5)
+        with pytest.raises(DetVanishesOnContour):
+            winding_number_det(p1, p2)
+        got = nu_gap(p1, p2, grid)
+        assert not got.condition_met and got.value == 1.0
+
+    def test_zero_at_infinity_fails_condition(self, grid):
+        # det(1 + P2~ P1) = 1/(1-s) for P1 = 1, P2 = -s/(s+1): nonzero on
+        # every finite frequency, zero at infinity
+        p1 = static(1.0)
+        p2 = StateSpacePlant([[-1.0]], [[1.0]], [[1.0]], [[-1.0]])
+        with pytest.raises(DetVanishesOnContour):
+            winding_number_det(p1, p2)
+        assert nu_gap(p1, p2, grid).value == 1.0
 
 class TestNuGap:
     def test_static_pair_closed_form(self, grid):
@@ -133,3 +239,87 @@ class TestCentralPlant:
         mat = gap_matrix(pset, grid)
         for i in range(3):
             assert max_vgap(i, pset, grid) == pytest.approx(mat[i].max())
+
+
+class TestSampling:
+    def test_gap_matrix_matches_unsampled_pairs_bitwise(self, coarse_grid):
+        pset = random_family(np.random.default_rng(35), 5, 3, 5)
+        mat = gap_matrix(pset, coarse_grid)
+        assert np.any(mat[~np.eye(5, dtype=bool)] < 1.0)
+        for i in range(5):
+            for j in range(i + 1, 5):
+                assert mat[i, j] == nu_gap(pset[i], pset[j], coarse_grid).value
+
+    @pytest.mark.parametrize("seed, rel", [(37, 1e-6), (38, 1e-12)])
+    def test_mimo_value_matches_dense_psi_reference(self, seed, rel,
+                                                    coarse_grid):
+        # seed 37 peaks inside the grid; seed 38 peaks at the first grid
+        # point, so its value is the sampled one, not a refined one
+        from scipy.linalg import sqrtm
+
+        pset = random_family(np.random.default_rng(seed), 2, 2, 3)
+        got = nu_gap(pset[0], pset[1], coarse_grid)
+        assert got.condition_met
+        s = 1j * np.logspace(-2, 3, 4000)
+        r1, r2 = eval_response(pset[0], s), eval_response(pset[1], s)
+        dense = max(
+            np.linalg.norm(np.linalg.inv(sqrtm(np.eye(3) + b @ b.conj().T))
+                           @ (a - b)
+                           @ np.linalg.inv(sqrtm(np.eye(2) + a.conj().T @ a)), 2)
+            for a, b in zip(r1, r2))
+        assert got.value == pytest.approx(dense, rel=rel)
+
+    def test_central_plant_samples_each_member_once(self, coarse_grid,
+                                                    monkeypatch):
+        pset = random_family(np.random.default_rng(36), 4, 3, 5)
+        sizes = []
+
+        def counted(plant, s_values):
+            sizes.append(np.size(s_values))
+            return eval_response(plant, s_values)
+
+        monkeypatch.setattr(rssd.vgap, "eval_response", counted)
+        result = central_plant(pset, coarse_grid)
+        assert result.epsilon < 1.0
+        assert sizes.count(coarse_grid.points.size) == len(pset)
+
+
+class TestInvariance:
+    """The nu-gap of MIMO pairs is a property of the transfer functions."""
+
+    def pairs(self, seed):
+        pset = random_family(np.random.default_rng(seed), 4, 2, 3)
+        return [(pset[i], pset[j]) for i in range(4) for j in range(i + 1, 4)]
+
+    def assert_same_gaps(self, pairs, transform, grid):
+        reached = 0
+        for p1, p2 in pairs:
+            before = nu_gap(p1, p2, grid)
+            after = nu_gap(transform(p1), transform(p2), grid)
+            assert after.condition_met == before.condition_met
+            assert after.value == pytest.approx(before.value, abs=1e-9)
+            reached += before.condition_met
+        assert reached > 0
+
+    def test_state_similarity(self, coarse_grid):
+        rng = np.random.default_rng(51)
+        pairs = self.pairs(52)
+        n = pairs[0][0].n
+        T = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
+        Ti = np.linalg.inv(T)
+
+        def similar(p):
+            return StateSpacePlant(T @ p.A @ Ti, T @ p.B, p.C @ Ti, p.D)
+
+        self.assert_same_gaps(pairs, similar, coarse_grid)
+
+    def test_unitary_input_output_rotations(self, coarse_grid):
+        rng = np.random.default_rng(53)
+        pairs = self.pairs(54)
+        U, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        V, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+
+        def rotated(p):
+            return StateSpacePlant(p.A, p.B @ V, U @ p.C, U @ p.D @ V)
+
+        self.assert_same_gaps(pairs, rotated, coarse_grid)
