@@ -191,7 +191,7 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
             return idx, plant.label, {"unstable": True, **tables}, (sv, None)
         curves = sensitivity_curves(aug, gain, grid)
         bounds = uncertainty_bounds(aug, gain, grid)
-        margins = disk_margin(aug, gain, grid)
+        margins = disk_margin(aug, gain)
         tables.update({
             "unstable": False,
             "gsm": margins.gsm,

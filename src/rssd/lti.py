@@ -195,10 +195,10 @@ def spectrum(plant: StateSpacePlant) -> list[EigenInfo]:
     return [eigen_info(lam) for lam in eig[order]]
 
 
-def is_imag_axis(lam):
+def is_imag_axis(lam, rtol: float = IMAG_AXIS_RTOL):
     """Whether each eigenvalue lies on the imaginary axis (elementwise)."""
     lam = np.asarray(lam)
-    return np.abs(lam.real) <= IMAG_AXIS_RTOL * np.maximum(1.0, np.abs(lam))
+    return np.abs(lam.real) <= rtol * np.maximum(1.0, np.abs(lam))
 
 
 def eval_response(plant: StateSpacePlant, s_values) -> np.ndarray:

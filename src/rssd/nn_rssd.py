@@ -24,6 +24,7 @@ from .eigassign import (
 )
 from .errors import (
     BoundViolation,
+    ComputationFailed,
     DimensionMismatch,
     EmptySubspace,
     IllConditioned,
@@ -214,8 +215,7 @@ def decode_rssd_genome(genes, target: EigTarget) -> RssdGenome:
     return RssdGenome(tuple(eigenvalues), tuple(entry_values))
 
 
-def j2_fitness(p_cp: StateSpacePlant, genome: RssdGenome, target: EigTarget,
-               grid: FrequencyGrid):
+def j2_fitness(p_cp: StateSpacePlant, genome: RssdGenome, target: EigTarget):
     """(J2, K) for one decoded genome, or (penalty, None) on any guard.
 
     Pipeline: allowable subspaces -> constrained vector selection ->
@@ -233,20 +233,16 @@ def j2_fitness(p_cp: StateSpacePlant, genome: RssdGenome, target: EigTarget,
     except (EmptySubspace, BoundViolation, IllConditioned, np.linalg.LinAlgError):
         return PENALTY, None
     try:
-        a_cl = closed_loop_matrix(p_cp, K)
-    except np.linalg.LinAlgError:
+        cl = closed_loop(p_cp, K)
+    except (IllPosedLoop, np.linalg.LinAlgError):
         return PENALTY, None
-    cl_plant = StateSpacePlant(a_cl, p_cp.B, p_cp.C, p_cp.D)
-    ok, _ = check_S1(spectrum(cl_plant), target)
-    if not ok:
+    ok, _ = check_S1(spectrum(cl.realization), target)
+    if not ok or not cl.stable:
         return PENALTY, None
     try:
-        cl = closed_loop(p_cp, K)
-    except IllPosedLoop:
+        norm, _ = linf_norm(cl.realization)
+    except ComputationFailed:
         return PENALTY, None
-    if not cl.stable:
-        return PENALTY, None
-    norm, _ = linf_norm(cl.realization, grid)
     if not np.isfinite(norm):
         return PENALTY, None
     return float(norm), K
@@ -273,7 +269,7 @@ class SynthesisReport:
 
 
 def verify_lemma(pset: PlantSet, w_in, w_out, K, p_cp, desired, target,
-                 jbar, grid) -> dict:
+                 jbar) -> dict:
     """Independent re-verification of the three feasibility conditions plus
     the explicit per-plant eigenvalue stability check."""
     from .lti import augment_plant
@@ -285,7 +281,7 @@ def verify_lemma(pset: PlantSet, w_in, w_out, K, p_cp, desired, target,
     )
     s1_ok, _ = check_S1(spectrum(StateSpacePlant(a_cl, p_cp.B, p_cp.C, p_cp.D)),
                         target)
-    margin = gsm(p_cp, K, grid)
+    margin = gsm(p_cp, K)
     margin_ok = margin > jbar
     all_stable = True
     for plant in pset:
@@ -344,7 +340,7 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
 
         def inner_fitness(genes):
             genome = decode_rssd_genome(genes, target)
-            j2, K = j2_fitness(p_cp, genome, target, grid)
+            j2, K = j2_fitness(p_cp, genome, target)
             if K is not None and j2 < 1.0 / jbar and "K" not in hit:
                 hit.update(j2=j2, K=K, genome=genome)
             return j2
@@ -409,7 +405,7 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
     res = state["result"]
     verification = verify_lemma(
         pset, res["w_in"], res["w_out"], res["K"], res["p_cp"],
-        res["genome"].eigenvalues, target, res["jbar"], grid,
+        res["genome"].eigenvalues, target, res["jbar"],
     )
     feasible = all(v for k, v in verification.items() if k != "margin")
 

@@ -1,7 +1,8 @@
 """Grid sweep with golden-section refinement around local maxima.
 
-One engine serves Psi-peaks, L-infinity norms, and curve extrema; accuracy
-is guarded by dense-grid oracle tests rather than Hamiltonian methods.
+It finds the peak of the nu-gap's Psi on the frequency grid; accuracy is
+guarded by dense-grid oracle tests.  L-infinity norms do not use it: they
+are certified by Hamiltonian iteration in ``rssd.margins.linf_norm``.
 """
 
 from __future__ import annotations

@@ -109,7 +109,7 @@ def test_criterion_2_metric_axioms():
 
 
 def test_criterion_3_stability_margin():
-    b = gsm(StateSpacePlant.siso(0.0, 1.0), np.array([[-1.0]]), GRID)
+    b = gsm(StateSpacePlant.siso(0.0, 1.0), np.array([[-1.0]]))
     assert abs(b - 1 / np.sqrt(2)) < 1e-4
 
     rng = np.random.default_rng(303)
@@ -123,7 +123,7 @@ def test_criterion_3_stability_margin():
             closed_loop_matrix(p, K)).real < 0))
         if stable:
             continue  # only non-stabilizing pairs count here
-        assert gsm(p, K, GRID) == 0.0
+        assert gsm(p, K) == 0.0
         checked += 1
     report(3, f"b(1/s,-1)={b:.6f}, 50 non-stabilizing pairs all b=0")
 
@@ -149,7 +149,7 @@ def test_criterion_4_robust_stabilization_property():
                              B * (1 + scale * rng.normal()),
                              C * (1 + scale * rng.normal()), p1.D)
         gap = nu_gap(p1, p2, GRID).value
-        margin = gsm(p1, K, GRID)
+        margin = gsm(p1, K)
         if margin <= gap:
             continue
         p2_stable = bool(np.all(np.linalg.eigvals(
@@ -223,10 +223,10 @@ def test_criterion_6_linf_engine_versus_dense_oracle():
     systems.append(res)
     worst = 0.0
     for sys in systems:
-        engine, _ = linf_norm(sys, GRID)
+        engine, _ = linf_norm(sys)
         oracle = _dense_linf_oracle(sys)
         worst = max(worst, abs(engine - oracle) / oracle)
-    norm_res, _ = linf_norm(res, GRID)
+    norm_res, _ = linf_norm(res)
     assert abs(norm_res - 5.025189076296001) < 0.01 * 5.0252
     assert worst < 0.01
     report(6, f"20 systems, worst relative error {worst:.2e} versus "
@@ -288,7 +288,7 @@ def test_criterion_8_simulation_consistency():
 
 def test_criterion_9_disk_margin_sanity():
     p = StateSpacePlant.siso(0.0, 1.0)
-    rep = disk_margin(p, np.array([[-1.0]]), GRID)
+    rep = disk_margin(p, np.array([[-1.0]]))
     assert abs(rep.disk_alpha - 2.0) < 1e-6
     assert abs(rep.mdpm_deg - 90.0) < 0.1
     report(9, f"alpha={rep.disk_alpha:.6f}, MDPM=+/-{rep.mdpm_deg:.3f} deg")

@@ -36,42 +36,42 @@ class TestSweep:
 
 
 class TestLinfNorm:
-    def test_first_order_lag_peak_at_dc(self, grid):
-        norm, omega = linf_norm(StateSpacePlant.siso(-1.0, 1.0), grid)
+    def test_first_order_lag_peak_at_dc(self):
+        norm, omega = linf_norm(StateSpacePlant.siso(-1.0, 1.0))
         assert norm == pytest.approx(1.0, rel=1e-6)
         assert omega == pytest.approx(0.0, abs=1e-3)
 
-    def test_resonance_within_engine_tolerance(self, grid):
+    def test_resonance_within_engine_tolerance(self):
         # 1/(s^2 + 0.2 s + 1): analytic peak 5.0252 near w = 0.99
         A = np.array([[0.0, 1.0], [-1.0, -0.2]])
         sys = StateSpacePlant(A, np.array([[0.0], [1.0]]),
                               np.array([[1.0, 0.0]]), np.zeros((1, 1)))
-        norm, omega = linf_norm(sys, grid)
+        norm, omega = linf_norm(sys)
         assert norm == pytest.approx(5.02519, rel=1e-4)
         assert omega == pytest.approx(np.sqrt(1 - 2 * 0.01), rel=1e-3)
 
-    def test_axis_pole_infinite(self, grid):
-        norm, omega = linf_norm(StateSpacePlant.siso(0.0, 1.0), grid)
+    def test_axis_pole_infinite(self):
+        norm, omega = linf_norm(StateSpacePlant.siso(0.0, 1.0))
         assert np.isinf(norm)
         assert omega == 0.0
 
-    def test_feedthrough_limit(self, grid):
+    def test_feedthrough_limit(self):
         # (s + 10)/(s + 1): high-frequency gain 1 < DC gain 10
         sys = StateSpacePlant(np.array([[-1.0]]), np.array([[1.0]]),
                               np.array([[9.0]]), np.array([[1.0]]))
-        norm, _ = linf_norm(sys, grid)
+        norm, _ = linf_norm(sys)
         assert norm == pytest.approx(10.0, rel=1e-6)
 
 
 class TestClosedLoop:
-    def test_integrator_gsm(self, grid):
+    def test_integrator_gsm(self):
         p = StateSpacePlant.siso(0.0, 1.0)
-        assert gsm(p, np.array([[-1.0]]), grid) == pytest.approx(
+        assert gsm(p, np.array([[-1.0]])) == pytest.approx(
             1 / np.sqrt(2), abs=1e-4)
 
-    def test_unstable_loop_zero_margin(self, grid):
+    def test_unstable_loop_zero_margin(self):
         p = StateSpacePlant.siso(1.0, 1.0)
-        assert gsm(p, np.array([[0.0]]), grid) == 0.0
+        assert gsm(p, np.array([[0.0]])) == 0.0
 
     def test_closed_loop_matrix_positive_feedback(self):
         p = StateSpacePlant.siso(-1.0, 1.0)
@@ -114,26 +114,26 @@ class TestSensitivity:
 
 
 class TestDiskMargin:
-    def test_integrator_classical(self, grid):
+    def test_integrator_classical(self):
         # L = -K P = 1/s: alpha = 2, disk phase margin +/- 90 degrees
         p = StateSpacePlant.siso(0.0, 1.0)
-        report = disk_margin(p, np.array([[-1.0]]), grid)
+        report = disk_margin(p, np.array([[-1.0]]))
         assert report.disk_alpha == pytest.approx(2.0, abs=1e-6)
         assert report.mdpm_deg == pytest.approx(90.0, abs=0.1)
         assert np.isinf(report.mdgm_db)
 
-    def test_zero_gain_degenerate(self, grid):
+    def test_zero_gain_degenerate(self):
         p = StateSpacePlant.siso(-1.0, 1.0)
-        report = disk_margin(p, np.array([[0.0]]), grid)
+        report = disk_margin(p, np.array([[0.0]]))
         assert report.degenerate
 
-    def test_finite_margin_case(self, grid):
+    def test_finite_margin_case(self):
         # L = 8/((s+1)(s+2)): resonant enough that alpha < 2
         A = np.diag([-1.0, -2.0])
         B = np.ones((2, 1))
         C = np.array([[8.0, -8.0]])
         p = StateSpacePlant(A, B, C, np.zeros((1, 1)))
-        report = disk_margin(p, np.array([[-1.0]]), grid)
+        report = disk_margin(p, np.array([[-1.0]]))
         assert 0 < report.disk_alpha < 2
         assert np.isfinite(report.mdgm_db)
         assert report.gsm > 0

@@ -119,25 +119,25 @@ class TestGenome:
 
 
 class TestJ2Fitness:
-    def test_double_integrator_gain(self, grid):
+    def test_double_integrator_gain(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         p = StateSpacePlant(A, np.array([[0.0], [1.0]]), np.eye(2),
                             np.zeros((2, 1)))
         target = EigTarget((ModeTarget("real", 0.5, 3.0),
                             ModeTarget("real", 0.5, 3.0)), zeta_min=0.5)
         genome = decode_rssd_genome([1.0, 2.0], target)
-        j2, K = j2_fitness(p, genome, target, grid)
+        j2, K = j2_fitness(p, genome, target)
         assert np.isfinite(j2)
         np.testing.assert_allclose(K, [[-2.0, -3.0]], atol=1e-9)
 
-    def test_unstabilizable_choice_penalized(self, grid):
+    def test_unstabilizable_choice_penalized(self):
         # gain placing one eigenvalue leaves the other unstable
         A = np.diag([1.0, 2.0])
         B = np.array([[1.0], [0.0]])   # second mode uncontrollable
         p = StateSpacePlant(A, B, np.array([[1.0, 0.0]]), np.zeros((1, 1)))
         target = EigTarget((ModeTarget("real", 0.5, 5.0),), zeta_min=0.3)
         genome = decode_rssd_genome([1.0], target)
-        j2, K = j2_fitness(p, genome, target, grid)
+        j2, K = j2_fitness(p, genome, target)
         assert j2 == PENALTY and K is None
 
 
