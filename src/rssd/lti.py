@@ -191,6 +191,11 @@ def spectrum(plant: StateSpacePlant) -> list[EigenInfo]:
         eig = np.linalg.eigvals(plant.A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ComputationFailed(f"eigen-solver failed: {exc}") from exc
+    return sorted_spectrum(eig)
+
+
+def sorted_spectrum(eig) -> list[EigenInfo]:
+    """Damping info of already computed eigenvalues, conjugate pairs adjacent."""
     order = np.lexsort((np.sign(eig.imag), np.abs(eig.imag), eig.real))
     return [eigen_info(lam) for lam in eig[order]]
 

@@ -35,6 +35,7 @@ class ClosedLoop:
     gain: np.ndarray
     realization: StateSpacePlant
     stable: bool
+    eigenvalues: np.ndarray  # of the closed-loop state matrix
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,8 @@ def closed_loop(plant: StateSpacePlant, gain) -> ClosedLoop:
 
     A, B, C, D = plant.A, plant.B, plant.C, plant.D
     a_cl = A + B @ M @ K @ C if plant.n else np.zeros((0, 0))
-    stable = bool(plant.n == 0 or np.all(np.linalg.eigvals(a_cl).real < 0))
+    eig = np.linalg.eigvals(a_cl) if plant.n else np.zeros(0, complex)
+    stable = bool(np.all(eig.real < 0))
 
     # inputs (w1, w2) of sizes (m, r); outputs (y, u)
     E = M @ np.hstack([-np.eye(plant.m), K])
@@ -155,7 +157,7 @@ def closed_loop(plant: StateSpacePlant, gain) -> ClosedLoop:
     c_cl = np.vstack([C + D @ M @ K @ C, M @ K @ C])
     d_cl = np.vstack([D @ E, E])
     real = StateSpacePlant(a_cl, b_cl, c_cl, d_cl, plant.label + "_cl")
-    return ClosedLoop(plant, K, real, stable)
+    return ClosedLoop(plant, K, real, stable, eig)
 
 
 def closed_loop_matrix(plant: StateSpacePlant, gain) -> np.ndarray:

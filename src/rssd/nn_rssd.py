@@ -34,7 +34,14 @@ from .errors import (
     RssdError,
     UnstableSection,
 )
-from .lti import CompensatorBank, FrequencyGrid, PlantSet, StateSpacePlant, spectrum
+from .lti import (
+    CompensatorBank,
+    FrequencyGrid,
+    PlantSet,
+    StateSpacePlant,
+    sorted_spectrum,
+    spectrum,
+)
 from .margins import closed_loop, closed_loop_matrix, gsm, linf_norm
 from .scp import BankTemplate, ScpConstraints, check_constraints, decode_bank, j1_fitness
 from .vgap import central_plant
@@ -80,8 +87,10 @@ def ga_minimize(fitness, boxes, config: GaConfig, stop=None,
     """Box-constrained real-coded GA minimization.
 
     Elitism guarantees the best-so-far never worsens; runs are bit
-    reproducible under a fixed seed.  ``stop`` is polled after every
-    fitness evaluation so a caller can terminate mid-generation.
+    reproducible under a fixed seed.  ``fitness`` is called once per
+    distinct genome of this run: elites and unchanged children reuse the
+    stored value.  ``stop`` is polled after every individual so a caller
+    can terminate mid-generation.
     """
     boxes = np.asarray(boxes, dtype=float)
     if boxes.ndim != 2 or boxes.shape[1] != 2 or boxes.size == 0:
@@ -98,11 +107,15 @@ def ga_minimize(fitness, boxes, config: GaConfig, stop=None,
     best_genes, best_fit = None, np.inf
     history = []
     gens_done = 0
+    scored = {}  # genes.tobytes() -> fitness, for this call only
 
     for gen in range(config.max_generations):
         fits = np.empty(pop.shape[0])
         for i, genes in enumerate(pop):
-            fits[i] = fitness(genes)
+            key = genes.tobytes()
+            if key not in scored:
+                scored[key] = fitness(genes)
+            fits[i] = scored[key]
             if fits[i] < best_fit:
                 best_fit = float(fits[i])
                 best_genes = genes.copy()
@@ -236,7 +249,7 @@ def j2_fitness(p_cp: StateSpacePlant, genome: RssdGenome, target: EigTarget):
         cl = closed_loop(p_cp, K)
     except (IllPosedLoop, np.linalg.LinAlgError):
         return PENALTY, None
-    ok, _ = check_S1(spectrum(cl.realization), target)
+    ok, _ = check_S1(sorted_spectrum(cl.eigenvalues), target)
     if not ok or not cl.stable:
         return PENALTY, None
     try:

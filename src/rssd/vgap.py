@@ -67,9 +67,8 @@ class SampledPlant:
 def sample(plant: StateSpacePlant, grid: FrequencyGrid) -> SampledPlant:
     """Evaluate ``plant`` once on ``grid`` for any number of nu-gap pairs."""
     resp = eval_response(plant, 1j * grid.points)
-    return SampledPlant(plant, grid, resp,
-                        np.linalg.norm(resp, ord=2, axis=(1, 2)),
-                        _left_factor(resp), _right_factor(resp))
+    right, sigma = _right_factor(resp)
+    return SampledPlant(plant, grid, resp, sigma, _left_factor(resp), right)
 
 
 def _sampled(p, grid: FrequencyGrid) -> SampledPlant:
@@ -136,20 +135,23 @@ def winding_number_det(p1: StateSpacePlant, p2: StateSpacePlant) -> int:
 
 
 def _inv_sqrt_h(mats):
-    """(Hermitian positive definite)^(-1/2) per batch entry via eigh."""
+    """(Hermitian positive definite)^(-1/2) per batch entry via eigh, and the
+    ascending eigenvalues it was formed from."""
     w, v = np.linalg.eigh(mats)
-    w = np.maximum(w, 1e-300)
-    return (v * (1.0 / np.sqrt(w))[:, None, :]) @ v.conj().swapaxes(1, 2)
+    root = 1.0 / np.sqrt(np.maximum(w, 1e-300))
+    return (v * root[:, None, :]) @ v.conj().swapaxes(1, 2), w
 
 
 def _left_factor(resp):
     """(I + P P*)^(-1/2) per point."""
-    return _inv_sqrt_h(np.eye(resp.shape[1]) + resp @ resp.conj().swapaxes(1, 2))
+    return _inv_sqrt_h(np.eye(resp.shape[1]) + resp @ resp.conj().swapaxes(1, 2))[0]
 
 
 def _right_factor(resp):
-    """(I + P* P)^(-1/2) per point."""
-    return _inv_sqrt_h(np.eye(resp.shape[2]) + resp.conj().swapaxes(1, 2) @ resp)
+    """(I + P* P)^(-1/2) per point, and sigma_max P from the same eigenvalues:
+    sigma_max^2 = lambda_max(I + P* P) - 1."""
+    factor, w = _inv_sqrt_h(np.eye(resp.shape[2]) + resp.conj().swapaxes(1, 2) @ resp)
+    return factor, np.sqrt(np.maximum(w[:, -1] - 1.0, 0.0))
 
 
 def _psi_sigma(s1: SampledPlant, s2: SampledPlant):
@@ -166,7 +168,7 @@ def _psi_sigma(s1: SampledPlant, s2: SampledPlant):
             s = 1j * np.asarray(omegas, dtype=float)
             r1 = eval_response(s1.plant, s)
             r2 = eval_response(s2.plant, s)
-            l2, m1 = _left_factor(r2), _right_factor(r1)
+            l2, m1 = _left_factor(r2), _right_factor(r1)[0]
         return np.linalg.norm(l2 @ (r1 - r2) @ m1, ord=2, axis=(1, 2))
 
     return fun

@@ -204,7 +204,8 @@ def test_criterion_5_eigenstructure_oracle():
 
 
 def _dense_linf_oracle(sys, n_points=1_000_000):
-    omegas = np.logspace(-3, 5, n_points)
+    # omega = 0 too: several criterion-6 systems peak there
+    omegas = np.concatenate(([0.0], np.logspace(-3, 5, n_points)))
     peak = 0.0
     for chunk in np.array_split(omegas, 8):
         resp = eval_response(sys, 1j * chunk)

@@ -175,6 +175,17 @@ class TestJ2Path:
         assert K is not None and np.isfinite(j2)
         assert len(calls) == 1
 
+    def test_s1_check_reuses_loop_eigenvalues(self, monkeypatch):
+        def unexpected(plant):
+            raise AssertionError("closed-loop spectrum solved twice")
+
+        monkeypatch.setattr(rssd.nn_rssd, "spectrum", unexpected)
+        j2, K = j2_fitness(*double_integrator_case())
+        assert K is not None and np.isfinite(j2)
+        cl = closed_loop(double_integrator_case()[0], K)
+        assert np.array_equal(cl.eigenvalues,
+                              np.linalg.eigvals(cl.realization.A))
+
     def test_failed_norm_penalized(self, monkeypatch):
         def failing(sys):
             raise ComputationFailed("no convergence")

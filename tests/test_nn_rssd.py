@@ -55,12 +55,18 @@ class TestGaMinimize:
         assert np.all(np.diff(res.history) <= 0)
 
     def test_identical_population_no_mutation_flat(self):
+        calls = []
+
+        def f(g):
+            calls.append(1)
+            return float(np.sum(g ** 2))
+
         cfg = GaConfig(population=8, max_generations=5, seed=1,
                        mutation_prob=0.0, crossover_prob=0.0)
         init = np.tile([2.0, -1.0], (8, 1))
-        res = ga_minimize(lambda g: float(np.sum(g ** 2)), [(-5, 5)] * 2, cfg,
-                          init_population=init)
+        res = ga_minimize(f, [(-5, 5)] * 2, cfg, init_population=init)
         assert res.history == [5.0] * 5
+        assert len(calls) == 1  # one distinct genome is scored once
 
     def test_early_stop_mid_generation(self):
         calls = []
@@ -72,6 +78,43 @@ class TestGaMinimize:
         cfg = GaConfig(population=10, max_generations=50, seed=2)
         ga_minimize(f, [(-1, 1)], cfg, stop=lambda: len(calls) >= 3)
         assert len(calls) == 3
+
+    def test_each_distinct_genome_scored_once(self):
+        keys = []
+
+        def f(g):
+            keys.append(g.tobytes())
+            return float(np.sum((g - 0.3) ** 2))
+
+        # elites and unchanged children repeat genomes in every generation
+        cfg = GaConfig(population=10, max_generations=8, seed=21)
+        ga_minimize(f, [(-2, 2)] * 3, cfg)
+        assert len(keys) == len(set(keys)) == 51
+
+    def test_memo_does_not_outlive_the_call(self):
+        calls = []
+        f = lambda g: (calls.append(1), float(g[0])) [1]
+        cfg = GaConfig(population=4, max_generations=1, seed=0)
+        init = np.tile([0.5], (4, 1))
+        ga_minimize(f, [(0, 1)], cfg, init_population=init)
+        ga_minimize(f, [(0, 1)], cfg, init_population=init)
+        assert len(calls) == 2
+
+    def test_seeded_result_pinned(self):
+        # values from the GA before genomes were memoized: skipping repeat
+        # evaluations leaves the RNG stream and the result untouched
+        f = lambda g: float(np.sum((g - 0.3) ** 2)
+                            + 0.1 * np.sum(np.cos(5 * g)))
+        cfg = GaConfig(population=10, max_generations=8, seed=21)
+        res = ga_minimize(f, [(-2, 2)] * 3, cfg)
+        assert res.history == [
+            0.9633539867584178, 0.9633539867584178, 0.7077589887854625,
+            0.7077589887854625, 0.7077589887854625, 0.7077589887854625,
+            0.6801297395252, 0.18074364749974353]
+        assert res.best_genes.tolist() == [
+            0.5673565374265578, 0.42338811828387213, 0.8392047616337006]
+        assert res.best_fitness == 0.18074364749974353
+        assert res.generations == 8
 
     def test_bad_population_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -12,6 +12,7 @@ from rssd.vgap import (
     nu_gap,
     paraconjugate,
     pole_counts,
+    sample,
     winding_number_det,
 )
 
@@ -282,6 +283,20 @@ class TestSampling:
         result = central_plant(pset, coarse_grid)
         assert result.epsilon < 1.0
         assert sizes.count(coarse_grid.points.size) == len(pset)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_sigma_from_gram_matches_svd(self, scale, coarse_grid):
+        # sample() reads sigma_max from eigh(I + P* P); 1 + sigma^2 is what
+        # that factorization resolves at every scale
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            p = random_plant(rng, 3, 5, unstable=True, order=4)
+            p = StateSpacePlant(p.A, p.B, scale * p.C, scale * p.D)
+            got = sample(p, coarse_grid).sigma
+            svd = np.linalg.svd(eval_response(p, 1j * coarse_grid.points),
+                                compute_uv=False)[:, 0]
+            np.testing.assert_allclose(1.0 + got ** 2, 1.0 + svd ** 2,
+                                       rtol=1e-12, atol=0.0)
 
 
 class TestInvariance:
