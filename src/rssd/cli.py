@@ -23,7 +23,7 @@ from .errors import (
     RssdError,
     UnstableLoop,
 )
-from .lti import FrequencyGrid, augment_plant, eval_response, spectrum
+from .lti import FrequencyGrid, augment_plant, eval_response, sorted_spectrum
 from .margins import (
     closed_loop,
     disk_margin,
@@ -176,10 +176,7 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
             cl = closed_loop(aug, gain)
         except RssdError as exc:
             return idx, plant.label, {"error": str(exc)}, None
-        from .lti import StateSpacePlant
-        from .margins import closed_loop_matrix
-        a_cl = closed_loop_matrix(aug, gain)
-        eigs = spectrum(StateSpacePlant(a_cl, aug.B, aug.C, aug.D))
+        eigs = sorted_spectrum(cl.eigenvalues)
         tables = {
             "eigenvalues": [
                 {"re": e.value.real, "im": e.value.imag,

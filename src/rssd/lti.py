@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ComputationFailed,
     DimensionMismatch,
     ImproperSection,
     SingularAtFrequency,
@@ -181,17 +180,6 @@ def eigen_info(lam: complex) -> EigenInfo:
     if wn == 0.0:
         return EigenInfo(0j, 1.0, 0.0, marginal=True)
     return EigenInfo(complex(lam), -lam.real / wn, wn)
-
-
-def spectrum(plant: StateSpacePlant) -> list[EigenInfo]:
-    """All eigenvalues of A with damping info, conjugate pairs adjacent."""
-    if plant.n == 0:
-        return []
-    try:
-        eig = np.linalg.eigvals(plant.A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ComputationFailed(f"eigen-solver failed: {exc}") from exc
-    return sorted_spectrum(eig)
 
 
 def sorted_spectrum(eig) -> list[EigenInfo]:

@@ -8,7 +8,8 @@ margin they give err low: on the safe side of the nu-gap certificate.
 The positive-feedback convention u = K y is used throughout, so the output
 sensitivity is S_o = (I - P K)^(-1) and closed-loop stability is decided by
 the eigenvalues of A + B (I - K D)^(-1) K C.  The disk-margin loop is
-L = -K P so classical negative-feedback margin formulas apply.
+L = -K P (input) or -P K (output) so classical negative-feedback margin
+formulas apply; its sensitivities are blocks of the 4-block operator.
 """
 
 from __future__ import annotations
@@ -29,13 +30,26 @@ LINF_MAX_ITER = 50
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """Plant + static gain with the 4-block [P;I](I-KP)^(-1)[-I K] operator."""
+    """Plant + static gain u = K y: M = (I - K D)^(-1), A_cl = A + B M K C."""
 
     plant: StateSpacePlant
     gain: np.ndarray
-    realization: StateSpacePlant
+    M: np.ndarray
+    a_cl: np.ndarray
+    eigenvalues: np.ndarray  # of a_cl
     stable: bool
-    eigenvalues: np.ndarray  # of the closed-loop state matrix
+
+    @property
+    def realization(self) -> StateSpacePlant:
+        """The 4-block [P;I](I-KP)^(-1)[-I K]: inputs (w1, w2) of sizes
+        (m, r), outputs (y, u)."""
+        plant, K, M = self.plant, self.gain, self.M
+        B, C, D = plant.B, plant.C, plant.D
+        E = M @ np.hstack([-np.eye(plant.m), K])
+        b_cl = B @ E
+        c_cl = np.vstack([C + D @ M @ K @ C, M @ K @ C])
+        d_cl = np.vstack([D @ E, E])
+        return StateSpacePlant(self.a_cl, b_cl, c_cl, d_cl, plant.label + "_cl")
 
 
 @dataclass(frozen=True)
@@ -135,7 +149,7 @@ def linf_norm(sys: StateSpacePlant) -> tuple[float, float]:
 
 
 def closed_loop(plant: StateSpacePlant, gain) -> ClosedLoop:
-    """Well-posed positive-feedback loop and its 4-block realization."""
+    """Well-posed positive-feedback loop, its state matrix and spectrum."""
     K = np.atleast_2d(np.asarray(gain, dtype=float))
     if K.shape != (plant.m, plant.r):
         raise IllPosedLoop(
@@ -145,26 +159,12 @@ def closed_loop(plant: StateSpacePlant, gain) -> ClosedLoop:
     if abs(np.linalg.det(ikd)) < 1e-12:
         raise IllPosedLoop("(I - K D) is singular")
     M = np.linalg.inv(ikd)
-
-    A, B, C, D = plant.A, plant.B, plant.C, plant.D
-    a_cl = A + B @ M @ K @ C if plant.n else np.zeros((0, 0))
-    eig = np.linalg.eigvals(a_cl) if plant.n else np.zeros(0, complex)
-    stable = bool(np.all(eig.real < 0))
-
-    # inputs (w1, w2) of sizes (m, r); outputs (y, u)
-    E = M @ np.hstack([-np.eye(plant.m), K])
-    b_cl = B @ E
-    c_cl = np.vstack([C + D @ M @ K @ C, M @ K @ C])
-    d_cl = np.vstack([D @ E, E])
-    real = StateSpacePlant(a_cl, b_cl, c_cl, d_cl, plant.label + "_cl")
-    return ClosedLoop(plant, K, real, stable, eig)
-
-
-def closed_loop_matrix(plant: StateSpacePlant, gain) -> np.ndarray:
-    """Closed-loop state matrix A + B (I-KD)^(-1) K C."""
-    K = np.atleast_2d(np.asarray(gain, dtype=float))
-    M = np.linalg.inv(np.eye(plant.m) - K @ plant.D)
-    return plant.A + plant.B @ M @ K @ plant.C
+    if plant.n:
+        a_cl = plant.A + plant.B @ M @ K @ plant.C
+        eig = np.linalg.eigvals(a_cl)
+    else:
+        a_cl, eig = np.zeros((0, 0)), np.zeros(0, complex)
+    return ClosedLoop(plant, K, M, a_cl, eig, bool(np.all(eig.real < 0)))
 
 
 def gsm(plant: StateSpacePlant, gain) -> float:
@@ -235,16 +235,6 @@ def uncertainty_bounds(plant: StateSpacePlant, gain,
     )
 
 
-def _balanced_half_difference(loop: StateSpacePlant) -> StateSpacePlant:
-    """(S - T)/2 for S = (I + L)^(-1), T = I - S, as a state-space system."""
-    F = np.linalg.inv(np.eye(loop.m) + loop.D)
-    a = loop.A - loop.B @ F @ loop.C if loop.n else np.zeros((0, 0))
-    b = loop.B @ F
-    c = -F @ loop.C
-    d = F - 0.5 * np.eye(loop.m)  # (2S - I)/2 evaluated through S's feedthrough
-    return StateSpacePlant(a, b, c, d)
-
-
 def disk_margin(plant: StateSpacePlant, gain) -> MarginReport:
     """Balanced (skew 0) disk margin at plant input and output, worst of both.
 
@@ -255,14 +245,19 @@ def disk_margin(plant: StateSpacePlant, gain) -> MarginReport:
     if not cl.stable:
         raise UnstableLoop("disk margin requires a stable loop")
     K = cl.gain
-    loops = {
-        "input": StateSpacePlant(plant.A, plant.B, -K @ plant.C, -K @ plant.D),
-        "output": StateSpacePlant(plant.A, plant.B @ K, -plant.C, -plant.D @ K),
+    real, m, r = cl.realization, plant.m, plant.r
+    # (S - T)/2 = S - I/2, read off the 4-block: S_i = -(u <- w1) and
+    # S_o = I + (y <- w2)
+    halves = {
+        "input": StateSpacePlant(real.A, -real.B[:, :m], real.C[r:],
+                                 -real.D[r:, :m] - 0.5 * np.eye(m)),
+        "output": StateSpacePlant(real.A, real.B[:, m:], real.C[:r],
+                                  real.D[:r, m:] + 0.5 * np.eye(r)),
     }
     alpha = np.inf
     worst = {}
-    for where, loop in loops.items():
-        norm, omega = linf_norm(_balanced_half_difference(loop))
+    for where, half in halves.items():
+        norm, omega = linf_norm(half)
         a = 1.0 / norm if norm > 0 else np.inf
         worst[where] = {"alpha": float(a), "omega": float(omega)}
         if a < alpha:

@@ -39,10 +39,10 @@ from .lti import (
     FrequencyGrid,
     PlantSet,
     StateSpacePlant,
+    augment_plant,
     sorted_spectrum,
-    spectrum,
 )
-from .margins import closed_loop, closed_loop_matrix, gsm, linf_norm
+from .margins import closed_loop, gsm, linf_norm
 from .scp import BankTemplate, ScpConstraints, check_constraints, decode_bank, j1_fitness
 from .vgap import central_plant
 
@@ -274,7 +274,6 @@ class SynthesisReport:
     cp_index: int | None
     desired_eigenvalues: tuple | None
     verification: dict
-    plant_spectra: list
     scp_generations: int
     rssd_invocations: int
     rssd_generations: int
@@ -284,24 +283,23 @@ class SynthesisReport:
 def verify_lemma(pset: PlantSet, w_in, w_out, K, p_cp, desired, target,
                  jbar) -> dict:
     """Independent re-verification of the three feasibility conditions plus
-    the explicit per-plant eigenvalue stability check."""
-    from .lti import augment_plant
-
-    a_cl = closed_loop_matrix(p_cp, K)
-    cl_eigs = np.linalg.eigvals(a_cl)
+    the explicit per-plant eigenvalue stability check; an ill-posed
+    augmented loop counts as not stable."""
+    cl_eigs = closed_loop(p_cp, K).eigenvalues
     assigned_ok = all(
         np.min(np.abs(cl_eigs - lam)) < 1e-6 for lam in _with_conjugates(desired)
     )
-    s1_ok, _ = check_S1(spectrum(StateSpacePlant(a_cl, p_cp.B, p_cp.C, p_cp.D)),
-                        target)
+    s1_ok, _ = check_S1(sorted_spectrum(cl_eigs), target)
     margin = gsm(p_cp, K)
     margin_ok = margin > jbar
     all_stable = True
     for plant in pset:
         aug = augment_plant(w_out, plant, w_in)
-        eigs = np.linalg.eigvals(closed_loop_matrix(aug, K))
-        if eigs.size and not np.all(eigs.real < 0):
-            all_stable = False
+        try:
+            stable = closed_loop(aug, K).stable
+        except IllPosedLoop:
+            stable = False
+        all_stable = all_stable and stable
     return {
         "assigned_eigenvalues": bool(assigned_ok),
         "all_in_S1": bool(s1_ok),
@@ -410,7 +408,7 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
             feasible=False, gain=None, w_in=None, w_out=None,
             j1_history=state["history"], j2=None, cp_index=None,
             desired_eigenvalues=None, verification={},
-            plant_spectra=[], scp_generations=outer.generations,
+            scp_generations=outer.generations,
             rssd_invocations=state["invocations"],
             rssd_generations=state["rssd_gens"], seeds=seeds,
         )
@@ -421,21 +419,11 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
         res["genome"].eigenvalues, target, res["jbar"],
     )
     feasible = all(v for k, v in verification.items() if k != "margin")
-
-    from .lti import augment_plant
-
-    plant_spectra = []
-    for plant in pset:
-        aug = augment_plant(res["w_out"], plant, res["w_in"])
-        a_cl = closed_loop_matrix(aug, res["K"])
-        plant_spectra.append(
-            (plant.label, spectrum(StateSpacePlant(a_cl, aug.B, aug.C, aug.D)))
-        )
     return SynthesisReport(
         feasible=feasible, gain=res["K"], w_in=res["w_in"], w_out=res["w_out"],
         j1_history=state["history"], j2=res["j2"], cp_index=res["cp_index"],
         desired_eigenvalues=res["genome"].eigenvalues,
-        verification=verification, plant_spectra=plant_spectra,
+        verification=verification,
         scp_generations=outer.generations,
         rssd_invocations=state["invocations"],
         rssd_generations=state["rssd_gens"], seeds=seeds,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergentTrace, IllPosedLoop
+from .errors import DimensionMismatch, DivergentTrace
 from .lti import (
     CompensatorBank,
     FirstOrderSection,
@@ -24,6 +24,7 @@ from .lti import (
     eval_response,
     realize_bank,
 )
+from .margins import closed_loop
 
 DIVERGENCE_LIMIT = 1e9
 
@@ -120,21 +121,14 @@ def simulate(plant: StateSpacePlant, gain, w_in: CompensatorBank,
     aug = augment_plant(w_out, plant, w_in)
     if scenario.uncertainty is not None:
         aug = cascade(aug, _uncertainty_plant(scenario.uncertainty, aug.r))
-    K = np.atleast_2d(np.asarray(gain, dtype=float))
-    if K.shape != (aug.m, aug.r):
-        raise IllPosedLoop(
-            f"gain shape {K.shape} does not match loop (m={aug.m}, r={aug.r})"
-        )
+    cl = closed_loop(aug, gain)  # IllPosedLoop on a bad shape or singular I - K D
     if len(scenario.reference) != aug.r:
         raise DimensionMismatch("one reference spec per output channel required")
     if scenario.disturbance and len(scenario.disturbance) != aug.r:
         raise DimensionMismatch("one disturbance spec per output channel required")
 
-    ikd = np.eye(aug.m) - K @ aug.D
-    if abs(np.linalg.det(ikd)) < 1e-12:
-        raise IllPosedLoop("(I - K D) is singular")
-    MK = np.linalg.solve(ikd, K)
-    a_cl = aug.A + aug.B @ MK @ aug.C
+    MK = cl.M @ cl.gain
+    a_cl = cl.a_cl
     b_ext = aug.B @ MK  # forcing by (d - r)
 
     dt = scenario.dt

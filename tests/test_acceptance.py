@@ -29,7 +29,7 @@ from rssd.lti import (
     eval_response,
     realize_bank,
 )
-from rssd.margins import closed_loop_matrix, disk_margin, gsm, linf_norm
+from rssd.margins import closed_loop, disk_margin, gsm, linf_norm
 from rssd.nn_rssd import GaConfig, run_nn_rssd
 from rssd.scp import ScpConstraints
 from rssd.sim import Scenario, SignalSpec, simulate
@@ -119,8 +119,7 @@ def test_criterion_3_stability_margin():
         p = StateSpacePlant(p.A + rng.uniform(0.0, 2.0) * np.eye(p.n),
                             p.B, p.C, p.D)
         K = np.array([[rng.normal(0.0, 2.0)]])
-        stable = bool(np.all(np.linalg.eigvals(
-            closed_loop_matrix(p, K)).real < 0))
+        stable = bool(np.all(closed_loop(p, K).eigenvalues.real < 0))
         if stable:
             continue  # only non-stabilizing pairs count here
         assert gsm(p, K) == 0.0
@@ -142,7 +141,7 @@ def test_criterion_4_robust_stabilization_property():
         C = rng.normal(0.0, 1.0, size=(1, n))
         p1 = StateSpacePlant(A, B, C, np.zeros((1, 1)))
         K = np.array([[rng.normal(0.0, 3.0)]])
-        if not np.all(np.linalg.eigvals(closed_loop_matrix(p1, K)).real < 0):
+        if not np.all(closed_loop(p1, K).eigenvalues.real < 0):
             continue
         scale = rng.uniform(0.01, 0.15)
         p2 = StateSpacePlant(A + scale * rng.normal(size=A.shape),
@@ -152,8 +151,7 @@ def test_criterion_4_robust_stabilization_property():
         margin = gsm(p1, K)
         if margin <= gap:
             continue
-        p2_stable = bool(np.all(np.linalg.eigvals(
-            closed_loop_matrix(p2, K)).real < 0))
+        p2_stable = bool(np.all(closed_loop(p2, K).eigenvalues.real < 0))
         assert p2_stable, (
             f"b={margin:.4f} > gap={gap:.4f} but K fails to stabilize P2")
         confirmed += 1
@@ -263,7 +261,7 @@ def test_criterion_8_simulation_consistency():
 
     from rssd.lti import augment_plant
     aug = augment_plant(w_out, plant, w_in)
-    eigs = np.linalg.eigvals(closed_loop_matrix(aug, K))
+    eigs = closed_loop(aug, K).eigenvalues
     dominant = float(np.max(eigs.real))
 
     sc = Scenario((SignalSpec("step", 1.0),), dt=1e-3, duration=6.0)

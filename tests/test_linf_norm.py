@@ -176,15 +176,23 @@ class TestJ2Path:
         assert len(calls) == 1
 
     def test_s1_check_reuses_loop_eigenvalues(self, monkeypatch):
-        def unexpected(plant):
-            raise AssertionError("closed-loop spectrum solved twice")
+        solved = []
+        eigvals = np.linalg.eigvals
 
-        monkeypatch.setattr(rssd.nn_rssd, "spectrum", unexpected)
+        def recorded(a):
+            solved.append(np.array(a))
+            return eigvals(a)
+
+        # linf_norm's pole test solves eig(A_cl) as well; stub it so that only
+        # closed_loop and the S1 check are counted
+        monkeypatch.setattr(rssd.nn_rssd, "linf_norm", lambda sys: (1.0, 0.0))
+        monkeypatch.setattr(np.linalg, "eigvals", recorded)
         j2, K = j2_fitness(*double_integrator_case())
+        monkeypatch.undo()
         assert K is not None and np.isfinite(j2)
         cl = closed_loop(double_integrator_case()[0], K)
-        assert np.array_equal(cl.eigenvalues,
-                              np.linalg.eigvals(cl.realization.A))
+        assert sum(np.array_equal(a, cl.a_cl) for a in solved) == 1
+        assert np.array_equal(cl.eigenvalues, np.linalg.eigvals(cl.a_cl))
 
     def test_failed_norm_penalized(self, monkeypatch):
         def failing(sys):

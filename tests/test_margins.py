@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from conftest import random_stable_siso
 from rssd.errors import UnstableLoop
 from rssd.lti import FrequencyGrid, StateSpacePlant, eval_response
 from rssd.margins import (
+    LINF_TOL,
     closed_loop,
-    closed_loop_matrix,
     disk_margin,
     gsm,
     linf_norm,
@@ -75,7 +76,7 @@ class TestClosedLoop:
 
     def test_closed_loop_matrix_positive_feedback(self):
         p = StateSpacePlant.siso(-1.0, 1.0)
-        a_cl = closed_loop_matrix(p, np.array([[-1.0]]))
+        a_cl = closed_loop(p, np.array([[-1.0]])).a_cl
         assert a_cl[0, 0] == pytest.approx(-2.0)
 
     def test_four_block_response(self, grid):
@@ -137,3 +138,43 @@ class TestDiskMargin:
         assert 0 < report.disk_alpha < 2
         assert np.isfinite(report.mdgm_db)
         assert report.gsm > 0
+
+    @staticmethod
+    def reference_half(loop):
+        """(S - T)/2 = S - I/2 built from S = (I + L)^(-1) as a system."""
+        F = np.linalg.inv(np.eye(loop.m) + loop.D)
+        return StateSpacePlant(loop.A - loop.B @ F @ loop.C, loop.B @ F,
+                               -F @ loop.C, F - 0.5 * np.eye(loop.m))
+
+    def test_mimo_feedthrough_matches_loop_construction(self):
+        # linf_norm returns (1 + 2 LINF_TOL) times the peak it sampled, at
+        # the frequency it reports: the reference is evaluated there
+        rng = np.random.default_rng(2024)
+        m, r = 2, 3
+        checked = 0
+        while checked < 10:
+            modes = []
+            for _ in range(2):
+                wn, zeta = rng.uniform(0.5, 5.0), rng.uniform(0.05, 0.5)
+                modes.append([[-zeta * wn, wn], [-wn, -zeta * wn]])
+            p = StateSpacePlant(block_diag(*modes), rng.normal(size=(4, m)),
+                                rng.normal(size=(r, 4)),
+                                0.5 * rng.normal(size=(r, m)))
+            K = 0.3 * rng.normal(size=(m, r))
+            if not closed_loop(p, K).stable:
+                continue
+            report = disk_margin(p, K)
+            loops = {
+                "input": StateSpacePlant(p.A, p.B, -K @ p.C, -K @ p.D),
+                "output": StateSpacePlant(p.A, p.B @ K, -p.C, -p.D @ K),
+            }
+            for where, loop in loops.items():
+                half = self.reference_half(loop)
+                omega = report.worst_omega[where]["omega"]
+                resp = half.D if np.isinf(omega) else \
+                    eval_response(half, [1j * omega])[0]
+                alpha = 1.0 / ((1.0 + 2.0 * LINF_TOL)
+                               * np.linalg.norm(resp, ord=2))
+                assert report.worst_omega[where]["alpha"] == pytest.approx(
+                    alpha, rel=1e-12)
+            checked += 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import identity_banks
 from rssd.eigassign import EigTarget, EntryConstraint, ModeTarget
 from rssd.errors import DimensionMismatch
 from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant
@@ -12,6 +13,7 @@ from rssd.nn_rssd import (
     j2_fitness,
     rssd_boxes,
     run_nn_rssd,
+    verify_lemma,
 )
 from rssd.scp import ScpConstraints
 
@@ -182,6 +184,20 @@ class TestJ2Fitness:
         genome = decode_rssd_genome([1.0], target)
         j2, K = j2_fitness(p, genome, target)
         assert j2 == PENALTY and K is None
+
+
+class TestVerifyLemma:
+    def test_ill_posed_member_is_not_stable(self):
+        # K = -2 places 1/(s - 1) at -1; with D = -0.5, 1 - K D = 0
+        p_cp = StateSpacePlant.siso(1.0, 1.0, label="nominal")
+        ill = StateSpacePlant([[1.0]], [[1.0]], [[1.0]], [[-0.5]], "ill")
+        target = EigTarget((ModeTarget("real", 0.5, 3.0),), zeta_min=0.3)
+        w_in, w_out = identity_banks(1, 1)
+        args = (w_in, w_out, np.array([[-2.0]]), p_cp, (-1 + 0j,), target, 0.1)
+        assert verify_lemma(PlantSet((p_cp,)), *args)["all_plants_stable"]
+        result = verify_lemma(PlantSet((p_cp, ill)), *args)
+        assert result["all_plants_stable"] is False
+        assert result["assigned_eigenvalues"] and result["all_in_S1"]
 
 
 class TestRunNnRssd:

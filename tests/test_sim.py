@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import identity_banks
-from rssd.errors import DimensionMismatch, DivergentTrace
+from rssd.errors import DimensionMismatch, DivergentTrace, IllPosedLoop
 from rssd.lti import FirstOrderSection, FrequencyGrid, StateSpacePlant
 from rssd.sim import (
     Scenario,
@@ -121,6 +121,21 @@ class TestSimulate:
             assert not tr.diverged
             finals.append(tr.outputs[-1, 0])
         assert finals[0] != finals[1]
+
+    def test_wrong_gain_shape_is_ill_posed(self):
+        p, _ = lag_loop()
+        w_in, w_out = identity_banks(1, 1)
+        sc = Scenario((SignalSpec("step", 1.0),), dt=1e-3, duration=1.0)
+        with pytest.raises(IllPosedLoop):
+            simulate(p, np.array([[-1.0, 0.5]]), w_in, w_out, sc)
+
+    def test_singular_feedthrough_loop_is_ill_posed(self):
+        # 1 - K D = 1 - 0.5 * 2 = 0
+        p = StateSpacePlant([[-1.0]], [[1.0]], [[1.0]], [[2.0]])
+        w_in, w_out = identity_banks(1, 1)
+        sc = Scenario((SignalSpec("step", 1.0),), dt=1e-3, duration=1.0)
+        with pytest.raises(IllPosedLoop):
+            simulate(p, np.array([[0.5]]), w_in, w_out, sc)
 
 
 class TestTrackingMetrics:
