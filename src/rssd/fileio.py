@@ -22,6 +22,7 @@ from .scp import ScpConstraints
 from .sim import Scenario, SignalSpec, UncertaintyInjection
 
 SCHEMA_VERSION = 1
+CSV_CHUNK_ROWS = 512
 
 
 def canonical_json(obj) -> str:
@@ -290,11 +291,13 @@ def load_scenario(path):
 # --- CSV curves/traces ------------------------------------------------------
 
 def write_csv(path, header, columns):
+    """Header row, then one %.12g row per sample, written in chunks."""
     columns = [np.asarray(c) for c in columns]
     if len(header) != len(columns):
         raise DimensionMismatch("one header per column required")
+    fmt = ",".join(["%.12g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([f"{v:.12g}" for v in row])
+        csv.writer(fh).writerow(header)
+        for i in range(0, len(columns[0]) if columns else 0, CSV_CHUNK_ROWS):
+            rows = zip(*[c[i:i + CSV_CHUNK_ROWS].tolist() for c in columns])
+            fh.write("".join([fmt % row for row in rows]))

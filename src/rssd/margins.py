@@ -82,7 +82,7 @@ class UncertaintyBounds:
     inverse_input_min: tuple
 
 
-def linf_norm(sys: StateSpacePlant) -> tuple[float, float]:
+def linf_norm(sys: StateSpacePlant, poles=None) -> tuple[float, float]:
     """Certified upper bound on sup sigma_max(sys(jw)) over w in [0, inf].
 
     Bruinsma-Steinbuch iteration (Syst. Control Lett. 14, 1990): jw is an
@@ -92,10 +92,12 @@ def linf_norm(sys: StateSpacePlant) -> tuple[float, float]:
     crossings of gamma = (1 + 2 LINF_TOL) lb and their midpoints until none
     beats it; gamma is then an upper bound on the norm.  Returns
     (gamma, frequency of lb).  Imaginary-axis poles make the norm infinite;
-    the offending pole frequency is reported.
+    the offending pole frequency is reported.  ``poles``: eig(sys.A) if known.
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    eig = np.linalg.eigvals(A) if sys.n else np.zeros(0, complex)
+    if poles is None:
+        poles = np.linalg.eigvals(A) if sys.n else np.zeros(0, complex)
+    eig = np.asarray(poles)
     on_axis = is_imag_axis(eig)
     if np.any(on_axis):
         return np.inf, float(np.abs(eig[on_axis][0].imag))
@@ -172,7 +174,7 @@ def gsm(plant: StateSpacePlant, gain) -> float:
     cl = closed_loop(plant, gain)
     if not cl.stable:
         return 0.0
-    norm, _ = linf_norm(cl.realization)
+    norm, _ = linf_norm(cl.realization, cl.eigenvalues)
     if not np.isfinite(norm) or norm <= 0:
         return 0.0
     return float(1.0 / norm)
@@ -257,7 +259,7 @@ def disk_margin(plant: StateSpacePlant, gain) -> MarginReport:
     alpha = np.inf
     worst = {}
     for where, half in halves.items():
-        norm, omega = linf_norm(half)
+        norm, omega = linf_norm(half, cl.eigenvalues)
         a = 1.0 / norm if norm > 0 else np.inf
         worst[where] = {"alpha": float(a), "omega": float(omega)}
         if a < alpha:

@@ -253,7 +253,7 @@ def j2_fitness(p_cp: StateSpacePlant, genome: RssdGenome, target: EigTarget):
     if not ok or not cl.stable:
         return PENALTY, None
     try:
-        norm, _ = linf_norm(cl.realization)
+        norm, _ = linf_norm(cl.realization, cl.eigenvalues)
     except ComputationFailed:
         return PENALTY, None
     if not np.isfinite(norm):

@@ -4,7 +4,8 @@ Simulates the compensated plant under the static output-feedback gain with
 the loop convention u = K (y + d - r), so the steady-state tracking error
 is governed by the output sensitivity (I - P K)^(-1).  Integration is
 fixed-step 4th-order Runge-Kutta over the full augmented state (plant plus
-compensator plus optional uncertainty-weight states).
+compensator plus optional uncertainty-weight states), evaluated as the exact
+one-step linear recurrence it is on a linear loop.
 """
 
 from __future__ import annotations
@@ -17,16 +18,15 @@ from .errors import DimensionMismatch, DivergentTrace
 from .lti import (
     CompensatorBank,
     FirstOrderSection,
-    FrequencyGrid,
     StateSpacePlant,
     augment_plant,
     cascade,
-    eval_response,
     realize_bank,
 )
 from .margins import closed_loop
 
 DIVERGENCE_LIMIT = 1e9
+DIVERGENCE_BLOCK = 256  # steps between divergence checks
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,9 @@ def simulate(plant: StateSpacePlant, gain, w_in: CompensatorBank,
     """Fixed-step RK4 trace of the augmented loop under a scenario.
 
     The controller sees y + d - r; with zero reference and disturbance from
-    a zero initial state every trace is identically zero.
+    a zero initial state every trace is identically zero.  From the first
+    state that is non-finite or exceeds DIVERGENCE_LIMIT on, outputs and
+    inputs are NaN.
     """
     aug = augment_plant(w_out, plant, w_in)
     if scenario.uncertainty is not None:
@@ -127,55 +129,54 @@ def simulate(plant: StateSpacePlant, gain, w_in: CompensatorBank,
     if scenario.disturbance and len(scenario.disturbance) != aug.r:
         raise DimensionMismatch("one disturbance spec per output channel required")
 
-    MK = cl.M @ cl.gain
-    a_cl = cl.a_cl
-    b_ext = aug.B @ MK  # forcing by (d - r)
-
     dt = scenario.dt
     n_steps = int(round(scenario.duration / dt))
     time = dt * np.arange(n_steps + 1)
-
-    ref = np.column_stack([s.sample(time) for s in scenario.reference])
-    if scenario.disturbance:
-        dist = np.column_stack([s.sample(time) for s in scenario.disturbance])
-    else:
-        dist = np.zeros_like(ref)
     half_t = time[:-1] + 0.5 * dt
-    ref_h = np.column_stack([s.sample(half_t) for s in scenario.reference])
-    if scenario.disturbance:
-        dist_h = np.column_stack([s.sample(half_t) for s in scenario.disturbance])
-    else:
-        dist_h = np.zeros_like(ref_h)
 
-    w = dist - ref
-    w_h = dist_h - ref_h
+    def sample(specs, t):
+        if not specs:
+            return np.zeros((t.size, aug.r))
+        return np.column_stack([s.sample(t) for s in specs])
 
-    n = aug.n
-    x = np.zeros(n)
+    ref = sample(scenario.reference, time)
+    w = sample(scenario.disturbance, time) - ref  # the loop is forced by d - r
+    w_h = (sample(scenario.disturbance, half_t)
+           - sample(scenario.reference, half_t))
+
+    # One RK4 step of x' = A_cl x + B w with Z = dt A_cl is exactly
+    # x+ = Phi x + G0 w_k + G_half w_{k+1/2} + G1 w_{k+1}.
+    MK = cl.M @ cl.gain
+    b = (dt / 6.0) * (aug.B @ MK)
+    eye = np.eye(aug.n)
+    z = dt * cl.a_cl
+    z2 = z @ z
+    phi = eye + z + z2 / 2 + z2 @ (z / 6 + z2 / 24)
+    g = np.hstack([(eye + z + z2 / 2 + z2 @ z / 4) @ b,
+                   (4 * eye + 2 * z + z2 / 2) @ b, b])
+
+    x = np.zeros((n_steps + 1, aug.n))
+    x[1:] = np.hstack([w[:-1], w_h, w[1:]]) @ g.T
+    end = n_steps + 1  # first divergent row, if any
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(1, n_steps + 1, DIVERGENCE_BLOCK):
+            block = x[start:start + DIVERGENCE_BLOCK]
+            prev = x[start - 1]
+            for row in block:
+                row += phi @ prev
+                prev = row
+            bad = ~np.all(np.abs(block) <= DIVERGENCE_LIMIT, axis=1)
+            if bad.any():
+                end = start + int(np.argmax(bad))
+                break
+
     outputs = np.full((n_steps + 1, aug.r), np.nan)
     inputs = np.full((n_steps + 1, aug.m), np.nan)
-    diverged = False
-    div_time = None
-
-    def out_in(xk, wk):
-        u = MK @ (aug.C @ xk + wk)
-        y = aug.C @ xk + aug.D @ u
-        return y, u
-
-    outputs[0], inputs[0] = out_in(x, w[0])
-    for k in range(n_steps):
-        f = lambda xv, wv: a_cl @ xv + b_ext @ wv
-        k1 = f(x, w[k])
-        k2 = f(x + 0.5 * dt * k1, w_h[k])
-        k3 = f(x + 0.5 * dt * k2, w_h[k])
-        k4 = f(x + dt * k3, w[k + 1])
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(x)) or np.any(np.abs(x) > DIVERGENCE_LIMIT):
-            diverged = True
-            div_time = float(time[k + 1])
-            break
-        outputs[k + 1], inputs[k + 1] = out_in(x, w[k + 1])
-
+    cx = x[:end] @ aug.C.T
+    inputs[:end] = (cx + w[:end]) @ MK.T
+    outputs[:end] = cx + inputs[:end] @ aug.D.T
+    diverged = end <= n_steps
+    div_time = float(time[end]) if diverged else None
     errors = outputs - ref
     return TraceSet(time, outputs, inputs, ref, errors, diverged, div_time)
 
@@ -214,11 +215,3 @@ def tracking_metrics(traces: TraceSet, error_band: float, rms_ceiling: float,
             "rms_ok": rms_ok,
         })
     return TrackingReport(passed, tuple(channels))
-
-
-def weight_gain_curve(weight: FirstOrderSection,
-                      grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, |G(j omega)|) over the grid for an uncertainty weight."""
-    g = realize_bank(CompensatorBank((weight,), side="out"))
-    resp = eval_response(g, 1j * grid.points)
-    return grid.points, np.abs(resp[:, 0, 0])

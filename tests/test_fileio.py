@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -114,7 +115,43 @@ class TestScenarioIO:
             fileio.scenario_from_obj({"reference": [{"kind": "spike"}]})
 
 
+def reference_csv(path, header, columns):
+    """One csv.writer row per sample, each value through f"{v:.12g}"."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*[np.asarray(c) for c in columns]):
+            writer.writerow([f"{v:.12g}" for v in row])
+
+
 class TestCsv:
+    @pytest.mark.parametrize("columns", [
+        [np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e-300,
+                   5e-324, 2.2250738585072014e-308 / 3, 1 / 3, -2.5e17]),
+         np.arange(11),
+         np.array([7, -3, 0, 2**53 + 1, 123456789012345, -1, 1, 2, 3, 4, 5])],
+        [np.arange(5), np.array([0, -1, 10**12, 999999999999, 1234567890123])],
+        [np.array([]), np.array([])],
+        [],
+    ], ids=["specials", "ints", "empty-columns", "no-columns"])
+    def test_bytes_match_reference_writer(self, tmp_path, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        fileio.write_csv(tmp_path / "a.csv", header, columns)
+        reference_csv(tmp_path / "b.csv", header, columns)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_rows_spanning_several_chunks(self, tmp_path):
+        n = 2 * fileio.CSV_CHUNK_ROWS + 7
+        rng = np.random.default_rng(5)
+        columns = [np.arange(n) * 1e-3,
+                   rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n),
+                   np.where(rng.random(n) < 0.1, np.nan, rng.normal(size=n))]
+        fileio.write_csv(tmp_path / "a.csv", ["t", "x", "y"], columns)
+        reference_csv(tmp_path / "b.csv", ["t", "x", "y"], columns)
+        text = (tmp_path / "a.csv").read_bytes()
+        assert text == (tmp_path / "b.csv").read_bytes()
+        assert text.count(b"\r\n") == n + 1
+
     def test_columns_written(self, tmp_path):
         path = tmp_path / "c.csv"
         fileio.write_csv(path, ["t", "y"], [np.array([0.0, 1.0]),

@@ -183,9 +183,7 @@ class TestJ2Path:
             solved.append(np.array(a))
             return eigvals(a)
 
-        # linf_norm's pole test solves eig(A_cl) as well; stub it so that only
-        # closed_loop and the S1 check are counted
-        monkeypatch.setattr(rssd.nn_rssd, "linf_norm", lambda sys: (1.0, 0.0))
+        # closed_loop, the S1 check and linf_norm's pole test share one solve
         monkeypatch.setattr(np.linalg, "eigvals", recorded)
         j2, K = j2_fitness(*double_integrator_case())
         monkeypatch.undo()
@@ -193,9 +191,11 @@ class TestJ2Path:
         cl = closed_loop(double_integrator_case()[0], K)
         assert sum(np.array_equal(a, cl.a_cl) for a in solved) == 1
         assert np.array_equal(cl.eigenvalues, np.linalg.eigvals(cl.a_cl))
+        # the poles passed in give the norm bit for bit
+        assert j2 == linf_norm(cl.realization)[0]
 
     def test_failed_norm_penalized(self, monkeypatch):
-        def failing(sys):
+        def failing(sys, poles=None):
             raise ComputationFailed("no convergence")
 
         monkeypatch.setattr(rssd.nn_rssd, "linf_norm", failing)

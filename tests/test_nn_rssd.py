@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import identity_banks
 from rssd.eigassign import EigTarget, EntryConstraint, ModeTarget
 from rssd.errors import DimensionMismatch
-from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant
+from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, augment_plant
+from rssd.margins import closed_loop, gsm
 from rssd.nn_rssd import (
     PENALTY,
     GaConfig,
@@ -255,3 +258,84 @@ class TestRunNnRssd:
         report = run_nn_rssd(pset, constraints, target, scp, rssd, grid)
         assert report.feasible
         assert report.j1_history[-1] == pytest.approx(1e-3)
+
+
+GAIN_SHA256 = "d17a1b33ed71eaa69b41b5bd1be9f862820a29aafcd444564055d3f77554f9d8"
+
+
+def mimo_family(seed, members):
+    """Seeded 3-input x 5-output family of order-8 plants with two RHP poles:
+    A = T diag(p) T' with each member scaling every pole by 1 + 0.1 U(-1, 1),
+    shared B ~ N(0, 1), C = 5 N(0, 1), D = 0; the seed orders the members."""
+    n, m, r = 8, 3, 5
+    rng = np.random.default_rng(3)
+    T, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    poles = np.concatenate([[1.0, 0.5], -rng.uniform(0.5, 4.0, n - 2)])
+    B = rng.normal(size=(n, m))
+    C = 5.0 * rng.normal(size=(r, n))
+    scales = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=(members, n))
+    order = np.random.default_rng(seed).permutation(members)
+    return PlantSet(tuple(
+        StateSpacePlant(T @ np.diag(poles * scales[k]) @ T.T, B, C,
+                        np.zeros((r, m)), f"member{k}")
+        for k in order))
+
+
+def mimo_setup(m=3, r=5):
+    static_gain = ((0.0, 0.0), (0.1, 1.5), (0.0, 0.0), (1.0, 1.0))  # a, b, c, d
+    constraints = ScpConstraints(static_gain * m, static_gain * r,
+                                 dc_floor_db=-60.0, band=(0.01, 0.02))
+    target = EigTarget((ModeTarget("real", 0.5, 10.0),)
+                       + (ModeTarget("complex", 0.5, 10.0),) * 2, zeta_min=0.3)
+    return constraints, target
+
+
+def dense_nu_gap_peak(p1, p2, omega):
+    """max over omega of sigma_max (I + P2 P2*)^(-1/2) (P2 - P1) (I + P1* P1)^(-1/2),
+    both responses evaluated in modal form."""
+    def response(p):
+        lam, V = np.linalg.eig(p.A)
+        cv, vb = p.C @ V, np.linalg.solve(V, p.B)
+        return (cv[None] / (1j * omega[:, None, None] - lam)) @ vb + p.D
+
+    def inv_sqrt(H):
+        w, U = np.linalg.eigh(H)
+        return (U / np.sqrt(w)[:, None, :]) @ np.conj(np.swapaxes(U, 1, 2))
+
+    g1, g2 = response(p1), response(p2)
+    g1h, g2h = np.conj(np.swapaxes(g1, 1, 2)), np.conj(np.swapaxes(g2, 1, 2))
+    psi = (inv_sqrt(np.eye(p2.r) + g2 @ g2h) @ (g2 - g1)
+           @ inv_sqrt(np.eye(p1.m) + g1h @ g1))
+    return float(np.max(np.linalg.norm(psi, ord=2, axis=(1, 2))))
+
+
+class TestTwoLevelSearch:
+    """The real search: several J1bar updates and inner invocations before
+    a certificate, on three members of the seeded MIMO family."""
+
+    def test_feasible_after_several_inner_invocations(self):
+        pset = mimo_family(1, 3)
+        constraints, target = mimo_setup()
+        scp = GaConfig(population=6, max_generations=4, seed=1)
+        rssd = GaConfig(population=10, max_generations=10, seed=2)
+        report = run_nn_rssd(pset, constraints, target, scp, rssd)
+        assert report.feasible
+        assert all(report.verification[k] for k in
+                   ("assigned_eigenvalues", "all_in_S1",
+                    "margin_exceeds_bound", "all_plants_stable"))
+        assert report.rssd_invocations >= 2
+        hist = report.j1_history
+        assert all(b < a for a, b in zip(hist, hist[1:]))
+
+        # independent re-check of the certificate against a dense oracle
+        K = report.gain
+        augmented = [augment_plant(report.w_out, p, report.w_in) for p in pset]
+        assert all(closed_loop(aug, K).stable for aug in augmented)
+        p_cp = augmented[report.cp_index]
+        omega = np.concatenate([[0.0], np.logspace(-4, 6, 4000)])
+        worst = max(dense_nu_gap_peak(p_cp, aug, omega) for aug in augmented)
+        assert gsm(p_cp, K) > worst
+
+        # a change to the seeded trajectory has to be declared here
+        assert K.shape == (3, 5)
+        assert hashlib.sha256(K.tobytes()).hexdigest() == GAIN_SHA256

@@ -3,20 +3,92 @@ import pytest
 
 from conftest import identity_banks
 from rssd.errors import DimensionMismatch, DivergentTrace, IllPosedLoop
-from rssd.lti import FirstOrderSection, FrequencyGrid, StateSpacePlant
+from rssd.lti import (
+    CompensatorBank,
+    FirstOrderSection,
+    FrequencyGrid,
+    StateSpacePlant,
+    augment_plant,
+    cascade,
+    eval_response,
+    realize_bank,
+)
+from rssd.margins import closed_loop
 from rssd.sim import (
+    DIVERGENCE_LIMIT,
     Scenario,
     SignalSpec,
     TraceSet,
     UncertaintyInjection,
+    _uncertainty_plant,
     simulate,
     tracking_metrics,
-    weight_gain_curve,
 )
 
 
 def lag_loop():
     return StateSpacePlant.siso(-1.0, 1.0), np.array([[-1.0]])
+
+
+def rk4_loop_oracle(plant, gain, w_in, w_out, scenario):
+    """Step-by-step RK4 of the augmented loop: (outputs, inputs, diverged,
+    divergence_time).  The reference that simulate's recurrence must match."""
+    aug = augment_plant(w_out, plant, w_in)
+    if scenario.uncertainty is not None:
+        aug = cascade(aug, _uncertainty_plant(scenario.uncertainty, aug.r))
+    cl = closed_loop(aug, gain)
+    MK = cl.M @ cl.gain
+    a_cl = cl.a_cl
+    b_ext = aug.B @ MK
+
+    dt = scenario.dt
+    n_steps = int(round(scenario.duration / dt))
+    time = dt * np.arange(n_steps + 1)
+    half_t = time[:-1] + 0.5 * dt
+
+    def sample(specs, t):
+        if not specs:
+            return np.zeros((t.size, aug.r))
+        return np.column_stack([s.sample(t) for s in specs])
+
+    w = sample(scenario.disturbance, time) - sample(scenario.reference, time)
+    w_h = sample(scenario.disturbance, half_t) - sample(scenario.reference, half_t)
+
+    def f(xv, wv):
+        return a_cl @ xv + b_ext @ wv
+
+    def out_in(xk, wk):
+        u = MK @ (aug.C @ xk + wk)
+        return aug.C @ xk + aug.D @ u, u
+
+    x = np.zeros(aug.n)
+    outputs = np.full((n_steps + 1, aug.r), np.nan)
+    inputs = np.full((n_steps + 1, aug.m), np.nan)
+    outputs[0], inputs[0] = out_in(x, w[0])
+    for k in range(n_steps):
+        k1 = f(x, w[k])
+        k2 = f(x + 0.5 * dt * k1, w_h[k])
+        k3 = f(x + 0.5 * dt * k2, w_h[k])
+        k4 = f(x + dt * k3, w[k + 1])
+        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(x)) or np.any(np.abs(x) > DIVERGENCE_LIMIT):
+            return outputs, inputs, True, float(time[k + 1])
+        outputs[k + 1], inputs[k + 1] = out_in(x, w[k + 1])
+    return outputs, inputs, False, None
+
+
+def mimo_case(seed):
+    """Stable 3-state, 2-input, 3-output loop with D != 0 and dynamic banks."""
+    rng = np.random.default_rng(seed)
+    plant = StateSpacePlant(np.diag(-rng.uniform(0.5, 3.0, 3)),
+                            rng.normal(size=(3, 2)), rng.normal(size=(3, 3)),
+                            0.3 * rng.normal(size=(3, 2)))
+    w_in = CompensatorBank(((1.0, 2.0, 1.0, 4.0), (0.0, 1.0, 0.0, 1.0)), "in")
+    w_out = CompensatorBank(((0.0, 3.0, 1.0, 3.0), (0.5, 1.0, 1.0, 2.0),
+                             (0.0, 1.0, 0.0, 1.0)), "out")
+    gain = -0.2 * rng.normal(size=(2, 3))
+    assert closed_loop(augment_plant(w_out, plant, w_in), gain).stable
+    return plant, gain, w_in, w_out
 
 
 class TestSignalSpec:
@@ -138,6 +210,73 @@ class TestSimulate:
             simulate(p, np.array([[0.5]]), w_in, w_out, sc)
 
 
+def assert_matches_oracle(tr, oracle):
+    """Same divergence verdict, time and NaN rows; every output and input
+    column within 1e-12 of its largest magnitude."""
+    outputs, inputs, diverged, div_time = oracle
+    assert tr.diverged == diverged
+    assert tr.divergence_time == div_time
+    for got, want in ((tr.outputs, outputs), (tr.inputs, inputs)):
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        rows = ~np.isnan(want[:, 0])
+        for col in range(want.shape[1]):
+            scale = np.max(np.abs(want[rows, col]), initial=0.0)
+            dev = np.max(np.abs(got[rows, col] - want[rows, col]), initial=0.0)
+            assert dev <= 1e-12 * scale
+
+
+DOUBLETS = (SignalSpec("doublet", 0.0873, 0.25, 0.7),
+            SignalSpec("doublet", -0.05, 0.4005, 0.3),
+            SignalSpec("doublet", 0.02, 1.0, 1.0))
+STEPS = (SignalSpec("step", 0.01, 0.6),
+         SignalSpec("zero"),
+         SignalSpec("step", -0.03, 1.2005))
+
+
+class TestRecurrence:
+    """simulate's one-step recurrence against the step-by-step RK4 loop."""
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_mimo_doublets_and_step_disturbances(self, seed):
+        case = mimo_case(seed)
+        sc = Scenario(DOUBLETS, STEPS, dt=1e-3, duration=3.0)
+        tr = simulate(*case, sc)
+        assert not tr.diverged
+        assert np.max(np.abs(tr.outputs)) > 1e-3
+        assert_matches_oracle(tr, rk4_loop_oracle(*case, sc))
+
+    @pytest.mark.parametrize("delta", [1.0, -1.0])
+    def test_uncertainty_injection(self, delta):
+        case = mimo_case(3)
+        inj = UncertaintyInjection(FirstOrderSection(0.5, 0.2, 1.0, 4.0), 1, delta)
+        sc = Scenario(DOUBLETS, STEPS, uncertainty=inj, dt=1e-3, duration=3.0)
+        tr = simulate(*case, sc)
+        assert not tr.diverged
+        assert_matches_oracle(tr, rk4_loop_oracle(*case, sc))
+
+    def test_unstable_loop_diverges_at_the_same_step(self):
+        # A_cl = 1 + 2: the state passes the limit near t = 7, many checks in
+        case = (StateSpacePlant.siso(1.0, 1.0), np.array([[2.0]]),
+                *identity_banks(1, 1))
+        sc = Scenario((SignalSpec("zero"),), (SignalSpec("step", 1.0),),
+                      dt=1e-3, duration=10.0)
+        tr = simulate(*case, sc)
+        assert tr.diverged and 5.0 < tr.divergence_time < 9.0
+        assert_matches_oracle(tr, rk4_loop_oracle(*case, sc))
+
+    @pytest.mark.parametrize("delta", [1.0, -1.0])
+    def test_stiff_weight_diverges_at_the_same_step(self, delta):
+        # a 9239 rad/s weight pole is outside RK4's stability region at
+        # dt = 1e-3: the discretization itself blows up once forced
+        case = mimo_case(8)
+        inj = UncertaintyInjection(FirstOrderSection(3.0, 923.9, 1.0, 9239.0),
+                                   2, delta)
+        sc = Scenario(DOUBLETS, uncertainty=inj, dt=1e-3, duration=1.0)
+        tr = simulate(*case, sc)
+        assert tr.diverged
+        assert_matches_oracle(tr, rk4_loop_oracle(*case, sc))
+
+
 class TestTrackingMetrics:
     def make_traces(self, err):
         n = err.size
@@ -177,7 +316,9 @@ class TestWeightGainCurve:
     def test_published_weight_values(self):
         G = FirstOrderSection(3.0, 923.9, 1.0, 9239.0)
         grid = FrequencyGrid.default().with_points([3250.0])
-        omega, mag = weight_gain_curve(G, grid)
+        g = realize_bank(CompensatorBank((G,), side="out"))
+        omega = grid.points
+        mag = np.abs(eval_response(g, 1j * omega)[:, 0, 0])
         assert mag[0] == pytest.approx(0.1, rel=1e-3)          # DC
         assert mag[-1] == pytest.approx(3.0, rel=1e-2)         # high frequency
         at = mag[np.searchsorted(omega, 3250.0)]
