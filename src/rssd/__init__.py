@@ -15,7 +15,7 @@ from .lti import (
     StateSpacePlant,
 )
 from .vgap import central_plant, gap_matrix, nu_gap
-from .margins import disk_margin, gsm, linf_norm, sensitivity_curves
+from .margins import closed_loop, disk_margin, gsm, linf_norm, sensitivity_curves
 from .eigassign import EigTarget, EntryConstraint, ModeTarget
 from .scp import ScpConstraints
 from .nn_rssd import GaConfig, SynthesisReport, run_nn_rssd
@@ -34,6 +34,7 @@ __all__ = [
     "gap_matrix",
     "central_plant",
     "linf_norm",
+    "closed_loop",
     "gsm",
     "disk_margin",
     "sensitivity_curves",

@@ -23,7 +23,7 @@ from .errors import (
     RssdError,
     UnstableLoop,
 )
-from .lti import FrequencyGrid, augment_plant, eval_response, sorted_spectrum
+from .lti import FrequencyGrid, augment_plant, sorted_spectrum
 from .margins import (
     closed_loop,
     disk_margin,
@@ -169,13 +169,11 @@ def cmd_synth(args) -> int:
 def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
     def one(item):
         idx, plant = item
-        aug = augment_plant(w_out, plant, w_in)
-        resp = eval_response(aug, 1j * grid.points)
-        sv = np.linalg.svd(resp, compute_uv=False)
         try:
-            cl = closed_loop(aug, gain)
+            cl = closed_loop(augment_plant(w_out, plant, w_in), gain)
         except RssdError as exc:
             return idx, plant.label, {"error": str(exc)}, None
+        sv = np.linalg.svd(cl.response(grid).plant, compute_uv=False)
         eigs = sorted_spectrum(cl.eigenvalues)
         tables = {
             "eigenvalues": [
@@ -186,9 +184,9 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
         }
         if not cl.stable:
             return idx, plant.label, {"unstable": True, **tables}, (sv, None)
-        curves = sensitivity_curves(aug, gain, grid)
-        bounds = uncertainty_bounds(aug, gain, grid)
-        margins = disk_margin(aug, gain)
+        curves = sensitivity_curves(cl, grid)
+        bounds = uncertainty_bounds(cl, grid)
+        margins = disk_margin(cl)
         tables.update({
             "unstable": False,
             "gsm": margins.gsm,
@@ -285,7 +283,7 @@ def cmd_sim(args) -> int:
             report[label] = {"diverged": False, "passed": metrics.passed,
                              "channels": list(metrics.channels)}
         except DivergentTrace as exc:
-            report[label] = {"diverged": True, "divergence_time": exc.args[0]}
+            report[label] = {"diverged": True, "divergence_time": exc.time}
     (out / "tracking_report.json").write_text(fileio.canonical_json(report))
     print(f"simulation written to {out}")
     return EXIT_OK

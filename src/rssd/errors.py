@@ -9,14 +9,6 @@ class DimensionMismatch(RssdError):
     """Matrix dimensions are inconsistent with the declared system sizes."""
 
 
-class SingularAtFrequency(RssdError):
-    """jw coincides with an eigenvalue of A within tolerance."""
-
-    def __init__(self, omega, message=None):
-        self.omega = omega
-        super().__init__(message or f"response singular at omega={omega!r}")
-
-
 class ComputationFailed(RssdError):
     """A numerical routine (eigen-solver, SVD, ...) did not converge."""
 
@@ -63,11 +55,14 @@ class IllConditioned(RssdError):
 
 
 class DivergentTrace(RssdError):
-    """Simulation state magnitude exceeded the divergence threshold."""
+    """Simulation state magnitude exceeded the divergence threshold, or a
+    trace holds non-finite samples (time None)."""
 
     def __init__(self, time, message=None):
         self.time = time
-        super().__init__(message or f"trace diverged at t={time:.6g} s")
+        super().__init__(message or ("trace has non-finite samples"
+                                     if time is None else
+                                     f"trace diverged at t={time:.6g} s"))
 
 
 class ParseError(RssdError):

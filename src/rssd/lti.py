@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    ImproperSection,
-    SingularAtFrequency,
-    UnstableSection,
-)
+from .errors import DimensionMismatch, ImproperSection, UnstableSection
 
 # Eigenvalues with |Re| below this (relative) threshold are treated as
 # imaginary-axis.
@@ -216,18 +211,6 @@ def eval_response(plant: StateSpacePlant, s_values) -> np.ndarray:
             except np.linalg.LinAlgError:
                 x[k] = np.linalg.lstsq(lhs[k], plant.B, rcond=None)[0]
     return plant.C @ x + plant.D
-
-
-def freq_response(plant: StateSpacePlant, omega: float) -> np.ndarray:
-    """C(jw I - A)^{-1} B + D at a single frequency omega >= 0."""
-    if not np.isfinite(omega) or omega < 0:
-        raise DimensionMismatch(f"omega must be finite and >= 0, got {omega}")
-    if plant.n:
-        eig = np.linalg.eigvals(plant.A)
-        dist = np.abs(1j * omega - eig)
-        if np.any(dist <= 1e-9 * np.maximum(1.0, np.abs(eig))):
-            raise SingularAtFrequency(omega)
-    return eval_response(plant, [omega * 1j])[0]
 
 
 def cascade(first: StateSpacePlant, second: StateSpacePlant,

@@ -1,6 +1,11 @@
 """Closed-loop analysis: L-infinity norms, generalized stability margin,
 sensitivity curves, uncertainty tolerance bounds, and multiloop disk margins.
 
+``closed_loop`` builds a plant's loop once; every analysis entry point
+(``gsm``, ``disk_margin``, ``sensitivity_curves``, ``uncertainty_bounds``)
+takes that ``ClosedLoop``, and the loop evaluates P(jw), S_o and S_i at
+most once per frequency grid.
+
 L-infinity norms are certified upper bounds from a Hamiltonian iteration
 over all of [0, inf], so the generalized stability margin and the disk
 margin they give err low: on the safe side of the nu-gap certificate.
@@ -14,7 +19,8 @@ formulas apply; its sensitivities are blocks of the 4-block operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +44,10 @@ class ClosedLoop:
     a_cl: np.ndarray
     eigenvalues: np.ndarray  # of a_cl
     stable: bool
+    _responses: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
-    @property
+    @cached_property
     def realization(self) -> StateSpacePlant:
         """The 4-block [P;I](I-KP)^(-1)[-I K]: inputs (w1, w2) of sizes
         (m, r), outputs (y, u)."""
@@ -50,6 +58,32 @@ class ClosedLoop:
         c_cl = np.vstack([C + D @ M @ K @ C, M @ K @ C])
         d_cl = np.vstack([D @ E, E])
         return StateSpacePlant(self.a_cl, b_cl, c_cl, d_cl, plant.label + "_cl")
+
+    def response(self, grid: FrequencyGrid) -> LoopResponse:
+        """P(jw), S_o and S_i of this loop on ``grid``; one evaluation per grid."""
+        key = grid.points.tobytes()
+        if key not in self._responses:
+            self._responses[key] = LoopResponse(self, grid.points)
+        return self._responses[key]
+
+
+class LoopResponse:
+    """P(jw) of a loop on a grid; S_o = (I - P K)^(-1) and S_i = (I - K P)^(-1)
+    are inverted on first use."""
+
+    def __init__(self, loop: ClosedLoop, omega: np.ndarray):
+        self.loop = loop
+        self.plant = eval_response(loop.plant, 1j * omega)
+
+    @cached_property
+    def so(self) -> np.ndarray:
+        return np.linalg.inv(np.eye(self.loop.plant.r)
+                             - self.plant @ self.loop.gain)
+
+    @cached_property
+    def si(self) -> np.ndarray:
+        return np.linalg.inv(np.eye(self.loop.plant.m)
+                             - self.loop.gain @ self.plant)
 
 
 @dataclass(frozen=True)
@@ -169,9 +203,8 @@ def closed_loop(plant: StateSpacePlant, gain) -> ClosedLoop:
     return ClosedLoop(plant, K, M, a_cl, eig, bool(np.all(eig.real < 0)))
 
 
-def gsm(plant: StateSpacePlant, gain) -> float:
+def gsm(cl: ClosedLoop) -> float:
     """Generalized stability margin b in [0, 1]; 0 when not internally stable."""
-    cl = closed_loop(plant, gain)
     if not cl.stable:
         return 0.0
     norm, _ = linf_norm(cl.realization, cl.eigenvalues)
@@ -180,51 +213,35 @@ def gsm(plant: StateSpacePlant, gain) -> float:
     return float(1.0 / norm)
 
 
-def _loop_responses(plant, K, omegas):
-    resp = eval_response(plant, 1j * np.asarray(omegas, float))
-    eye_r = np.eye(plant.r)
-    eye_m = np.eye(plant.m)
-    so = np.linalg.inv(eye_r - resp @ K)
-    si = np.linalg.inv(eye_m - K @ resp)
-    return resp, so, si
-
-
-def sensitivity_curves(plant: StateSpacePlant, gain,
-                       grid: FrequencyGrid) -> SensitivityCurves:
+def sensitivity_curves(cl: ClosedLoop, grid: FrequencyGrid) -> SensitivityCurves:
     """Per-frequency extreme singular values of S_o, S_I and K S_o."""
-    cl = closed_loop(plant, gain)
     if not cl.stable:
         raise UnstableLoop("sensitivity curves require a stable loop")
-    K = cl.gain
-    _, so, si = _loop_responses(plant, K, grid.points)
-    kso = K @ so
+    resp = cl.response(grid)
 
     def ext(mats):
         sv = np.linalg.svd(mats, compute_uv=False)
         return sv[:, 0], sv[:, -1]
 
-    so_hi, so_lo = ext(so)
-    si_hi, si_lo = ext(si)
-    kso_hi, kso_lo = ext(kso)
+    so_hi, so_lo = ext(resp.so)
+    si_hi, si_lo = ext(resp.si)
+    kso_hi, kso_lo = ext(cl.gain @ resp.so)
     return SensitivityCurves(grid.points, so_hi, so_lo, si_hi, si_lo,
                              kso_hi, kso_lo)
 
 
-def uncertainty_bounds(plant: StateSpacePlant, gain,
-                       grid: FrequencyGrid) -> UncertaintyBounds:
+def uncertainty_bounds(cl: ClosedLoop, grid: FrequencyGrid) -> UncertaintyBounds:
     """Output-multiplicative and inverse-input-multiplicative tolerance curves.
 
     output bound  = 1 / sigma_max(P K (I - P K)^(-1))
     inverse bound = 1 / sigma_max((I - K P)^(-1))
     """
-    cl = closed_loop(plant, gain)
     if not cl.stable:
         raise UnstableLoop("uncertainty bounds require a stable loop")
-    K = cl.gain
-    resp, so, si = _loop_responses(plant, K, grid.points)
-    to = resp @ K @ so
+    resp = cl.response(grid)
+    to = resp.plant @ cl.gain @ resp.so
     sig_to = np.linalg.norm(to, ord=2, axis=(1, 2))
-    sig_si = np.linalg.norm(si, ord=2, axis=(1, 2))
+    sig_si = np.linalg.norm(resp.si, ord=2, axis=(1, 2))
     with np.errstate(divide="ignore"):
         out_bound = np.where(sig_to > 0, 1.0 / sig_to, np.inf)
         inv_bound = np.where(sig_si > 0, 1.0 / sig_si, np.inf)
@@ -237,17 +254,15 @@ def uncertainty_bounds(plant: StateSpacePlant, gain,
     )
 
 
-def disk_margin(plant: StateSpacePlant, gain) -> MarginReport:
+def disk_margin(cl: ClosedLoop) -> MarginReport:
     """Balanced (skew 0) disk margin at plant input and output, worst of both.
 
     alpha = 1 / ||(S - T)/2||_inf with L = -K P (input) or L = -P K (output);
     MDGM = +/-20 log10((2+alpha)/(2-alpha)) dB, MDPM = +/-2 atan(alpha/2).
     """
-    cl = closed_loop(plant, gain)
     if not cl.stable:
         raise UnstableLoop("disk margin requires a stable loop")
-    K = cl.gain
-    real, m, r = cl.realization, plant.m, plant.r
+    real, m, r = cl.realization, cl.plant.m, cl.plant.r
     # (S - T)/2 = S - I/2, read off the 4-block: S_i = -(u <- w1) and
     # S_o = I + (y <- w2)
     halves = {
@@ -265,7 +280,7 @@ def disk_margin(plant: StateSpacePlant, gain) -> MarginReport:
         if a < alpha:
             alpha = float(a)
             worst["worst"] = where
-    degenerate = bool(np.allclose(K, 0.0))
+    degenerate = bool(np.allclose(cl.gain, 0.0))
     if alpha >= 2.0 - 1e-9:
         alpha = max(alpha, 2.0)
     if alpha < 2.0:
@@ -274,7 +289,7 @@ def disk_margin(plant: StateSpacePlant, gain) -> MarginReport:
         mdgm = np.inf
     mdpm = np.degrees(2.0 * np.arctan(alpha / 2.0))
     return MarginReport(
-        gsm=gsm(plant, K),
+        gsm=gsm(cl),
         disk_alpha=float(alpha),
         mdgm_db=float(mdgm),
         mdpm_deg=float(mdpm),

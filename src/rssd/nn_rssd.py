@@ -82,8 +82,7 @@ class GaResult:
     generations: int
 
 
-def ga_minimize(fitness, boxes, config: GaConfig, stop=None,
-                init_population=None, generation_end=None) -> GaResult:
+def ga_minimize(fitness, boxes, config: GaConfig, stop=None) -> GaResult:
     """Box-constrained real-coded GA minimization.
 
     Elitism guarantees the best-so-far never worsens; runs are bit
@@ -98,15 +97,10 @@ def ga_minimize(fitness, boxes, config: GaConfig, stop=None,
     lo, hi = boxes[:, 0], boxes[:, 1]
     k = boxes.shape[0]
     rng = np.random.default_rng(config.seed)
-
-    if init_population is not None:
-        pop = np.array(init_population, dtype=float)
-    else:
-        pop = rng.uniform(lo, hi, size=(config.population, k))
+    pop = rng.uniform(lo, hi, size=(config.population, k))
 
     best_genes, best_fit = None, np.inf
     history = []
-    gens_done = 0
     scored = {}  # genes.tobytes() -> fitness, for this call only
 
     for gen in range(config.max_generations):
@@ -122,12 +116,7 @@ def ga_minimize(fitness, boxes, config: GaConfig, stop=None,
             if stop is not None and stop():
                 history.append(best_fit)
                 return GaResult(best_genes, best_fit, history, gen + 1)
-        gens_done = gen + 1
         history.append(best_fit)
-        if generation_end is not None:
-            generation_end()
-            if stop is not None and stop():
-                return GaResult(best_genes, best_fit, history, gens_done)
 
         order = np.argsort(fits, kind="stable")
         elites = pop[order[:config.elites]].copy()
@@ -144,7 +133,7 @@ def ga_minimize(fitness, boxes, config: GaConfig, stop=None,
                     children.append(child)
         pop = np.asarray(children)
 
-    return GaResult(best_genes, best_fit, history, gens_done)
+    return GaResult(best_genes, best_fit, history, config.max_generations)
 
 
 def _tournament(rng, fits, size):
@@ -285,12 +274,13 @@ def verify_lemma(pset: PlantSet, w_in, w_out, K, p_cp, desired, target,
     """Independent re-verification of the three feasibility conditions plus
     the explicit per-plant eigenvalue stability check; an ill-posed
     augmented loop counts as not stable."""
-    cl_eigs = closed_loop(p_cp, K).eigenvalues
+    cl = closed_loop(p_cp, K)
+    cl_eigs = cl.eigenvalues
     assigned_ok = all(
         np.min(np.abs(cl_eigs - lam)) < 1e-6 for lam in _with_conjugates(desired)
     )
     s1_ok, _ = check_S1(sorted_spectrum(cl_eigs), target)
-    margin = gsm(p_cp, K)
+    margin = gsm(cl)
     margin_ok = margin > jbar
     all_stable = True
     for plant in pset:
@@ -320,8 +310,7 @@ def _with_conjugates(eigenvalues):
 
 def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
                 scp_cfg: GaConfig, rssd_cfg: GaConfig,
-                grid: FrequencyGrid | None = None,
-                per_generation: bool = False) -> SynthesisReport:
+                grid: FrequencyGrid | None = None) -> SynthesisReport:
     """Full two-level synthesis; infeasibility is a report state, not an error."""
     grid = grid or FrequencyGrid.default()
     t_in = BankTemplate("in", pset.m)
@@ -337,7 +326,6 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
         "result": None,
         "invocations": 0,
         "rssd_gens": 0,
-        "pending": None,  # per-generation mode: best candidate this generation
     }
     inner_boxes = rssd_boxes(target)
 
@@ -367,12 +355,6 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
                 "jbar": jbar,
             }
 
-    def fire(candidate):
-        j1, cp_idx, p_cp, w_in, w_out = candidate
-        state["jbar"] = max(j1, JBAR_FLOOR)
-        state["history"].append(state["jbar"])
-        run_inner(p_cp, cp_idx, w_in, w_out)
-
     def scp_fitness(genes):
         genes = np.asarray(genes)
         try:
@@ -385,22 +367,13 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
             return 1.0 + len(report.reasons)
         j1, cp_idx, p_cp = j1_fitness(w_in, w_out, pset, grid)
         if j1 < state["jbar"]:
-            candidate = (j1, cp_idx, p_cp, w_in, w_out)
-            if per_generation:
-                if state["pending"] is None or j1 < state["pending"][0]:
-                    state["pending"] = candidate
-            else:
-                fire(candidate)
+            state["jbar"] = max(j1, JBAR_FLOOR)
+            state["history"].append(state["jbar"])
+            run_inner(p_cp, cp_idx, w_in, w_out)
         return j1
 
-    def on_generation_end():
-        if per_generation and state["pending"] is not None and not state["found"]:
-            cand, state["pending"] = state["pending"], None
-            fire(cand)
-
     outer = ga_minimize(scp_fitness, np.asarray(constraints.boxes, float),
-                        scp_cfg, stop=lambda: state["found"],
-                        generation_end=on_generation_end if per_generation else None)
+                        scp_cfg, stop=lambda: state["found"])
 
     seeds = {"scp": scp_cfg.seed, "rssd": rssd_cfg.seed}
     if not state["found"]:

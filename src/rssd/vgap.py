@@ -217,18 +217,6 @@ def gap_matrix(pset: PlantSet, grid: FrequencyGrid) -> np.ndarray:
     return mat
 
 
-def max_vgap(index: int, pset: PlantSet, grid: FrequencyGrid) -> float:
-    """Maximum nu-gap from plant ``index`` to every member of the set."""
-    if not 0 <= index < len(pset):
-        raise DimensionMismatch(f"index {index} out of range for set of {len(pset)}")
-    center = sample(pset[index], grid)
-    return max(
-        (nu_gap(center, sample(p, grid), grid).value
-         for k, p in enumerate(pset) if k != index),
-        default=0.0,
-    )
-
-
 def central_plant(pset: PlantSet, grid: FrequencyGrid) -> CentralPlantResult:
     """Plant with the smallest maximum nu-gap; ties break to smallest index."""
     mat = gap_matrix(pset, grid)

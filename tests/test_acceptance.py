@@ -109,7 +109,7 @@ def test_criterion_2_metric_axioms():
 
 
 def test_criterion_3_stability_margin():
-    b = gsm(StateSpacePlant.siso(0.0, 1.0), np.array([[-1.0]]))
+    b = gsm(closed_loop(StateSpacePlant.siso(0.0, 1.0), np.array([[-1.0]])))
     assert abs(b - 1 / np.sqrt(2)) < 1e-4
 
     rng = np.random.default_rng(303)
@@ -119,10 +119,11 @@ def test_criterion_3_stability_margin():
         p = StateSpacePlant(p.A + rng.uniform(0.0, 2.0) * np.eye(p.n),
                             p.B, p.C, p.D)
         K = np.array([[rng.normal(0.0, 2.0)]])
-        stable = bool(np.all(closed_loop(p, K).eigenvalues.real < 0))
+        cl = closed_loop(p, K)
+        stable = bool(np.all(cl.eigenvalues.real < 0))
         if stable:
             continue  # only non-stabilizing pairs count here
-        assert gsm(p, K) == 0.0
+        assert gsm(cl) == 0.0
         checked += 1
     report(3, f"b(1/s,-1)={b:.6f}, 50 non-stabilizing pairs all b=0")
 
@@ -141,14 +142,15 @@ def test_criterion_4_robust_stabilization_property():
         C = rng.normal(0.0, 1.0, size=(1, n))
         p1 = StateSpacePlant(A, B, C, np.zeros((1, 1)))
         K = np.array([[rng.normal(0.0, 3.0)]])
-        if not np.all(closed_loop(p1, K).eigenvalues.real < 0):
+        cl = closed_loop(p1, K)
+        if not np.all(cl.eigenvalues.real < 0):
             continue
         scale = rng.uniform(0.01, 0.15)
         p2 = StateSpacePlant(A + scale * rng.normal(size=A.shape),
                              B * (1 + scale * rng.normal()),
                              C * (1 + scale * rng.normal()), p1.D)
         gap = nu_gap(p1, p2, GRID).value
-        margin = gsm(p1, K)
+        margin = gsm(cl)
         if margin <= gap:
             continue
         p2_stable = bool(np.all(closed_loop(p2, K).eigenvalues.real < 0))
@@ -287,7 +289,7 @@ def test_criterion_8_simulation_consistency():
 
 def test_criterion_9_disk_margin_sanity():
     p = StateSpacePlant.siso(0.0, 1.0)
-    rep = disk_margin(p, np.array([[-1.0]]))
+    rep = disk_margin(closed_loop(p, np.array([[-1.0]])))
     assert abs(rep.disk_alpha - 2.0) < 1e-6
     assert abs(rep.mdpm_deg - 90.0) < 0.1
     report(9, f"alpha={rep.disk_alpha:.6f}, MDPM=+/-{rep.mdpm_deg:.3f} deg")

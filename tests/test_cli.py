@@ -1,4 +1,6 @@
+import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,8 @@ import pytest
 
 from rssd import fileio
 from rssd.cli import main
+from rssd.lti import FrequencyGrid, eval_response
+from rssd.margins import closed_loop
 
 FIXTURES = Path(__file__).resolve().parent.parent / "configs"
 FAMILY = str(FIXTURES / "three_plant_family.json")
@@ -15,6 +19,35 @@ SCENARIO = str(FIXTURES / "doublet_scenario.json")
 
 def run(*argv):
     return main(list(argv))
+
+
+def count_calls(monkeypatch, original, counts, key,
+                counted=lambda *args, **kwargs: True):
+    """Count calls of ``original`` from every rssd module that imported it;
+    ``counted(*args)`` selects which calls count."""
+    def wrapper(*args, **kwargs):
+        if counted(*args, **kwargs):
+            counts[key] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "rssd" or name.startswith("rssd.")) and \
+                getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, wrapper)
+
+
+# SHA-256 of the fixture's analyze outputs; a change to them has to be
+# declared here
+ANALYZE_SHA256 = {
+    "margins.json":
+        "a78882bfeef326036313ef663070b825ebb0346680357c0737d20385a6aa7c2c",
+    "curves_0_nominal.csv":
+        "05be2638f8262d779774a34fe180313b84c9b44177317717382295eaa9641c44",
+    "curves_1_fast.csv":
+        "04b4c5fd78f5bb54c3f92268803ccc0fdaef86289005ed790501fb85536335e0",
+    "curves_2_slow.csv":
+        "f9e635ebb568b85f9d8600f3cb70ac98842929ca3436fad1b37298837d6efd65",
+}
 
 
 class TestVgapCommand:
@@ -123,6 +156,24 @@ class TestAnalyzeCommand:
                    str(tmp_path / "zero.json"), "--out", str(tmp_path)) == 0
         margins = json.loads((tmp_path / "margins.json").read_text())
         assert all(margins[k]["unstable"] for k in margins)
+
+    def test_one_loop_and_one_response_per_plant(self, tmp_path, controller,
+                                                  monkeypatch):
+        counts = {"loops": 0, "responses": 0}
+        points = FrequencyGrid.default().points.size
+        count_calls(monkeypatch, closed_loop, counts, "loops")
+        count_calls(monkeypatch, eval_response, counts, "responses",
+                    lambda plant, s_values: np.size(s_values) == points)
+        assert run("analyze", FAMILY, "--config", CONFIG, "--controller",
+                   controller, "--out", str(tmp_path)) == 0
+        assert counts == {"loops": 3, "responses": 3}
+
+    def test_outputs_pinned(self, tmp_path, controller):
+        assert run("analyze", FAMILY, "--config", CONFIG, "--controller",
+                   controller, "--out", str(tmp_path)) == 0
+        for name, digest in ANALYZE_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+                == digest, name
 
 
 class TestSimCommand:

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from rssd.errors import (
-    DimensionMismatch,
-    ImproperSection,
-    SingularAtFrequency,
-    UnstableSection,
-)
+from rssd.errors import DimensionMismatch, ImproperSection, UnstableSection
 from rssd.lti import (
     CompensatorBank,
     FirstOrderSection,
@@ -17,7 +12,6 @@ from rssd.lti import (
     cascade,
     eigen_info,
     eval_response,
-    freq_response,
     is_imag_axis,
     realize_bank,
     sorted_spectrum,
@@ -100,14 +94,6 @@ class TestSpectrum:
         assert is_imag_axis(2j) and not is_imag_axis(-1e-3 + 2j)
 
 class TestFreqResponse:
-    def test_pole_on_axis_rejected(self):
-        # undamped oscillator: poles at +/- 1j
-        p = StateSpacePlant(np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                            np.array([[0.0], [1.0]]),
-                            np.array([[1.0, 0.0]]), np.zeros((1, 1)))
-        with pytest.raises(SingularAtFrequency):
-            freq_response(p, 1.0)
-
     def test_matches_transfer_function(self):
         p = StateSpacePlant.siso(-2.0, 3.0)  # 3/(s+2)
         omega = np.array([0.7, 11.0])

@@ -67,12 +67,12 @@ class TestLinfNorm:
 class TestClosedLoop:
     def test_integrator_gsm(self):
         p = StateSpacePlant.siso(0.0, 1.0)
-        assert gsm(p, np.array([[-1.0]])) == pytest.approx(
+        assert gsm(closed_loop(p, np.array([[-1.0]]))) == pytest.approx(
             1 / np.sqrt(2), abs=1e-4)
 
     def test_unstable_loop_zero_margin(self):
         p = StateSpacePlant.siso(1.0, 1.0)
-        assert gsm(p, np.array([[0.0]])) == 0.0
+        assert gsm(closed_loop(p, np.array([[0.0]]))) == 0.0
 
     def test_closed_loop_matrix_positive_feedback(self):
         p = StateSpacePlant.siso(-1.0, 1.0)
@@ -99,18 +99,22 @@ class TestClosedLoop:
 class TestSensitivity:
     def test_steady_state_value(self, grid):
         p = StateSpacePlant.siso(-1.0, 1.0)
-        curves = sensitivity_curves(p, np.array([[-1.0]]), grid)
+        curves = sensitivity_curves(closed_loop(p, np.array([[-1.0]])), grid)
         assert curves.so_max[0] == pytest.approx(0.5, rel=1e-3)
 
     def test_unstable_loop_rejected(self, grid):
-        p = StateSpacePlant.siso(1.0, 1.0)
-        with pytest.raises(UnstableLoop):
-            sensitivity_curves(p, np.array([[0.0]]), grid)
+        # every analysis entry point that needs a stable loop guards it
+        cl = closed_loop(StateSpacePlant.siso(1.0, 1.0), np.array([[0.0]]))
+        for analyse in (lambda: sensitivity_curves(cl, grid),
+                        lambda: uncertainty_bounds(cl, grid),
+                        lambda: disk_margin(cl)):
+            with pytest.raises(UnstableLoop):
+                analyse()
 
     def test_bounds_positive(self, grid):
         rng = np.random.default_rng(8)
         p = random_stable_siso(rng)
-        bounds = uncertainty_bounds(p, np.array([[0.0]]), grid)
+        bounds = uncertainty_bounds(closed_loop(p, np.array([[0.0]])), grid)
         assert np.all(bounds.inverse_input > 0)
 
 
@@ -118,14 +122,14 @@ class TestDiskMargin:
     def test_integrator_classical(self):
         # L = -K P = 1/s: alpha = 2, disk phase margin +/- 90 degrees
         p = StateSpacePlant.siso(0.0, 1.0)
-        report = disk_margin(p, np.array([[-1.0]]))
+        report = disk_margin(closed_loop(p, np.array([[-1.0]])))
         assert report.disk_alpha == pytest.approx(2.0, abs=1e-6)
         assert report.mdpm_deg == pytest.approx(90.0, abs=0.1)
         assert np.isinf(report.mdgm_db)
 
     def test_zero_gain_degenerate(self):
         p = StateSpacePlant.siso(-1.0, 1.0)
-        report = disk_margin(p, np.array([[0.0]]))
+        report = disk_margin(closed_loop(p, np.array([[0.0]])))
         assert report.degenerate
 
     def test_finite_margin_case(self):
@@ -134,7 +138,7 @@ class TestDiskMargin:
         B = np.ones((2, 1))
         C = np.array([[8.0, -8.0]])
         p = StateSpacePlant(A, B, C, np.zeros((1, 1)))
-        report = disk_margin(p, np.array([[-1.0]]))
+        report = disk_margin(closed_loop(p, np.array([[-1.0]])))
         assert 0 < report.disk_alpha < 2
         assert np.isfinite(report.mdgm_db)
         assert report.gsm > 0
@@ -161,9 +165,10 @@ class TestDiskMargin:
                                 rng.normal(size=(r, 4)),
                                 0.5 * rng.normal(size=(r, m)))
             K = 0.3 * rng.normal(size=(m, r))
-            if not closed_loop(p, K).stable:
+            cl = closed_loop(p, K)
+            if not cl.stable:
                 continue
-            report = disk_margin(p, K)
+            report = disk_margin(cl)
             loops = {
                 "input": StateSpacePlant(p.A, p.B, -K @ p.C, -K @ p.D),
                 "output": StateSpacePlant(p.A, p.B @ K, -p.C, -p.D @ K),

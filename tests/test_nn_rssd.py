@@ -68,8 +68,8 @@ class TestGaMinimize:
 
         cfg = GaConfig(population=8, max_generations=5, seed=1,
                        mutation_prob=0.0, crossover_prob=0.0)
-        init = np.tile([2.0, -1.0], (8, 1))
-        res = ga_minimize(f, [(-5, 5)] * 2, cfg, init_population=init)
+        # degenerate boxes: every individual starts as (2, -1)
+        res = ga_minimize(f, [(2, 2), (-1, -1)], cfg)
         assert res.history == [5.0] * 5
         assert len(calls) == 1  # one distinct genome is scored once
 
@@ -100,9 +100,9 @@ class TestGaMinimize:
         calls = []
         f = lambda g: (calls.append(1), float(g[0])) [1]
         cfg = GaConfig(population=4, max_generations=1, seed=0)
-        init = np.tile([0.5], (4, 1))
-        ga_minimize(f, [(0, 1)], cfg, init_population=init)
-        ga_minimize(f, [(0, 1)], cfg, init_population=init)
+        # a degenerate box makes the whole population one genome
+        ga_minimize(f, [(0.5, 0.5)], cfg)
+        ga_minimize(f, [(0.5, 0.5)], cfg)
         assert len(calls) == 2
 
     def test_seeded_result_pinned(self):
@@ -242,14 +242,6 @@ class TestRunNnRssd:
         assert report.j1_history == []
         assert report.gain is None
 
-    def test_per_generation_variant_also_feasible(self, grid):
-        constraints, target = family_setup()
-        scp = GaConfig(population=20, max_generations=20, seed=7)
-        rssd = GaConfig(population=30, max_generations=100, seed=11)
-        report = run_nn_rssd(family(), constraints, target, scp, rssd, grid,
-                             per_generation=True)
-        assert report.feasible
-
     def test_degenerate_singleton_uses_floor(self, grid):
         pset = PlantSet((StateSpacePlant.siso(1.0, 1.0, label="only"),))
         constraints, target = family_setup()
@@ -334,7 +326,7 @@ class TestTwoLevelSearch:
         p_cp = augmented[report.cp_index]
         omega = np.concatenate([[0.0], np.logspace(-4, 6, 4000)])
         worst = max(dense_nu_gap_peak(p_cp, aug, omega) for aug in augmented)
-        assert gsm(p_cp, K) > worst
+        assert gsm(closed_loop(p_cp, K)) > worst
 
         # a change to the seeded trajectory has to be declared here
         assert K.shape == (3, 5)

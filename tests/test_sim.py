@@ -304,12 +304,16 @@ class TestTrackingMetrics:
         assert rep.channels[0]["rms_ok"]
 
     def test_divergent_trace_rejected(self):
-        traces = TraceSet(np.arange(3.0), np.full((3, 1), np.nan),
-                          np.zeros((3, 1)), np.zeros((3, 1)),
-                          np.full((3, 1), np.nan), diverged=True,
-                          divergence_time=2.0)
-        with pytest.raises(DivergentTrace):
-            tracking_metrics(traces, 0.01, 0.1)
+        # a diverged trace, and one with non-finite samples but no
+        # divergence time
+        for diverged, divergence_time in ((True, 2.0), (False, None)):
+            traces = TraceSet(np.arange(3.0), np.full((3, 1), np.nan),
+                              np.zeros((3, 1)), np.zeros((3, 1)),
+                              np.full((3, 1), np.nan), diverged=diverged,
+                              divergence_time=divergence_time)
+            with pytest.raises(DivergentTrace) as info:
+                tracking_metrics(traces, 0.01, 0.1)
+            assert info.value.time == divergence_time
 
 
 class TestWeightGainCurve:

@@ -8,7 +8,6 @@ from rssd.lti import PlantSet, StateSpacePlant, cascade, eval_response
 from rssd.vgap import (
     central_plant,
     gap_matrix,
-    max_vgap,
     nu_gap,
     paraconjugate,
     pole_counts,
@@ -234,12 +233,6 @@ class TestCentralPlant:
         result = central_plant(PlantSet((static(1.0),)), grid)
         assert result.index == 0
         assert result.epsilon == 0.0
-
-    def test_max_vgap_consistent_with_matrix(self, grid):
-        pset = PlantSet((static(0.5), static(1.0), static(2.0)))
-        mat = gap_matrix(pset, grid)
-        for i in range(3):
-            assert max_vgap(i, pset, grid) == pytest.approx(mat[i].max())
 
 
 class TestSampling:
