@@ -16,13 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .errors import (
-    DimensionMismatch,
-    DivergentTrace,
-    ParseError,
-    RssdError,
-    UnstableLoop,
-)
+from .errors import DimensionMismatch, DivergentTrace, ParseError, RssdError
 from .lti import FrequencyGrid, augment_plant, sorted_spectrum
 from .margins import (
     closed_loop,

@@ -126,7 +126,13 @@ class PlantSet:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing evaluation frequencies with refinement config."""
+    """Strictly increasing evaluation frequencies with refinement config.
+
+    ``rel_tol`` sets the bracket stop of the peak refinement in
+    ``rssd.sweep.grid_peak`` (applied ten times tighter, relative to the
+    bracket's position in log-frequency) and ``max_refine_depth`` caps its
+    rounds.
+    """
 
     points: np.ndarray
     max_refine_depth: int = 40

@@ -31,7 +31,6 @@ from .errors import (
     IllPosedLoop,
     ImproperSection,
     OutOfBox,
-    RssdError,
     UnstableSection,
 )
 from .lti import (

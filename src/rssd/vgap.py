@@ -53,8 +53,9 @@ class CentralPlantResult:
 
 @dataclass(frozen=True)
 class SampledPlant:
-    """A plant with its response on ``grid`` and the per-point factors a pair
-    needs: sigma_max P, (I + P P*)^(-1/2) and (I + P* P)^(-1/2)."""
+    """A plant with its response on ``grid``, the per-point factors a pair
+    needs (sigma_max P, (I + P P*)^(-1/2) and (I + P* P)^(-1/2)) and its
+    ``pole_counts``."""
 
     plant: StateSpacePlant
     grid: FrequencyGrid
@@ -62,13 +63,14 @@ class SampledPlant:
     sigma: np.ndarray
     left: np.ndarray
     right: np.ndarray
+    poles: tuple[int, int]
 
 
 def sample(plant: StateSpacePlant, grid: FrequencyGrid) -> SampledPlant:
     """Evaluate ``plant`` once on ``grid`` for any number of nu-gap pairs."""
     resp = eval_response(plant, 1j * grid.points)
-    right, sigma = _right_factor(resp)
-    return SampledPlant(plant, grid, resp, sigma, _left_factor(resp), right)
+    left, right, sigma = _factors(resp)
+    return SampledPlant(plant, grid, resp, sigma, left, right, pole_counts(plant))
 
 
 def _sampled(p, grid: FrequencyGrid) -> SampledPlant:
@@ -134,24 +136,37 @@ def winding_number_det(p1: StateSpacePlant, p2: StateSpacePlant) -> int:
     return _rhp_count(zeros[~indented]) - _rhp_count(poles)
 
 
-def _inv_sqrt_h(mats):
-    """(Hermitian positive definite)^(-1/2) per batch entry via eigh, and the
-    ascending eigenvalues it was formed from."""
-    w, v = np.linalg.eigh(mats)
-    root = 1.0 / np.sqrt(np.maximum(w, 1e-300))
-    return (v * root[:, None, :]) @ v.conj().swapaxes(1, 2), w
+def _ct(mats):
+    return mats.conj().swapaxes(-1, -2)
 
 
-def _left_factor(resp):
-    """(I + P P*)^(-1/2) per point."""
-    return _inv_sqrt_h(np.eye(resp.shape[1]) + resp @ resp.conj().swapaxes(1, 2))[0]
+def _factors(resp):
+    """(I + P P*)^(-1/2), (I + P* P)^(-1/2) and sigma_max P per point, from
+    one eigh of the smaller Gram.
+
+    For a tall P, P* P = W diag(s^2) W* gives the small factor
+    W diag((1 + s^2)^-1/2) W* and the large one
+    I - (P W) diag(1/(mu + sqrt(mu))) (P W)* with mu = 1 + s^2, exact even
+    where the large Gram's unit eigenvalues drown in eps |P|^2.  s^2 is read
+    as the column norms of P W, which keeps it consistent with W.  A wide P
+    swaps the two sides.
+    """
+    wide = resp.shape[1] < resp.shape[2]
+    p = _ct(resp) if wide else resp
+    w = np.linalg.eigh(_ct(p) @ p)[1]
+    pw = p @ w
+    s2 = np.sum(np.abs(pw) ** 2, axis=1)
+    root = np.sqrt(1.0 + s2)
+    small = (w / root[:, None, :]) @ _ct(w)
+    large = np.eye(p.shape[1]) - (pw / (root * (root + 1.0))[:, None, :]) @ _ct(pw)
+    sigma = np.sqrt(s2.max(axis=1))
+    return (small, large, sigma) if wide else (large, small, sigma)
 
 
-def _right_factor(resp):
-    """(I + P* P)^(-1/2) per point, and sigma_max P from the same eigenvalues:
-    sigma_max^2 = lambda_max(I + P* P) - 1."""
-    factor, w = _inv_sqrt_h(np.eye(resp.shape[2]) + resp.conj().swapaxes(1, 2) @ resp)
-    return factor, np.sqrt(np.maximum(w[:, -1] - 1.0, 0.0))
+def _sigma_max(mats):
+    """sigma_max per point from the eigenvalues of the smaller Gram."""
+    gram = _ct(mats) @ mats if mats.shape[1] >= mats.shape[2] else mats @ _ct(mats)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
 def _psi_sigma(s1: SampledPlant, s2: SampledPlant):
@@ -168,8 +183,8 @@ def _psi_sigma(s1: SampledPlant, s2: SampledPlant):
             s = 1j * np.asarray(omegas, dtype=float)
             r1 = eval_response(s1.plant, s)
             r2 = eval_response(s2.plant, s)
-            l2, m1 = _left_factor(r2), _right_factor(r1)[0]
-        return np.linalg.norm(l2 @ (r1 - r2) @ m1, ord=2, axis=(1, 2))
+            l2, m1 = _factors(r2)[0], _factors(r1)[1]
+        return _sigma_max(l2 @ (r1 - r2) @ m1)
 
     return fun
 
@@ -196,8 +211,8 @@ def nu_gap(p1: StateSpacePlant | SampledPlant, p2: StateSpacePlant | SampledPlan
         except DetVanishesOnContour:
             cond = False
         else:
-            eta1, _ = pole_counts(p1)
-            eta2, eta0_2 = pole_counts(p2)
+            eta1, _ = s1.poles
+            eta2, eta0_2 = s2.poles
             cond = (wno + eta1 - eta2 - eta0_2) == 0
     if not cond:
         return VgapResult(1.0, False, wno, None)

@@ -8,9 +8,8 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from conftest import identity_banks, random_stable_siso
+from conftest import random_stable_siso
 from rssd import fileio
 from rssd.eigassign import (
     EigTarget,
@@ -22,7 +21,6 @@ from rssd.eigassign import (
 from rssd.errors import EmptySubspace, IllConditioned
 from rssd.lti import (
     CompensatorBank,
-    FirstOrderSection,
     FrequencyGrid,
     PlantSet,
     StateSpacePlant,

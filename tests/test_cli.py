@@ -128,7 +128,8 @@ class TestSynthCommand:
 
 
 class TestAnalyzeCommand:
-    @pytest.fixture()
+    # the tests only read the controller, so one synth serves the class
+    @pytest.fixture(scope="class")
     def controller(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("synth")
         run("synth", FAMILY, "--config", CONFIG, "--out", str(out))

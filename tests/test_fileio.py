@@ -7,7 +7,7 @@ import pytest
 
 from rssd import fileio
 from rssd.errors import ParseError
-from rssd.lti import CompensatorBank, FirstOrderSection, PlantSet, StateSpacePlant
+from rssd.lti import PlantSet, StateSpacePlant
 
 FIXTURES = Path(__file__).resolve().parent.parent / "configs"
 

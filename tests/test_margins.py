@@ -14,15 +14,10 @@ from rssd.margins import (
     sensitivity_curves,
     uncertainty_bounds,
 )
-from rssd.sweep import golden_max, grid_peak
+from rssd.sweep import grid_peak
 
 
 class TestSweep:
-    def test_golden_max_quadratic(self):
-        x, val = golden_max(lambda t: -(t - 2.0) ** 2 + 5.0, 0.0, 4.0, 1e-8)
-        assert val == pytest.approx(5.0, abs=1e-6)
-        assert x == pytest.approx(2.0, abs=1e-3)
-
     def test_grid_peak_finds_interior_resonance(self):
         grid = FrequencyGrid.default()
 
@@ -34,6 +29,22 @@ class TestSweep:
         zeta = 0.1
         analytic = 1.0 / (2 * zeta * np.sqrt(1 - zeta ** 2))
         assert val == pytest.approx(analytic, rel=1e-4)
+
+    def test_grid_peak_refines_in_few_batched_rounds(self):
+        # one candidate near w = 100: every round samples its bracket in a
+        # single call (one-point golden-section steps took about 14 calls)
+        grid = FrequencyGrid.default()
+        sizes = []
+
+        def fun(omegas):
+            sizes.append(np.size(omegas))
+            return -(np.log10(omegas) - 2.003) ** 2
+
+        val, w = grid_peak(fun, grid)
+        assert len(sizes) <= 8
+        assert sizes[0] == grid.points.size
+        assert val >= fun(grid.points).max()
+        assert np.log10(w) == pytest.approx(2.003, abs=1e-5)
 
 
 class TestLinfNorm:

@@ -6,7 +6,7 @@ import pytest
 from conftest import identity_banks
 from rssd.eigassign import EigTarget, EntryConstraint, ModeTarget
 from rssd.errors import DimensionMismatch
-from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, augment_plant
+from rssd.lti import PlantSet, StateSpacePlant, augment_plant
 from rssd.margins import closed_loop, gsm
 from rssd.nn_rssd import (
     PENALTY,

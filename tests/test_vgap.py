@@ -4,7 +4,7 @@ import pytest
 import rssd.vgap
 from conftest import random_siso, random_stable_siso
 from rssd.errors import DetVanishesOnContour
-from rssd.lti import PlantSet, StateSpacePlant, cascade, eval_response
+from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, cascade, eval_response
 from rssd.vgap import (
     central_plant,
     gap_matrix,
@@ -46,6 +46,88 @@ def random_family(rng, size, m, r, order=4):
         StateSpacePlant(q @ np.diag(poles * (1 + 0.1 * rng.uniform(-1, 1, order)))
                         @ q.T, B, C, np.zeros((r, m)), f"member{k}")
         for k in range(size)))
+
+
+def mixed_pair(rng, m, r, order=4):
+    """A stable and an unstable plant sharing B, C and D != 0, whose slowest
+    pole crosses the axis (+-0.05); their nu-gap condition holds."""
+    q, _ = np.linalg.qr(rng.normal(size=(order, order)))
+    poles = -rng.uniform(0.5, 4.0, size=order)
+    B, C = rng.normal(size=(order, m)), rng.normal(size=(r, order))
+    D = 0.3 * rng.normal(size=(r, m))
+    pair = []
+    for sign in (1.0, -1.0):
+        p = poles * (1 + 0.1 * rng.uniform(-1, 1, order))
+        p[0] = 0.05 * sign
+        pair.append(StateSpacePlant(q @ np.diag(p) @ q.T, B, C, D))
+    return pair
+
+
+def svd_factors(resp):
+    """(I + P P*)^(-1/2) and (I + P* P)^(-1/2) per point from a full SVD."""
+    u, s, vh = np.linalg.svd(resp)
+    k = s.shape[1]
+
+    def factor(vecs, size):
+        d = np.ones((resp.shape[0], size))
+        d[:, :k] = 1.0 / np.sqrt(1.0 + s ** 2)
+        return (vecs * d[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+
+    return factor(u, resp.shape[1]), factor(vh.conj().swapaxes(1, 2), resp.shape[2])
+
+
+def svd_psi(p1, p2, omegas):
+    """sigma_max of Psi(P1(jw), P2(jw)) from SVDs only."""
+    s = 1j * np.asarray(omegas, dtype=float)
+    r1, r2 = eval_response(p1, s), eval_response(p2, s)
+    psi = svd_factors(r2)[0] @ (r1 - r2) @ svd_factors(r1)[1]
+    return np.linalg.svd(psi, compute_uv=False)[:, 0]
+
+
+def golden_grid_peak(f_batch, grid, max_refined=8):
+    """Reference peak search: each grid-local maximum polished by one-point
+    golden-section steps in log-frequency (the engine before batched
+    refinement)."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+
+    def golden_max(f, a, b):
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        fc, fd = f(c), f(d)
+        for _ in range(grid.max_refine_depth):
+            if (b - a) <= grid.rel_tol * max(abs(a), abs(b), 1e-300):
+                break
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = f(d)
+        return (c, fc) if fc >= fd else (d, fd)
+
+    def f_scalar(w):
+        return float(f_batch(np.array([w]))[0])
+
+    pts = grid.points
+    vals = np.asarray(f_batch(pts), dtype=float)
+    best_v = vals.max()
+    interior = np.arange(1, pts.size - 1)
+    is_max = (vals[interior] >= vals[interior - 1]) & (vals[interior] >= vals[interior + 1])
+    cand = list(interior[is_max])
+    if vals[0] >= vals[1]:
+        cand.append(0)
+    if vals[-1] >= vals[-2]:
+        cand.append(pts.size - 1)
+    cand.sort(key=lambda i: -vals[i])
+    for i in cand[:max_refined]:
+        lo, hi = pts[max(i - 1, 0)], pts[min(i + 1, pts.size - 1)]
+        if lo > 0:
+            _, v = golden_max(lambda t: f_scalar(10.0 ** t), np.log10(lo), np.log10(hi))
+        else:
+            _, v = golden_max(f_scalar, lo, hi)
+        best_v = max(best_v, v)
+    return float(best_v)
 
 
 def reference_winding(p1, p2, indent=1e-3, radius=1e6, num=4000):
@@ -272,15 +354,19 @@ class TestSampling:
             sizes.append(np.size(s_values))
             return eval_response(plant, s_values)
 
+        counts = []
         monkeypatch.setattr(rssd.vgap, "eval_response", counted)
+        monkeypatch.setattr(rssd.vgap, "pole_counts",
+                            lambda plant: counts.append(plant) or pole_counts(plant))
         result = central_plant(pset, coarse_grid)
         assert result.epsilon < 1.0
         assert sizes.count(coarse_grid.points.size) == len(pset)
+        assert len(counts) == len(pset)
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
     def test_sigma_from_gram_matches_svd(self, scale, coarse_grid):
-        # sample() reads sigma_max from eigh(I + P* P); 1 + sigma^2 is what
-        # that factorization resolves at every scale
+        # sample() reads sigma_max from eigh of the smaller Gram; 1 + sigma^2
+        # is what that factorization resolves at every scale
         rng = np.random.default_rng(41)
         for _ in range(3):
             p = random_plant(rng, 3, 5, unstable=True, order=4)
@@ -290,6 +376,66 @@ class TestSampling:
                                 compute_uv=False)[:, 0]
             np.testing.assert_allclose(1.0 + got ** 2, 1.0 + svd ** 2,
                                        rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4), (1, 1)])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_factors_match_svd(self, shape, scale, coarse_grid):
+        # both factors from one eigh of the smaller Gram stay exact where an
+        # eigh of the larger one resolves its unit eigenvalues only to
+        # eps |P|^2.  A square P has no larger side; its factors carry the
+        # Gram's own eps kappa(P)^2 error (4.7e-13 for this plant, kappa
+        # about 870, at scale 1e3; two eighs reach 2.2e-12)
+        r, m = shape
+        p = random_plant(np.random.default_rng(43), m, r, unstable=True, order=4)
+        p = StateSpacePlant(p.A, p.B, scale * p.C, scale * p.D)
+        got = sample(p, coarse_grid)
+        left, right = svd_factors(got.response)
+        tol = 1e-12 if r == m > 1 else 1e-13
+        np.testing.assert_allclose(got.left, left, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(got.right, right, rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("m, r", [(2, 3), (3, 2)])
+    def test_psi_sigma_from_gram_matches_svd(self, m, r, coarse_grid,
+                                             monkeypatch):
+        # the function nu_gap peaks reads sigma_max(Psi) from eigvalsh of
+        # the smaller Gram, on the grid and off it
+        peaked = []
+        monkeypatch.setattr(rssd.vgap, "grid_peak",
+                            lambda f, grid: peaked.append(f) or (0.0, 0.0))
+        p1, p2 = mixed_pair(np.random.default_rng(44), m, r)
+        assert nu_gap(p1, p2, coarse_grid).condition_met
+        pts = coarse_grid.points
+        for omegas in (pts, np.sqrt(pts[1:] * pts[:-1])):
+            np.testing.assert_allclose(peaked[0](omegas), svd_psi(p1, p2, omegas),
+                                       rtol=1e-12, atol=0.0)
+
+    def test_refined_peaks_against_golden_and_dense_references(self,
+                                                               monkeypatch):
+        # tall, wide and square pairs with D != 0, stable/unstable ones
+        # among them; the grid holds w = 0 so DC peaks are refined too
+        grid = FrequencyGrid(np.concatenate([[0.0], np.logspace(-3, 5, 400)]))
+        rng = np.random.default_rng(45)
+        pairs = [mixed_pair(rng, m, r) for m, r in [(2, 3), (3, 2), (2, 2)]]
+        for m, r in [(3, 5), (5, 3)]:
+            fam = random_family(rng, 2, m, r)
+            D = 0.3 * rng.normal(size=(r, m))
+            pairs.append([StateSpacePlant(p.A, p.B, p.C, D) for p in fam])
+        peaked = []
+        grid_peak = rssd.vgap.grid_peak
+        monkeypatch.setattr(rssd.vgap, "grid_peak",
+                            lambda f, g: peaked.append(f) or grid_peak(f, g))
+        dense = np.concatenate([[0.0], np.logspace(-3, 5, 8001)])
+        for p1, p2 in pairs:
+            got = nu_gap(p1, p2, grid)
+            assert got.condition_met and 0.0 < got.value < 1.0
+            reference = golden_grid_peak(peaked[-1], grid)
+            assert got.value >= reference * (1.0 - 1e-12)
+            psi = svd_psi(p1, p2, dense)
+            i = int(np.argmax(psi))
+            fine = np.linspace(dense[max(i - 1, 0)], dense[min(i + 1, dense.size - 1)],
+                               2001)
+            oracle = max(psi[i], svd_psi(p1, p2, fine).max())
+            assert got.value == pytest.approx(oracle, abs=1e-6)
 
 
 class TestInvariance:
