@@ -8,6 +8,7 @@ failure.  RSSD_THREADS caps per-plant worker parallelism.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -96,19 +97,33 @@ def _resolve(args):
     return cfg, grid, seed, out
 
 
+def _load_plantset(path):
+    """The plant set, with labels fit to key reports and name output files."""
+    pset = fileio.load_plantset(path)
+    labels = [p.label for p in pset]
+    for i, label in enumerate(labels):
+        if "/" in label or "\\" in label:
+            raise ParseError(f"{path}: plant label {label!r} contains a path "
+                             f"separator")
+        if label in labels[:i]:
+            raise ParseError(f"{path}: duplicate plant label {label!r}")
+    return pset
+
+
 def _matrix_list(M):
     return None if M is None else fileio._matrix_obj(M)
 
 
 def cmd_vgap(args) -> int:
-    pset = fileio.load_plantset(args.plantset)
+    pset = _load_plantset(args.plantset)
     _, grid, _, out = _resolve(args)
     result = central_plant(pset, grid)
     labels = [p.label for p in pset]
-    with open(out / "gap_matrix.csv", "w") as fh:
-        fh.write("label," + ",".join(labels) + "\n")
+    with open(out / "gap_matrix.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["label", *labels])
         for lab, row in zip(labels, result.gap_matrix):
-            fh.write(lab + "," + ",".join(f"{v:.12g}" for v in row) + "\n")
+            writer.writerow([lab, *(f"{v:.12g}" for v in row)])
     report = {
         "labels": labels,
         "central_index": result.index,
@@ -122,7 +137,7 @@ def cmd_vgap(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    pset = fileio.load_plantset(args.plantset)
+    pset = _load_plantset(args.plantset)
     cfg, grid, seed, out = _resolve(args)
     if seed is None:
         raise UsageError("synth requires a seed (config or --seed)")
@@ -224,7 +239,7 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    pset = fileio.load_plantset(args.plantset)
+    pset = _load_plantset(args.plantset)
     _, grid, _, out = _resolve(args)
     gain, w_in, w_out = fileio.load_controller(args.controller)
     summary = _analysis_bundle(pset, gain, w_in, w_out, grid, out)
@@ -236,7 +251,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    pset = fileio.load_plantset(args.plantset)
+    pset = _load_plantset(args.plantset)
     _, _, _, out = _resolve(args)
     gain, w_in, w_out = fileio.load_controller(args.controller)
     scenario, metric_spec = fileio.load_scenario(args.scenario)

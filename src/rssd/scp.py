@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig as generalized_eig
 
 from .errors import DimensionMismatch, OutOfBox
 from .lti import (
@@ -100,9 +99,13 @@ def transmission_zeros(plant: StateSpacePlant) -> np.ndarray:
     """Finite transmission zeros via the system-pencil generalized eigenproblem.
 
     Only defined for square plants; non-square plants return an empty set.
+    The QZ solve is scipy's, imported here on the first square plant: it
+    is rssd's only use of scipy, and importing rssd then loads numpy only.
     """
     if plant.m != plant.r or plant.n == 0:
         return np.array([], dtype=complex)
+    from scipy.linalg import eig as generalized_eig
+
     n, m = plant.n, plant.m
     pencil_a = np.block([[plant.A, plant.B], [plant.C, plant.D]])
     pencil_b = np.zeros_like(pencil_a)

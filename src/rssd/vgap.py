@@ -140,9 +140,9 @@ def _ct(mats):
     return mats.conj().swapaxes(-1, -2)
 
 
-def _factors(resp):
+def _factors(resp, left=True, right=True):
     """(I + P P*)^(-1/2), (I + P* P)^(-1/2) and sigma_max P per point, from
-    one eigh of the smaller Gram.
+    one eigh of the smaller Gram.  A factor not asked for is None.
 
     For a tall P, P* P = W diag(s^2) W* gives the small factor
     W diag((1 + s^2)^-1/2) W* and the large one
@@ -157,8 +157,10 @@ def _factors(resp):
     pw = p @ w
     s2 = np.sum(np.abs(pw) ** 2, axis=1)
     root = np.sqrt(1.0 + s2)
-    small = (w / root[:, None, :]) @ _ct(w)
-    large = np.eye(p.shape[1]) - (pw / (root * (root + 1.0))[:, None, :]) @ _ct(pw)
+    want_small, want_large = (left, right) if wide else (right, left)
+    small = (w / root[:, None, :]) @ _ct(w) if want_small else None
+    large = (np.eye(p.shape[1]) - (pw / (root * (root + 1.0))[:, None, :]) @ _ct(pw)
+             if want_large else None)
     sigma = np.sqrt(s2.max(axis=1))
     return (small, large, sigma) if wide else (large, small, sigma)
 
@@ -183,7 +185,7 @@ def _psi_sigma(s1: SampledPlant, s2: SampledPlant):
             s = 1j * np.asarray(omegas, dtype=float)
             r1 = eval_response(s1.plant, s)
             r2 = eval_response(s2.plant, s)
-            l2, m1 = _factors(r2)[0], _factors(r1)[1]
+            l2, m1 = _factors(r2, right=False)[0], _factors(r1, left=False)[1]
         return _sigma_max(l2 @ (r1 - r2) @ m1)
 
     return fun

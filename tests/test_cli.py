@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import sys
@@ -50,6 +51,21 @@ ANALYZE_SHA256 = {
 }
 
 
+# SHA-256 of the fixture's gap matrix; plain labels are written unquoted
+GAP_MATRIX_SHA256 = \
+    "973011f12cfb9d6e73b3dbb64c1c1aea1a3f78f86cd91462099243e9c319ac60"
+
+
+def relabelled(tmp_path, labels):
+    """The fixture's plant set with its labels replaced by ``labels``."""
+    obj = json.loads(Path(FAMILY).read_text())
+    for entry, label in zip(obj["plants"], labels, strict=True):
+        entry["label"] = label
+    path = tmp_path / "relabelled.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 class TestVgapCommand:
     def test_reports_central_plant(self, tmp_path, capsys):
         assert run("vgap", FAMILY, "--out", str(tmp_path)) == 0
@@ -58,6 +74,18 @@ class TestVgapCommand:
         matrix = (tmp_path / "gap_matrix.csv").read_text().splitlines()
         assert matrix[0] == "label,nominal,fast,slow"
         assert len(matrix) == 4
+        assert hashlib.sha256((tmp_path / "gap_matrix.csv").read_bytes()) \
+            .hexdigest() == GAP_MATRIX_SHA256
+
+    def test_labels_with_commas_quoted(self, tmp_path):
+        labels = ["a,b", 'say "hi"', "c"]
+        assert run("vgap", relabelled(tmp_path, labels),
+                   "--out", str(tmp_path)) == 0
+        with open(tmp_path / "gap_matrix.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["label", *labels]
+        assert [row[0] for row in rows[1:]] == labels
+        assert all(len(row) == 4 for row in rows)
 
     def test_single_plant_trivial(self, tmp_path):
         pset = fileio.load_plantset(FAMILY)
@@ -205,6 +233,33 @@ class TestSimCommand:
                    "--out", str(tmp_path)) == 0
         report = json.loads((tmp_path / "tracking_report.json").read_text())
         assert any(report[k]["diverged"] for k in report)
+
+
+class TestPlantLabels:
+    # reports are keyed by label and output files named after it, so the
+    # CLI refuses a set whose labels collide or name another directory
+    @pytest.mark.parametrize("labels, message", [
+        (["x", "x", "y"], "duplicate plant label 'x'"),
+        (["a/b", "c", "d"], "path separator"),
+        (["a\\b", "c", "d"], "path separator"),
+    ])
+    @pytest.mark.parametrize("command", ["vgap", "synth", "analyze", "sim"])
+    def test_bad_labels_parse_exit(self, tmp_path, capsys, command, labels,
+                                   message):
+        from rssd.lti import CompensatorBank
+        controller = tmp_path / "unit.json"
+        fileio.save_controller(np.ones((1, 1)),
+                               CompensatorBank.identity(1, "in"),
+                               CompensatorBank.identity(1, "out"), controller)
+        extra = {"vgap": [], "synth": ["--config", CONFIG],
+                 "analyze": ["--controller", str(controller)],
+                 "sim": ["--controller", str(controller),
+                         "--scenario", SCENARIO]}[command]
+        out = tmp_path / "out"
+        assert run(command, relabelled(tmp_path, labels), *extra,
+                   "--out", str(out)) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEnvironment:

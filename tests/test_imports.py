@@ -1,11 +1,62 @@
-"""Every name imported under src/rssd is used (checked with ast; no linter)."""
+"""Every name imported under src/rssd is used (checked with ast; no linter),
+and importing rssd loads numpy only: scipy waits for the first square plant's
+transmission zeros."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from rssd.lti import StateSpacePlant
+from rssd.scp import transmission_zeros
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "rssd"
+
+# Run in a fresh interpreter, since this one has scipy loaded already; prints
+# whether scipy is loaded after each step, and the zeros of a square plant
+SCIPY_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+
+import rssd, rssd.cli
+loaded = {"import": "scipy" in sys.modules}
+
+import numpy as np
+from rssd import fileio
+from rssd.lti import CompensatorBank, FrequencyGrid, PlantSet, StateSpacePlant
+from rssd.scp import ScpConstraints, check_constraints, transmission_zeros
+
+rng = np.random.default_rng(3)
+tall = PlantSet(tuple(
+    StateSpacePlant(-np.diag([1.0, 2.0]) * (1 + 0.1 * k), rng.normal(size=(2, 2)),
+                    rng.normal(size=(3, 2)), np.zeros((3, 2)), f"p{k}")
+    for k in range(2)))
+with tempfile.TemporaryDirectory() as tmp:
+    fileio.save_plantset(tall, Path(tmp) / "plants.json")
+    code = rssd.cli.main(["vgap", str(Path(tmp) / "plants.json"),
+                          "--grid=-2:2:40", "--out", tmp])
+if code:
+    sys.exit(f"vgap exited with {code}")
+loaded["vgap"] = "scipy" in sys.modules
+
+check_constraints(CompensatorBank.identity(2, "in"),
+                  CompensatorBank.identity(3, "out"), tall,
+                  ScpConstraints((), (), -60.0, (0.1, 1.0)),
+                  FrequencyGrid(np.logspace(-2, 2, 40)))
+loaded["check_constraints"] = "scipy" in sys.modules
+
+square = StateSpacePlant(np.diag([-1.0, -3.0]), np.ones((2, 1)),
+                         np.array([[0.5, 0.5]]), np.zeros((1, 1)))
+zeros = transmission_zeros(square)
+loaded["transmission_zeros"] = "scipy" in sys.modules
+print(json.dumps({"loaded": loaded,
+                  "zeros": [[z.real, z.imag] for z in zeros.tolist()]}))
+"""
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +89,21 @@ def test_scanner_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_scipy_loads_only_for_square_transmission_zeros():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["loaded"] == {"import": False, "vgap": False,
+                             "check_constraints": False,
+                             "transmission_zeros": True}
+    # (s + 2)/((s + 1)(s + 3)), and the same values in this interpreter
+    square = StateSpacePlant(np.diag([-1.0, -3.0]), np.ones((2, 1)),
+                             np.array([[0.5, 0.5]]), np.zeros((1, 1)))
+    here = transmission_zeros(square)
+    assert got["zeros"] == [[z.real, z.imag] for z in here.tolist()]
+    assert here == pytest.approx([-2.0], abs=1e-12)

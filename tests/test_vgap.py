@@ -394,6 +394,20 @@ class TestSampling:
         np.testing.assert_allclose(got.left, left, rtol=0.0, atol=tol)
         np.testing.assert_allclose(got.right, right, rtol=0.0, atol=tol)
 
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
+    def test_one_sided_factors_bitwise(self, shape, coarse_grid):
+        # off the grid Psi reads only P2's left and P1's right factor; each
+        # one alone is the same floats as when both are formed
+        r, m = shape
+        p = random_plant(np.random.default_rng(46), m, r, unstable=True, order=4)
+        resp = eval_response(p, 1j * coarse_grid.points)
+        left, right, _ = rssd.vgap._factors(resp)
+        only_left = rssd.vgap._factors(resp, right=False)
+        only_right = rssd.vgap._factors(resp, left=False)
+        assert only_left[1] is None and only_right[0] is None
+        assert np.array_equal(only_left[0], left)
+        assert np.array_equal(only_right[1], right)
+
     @pytest.mark.parametrize("m, r", [(2, 3), (3, 2)])
     def test_psi_sigma_from_gram_matches_svd(self, m, r, coarse_grid,
                                              monkeypatch):
