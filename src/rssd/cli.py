@@ -2,16 +2,14 @@
 
 Exit codes: 0 success (including an infeasible synthesis, which is a
 normal report), 2 usage, 3 parse or dimension errors, 4 internal numeric
-failure.  RSSD_THREADS caps per-plant worker parallelism.
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +25,7 @@ from .margins import (
 )
 from .nn_rssd import run_nn_rssd
 from .sim import simulate, tracking_metrics
-from .vgap import central_plant
+from .vgap import central_from_matrix, gap_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -61,19 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--scenario", required=True,
                              help="scenario JSON file")
     return parser
-
-
-def _threads() -> int:
-    raw = os.environ.get("RSSD_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"RSSD_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise UsageError("RSSD_THREADS must be >= 1")
-    return value
 
 
 class UsageError(Exception):
@@ -117,19 +102,20 @@ def _matrix_list(M):
 def cmd_vgap(args) -> int:
     pset = _load_plantset(args.plantset)
     _, grid, _, out = _resolve(args)
-    result = central_plant(pset, grid)
+    mat = gap_matrix(pset, grid)
+    result = central_from_matrix(mat)
     labels = [p.label for p in pset]
     with open(out / "gap_matrix.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["label", *labels])
-        for lab, row in zip(labels, result.gap_matrix):
+        for lab, row in zip(labels, mat):
             writer.writerow([lab, *(f"{v:.12g}" for v in row)])
     report = {
         "labels": labels,
         "central_index": result.index,
         "central_label": labels[result.index],
         "epsilon": result.epsilon,
-        "max_vgap": [float(m) for m in result.gap_matrix.max(axis=1)],
+        "max_vgap": [float(m) for m in mat.max(axis=1)],
     }
     (out / "vgap_report.json").write_text(fileio.canonical_json(report))
     print(f"central plant: {labels[result.index]} (epsilon={result.epsilon:.6g})")
@@ -176,12 +162,11 @@ def cmd_synth(args) -> int:
 
 
 def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
-    def one(item):
-        idx, plant = item
+    def one(plant):
         try:
             cl = closed_loop(augment_plant(w_out, plant, w_in), gain)
         except RssdError as exc:
-            return idx, plant.label, {"error": str(exc)}, None
+            return {"error": str(exc)}, None
         sv = np.linalg.svd(cl.response(grid).plant, compute_uv=False)
         eigs = sorted_spectrum(cl.eigenvalues)
         tables = {
@@ -192,7 +177,7 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
             ],
         }
         if not cl.stable:
-            return idx, plant.label, {"unstable": True, **tables}, (sv, None)
+            return {"unstable": True, **tables}, (sv, None)
         curves = sensitivity_curves(cl, grid)
         bounds = uncertainty_bounds(cl, grid)
         margins = disk_margin(cl)
@@ -204,14 +189,12 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
             "mdpm_deg": margins.mdpm_deg,
             "degenerate": margins.degenerate,
         })
-        return idx, plant.label, tables, (sv, (curves, bounds))
+        return tables, (sv, (curves, bounds))
 
-    threads = _threads()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(one, enumerate(pset)))
-
+    results = [one(plant) for plant in pset]
     summary = {}
-    for idx, label, tables, data in results:
+    for idx, (plant, (tables, data)) in enumerate(zip(pset, results)):
+        label = plant.label
         summary[label] = tables
         if data is None:
             continue
@@ -256,16 +239,10 @@ def cmd_sim(args) -> int:
     gain, w_in, w_out = fileio.load_controller(args.controller)
     scenario, metric_spec = fileio.load_scenario(args.scenario)
 
-    def one(item):
-        idx, plant = item
-        traces = simulate(plant, gain, w_in, w_out, scenario)
-        return idx, plant.label, traces
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        results = list(pool.map(one, enumerate(pset)))
-
+    results = [simulate(plant, gain, w_in, w_out, scenario) for plant in pset]
     report = {}
-    for idx, label, traces in results:
+    for idx, (plant, traces) in enumerate(zip(pset, results)):
+        label = plant.label
         header = ["time"]
         cols = [traces.time]
         r = traces.outputs.shape[1]

@@ -94,7 +94,7 @@ def plantset_from_obj(obj) -> PlantSet:
         where = f"plant {i} ({entry.get('label', '?')})"
         try:
             n, m, r = int(entry["n"]), int(entry["m"]), int(entry["r"])
-            label = str(entry.get("label", f"plant{i}"))
+            label = str(entry.get("label", "")) or f"plant{i}"
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{where}: missing dimensions ({exc})") from exc
         A = _matrix_from(entry["A"], f"{where} A") if n else np.zeros((0, 0))

@@ -106,7 +106,7 @@ def transmission_zeros(plant: StateSpacePlant) -> np.ndarray:
         return np.array([], dtype=complex)
     from scipy.linalg import eig as generalized_eig
 
-    n, m = plant.n, plant.m
+    n = plant.n
     pencil_a = np.block([[plant.A, plant.B], [plant.C, plant.D]])
     pencil_b = np.zeros_like(pencil_a)
     pencil_b[:n, :n] = np.eye(n)
@@ -144,8 +144,10 @@ def check_constraints(w_in: CompensatorBank, w_out: CompensatorBank,
     in_band = (band_grid.points >= lo) & (band_grid.points <= hi)
     floor = 10.0 ** (constraints.dc_floor_db / 20.0)
 
-    c_poles = np.concatenate([_bank_poles_zeros(w_in)[0], _bank_poles_zeros(w_out)[0]])
-    c_zeros = np.concatenate([_bank_poles_zeros(w_in)[1], _bank_poles_zeros(w_out)[1]])
+    in_poles, in_zeros = _bank_poles_zeros(w_in)
+    out_poles, out_zeros = _bank_poles_zeros(w_out)
+    c_poles = np.concatenate([in_poles, out_poles])
+    c_zeros = np.concatenate([in_zeros, out_zeros])
 
     for idx, plant in enumerate(pset):
         aug = augment_plant(w_out, plant, w_in)

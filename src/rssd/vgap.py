@@ -12,6 +12,12 @@ counted exactly from the eigenvalues of one state-space realization of
 I + P2~ P1 and its inverse (Vinnicombe, IEEE TAC 38(9), 1993), so no contour
 is sampled.  Every member of a set is evaluated once on the grid; each pair
 then only combines the stored responses and factors.
+
+``central_plant`` needs only min_i max_j delta_ij and its index, so it
+prunes: the grid maximum of sigma_max Psi is a lower bound on each delta
+(the refined peak never falls below it, and a pair failing the winding
+condition reads 1, which sigma_max Psi never exceeds), and a row whose bound
+already loses to the best row found is never evaluated exactly.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ class VgapResult:
 class CentralPlantResult:
     index: int
     epsilon: float
-    gap_matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -174,30 +179,37 @@ def _sigma_max(mats):
 def _psi_sigma(s1: SampledPlant, s2: SampledPlant):
     """sigma_max of Psi(P1(jw), P2(jw)) as a batch function of omega.
 
-    The grid itself is read from the samples; refinement points off the grid
-    are evaluated from state space.
+    The grid itself is read from the samples and evaluated once: later calls
+    on the grid return the stored array.  Refinement points off the grid are
+    evaluated from state space.
     """
+    on_grid = []
 
     def fun(omegas):
         if omegas is s1.grid.points:
-            l2, r1, r2, m1 = s2.left, s1.response, s2.response, s1.right
-        else:
-            s = 1j * np.asarray(omegas, dtype=float)
-            r1 = eval_response(s1.plant, s)
-            r2 = eval_response(s2.plant, s)
-            l2, m1 = _factors(r2, right=False)[0], _factors(r1, left=False)[1]
+            if not on_grid:
+                on_grid.append(_sigma_max(s2.left @ (s1.response - s2.response)
+                                          @ s1.right))
+            return on_grid[0]
+        s = 1j * np.asarray(omegas, dtype=float)
+        r1 = eval_response(s1.plant, s)
+        r2 = eval_response(s2.plant, s)
+        l2, m1 = _factors(r2, right=False)[0], _factors(r1, left=False)[1]
         return _sigma_max(l2 @ (r1 - r2) @ m1)
 
     return fun
 
 
-def nu_gap(p1: StateSpacePlant | SampledPlant, p2: StateSpacePlant | SampledPlant,
-           grid: FrequencyGrid) -> VgapResult:
-    """nu-gap metric between two plants sharing (m, r).
+def _clip(value) -> float:
+    return float(min(max(value, 0.0), 1.0))
 
-    Either plant may be passed already sampled on ``grid``.
+
+def _pair_gap(s1: SampledPlant, s2: SampledPlant, psi, stop=np.inf) -> VgapResult:
+    """nu_gap of two samples, with ``psi = _psi_sigma(s1, s2)``.
+
+    The peak refinement stops once a sample exceeds ``stop``; the value is
+    then above ``stop`` but may lie below the full peak.
     """
-    s1, s2 = _sampled(p1, grid), _sampled(p2, grid)
     p1, p2 = s1.plant, s2.plant
     if (p1.m, p1.r) != (p2.m, p2.r):
         raise DimensionMismatch("plants must share input/output dimensions")
@@ -219,8 +231,18 @@ def nu_gap(p1: StateSpacePlant | SampledPlant, p2: StateSpacePlant | SampledPlan
     if not cond:
         return VgapResult(1.0, False, wno, None)
 
-    value, peak_w = grid_peak(_psi_sigma(s1, s2), grid)
-    return VgapResult(float(min(max(value, 0.0), 1.0)), True, wno, peak_w)
+    value, peak_w = grid_peak(psi, s1.grid, stop=stop)
+    return VgapResult(_clip(value), True, wno, peak_w)
+
+
+def nu_gap(p1: StateSpacePlant | SampledPlant, p2: StateSpacePlant | SampledPlant,
+           grid: FrequencyGrid) -> VgapResult:
+    """nu-gap metric between two plants sharing (m, r).
+
+    Either plant may be passed already sampled on ``grid``.
+    """
+    s1, s2 = _sampled(p1, grid), _sampled(p2, grid)
+    return _pair_gap(s1, s2, _psi_sigma(s1, s2))
 
 
 def gap_matrix(pset: PlantSet, grid: FrequencyGrid) -> np.ndarray:
@@ -234,9 +256,51 @@ def gap_matrix(pset: PlantSet, grid: FrequencyGrid) -> np.ndarray:
     return mat
 
 
-def central_plant(pset: PlantSet, grid: FrequencyGrid) -> CentralPlantResult:
-    """Plant with the smallest maximum nu-gap; ties break to smallest index."""
-    mat = gap_matrix(pset, grid)
-    row_max = mat.max(axis=1) if len(pset) > 1 else np.zeros(1)
+def central_from_matrix(mat: np.ndarray) -> CentralPlantResult:
+    """The first row of a gap matrix with the smallest maximum."""
+    row_max = mat.max(axis=1)
     index = int(np.argmin(row_max))
-    return CentralPlantResult(index, float(row_max[index]), mat)
+    return CentralPlantResult(index, float(row_max[index]))
+
+
+def central_plant(pset: PlantSet, grid: FrequencyGrid) -> CentralPlantResult:
+    """Plant with the smallest maximum nu-gap; ties break to smallest index.
+
+    Returns ``central_from_matrix(gap_matrix(pset, grid))`` bit for bit,
+    evaluating only the pairs that can still decide it.  Each pair's clipped
+    grid maximum of sigma_max Psi is a lower bound on its gap.  Rows are
+    visited in ascending (bound, index); a row whose (bound, index) exceeds
+    the best (row maximum, index) found so far cannot win, nor can any later
+    one.  A row that can still win evaluates its pairs exactly, largest
+    bound first, and is dropped as soon as one of them loses; a refinement
+    stops once it exceeds the best, since its row has then lost.  Exact pairs
+    are cached across rows in ``gap_matrix``'s operand order, so every value
+    that decides the result equals that of ``nu_gap``.  A stopped value stays
+    above every later best, so a later row holding it loses too.
+    """
+    samples = [sample(p, grid) for p in pset]
+    n = len(samples)
+    psi, low = {}, np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            psi[i, j] = _psi_sigma(samples[i], samples[j])
+            low[i, j] = low[j, i] = _clip(psi[i, j](grid.points).max())
+    row_low = low.max(axis=1)
+
+    best = (np.inf, n)  # (row maximum, index) of the best row so far
+    exact = {}
+    for i in sorted(range(n), key=lambda i: (row_low[i], i)):
+        if (row_low[i], i) > best:
+            break
+        top = 0.0
+        for j in sorted((j for j in range(n) if j != i), key=lambda j: -low[i, j]):
+            pair = (min(i, j), max(i, j))
+            if pair not in exact:
+                exact[pair] = _pair_gap(samples[pair[0]], samples[pair[1]],
+                                        psi[pair], stop=best[0]).value
+            top = max(top, exact[pair])
+            if (top, i) > best:
+                break
+        else:
+            best = (top, i)
+    return CentralPlantResult(best[1], float(best[0]))

@@ -261,20 +261,17 @@ class TestPlantLabels:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unlabelled_plants_named_by_position(self, tmp_path):
+        from rssd.lti import PlantSet, StateSpacePlant
+        plants = tmp_path / "unlabelled.json"
+        fileio.save_plantset(PlantSet((StateSpacePlant.siso(-1.0, 1.0),
+                                       StateSpacePlant.siso(-2.0, 1.0))), plants)
+        assert run("vgap", str(plants), "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "vgap_report.json").read_text())
+        assert report["labels"] == ["plant0", "plant1"]
+
 
 class TestEnvironment:
-    def test_threads_env_honored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RSSD_THREADS", "2")
-        assert run("vgap", FAMILY, "--out", str(tmp_path)) == 0
-
-    def test_invalid_threads_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RSSD_THREADS", "zero")
-        out = tmp_path / "synth"
-        run("synth", FAMILY, "--config", CONFIG, "--out", str(out))
-        assert run("analyze", FAMILY,
-                   "--controller", str(out / "controller.json"),
-                   "--out", str(tmp_path)) == 2
-
     def test_grid_override(self, tmp_path):
         assert run("vgap", FAMILY, "--grid=-2:3:50",
                    "--out", str(tmp_path)) == 0

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from conftest import random_siso, random_stable_siso
 from rssd.errors import DetVanishesOnContour
 from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, cascade, eval_response
 from rssd.vgap import (
+    central_from_matrix,
     central_plant,
     gap_matrix,
     nu_gap,
@@ -61,6 +64,22 @@ def mixed_pair(rng, m, r, order=4):
         p[0] = 0.05 * sign
         pair.append(StateSpacePlant(q @ np.diag(p) @ q.T, B, C, D))
     return pair
+
+
+def axis_chain(rng, size, m, r, order=4):
+    """Members sharing B, C and D != 0 whose first pole walks from +0.7 to
+    -0.6: neighbours are close, while members far apart across the axis
+    fail the winding condition and read 1."""
+    q, _ = np.linalg.qr(rng.normal(size=(order, order)))
+    poles = -rng.uniform(0.5, 4.0, size=order)
+    B, C = rng.normal(size=(order, m)), rng.normal(size=(r, order))
+    D = 0.3 * rng.normal(size=(r, m))
+    plants = []
+    for first in np.linspace(0.7, -0.6, size):
+        p = poles * (1 + 0.1 * rng.uniform(-1, 1, order))
+        p[0] = first
+        plants.append(StateSpacePlant(q @ np.diag(p) @ q.T, B, C, D))
+    return PlantSet(tuple(plants))
 
 
 def svd_factors(resp):
@@ -316,6 +335,57 @@ class TestCentralPlant:
         assert result.index == 0
         assert result.epsilon == 0.0
 
+    def test_pruned_search_matches_matrix_bitwise(self, coarse_grid):
+        # N = 1..6, SISO and 3x5, D != 0; the first 12 families are close
+        # members, the last 12 mixed-stability chains with pairs reading 1
+        split_by_one = 0
+        for seed in range(24):
+            rng = np.random.default_rng(200 + seed)
+            size = 1 + seed % 6
+            m, r = (1, 1) if seed % 12 < 6 else (3, 5)
+            if seed < 12:
+                D = 0.3 * rng.normal(size=(r, m))
+                pset = PlantSet(tuple(StateSpacePlant(p.A, p.B, p.C, D)
+                                      for p in random_family(rng, size, m, r)))
+            else:
+                pset = axis_chain(rng, size, m, r)
+            mat = gap_matrix(pset, coarse_grid)
+            oracle = central_from_matrix(mat)
+            assert central_plant(pset, coarse_grid) == oracle
+            split_by_one += bool(np.any(mat == 1.0) and oracle.epsilon < 1.0)
+        assert split_by_one >= 3
+
+    def test_ties_break_to_smallest_index(self, coarse_grid):
+        fam = random_family(np.random.default_rng(47), 3, 3, 5)
+        c = central_plant(fam, coarse_grid).index
+        a, b = (k for k in range(3) if k != c)
+        # adjacent copies see every other member in the same operand order,
+        # so their rows are equal bit for bit
+        duplicated = PlantSet((fam[a], fam[c], fam[c], fam[b]))
+        for pset, index in ((duplicated, 1), (PlantSet(fam.plants[:2]), 0)):
+            result = central_plant(pset, coarse_grid)
+            assert result.index == index
+            assert result == central_from_matrix(gap_matrix(pset, coarse_grid))
+
+    def test_exact_pairs_only_in_the_central_row(self, coarse_grid,
+                                                 monkeypatch):
+        # with well-separated row maxima every other row's bound exceeds the
+        # central row's maximum, so only the central row's N - 1 pairs run
+        # the winding test and the peak refinement (the full matrix runs 10)
+        pset = random_family(np.random.default_rng(43), 5, 3, 5)
+        row_max = np.sort(gap_matrix(pset, coarse_grid).max(axis=1))
+        assert row_max[1] > 1.2 * row_max[0]
+        calls = Counter()
+        for name in ("winding_number_det", "grid_peak"):
+            def counted(*args, _name=name, _fn=getattr(rssd.vgap, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(rssd.vgap, name, counted)
+        central_plant(pset, coarse_grid)
+        assert 0 < calls["winding_number_det"] <= len(pset) - 1
+        assert 0 < calls["grid_peak"] <= len(pset) - 1
+
 
 class TestSampling:
     def test_gap_matrix_matches_unsampled_pairs_bitwise(self, coarse_grid):
@@ -415,7 +485,7 @@ class TestSampling:
         # the smaller Gram, on the grid and off it
         peaked = []
         monkeypatch.setattr(rssd.vgap, "grid_peak",
-                            lambda f, grid: peaked.append(f) or (0.0, 0.0))
+                            lambda f, grid, **kw: peaked.append(f) or (0.0, 0.0))
         p1, p2 = mixed_pair(np.random.default_rng(44), m, r)
         assert nu_gap(p1, p2, coarse_grid).condition_met
         pts = coarse_grid.points
@@ -437,7 +507,7 @@ class TestSampling:
         peaked = []
         grid_peak = rssd.vgap.grid_peak
         monkeypatch.setattr(rssd.vgap, "grid_peak",
-                            lambda f, g: peaked.append(f) or grid_peak(f, g))
+                            lambda f, g, **kw: peaked.append(f) or grid_peak(f, g, **kw))
         dense = np.concatenate([[0.0], np.logspace(-3, 5, 8001)])
         for p1, p2 in pairs:
             got = nu_gap(p1, p2, grid)
