@@ -18,7 +18,7 @@ _ROUND_POINTS = 8
 _TOL_FACTOR = 0.1
 
 
-def grid_peak(f_batch, grid, max_refined: int = 8, stop: float = np.inf):
+def grid_peak(f_batch, grid, max_refined: int = 8):
     """Maximum of a scalar frequency function over a refined grid.
 
     f_batch maps an array of omega to an array of values.  Every grid-local
@@ -28,11 +28,8 @@ def grid_peak(f_batch, grid, max_refined: int = 8, stop: float = np.inf):
     bracket in one ``f_batch`` call and shrinks each bracket to the
     neighbours of its best sample.  A bracket stops once its width is within
     ``grid.rel_tol / 10`` of its position; at most ``grid.max_refine_depth``
-    rounds run.  Refinement also stops as soon as the best value seen is
-    strictly above ``stop``: a caller that only needs to know whether the
-    peak exceeds ``stop`` then has its answer.  A refinement that never
-    exceeds ``stop`` runs the same rounds as with no bound.  The best value
-    seen is returned, so it is never below the grid maximum.
+    rounds run.  The best value seen is returned, so it is never below the
+    grid maximum.
 
     Returns (value, omega).
     """
@@ -59,7 +56,7 @@ def grid_peak(f_batch, grid, max_refined: int = 8, stop: float = np.inf):
     tol = _TOL_FACTOR * grid.rel_tol
     for _ in range(grid.max_refine_depth):
         live = (b - a) > tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
-        if not live.any() or best_v > stop:
+        if not live.any():
             break
         a, b, log = a[live], b[live], log[live]
         t = a[:, None] + (b - a)[:, None] * steps

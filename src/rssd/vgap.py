@@ -204,12 +204,8 @@ def _clip(value) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
-def _pair_gap(s1: SampledPlant, s2: SampledPlant, psi, stop=np.inf) -> VgapResult:
-    """nu_gap of two samples, with ``psi = _psi_sigma(s1, s2)``.
-
-    The peak refinement stops once a sample exceeds ``stop``; the value is
-    then above ``stop`` but may lie below the full peak.
-    """
+def _pair_gap(s1: SampledPlant, s2: SampledPlant, psi) -> VgapResult:
+    """nu_gap of two samples, with ``psi = _psi_sigma(s1, s2)``."""
     p1, p2 = s1.plant, s2.plant
     if (p1.m, p1.r) != (p2.m, p2.r):
         raise DimensionMismatch("plants must share input/output dimensions")
@@ -231,7 +227,7 @@ def _pair_gap(s1: SampledPlant, s2: SampledPlant, psi, stop=np.inf) -> VgapResul
     if not cond:
         return VgapResult(1.0, False, wno, None)
 
-    value, peak_w = grid_peak(psi, s1.grid, stop=stop)
+    value, peak_w = grid_peak(psi, s1.grid)
     return VgapResult(_clip(value), True, wno, peak_w)
 
 
@@ -267,16 +263,17 @@ def central_plant(pset: PlantSet, grid: FrequencyGrid) -> CentralPlantResult:
     """Plant with the smallest maximum nu-gap; ties break to smallest index.
 
     Returns ``central_from_matrix(gap_matrix(pset, grid))`` bit for bit,
-    evaluating only the pairs that can still decide it.  Each pair's clipped
-    grid maximum of sigma_max Psi is a lower bound on its gap.  Rows are
-    visited in ascending (bound, index); a row whose (bound, index) exceeds
-    the best (row maximum, index) found so far cannot win, nor can any later
-    one.  A row that can still win evaluates its pairs exactly, largest
-    bound first, and is dropped as soon as one of them loses; a refinement
-    stops once it exceeds the best, since its row has then lost.  Exact pairs
-    are cached across rows in ``gap_matrix``'s operand order, so every value
-    that decides the result equals that of ``nu_gap``.  A stopped value stays
-    above every later best, so a later row holding it loses too.
+    evaluating only the rows that can still decide it.  Each pair's clipped
+    grid maximum of sigma_max Psi is a lower bound on its gap, and a row's
+    largest bound one on its maximum.  Rows are visited in ascending
+    (bound, index); once a row's (bound, index) exceeds the best (row
+    maximum, index) found so far, neither it nor any later row can win.  A
+    row that can still win evaluates all its pairs exactly, in
+    ``gap_matrix``'s operand order, so its maximum equals the matrix's.
+    Exact values are kept, so no pair is evaluated twice.  A pair failing
+    the winding condition reads 1 while its bound may be far below, so both
+    of its rows can survive; sets holding such pairs do evaluate more than
+    one row.
     """
     samples = [sample(p, grid) for p in pset]
     n = len(samples)
@@ -292,15 +289,9 @@ def central_plant(pset: PlantSet, grid: FrequencyGrid) -> CentralPlantResult:
     for i in sorted(range(n), key=lambda i: (row_low[i], i)):
         if (row_low[i], i) > best:
             break
-        top = 0.0
-        for j in sorted((j for j in range(n) if j != i), key=lambda j: -low[i, j]):
-            pair = (min(i, j), max(i, j))
-            if pair not in exact:
-                exact[pair] = _pair_gap(samples[pair[0]], samples[pair[1]],
-                                        psi[pair], stop=best[0]).value
-            top = max(top, exact[pair])
-            if (top, i) > best:
-                break
-        else:
-            best = (top, i)
+        pairs = [(min(i, j), max(i, j)) for j in range(n) if j != i]
+        for a, b in pairs:
+            if (a, b) not in exact:
+                exact[a, b] = _pair_gap(samples[a], samples[b], psi[a, b]).value
+        best = min(best, (max((exact[p] for p in pairs), default=0.0), i))
     return CentralPlantResult(best[1], float(best[0]))

@@ -46,33 +46,6 @@ class TestSweep:
         assert val >= fun(grid.points).max()
         assert np.log10(w) == pytest.approx(2.003, abs=1e-5)
 
-    def test_grid_peak_stops_above_bound(self):
-        # refinement ends at the first round whose best sample exceeds the
-        # bound; a bound never exceeded leaves the rounds, and so the value,
-        # as they are
-        grid = FrequencyGrid.default()
-        sizes = []
-
-        def fun(omegas):
-            sizes.append(np.size(omegas))
-            w = np.asarray(omegas)
-            return 1.0 / np.abs(1.0 - w ** 2 + 0.2j * w)
-
-        full = grid_peak(fun, grid)
-        rounds = len(sizes)
-        on_grid = fun(grid.points).max()
-        for stop in (np.inf, full[0]):
-            sizes.clear()
-            assert grid_peak(fun, grid, stop=stop) == full
-            assert len(sizes) == rounds
-        sizes.clear()
-        assert grid_peak(fun, grid, stop=on_grid - 1e-9)[0] == on_grid
-        assert len(sizes) == 1
-        sizes.clear()
-        mid = 0.5 * (on_grid + full[0])
-        assert mid < grid_peak(fun, grid, stop=mid)[0] <= full[0]
-        assert 1 < len(sizes) < rounds
-
 
 class TestLinfNorm:
     def test_first_order_lag_peak_at_dc(self):

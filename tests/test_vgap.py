@@ -485,7 +485,7 @@ class TestSampling:
         # the smaller Gram, on the grid and off it
         peaked = []
         monkeypatch.setattr(rssd.vgap, "grid_peak",
-                            lambda f, grid, **kw: peaked.append(f) or (0.0, 0.0))
+                            lambda f, grid: peaked.append(f) or (0.0, 0.0))
         p1, p2 = mixed_pair(np.random.default_rng(44), m, r)
         assert nu_gap(p1, p2, coarse_grid).condition_met
         pts = coarse_grid.points
@@ -507,7 +507,7 @@ class TestSampling:
         peaked = []
         grid_peak = rssd.vgap.grid_peak
         monkeypatch.setattr(rssd.vgap, "grid_peak",
-                            lambda f, g, **kw: peaked.append(f) or grid_peak(f, g, **kw))
+                            lambda f, g: peaked.append(f) or grid_peak(f, g))
         dense = np.concatenate([[0.0], np.logspace(-3, 5, 8001)])
         for p1, p2 in pairs:
             got = nu_gap(p1, p2, grid)
