@@ -237,7 +237,7 @@ def cmd_sim(args) -> int:
     pset = _load_plantset(args.plantset)
     _, _, _, out = _resolve(args)
     gain, w_in, w_out = fileio.load_controller(args.controller)
-    scenario, metric_spec = fileio.load_scenario(args.scenario)
+    scenario, metric_args = fileio.load_scenario(args.scenario)
 
     results = [simulate(plant, gain, w_in, w_out, scenario) for plant in pset]
     report = {}
@@ -260,12 +260,7 @@ def cmd_sim(args) -> int:
                              "divergence_time": traces.divergence_time}
             continue
         try:
-            metrics = tracking_metrics(
-                traces,
-                float(metric_spec.get("error_band", 0.0087)),
-                float(metric_spec.get("rms_ceiling", 0.0873)),
-                float(metric_spec.get("steady_after", 0.0)),
-            )
+            metrics = tracking_metrics(traces, **metric_args)
             report[label] = {"diverged": False, "passed": metrics.passed,
                              "channels": list(metrics.channels)}
         except DivergentTrace as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -180,9 +180,9 @@ class RunConfig:
 def _grid_from(obj) -> FrequencyGrid:
     if obj is None:
         return FrequencyGrid.default()
-    if "points" in obj:
-        return FrequencyGrid(np.asarray(obj["points"], dtype=float))
     try:
+        if "points" in obj:
+            return FrequencyGrid(np.asarray(obj["points"], dtype=float))
         return FrequencyGrid(np.logspace(float(obj["lo_exp"]),
                                          float(obj["hi_exp"]),
                                          int(obj["count"])))
@@ -218,7 +218,7 @@ def _constraints_from(obj) -> ScpConstraints:
             (float(obj["band"][0]), float(obj["band"][1])),
             float(obj.get("cancellation_tol", 1e-4)),
         )
-    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+    except (LookupError, TypeError, ValueError, DimensionMismatch) as exc:
         raise ParseError(f"config constraints: {exc}") from exc
 
 
@@ -229,9 +229,10 @@ def config_from_obj(obj) -> RunConfig:
         constraints=(_constraints_from(obj["constraints"])
                      if "constraints" in obj else None),
         target=_target_from(obj["target"]) if "target" in obj else None,
-        ga_scp=dict(obj.get("ga_scp", {})),
-        ga_rssd=dict(obj.get("ga_rssd", {})),
-        seed=None if obj.get("seed") is None else int(obj["seed"]),
+        ga_scp=obj.get("ga_scp", {}),
+        ga_rssd=obj.get("ga_rssd", {}),
+        seed=(None if obj.get("seed") is None
+              else _number(obj["seed"], "config seed", integer=True)),
     )
 
 
@@ -239,9 +240,30 @@ def load_config(path) -> RunConfig:
     return config_from_obj(_load_json(path))
 
 
+def _number(value, where: str, integer: bool = False):
+    """A finite JSON number (an integral one if ``integer``), else ParseError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not np.isfinite(value) or (integer and value != int(value))):
+        kind = "an integer" if integer else "a finite number"
+        raise ParseError(f"{where}: expected {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def ga_config(options: dict, seed: int) -> GaConfig:
-    opts = {k: v for k, v in options.items() if k != "seed"}
-    return GaConfig(seed=seed, **opts)
+    """GaConfig from a config's ga_scp/ga_rssd object; ``seed`` replaces its seed."""
+    if not isinstance(options, dict):
+        raise ParseError(f"config GA options: expected an object, got {options!r}")
+    defaults = {f.name: f.default for f in fields(GaConfig)}
+    unknown = sorted(set(options) - set(defaults))
+    if unknown:
+        raise ParseError(f"config GA options {unknown} are unknown")
+    opts = {key: _number(value, f"config GA option {key!r}",
+                         isinstance(defaults[key], int))
+            for key, value in options.items() if key != "seed"}
+    try:
+        return GaConfig(seed=seed, **opts)
+    except DimensionMismatch as exc:
+        raise ParseError(f"config GA options: {exc}") from exc
 
 
 # --- scenarios --------------------------------------------------------------
@@ -256,8 +278,13 @@ def _signal_from(obj, where) -> SignalSpec:
         raise ParseError(f"{where}: bad signal spec ({exc})") from exc
 
 
+# tracking_metrics' arguments, read from a scenario's "metrics" object
+METRIC_DEFAULTS = {"error_band": 0.0087, "rms_ceiling": 0.0873,
+                   "steady_after": 0.0}
+
+
 def scenario_from_obj(obj) -> tuple[Scenario, dict]:
-    """(scenario, tracking-metric spec) from a scenario file object."""
+    """(scenario, tracking_metrics keyword arguments) from a scenario object."""
     try:
         reference = tuple(_signal_from(s, "scenario reference")
                           for s in obj["reference"])
@@ -278,9 +305,13 @@ def scenario_from_obj(obj) -> tuple[Scenario, dict]:
         scenario = Scenario(reference, disturbance, uncertainty,
                             float(obj.get("dt", 1e-3)),
                             float(obj.get("duration", 10.0)))
-    except DimensionMismatch as exc:
+    except (TypeError, ValueError, DimensionMismatch) as exc:
         raise ParseError(f"scenario: {exc}") from exc
-    metrics = dict(obj.get("metrics", {}))
+    spec = obj.get("metrics", {})
+    if not isinstance(spec, dict):
+        raise ParseError("scenario metrics: expected an object")
+    metrics = {key: _number(spec.get(key, default), f"scenario metric {key!r}")
+               for key, default in METRIC_DEFAULTS.items()}
     return scenario, metrics
 
 

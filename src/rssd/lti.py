@@ -153,12 +153,6 @@ class FrequencyGrid:
     def default(lo: float = 1e-3, hi: float = 1e5, num: int = 400) -> "FrequencyGrid":
         return FrequencyGrid(np.logspace(np.log10(lo), np.log10(hi), num))
 
-    def with_points(self, extra) -> "FrequencyGrid":
-        """Grid with additional frequencies merged in (duplicates dropped)."""
-        merged = np.unique(np.concatenate([self.points, np.asarray(extra, float)]))
-        merged = merged[(merged >= 0) & np.isfinite(merged)]
-        return FrequencyGrid(merged, self.max_refine_depth, self.rel_tol)
-
 
 @dataclass(frozen=True)
 class EigenInfo:

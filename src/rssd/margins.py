@@ -116,21 +116,37 @@ class UncertaintyBounds:
     inverse_input_min: tuple
 
 
+def crossings(sys: StateSpacePlant, gamma: float) -> np.ndarray:
+    """Sorted w >= 0 where gamma is a singular value of sys(jw): the imaginary
+    eigenvalues of the Bruinsma-Steinbuch Hamiltonian H(gamma) (Syst. Control
+    Lett. 14, 1990), with gamma^2 I - D^T D invertible.  The axis test is
+    looser than the pole test, so a near-touch of gamma counts as a crossing."""
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    try:
+        r_inv = np.linalg.inv(gamma**2 * np.eye(sys.m) - D.T @ D)
+        ah = A + B @ r_inv @ D.T @ C
+        H = np.block([
+            [ah, B @ r_inv @ B.T],
+            [-C.T @ (np.eye(sys.r) + D @ r_inv @ D.T) @ C, -ah.T],
+        ])
+        lam = np.linalg.eigvals(H)
+    except np.linalg.LinAlgError as exc:
+        raise ComputationFailed(f"Hamiltonian eigen-solve failed: {exc}") from exc
+    return np.sort(np.abs(lam[is_imag_axis(lam, HAMILTONIAN_AXIS_RTOL)].imag))
+
+
 def linf_norm(sys: StateSpacePlant, poles=None) -> tuple[float, float]:
     """Certified upper bound on sup sigma_max(sys(jw)) over w in [0, inf].
 
-    Bruinsma-Steinbuch iteration (Syst. Control Lett. 14, 1990): jw is an
-    imaginary eigenvalue of the Hamiltonian H(gamma) exactly where gamma is
-    a singular value of sys(jw).  Starting from the best of w = 0, |lambda|,
+    Bruinsma-Steinbuch iteration: starting from the best of w = 0, |lambda|,
     |Im lambda| and infinity, the lower bound lb rises to sigma_max at the
-    crossings of gamma = (1 + 2 LINF_TOL) lb and their midpoints until none
-    beats it; gamma is then an upper bound on the norm.  Returns
+    ``crossings`` of gamma = (1 + 2 LINF_TOL) lb and their midpoints until
+    none beats it; gamma is then an upper bound on the norm.  Returns
     (gamma, frequency of lb).  Imaginary-axis poles make the norm infinite;
     the offending pole frequency is reported.  ``poles``: eig(sys.A) if known.
     """
-    A, B, C, D = sys.A, sys.B, sys.C, sys.D
     if poles is None:
-        poles = np.linalg.eigvals(A) if sys.n else np.zeros(0, complex)
+        poles = np.linalg.eigvals(sys.A) if sys.n else np.zeros(0, complex)
     eig = np.asarray(poles)
     on_axis = is_imag_axis(eig)
     if np.any(on_axis):
@@ -148,7 +164,7 @@ def linf_norm(sys: StateSpacePlant, poles=None) -> tuple[float, float]:
         return float(sig[i]), float(omegas[i])
 
     lb, omega = peak(np.concatenate([[0.0], np.abs(eig), np.abs(eig.imag)]))
-    d_gain = np.linalg.norm(D, ord=2) if D.size else 0.0
+    d_gain = np.linalg.norm(sys.D, ord=2) if sys.D.size else 0.0
     if d_gain > lb:
         lb, omega = float(d_gain), np.inf
     if lb == 0.0 and sys.n:
@@ -161,19 +177,7 @@ def linf_norm(sys: StateSpacePlant, poles=None) -> tuple[float, float]:
 
     for _ in range(LINF_MAX_ITER):
         gamma = (1.0 + 2.0 * LINF_TOL) * lb
-        try:
-            r_inv = np.linalg.inv(gamma**2 * np.eye(sys.m) - D.T @ D)
-            ah = A + B @ r_inv @ D.T @ C
-            H = np.block([
-                [ah, B @ r_inv @ B.T],
-                [-C.T @ (np.eye(sys.r) + D @ r_inv @ D.T) @ C, -ah.T],
-            ])
-            lam = np.linalg.eigvals(H)
-        except np.linalg.LinAlgError as exc:
-            raise ComputationFailed(f"Hamiltonian eigen-solve failed: {exc}") from exc
-        # looser than the pole test: a missed crossing would understate the
-        # norm, a spurious one only costs a sample
-        w = np.sort(np.abs(lam[is_imag_axis(lam, HAMILTONIAN_AXIS_RTOL)].imag))
+        w = crossings(sys, gamma)
         if w.size == 0:
             return gamma, omega
         value, w_best = peak(np.concatenate([w, 0.5 * (w[:-1] + w[1:])]))

@@ -66,6 +66,10 @@ class GaConfig:
     def __post_init__(self):
         if self.population < 4:
             raise DimensionMismatch("population must be >= 4")
+        if self.tournament < 1:
+            raise DimensionMismatch("tournament must be >= 1")
+        if not 0 <= self.elites < self.population:
+            raise DimensionMismatch("elites must be in [0, population)")
         for p in (self.crossover_prob, self.mutation_prob):
             if not 0.0 <= p <= 1.0:
                 raise DimensionMismatch("probabilities must be in [0, 1]")
@@ -361,7 +365,7 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
             w_out = decode_bank(genes[t_in.genes:], t_out, constraints.out_boxes)
         except (OutOfBox, ImproperSection, UnstableSection):
             return 2.0
-        report = check_constraints(w_in, w_out, pset, constraints, grid)
+        report = check_constraints(w_in, w_out, pset, constraints)
         if not report.passed:
             return 1.0 + len(report.reasons)
         j1, cp_idx, p_cp = j1_fitness(w_in, w_out, pset, grid)

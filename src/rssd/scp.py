@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfBox
+from .errors import ComputationFailed, DimensionMismatch, OutOfBox
 from .lti import (
+    IMAG_AXIS_RTOL,
     CompensatorBank,
     FirstOrderSection,
     FrequencyGrid,
@@ -22,7 +23,12 @@ from .lti import (
     augment_plant,
     eval_response,
 )
+from .margins import crossings
 from .vgap import central_plant
+
+FEEDTHROUGH_TOL = 1e-6  # |1 - s^2| of a singular value s of D: H(1) undecided
+BAND_EDGE_RTOL = 1e-9  # a crossing this close outside the band is on its edge
+ORIGIN_OMEGA = 1e-12  # w -> 0+ for DC and lo = 0 when a pole sits at the origin
 
 
 @dataclass(frozen=True)
@@ -53,14 +59,18 @@ class ScpConstraints:
 
     def __post_init__(self):
         lo, hi = self.band
-        if not (0 <= lo < hi):
-            raise DimensionMismatch("crossover band must satisfy 0 <= lo < hi")
+        if not (0 <= lo < hi < np.inf):
+            raise DimensionMismatch("crossover band must satisfy 0 <= lo < hi < inf")
         if not np.isfinite(self.dc_floor_db):
             raise DimensionMismatch("DC floor must be finite")
-        object.__setattr__(self, "in_boxes",
-                           tuple((float(a), float(b)) for a, b in self.in_boxes))
-        object.__setattr__(self, "out_boxes",
-                           tuple((float(a), float(b)) for a, b in self.out_boxes))
+        if not 0 <= self.cancellation_tol < np.inf:
+            raise DimensionMismatch("cancellation tolerance must be finite and >= 0")
+        for name in ("in_boxes", "out_boxes"):
+            boxes = tuple((float(a), float(b)) for a, b in getattr(self, name))
+            if not all(-np.inf < a <= b < np.inf for a, b in boxes):
+                raise DimensionMismatch("coefficient boxes must be finite "
+                                        "(lo, hi) with lo <= hi")
+            object.__setattr__(self, name, boxes)
 
     @property
     def boxes(self) -> tuple:
@@ -128,20 +138,37 @@ def _near(a, b, tol) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(b))
 
 
+def _band_violation(aug: StateSpacePlant, lo: float, hi: float,
+                    smin_lo: float) -> str | None:
+    """Why sigma_min(aug(jw)) > 1 fails on [lo, hi], or None: it holds iff it
+    holds at lo and no singular value ``crossings`` 1 in the band (none can
+    while sigma_min > 1).  An undecided band is a violation, never a pass."""
+    if not smin_lo > 1.0:
+        return f"sigma_min <= 0 dB inside band near {lo:.4g} rad/s"
+    if aug.n == 0:
+        return None
+    s2 = np.linalg.svd(aug.D, compute_uv=False) ** 2
+    if np.any(np.abs(1.0 - s2) <= FEEDTHROUGH_TOL):
+        return "band undecided: a feedthrough singular value is 0 dB"
+    try:
+        w = crossings(aug, 1.0)
+    except ComputationFailed as exc:
+        return f"band undecided: {exc}"
+    w = w[(w >= lo * (1.0 - BAND_EDGE_RTOL)) & (w <= hi * (1.0 + BAND_EDGE_RTOL))]
+    return f"sigma_min <= 0 dB inside band near {w[0]:.4g} rad/s" if w.size else None
+
+
 def check_constraints(w_in: CompensatorBank, w_out: CompensatorBank,
-                      pset: PlantSet, constraints: ScpConstraints,
-                      grid: FrequencyGrid) -> ConstraintReport:
+                      pset: PlantSet, constraints: ScpConstraints) -> ConstraintReport:
     """Loop-shaping and cancellation checks on every augmented plant.
 
     Passes iff (i) each augmented plant clears the DC floor on its smallest
-    singular value, (ii) sigma_min stays above 0 dB throughout the
-    crossover band, and (iii) no compensator pole or zero sits within the
-    cancellation tolerance of any plant pole or transmission zero.
+    singular value, (ii) sigma_min stays above 0 dB on the whole crossover
+    band (exactly, see ``_band_violation``), and (iii) no compensator pole or
+    zero is within cancellation tolerance of a plant pole or transmission zero.
     """
     reasons = []
     lo, hi = constraints.band
-    band_grid = grid.with_points([max(lo, 1e-12), hi])
-    in_band = (band_grid.points >= lo) & (band_grid.points <= hi)
     floor = 10.0 ** (constraints.dc_floor_db / 20.0)
 
     in_poles, in_zeros = _bank_poles_zeros(w_in)
@@ -151,21 +178,19 @@ def check_constraints(w_in: CompensatorBank, w_out: CompensatorBank,
 
     for idx, plant in enumerate(pset):
         aug = augment_plant(w_out, plant, w_in)
-        resp0 = eval_response(aug, np.array([0.0 + 0.0j]))[0]
-        smin0 = np.linalg.svd(resp0, compute_uv=False)[-1]
+        p_poles = np.linalg.eigvals(plant.A) if plant.n else np.array([])
+        origin = np.abs(np.append(p_poles, c_poles)) <= IMAG_AXIS_RTOL  # aug's poles
+        w0 = ORIGIN_OMEGA if np.any(origin) else 0.0
+        resp = eval_response(aug, 1j * np.array([w0, max(lo, w0)]))
+        smin0, smin_lo = np.linalg.svd(resp, compute_uv=False)[:, -1]
         if not smin0 > floor:
             reasons.append(
                 f"plant {idx}: sigma_min at DC {20*np.log10(max(smin0,1e-300)):.2f} dB"
                 f" <= floor {constraints.dc_floor_db:.2f} dB"
             )
-        resp = eval_response(aug, 1j * band_grid.points[in_band])
-        smin = np.linalg.svd(resp, compute_uv=False)[:, -1]
-        if np.any(smin <= 1.0):
-            w_bad = band_grid.points[in_band][int(np.argmin(smin))]
-            reasons.append(
-                f"plant {idx}: sigma_min <= 0 dB inside band near {w_bad:.4g} rad/s"
-            )
-        p_poles = np.linalg.eigvals(plant.A) if plant.n else np.array([])
+        band = _band_violation(aug, lo, hi, smin_lo)
+        if band is not None:
+            reasons.append(f"plant {idx}: {band}")
         p_zeros = transmission_zeros(plant)
         tol = constraints.cancellation_tol
         for cz in c_zeros:

@@ -73,8 +73,10 @@ class Scenario:
     duration: float = 10.0
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise DimensionMismatch("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise DimensionMismatch("dt must be positive and finite")
+        if not np.isfinite(self.duration):
+            raise DimensionMismatch("duration must be finite")
         if self.duration < 10.0 * self.dt:
             raise DimensionMismatch("duration must cover at least 10 steps")
         ref = tuple(s if isinstance(s, SignalSpec) else SignalSpec(**s)

@@ -5,13 +5,13 @@ The gap between two plants is the L-infinity peak of
     Psi = (I + P2 P2*)^(-1/2) (P1 - P2) (I + P1* P1)^(-1/2)
 
 when the determinant and winding-number conditions hold, and 1 otherwise.
-The winding number is taken of det(I + P2~(s) P1(s)) with P2~ the
-paraconjugate P2(-s)^T, which keeps the test well defined for non-square
-plants and makes the gap symmetric for mixed stable/unstable pairs.  It is
-counted exactly from the eigenvalues of one state-space realization of
-I + P2~ P1 and its inverse (Vinnicombe, IEEE TAC 38(9), 1993), so no contour
-is sampled.  Every member of a set is evaluated once on the grid; each pair
-then only combines the stored responses and factors.
+Both are taken of det(I + P2~(s) P1(s)) with P2~ the paraconjugate
+P2(-s)^T, which keeps them well defined for non-square plants and makes the
+gap symmetric for mixed stable/unstable pairs, and decided exactly from the
+eigenvalues of one state-space realization of I + P2~ P1 and its inverse
+(Vinnicombe, IEEE TAC 38(9), 1993): the grid carries only the peak of Psi.
+Every member of a set is evaluated once on the grid; each pair then only
+combines the stored responses and factors.
 
 ``central_plant`` needs only min_i max_j delta_ij and its index, so it
 prunes: the grid maximum of sigma_max Psi is a lower bound on each delta
@@ -59,13 +59,11 @@ class CentralPlantResult:
 @dataclass(frozen=True)
 class SampledPlant:
     """A plant with its response on ``grid``, the per-point factors a pair
-    needs (sigma_max P, (I + P P*)^(-1/2) and (I + P* P)^(-1/2)) and its
-    ``pole_counts``."""
+    needs, (I + P P*)^(-1/2) and (I + P* P)^(-1/2), and its ``pole_counts``."""
 
     plant: StateSpacePlant
     grid: FrequencyGrid
     response: np.ndarray
-    sigma: np.ndarray
     left: np.ndarray
     right: np.ndarray
     poles: tuple[int, int]
@@ -74,8 +72,8 @@ class SampledPlant:
 def sample(plant: StateSpacePlant, grid: FrequencyGrid) -> SampledPlant:
     """Evaluate ``plant`` once on ``grid`` for any number of nu-gap pairs."""
     resp = eval_response(plant, 1j * grid.points)
-    left, right, sigma = _factors(resp)
-    return SampledPlant(plant, grid, resp, sigma, left, right, pole_counts(plant))
+    left, right = _factors(resp)
+    return SampledPlant(plant, grid, resp, left, right, pole_counts(plant))
 
 
 def _sampled(p, grid: FrequencyGrid) -> SampledPlant:
@@ -146,8 +144,8 @@ def _ct(mats):
 
 
 def _factors(resp, left=True, right=True):
-    """(I + P P*)^(-1/2), (I + P* P)^(-1/2) and sigma_max P per point, from
-    one eigh of the smaller Gram.  A factor not asked for is None.
+    """(I + P P*)^(-1/2) and (I + P* P)^(-1/2) per point, from one eigh of
+    the smaller Gram.  A factor not asked for is None.
 
     For a tall P, P* P = W diag(s^2) W* gives the small factor
     W diag((1 + s^2)^-1/2) W* and the large one
@@ -166,8 +164,7 @@ def _factors(resp, left=True, right=True):
     small = (w / root[:, None, :]) @ _ct(w) if want_small else None
     large = (np.eye(p.shape[1]) - (pw / (root * (root + 1.0))[:, None, :]) @ _ct(pw)
              if want_large else None)
-    sigma = np.sqrt(s2.max(axis=1))
-    return (small, large, sigma) if wide else (large, small, sigma)
+    return (small, large) if wide else (large, small)
 
 
 def _sigma_max(mats):
@@ -205,26 +202,14 @@ def _clip(value) -> float:
 
 
 def _pair_gap(s1: SampledPlant, s2: SampledPlant, psi) -> VgapResult:
-    """nu_gap of two samples, with ``psi = _psi_sigma(s1, s2)``."""
-    p1, p2 = s1.plant, s2.plant
-    if (p1.m, p1.r) != (p2.m, p2.r):
-        raise DimensionMismatch("plants must share input/output dimensions")
-
-    det = np.linalg.det(
-        np.eye(p1.m) + s2.response.conj().swapaxes(1, 2) @ s1.response
-    )
-    cond = bool(np.all(np.abs(det) > 1e-9 * (1.0 + s1.sigma * s2.sigma)))
-    wno = 0
-    if cond:
-        try:
-            wno = winding_number_det(p1, p2)
-        except DetVanishesOnContour:
-            cond = False
-        else:
-            eta1, _ = s1.poles
-            eta2, eta0_2 = s2.poles
-            cond = (wno + eta1 - eta2 - eta0_2) == 0
-    if not cond:
+    """nu_gap of two samples, with ``psi = _psi_sigma(s1, s2)``; the condition
+    is decided from eigenvalues alone, only the peak of Psi on the grid."""
+    try:
+        wno = winding_number_det(s1.plant, s2.plant)
+    except DetVanishesOnContour:
+        return VgapResult(1.0, False, 0, None)
+    # wno + eta(P1) - eta(P2) - eta_0(P2) must vanish
+    if wno + s1.poles[0] - sum(s2.poles) != 0:
         return VgapResult(1.0, False, wno, None)
 
     value, peak_w = grid_peak(psi, s1.grid)

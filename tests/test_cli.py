@@ -271,6 +271,73 @@ class TestPlantLabels:
         assert report["labels"] == ["plant0", "plant1"]
 
 
+def _set(obj, path, value):
+    """``obj`` with the value at the dotted ``path`` replaced."""
+    *parents, last = path.split(".")
+    for key in parents:
+        obj = obj[key]
+    obj[last] = value
+
+
+class TestBadValues:
+    # every bad number in a config or scenario is a parse error (exit 3),
+    # never a traceback or a silently crippled run
+    @pytest.mark.parametrize("changes", [
+        pytest.param({"ga_scp.populaton": 20}, id="unknown-key"),
+        pytest.param({"ga_scp.population": "abc"}, id="population-string"),
+        pytest.param({"ga_scp.population": 20.5}, id="population-fraction"),
+        pytest.param({"ga_rssd.tournament": 0}, id="tournament-0"),
+        pytest.param({"ga_scp.population": 4, "ga_scp.elites": 10},
+                     id="elites-above-population"),
+        pytest.param({"ga_rssd.mutation_scale": float("nan")},
+                     id="mutation-scale-nan"),
+        pytest.param({"constraints.band": [0.01, float("inf")]},
+                     id="band-infinite"),
+        pytest.param({"constraints.band": [0.01]}, id="band-one-edge"),
+        pytest.param({"constraints.cancellation_tol": float("nan")},
+                     id="cancellation-tol-nan"),
+        pytest.param({"constraints.cancellation_tol": -1e-4},
+                     id="cancellation-tol-negative"),
+        pytest.param({"constraints.in_boxes": [[0, 0], [5.0, 0.5], [0, 0], [1, 1]]},
+                     id="box-inverted"),
+        pytest.param({"seed": "abc"}, id="seed-string"),
+        pytest.param({"ga_scp": [20, 4]}, id="ga-options-list"),
+        pytest.param({"grid": {"points": [1.0, "x"]}}, id="grid-point-string"),
+    ])
+    def test_bad_config_parse_exit(self, tmp_path, capsys, changes):
+        cfg = json.loads(Path(CONFIG).read_text())
+        for path, value in changes.items():
+            _set(cfg, path, value)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run("synth", FAMILY, "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(out)) == 3
+        assert "error: " in capsys.readouterr().err
+        assert not (out / "synthesis_report.json").exists()
+
+    @pytest.mark.parametrize("changes", [
+        pytest.param({"metrics.error_band": "abc"}, id="error-band-string"),
+        pytest.param({"dt": float("nan")}, id="dt-nan"),
+        pytest.param({"duration": float("inf")}, id="duration-infinite"),
+    ])
+    def test_bad_scenario_parse_exit(self, tmp_path, capsys, changes):
+        from rssd.lti import CompensatorBank
+        fileio.save_controller(np.ones((1, 1)),
+                               CompensatorBank.identity(1, "in"),
+                               CompensatorBank.identity(1, "out"),
+                               tmp_path / "unit.json")
+        scenario = json.loads(Path(SCENARIO).read_text())
+        for path, value in changes.items():
+            _set(scenario, path, value)
+        (tmp_path / "sc.json").write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        assert run("sim", FAMILY, "--controller", str(tmp_path / "unit.json"),
+                   "--scenario", str(tmp_path / "sc.json"),
+                   "--out", str(out)) == 3
+        assert "error: " in capsys.readouterr().err
+        assert not list(out.glob("traces_*.csv"))
+
+
 class TestEnvironment:
     def test_grid_override(self, tmp_path):
         assert run("vgap", FAMILY, "--grid=-2:3:50",

@@ -53,11 +53,6 @@ class TestFrequencyGrid:
         assert g.points[0] == pytest.approx(1e-3)
         assert g.points[-1] == pytest.approx(1e5)
 
-    def test_with_points_sorted_unique(self):
-        g = FrequencyGrid.default().with_points([1.0, 1.0, 2.5])
-        assert np.all(np.diff(g.points) > 0)
-        assert 2.5 in g.points
-
     def test_unsorted_rejected(self):
         with pytest.raises(DimensionMismatch):
             FrequencyGrid(np.array([2.0, 1.0]))

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import identity_banks
+from conftest import identity_banks, mimo_family
 from rssd.eigassign import EigTarget, EntryConstraint, ModeTarget
 from rssd.errors import DimensionMismatch
 from rssd.lti import PlantSet, StateSpacePlant, augment_plant
@@ -253,24 +253,6 @@ class TestRunNnRssd:
 
 
 GAIN_SHA256 = "d17a1b33ed71eaa69b41b5bd1be9f862820a29aafcd444564055d3f77554f9d8"
-
-
-def mimo_family(seed, members):
-    """Seeded 3-input x 5-output family of order-8 plants with two RHP poles:
-    A = T diag(p) T' with each member scaling every pole by 1 + 0.1 U(-1, 1),
-    shared B ~ N(0, 1), C = 5 N(0, 1), D = 0; the seed orders the members."""
-    n, m, r = 8, 3, 5
-    rng = np.random.default_rng(3)
-    T, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    poles = np.concatenate([[1.0, 0.5], -rng.uniform(0.5, 4.0, n - 2)])
-    B = rng.normal(size=(n, m))
-    C = 5.0 * rng.normal(size=(r, n))
-    scales = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=(members, n))
-    order = np.random.default_rng(seed).permutation(members)
-    return PlantSet(tuple(
-        StateSpacePlant(T @ np.diag(poles * scales[k]) @ T.T, B, C,
-                        np.zeros((r, m)), f"member{k}")
-        for k in order))
 
 
 def mimo_setup(m=3, r=5):

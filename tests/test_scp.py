@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import identity_banks
+import rssd.margins
+import rssd.scp
+from conftest import identity_banks, mimo_family
 from rssd.errors import DimensionMismatch, OutOfBox, UnstableSection
-from rssd.lti import CompensatorBank, FirstOrderSection, PlantSet, StateSpacePlant
+from rssd.lti import (
+    CompensatorBank,
+    FirstOrderSection,
+    FrequencyGrid,
+    PlantSet,
+    StateSpacePlant,
+    augment_plant,
+)
+from rssd.margins import linf_norm
 from rssd.scp import (
     BankTemplate,
     ScpConstraints,
@@ -63,41 +73,225 @@ class TestTransmissionZeros:
         assert transmission_zeros(p).size == 0
 
 
+class TestScpConstraints:
+    @pytest.mark.parametrize("change", [
+        {"band": (0.01, np.inf)},
+        {"band": (0.1, 0.01)},
+        {"cancellation_tol": np.nan},
+        {"cancellation_tol": -1e-4},
+        {"in_boxes": ((0.0, np.inf),) + WIDE[1:]},
+        {"out_boxes": ((1.0, -1.0),) + WIDE[1:]},
+    ], ids=lambda c: next(iter(c)))
+    def test_bad_numbers_rejected(self, change):
+        args = {"in_boxes": WIDE, "out_boxes": WIDE, "dc_floor_db": 0.0,
+                "band": (0.01, 0.1), **change}
+        with pytest.raises(DimensionMismatch):
+            ScpConstraints(**args)
+
+
 class TestCheckConstraints:
     def make(self, floor_db=-20.0, band=(0.01, 0.1)):
         return ScpConstraints(WIDE, WIDE, floor_db, band)
 
-    def test_identity_banks_pass_loose_constraints(self, grid):
+    def test_identity_banks_pass_loose_constraints(self):
         w_in, w_out = identity_banks(1, 1)
         loud = PlantSet(tuple(
             StateSpacePlant.from_gain(np.array([[g]])) for g in (1.5, 2.0, 3.0)))
-        report = check_constraints(w_in, w_out, loud, self.make(), grid)
+        report = check_constraints(w_in, w_out, loud, self.make())
         assert report.passed
 
-    def test_dc_floor_violation(self, grid):
+    def test_dc_floor_violation(self):
         w_in, w_out = identity_banks(1, 1)
         report = check_constraints(w_in, w_out, static_trio(),
-                                   self.make(floor_db=20.0), grid)
+                                   self.make(floor_db=20.0))
         assert not report.passed
         assert any("DC" in r or "dB" in r for r in report.reasons)
 
-    def test_band_violation(self, grid):
+    def test_band_violation(self):
         # plant 1/(s+1) falls below 0 dB beyond 1 rad/s
         pset = PlantSet((StateSpacePlant.siso(-1.0, 1.0),))
         w_in, w_out = identity_banks(1, 1)
         report = check_constraints(w_in, w_out, pset,
-                                   self.make(floor_db=-20.0, band=(0.1, 10.0)),
-                                   grid)
+                                   self.make(floor_db=-20.0, band=(0.1, 10.0)))
         assert not report.passed
 
-    def test_pole_zero_cancellation_flagged(self, grid):
+    def test_pole_zero_cancellation_flagged(self):
         # compensator zero at -1 cancels the plant pole at -1
         pset = PlantSet((StateSpacePlant.siso(-1.0, 10.0),))
         w_in = CompensatorBank((FirstOrderSection(1.0, 1.0, 0.1, 1.0),), "in")
         _, w_out = identity_banks(1, 1)
-        report = check_constraints(w_in, w_out, pset, self.make(), grid)
+        report = check_constraints(w_in, w_out, pset, self.make())
         assert not report.passed
         assert any("cancels" in r for r in report.reasons)
+
+
+def siso(num, den):
+    """Controllable-canonical realization of num(s)/den(s), den monic and
+    deg num <= deg den."""
+    den = np.asarray(den, float)
+    num = np.concatenate([np.zeros(len(den) - len(num)), num])
+    n = len(den) - 1
+    d = num[0]
+    c = (num[1:] - d * den[1:])[::-1]
+    A = np.zeros((n, n))
+    A[:-1, 1:] = np.eye(n - 1)
+    A[-1] = -den[1:][::-1]
+    B = np.zeros((n, 1))
+    B[-1] = 1.0
+    return StateSpacePlant(A, B, c.reshape(1, n), [[d]])
+
+
+def random_bank(rng, channels, side):
+    """Stable lead/lag sections: poles in [-10, -0.01], gains either side of 1."""
+    d = 10.0 ** rng.uniform(-2.0, 1.0, channels)
+    a = rng.uniform(0.0, 2.0, channels)
+    b = d * 10.0 ** rng.uniform(-1.5, 0.5, channels)
+    return CompensatorBank(tuple(FirstOrderSection(*coef) for coef in
+                                 zip(a, b, np.ones(channels), d)), side)
+
+
+def dense_sigma_min(sys, omega):
+    """sigma_min(sys(jw)) in modal coordinates, from the smaller Gram."""
+    lam, V = np.linalg.eig(sys.A)
+    left, right = sys.C @ V, np.linalg.solve(V, sys.B)
+    residues = (left.T[:, :, None] * right[:, None, :]).reshape(sys.n, -1)
+    resp = ((1.0 / (1j * omega[:, None] - lam)) @ residues).reshape(
+        omega.size, sys.r, sys.m) + sys.D
+    gram = resp.conj().swapaxes(1, 2) @ resp
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, 0], 0.0))
+
+
+def band_reasons(report):
+    return [r for r in report.reasons if "band" in r]
+
+
+class TestExactBand:
+    """sigma_min > 0 dB on the band is decided by one Hamiltonian per plant:
+    at lo, and no crossing of 0 dB inside the band."""
+
+    def check(self, plant, band, floor_db=-20.0):
+        w_in, w_out = identity_banks(plant.m, plant.r)
+        return check_constraints(w_in, w_out, PlantSet((plant,)),
+                                 ScpConstraints(WIDE, WIDE, floor_db, band))
+
+    def test_notch_between_grid_points_rejected(self):
+        # a -44 dB notch midway between two default-grid points: every
+        # grid sample in the band clears 0 dB, the band does not
+        pts = FrequencyGrid.default().points
+        k = int(np.searchsorted(pts, 0.05))
+        wz = float(np.sqrt(pts[k - 1] * pts[k]))
+        notch = siso([3.0, 3.0 * 2e-5 * wz, 3.0 * wz * wz],
+                     [1.0, 0.01 * wz, wz * wz])
+        in_band = pts[(pts >= 0.01) & (pts <= 0.1)]
+        assert np.all(dense_sigma_min(notch, in_band) > 1.0)
+        assert dense_sigma_min(notch, np.array([wz]))[0] < 0.01
+        report = self.check(notch, (0.01, 0.1))
+        assert not report.passed
+        (reason,) = band_reasons(report)
+        assert reason.startswith("plant 0: sigma_min <= 0 dB inside band near ")
+        assert float(reason.split("near ")[1].split()[0]) == pytest.approx(
+            wz, rel=0.01)
+
+    def test_seeded_agreement_with_dense_oracle(self):
+        # exact band verdict per plant == sigma_min <= 1 anywhere on 20k
+        # log points plus the band edges, over random banks and five bands
+        pset = mimo_family(1, 3)
+        rng = np.random.default_rng(5)
+        bands = ((0.001, 0.1), (0.05, 2.0), (0.5, 50.0), (0.0, 1.0),
+                 (0.01, 0.02))
+        outcomes = set()
+        for _ in range(4):
+            w_in, w_out = random_bank(rng, 3, "in"), random_bank(rng, 5, "out")
+            augs = [augment_plant(w_out, p, w_in) for p in pset]
+            for band in bands:
+                omega = np.union1d(
+                    np.geomspace(max(band[0], 1e-6), band[1], 20_000), band)
+                want = [bool(np.any(dense_sigma_min(a, omega) <= 1.0))
+                        for a in augs]
+                report = check_constraints(
+                    w_in, w_out, pset,
+                    ScpConstraints(((-9.0, 9.0),) * 12, ((-9.0, 9.0),) * 20,
+                                   -300.0, band))
+                got = [any(r.startswith(f"plant {i}:")
+                           for r in band_reasons(report))
+                       for i in range(len(pset))]
+                assert got == want, (band, report.reasons)
+                assert len(report.reasons) == sum(got)
+                outcomes.update(got)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("num, band, passed", [
+        ([2.0], (0.1, np.sqrt(3.0)), False),
+        ([2.0], (0.1, np.sqrt(3.0) * (1 - 1e-6)), True),
+        ([2.0, 0.5], (0.5, 10.0), False),
+        ([2.0, 0.5], (0.5 * (1 + 1e-6), 10.0), True),
+    ])
+    def test_crossing_on_band_edge_violates(self, num, band, passed):
+        # |2/(jw + 1)| falls through 1 at sqrt(3), the band's hi, and
+        # |(2jw + 0.5)/(jw + 1)| rises through it at 0.5, the band's lo:
+        # sigma = 1 is not above 0 dB
+        report = self.check(siso(num, [1.0, 1.0]), band)
+        assert report.passed == passed
+        if not passed:
+            edge = band[1] if len(num) == 1 else band[0]
+            assert band_reasons(report) == [
+                f"plant 0: sigma_min <= 0 dB inside band near {edge:.4g} rad/s"]
+
+    def test_integrator_dc_and_band_taken_as_w_to_0(self):
+        # 1/s is infinite at DC, and |1/jw| = 1 exactly at w = 1
+        integrator = siso([1.0], [1.0, 0.0])
+        assert self.check(integrator, (0.0, 0.5)).passed
+        report = self.check(integrator, (0.0, 1.0))
+        assert report.reasons == (
+            "plant 0: sigma_min <= 0 dB inside band near 1 rad/s",)
+
+    @pytest.mark.parametrize("band, passed", [((0.5, 1.1), True),
+                                              ((0.5, 1.3), False)])
+    def test_axis_pole_inside_band(self, band, passed):
+        # 2 + 1/(s^2 + 1): infinite at w = 1, -1 at w = 2/sqrt(3); sigma_min
+        # keeps its limit across the pole, which H(1) has no eigenvalue at
+        report = self.check(siso([2.0, 0.0, 3.0], [1.0, 0.0, 1.0]), band)
+        assert report.passed == passed
+        if not passed:
+            assert band_reasons(report) == [
+                "plant 0: sigma_min <= 0 dB inside band near 1.155 rad/s"]
+
+    @pytest.mark.parametrize("gain", [1.0, 1.0 + 1e-8, 1.0 - 1e-8])
+    def test_unit_feedthrough_rejected_undecided(self, gain):
+        # k (s + 2)/(s + 1) with |k| near 1: I - D^T D is (nearly) singular,
+        # so the band cannot be decided; the candidate is rejected, not raised
+        report = self.check(siso([gain, 2.0 * gain], [1.0, 1.0]), (0.01, 0.1))
+        assert report.reasons == (
+            "plant 0: band undecided: a feedthrough singular value is 0 dB",)
+
+    def test_feedthrough_off_0_db_decided(self):
+        assert self.check(siso([1.001, 2.002], [1.0, 1.0]), (0.01, 0.1)).passed
+        report = self.check(siso([0.999, 1.998], [1.0, 1.0]), (0.01, 100.0))
+        assert band_reasons(report) == [
+            "plant 0: sigma_min <= 0 dB inside band near 38.69 rad/s"]
+
+    def test_static_plant_decided_at_lo(self, monkeypatch):
+        monkeypatch.setattr(rssd.scp, "crossings", None)
+        assert self.check(StateSpacePlant.from_gain([[1.5]]), (0.0, 1.0)).passed
+        assert not self.check(StateSpacePlant.from_gain([[1.0]]), (0.0, 1.0)).passed
+
+    def test_norm_and_band_share_one_hamiltonian(self, monkeypatch):
+        real = rssd.margins.crossings
+        assert rssd.scp.crossings is real
+        gammas = []
+
+        def spy(sys, gamma):
+            gammas.append(gamma)
+            return real(sys, gamma)
+
+        monkeypatch.setattr(rssd.margins, "crossings", spy)
+        monkeypatch.setattr(rssd.scp, "crossings", spy)
+        lag = siso([2.0], [1.0, 1.0])
+        assert linf_norm(lag)[0] == pytest.approx(2.0)
+        assert gammas and all(g > 1.0 for g in gammas)
+        del gammas[:]
+        assert not self.check(lag, (0.1, 10.0)).passed
+        assert gammas == [1.0]
 
 
 class TestJ1Fitness:

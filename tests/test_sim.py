@@ -319,7 +319,7 @@ class TestTrackingMetrics:
 class TestWeightGainCurve:
     def test_published_weight_values(self):
         G = FirstOrderSection(3.0, 923.9, 1.0, 9239.0)
-        grid = FrequencyGrid.default().with_points([3250.0])
+        grid = FrequencyGrid(np.union1d(FrequencyGrid.default().points, [3250.0]))
         g = realize_bank(CompensatorBank((G,), side="out"))
         omega = grid.points
         mag = np.abs(eval_response(g, 1j * omega)[:, 0, 0])
