@@ -162,22 +162,25 @@ def cmd_synth(args) -> int:
 
 
 def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
+    eig_keys = ["re", "im", "zeta", "wn"]
+
     def one(plant):
+        """(margins.json entry, curve header, curve columns); a plant whose
+        loop or response fails gets an error entry and no files."""
         try:
             cl = closed_loop(augment_plant(w_out, plant, w_in), gain)
+            sv = np.linalg.svd(cl.response(grid).plant, compute_uv=False)
         except RssdError as exc:
-            return {"error": str(exc)}, None
-        sv = np.linalg.svd(cl.response(grid).plant, compute_uv=False)
-        eigs = sorted_spectrum(cl.eigenvalues)
-        tables = {
-            "eigenvalues": [
-                {"re": e.value.real, "im": e.value.imag,
-                 "zeta": e.damping, "wn": e.natural_frequency}
-                for e in eigs
-            ],
-        }
+            return {"error": str(exc)}, None, None
+        tables = {"eigenvalues": [
+            {"re": e.value.real, "im": e.value.imag,
+             "zeta": e.damping, "wn": e.natural_frequency}
+            for e in sorted_spectrum(cl.eigenvalues)
+        ]}
+        header = ["omega", "sigma_max", "sigma_min"]
+        cols = [grid.points, sv[:, 0], sv[:, -1]]
         if not cl.stable:
-            return {"unstable": True, **tables}, (sv, None)
+            return {"unstable": True, **tables}, header, cols
         curves = sensitivity_curves(cl, grid)
         bounds = uncertainty_bounds(cl, grid)
         margins = disk_margin(cl)
@@ -189,34 +192,24 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
             "mdpm_deg": margins.mdpm_deg,
             "degenerate": margins.degenerate,
         })
-        return tables, (sv, (curves, bounds))
+        header += ["so_max", "so_min", "si_max", "si_min", "kso_max", "kso_min",
+                   "out_mult_bound", "inv_input_bound"]
+        cols += [curves.so_max, curves.so_min, curves.si_max, curves.si_min,
+                 curves.kso_max, curves.kso_min, bounds.output_mult,
+                 bounds.inverse_input]
+        return tables, header, cols
 
     results = [one(plant) for plant in pset]
     summary = {}
-    for idx, (plant, (tables, data)) in enumerate(zip(pset, results)):
+    for idx, (plant, (tables, header, cols)) in enumerate(zip(pset, results)):
         label = plant.label
         summary[label] = tables
-        if data is None:
+        if header is None:
             continue
-        sv, extra = data
-        header = ["omega", "sigma_max", "sigma_min"]
-        cols = [grid.points, sv[:, 0], sv[:, -1]]
-        if extra is not None:
-            curves, bounds = extra
-            header += ["so_max", "so_min", "si_max", "si_min",
-                       "kso_max", "kso_min", "out_mult_bound",
-                       "inv_input_bound"]
-            cols += [curves.so_max, curves.so_min, curves.si_max,
-                     curves.si_min, curves.kso_max, curves.kso_min,
-                     bounds.output_mult, bounds.inverse_input]
         fileio.write_csv(out / f"curves_{idx}_{label}.csv", header, cols)
-        fileio.write_csv(
-            out / f"eigenvalues_{idx}_{label}.csv",
-            ["re", "im", "zeta", "wn"],
-            list(zip(*[(e["re"], e["im"], e["zeta"], e["wn"])
-                       for e in tables["eigenvalues"]]))
-            if tables.get("eigenvalues") else [[], [], [], []],
-        )
+        eig = tables["eigenvalues"]
+        fileio.write_csv(out / f"eigenvalues_{idx}_{label}.csv", eig_keys,
+                         [[e[k] for e in eig] for k in eig_keys])
     (out / "margins.json").write_text(fileio.canonical_json(summary))
     return summary
 

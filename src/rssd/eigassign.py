@@ -41,10 +41,6 @@ class EntryConstraint:
         return (self.re_lo - re_w <= value.real <= self.re_hi + re_w
                 and self.im_lo - im_w <= value.imag <= self.im_hi + im_w)
 
-    def sample(self, rng) -> complex:
-        return complex(rng.uniform(self.re_lo, self.re_hi),
-                       rng.uniform(self.im_lo, self.im_hi))
-
 
 @dataclass(frozen=True)
 class ModeTarget:
@@ -69,10 +65,6 @@ class ModeTarget:
             for e in self.entries
         ))
 
-    @property
-    def slots(self) -> int:
-        return 2 if self.kind == "complex" else 1
-
 
 @dataclass(frozen=True)
 class EigTarget:
@@ -86,10 +78,6 @@ class EigTarget:
         if not 0.0 < self.zeta_min < 1.0:
             raise DimensionMismatch("zeta_min must be in (0, 1)")
         object.__setattr__(self, "modes", tuple(self.modes))
-
-    @property
-    def slots(self) -> int:
-        return sum(m.slots for m in self.modes)
 
 
 @dataclass(frozen=True)
@@ -208,8 +196,8 @@ def select_vectors(subspaces, target: EigTarget, entry_values) -> tuple[np.ndarr
     return W, R
 
 
-def compute_gain(W, R, C, cond_limit: float = COND_LIMIT) -> np.ndarray:
-    """K = W (CR)^(-1); IllConditioned when cond(CR) exceeds the limit."""
+def compute_gain(W, R, C) -> np.ndarray:
+    """K = W (CR)^(-1); IllConditioned when cond(CR) reaches COND_LIMIT."""
     W = np.atleast_2d(np.asarray(W, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -218,8 +206,8 @@ def compute_gain(W, R, C, cond_limit: float = COND_LIMIT) -> np.ndarray:
         raise DimensionMismatch(f"CR must be square, got {CR.shape}")
     sv = np.linalg.svd(CR, compute_uv=False)
     cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
-    if cond >= cond_limit:
-        raise IllConditioned(cond, cond_limit)
+    if cond >= COND_LIMIT:
+        raise IllConditioned(cond, COND_LIMIT)
     return np.linalg.solve(CR.T, W.T).T
 
 

@@ -39,6 +39,13 @@ def _load_json(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _object(value, where: str) -> dict:
+    """``value`` if it is a JSON object, else ParseError."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: expected an object, got {value!r}")
+    return value
+
+
 def _matrix_obj(M) -> dict:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     return {
@@ -87,19 +94,22 @@ def plantset_from_obj(obj) -> PlantSet:
         raw = obj["plants"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"plant set: missing 'plants' list ({exc})") from exc
+    if not isinstance(raw, list):
+        raise ParseError(f"plant set: 'plants' must be a list, got {raw!r}")
     if not raw:
         raise ParseError("plant set: empty plant list")
     plants = []
     for i, entry in enumerate(raw):
+        entry = _object(entry, f"plant {i}")
         where = f"plant {i} ({entry.get('label', '?')})"
         try:
             n, m, r = int(entry["n"]), int(entry["m"]), int(entry["r"])
             label = str(entry.get("label", "")) or f"plant{i}"
+            A = _matrix_from(entry["A"], f"{where} A") if n else np.zeros((0, 0))
+            B = _matrix_from(entry["B"], f"{where} B")
+            C = _matrix_from(entry["C"], f"{where} C")
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: missing dimensions ({exc})") from exc
-        A = _matrix_from(entry["A"], f"{where} A") if n else np.zeros((0, 0))
-        B = _matrix_from(entry["B"], f"{where} B")
-        C = _matrix_from(entry["C"], f"{where} C")
+            raise ParseError(f"{where}: missing dimensions or matrix ({exc})") from exc
         D = (_matrix_from(entry["D"], f"{where} D")
              if "D" in entry else np.zeros((r, m)))
         try:
@@ -183,9 +193,9 @@ def _grid_from(obj) -> FrequencyGrid:
     try:
         if "points" in obj:
             return FrequencyGrid(np.asarray(obj["points"], dtype=float))
-        return FrequencyGrid(np.logspace(float(obj["lo_exp"]),
-                                         float(obj["hi_exp"]),
-                                         int(obj["count"])))
+        return FrequencyGrid(np.logspace(
+            float(obj["lo_exp"]), float(obj["hi_exp"]),
+            _number(obj["count"], "config grid count", integer=True)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"config grid: {exc}") from exc
 
@@ -194,6 +204,7 @@ def _target_from(obj) -> EigTarget:
     try:
         modes = []
         for m in obj["modes"]:
+            m = _object(m, "config target mode")
             entries = tuple(
                 EntryConstraint(int(e["state"]), float(e["re_lo"]),
                                 float(e["re_hi"]), float(e.get("im_lo", 0.0)),
@@ -223,7 +234,7 @@ def _constraints_from(obj) -> ScpConstraints:
 
 
 def config_from_obj(obj) -> RunConfig:
-    obj = obj or {}
+    obj = _object(obj or {}, "config")
     return RunConfig(
         grid=_grid_from(obj.get("grid")),
         constraints=(_constraints_from(obj["constraints"])
@@ -251,8 +262,7 @@ def _number(value, where: str, integer: bool = False):
 
 def ga_config(options: dict, seed: int) -> GaConfig:
     """GaConfig from a config's ga_scp/ga_rssd object; ``seed`` replaces its seed."""
-    if not isinstance(options, dict):
-        raise ParseError(f"config GA options: expected an object, got {options!r}")
+    _object(options, "config GA options")
     defaults = {f.name: f.default for f in fields(GaConfig)}
     unknown = sorted(set(options) - set(defaults))
     if unknown:
@@ -269,6 +279,7 @@ def ga_config(options: dict, seed: int) -> GaConfig:
 # --- scenarios --------------------------------------------------------------
 
 def _signal_from(obj, where) -> SignalSpec:
+    _object(obj, where)
     try:
         return SignalSpec(str(obj.get("kind", "zero")),
                           float(obj.get("magnitude", 0.0)),
@@ -307,9 +318,7 @@ def scenario_from_obj(obj) -> tuple[Scenario, dict]:
                             float(obj.get("duration", 10.0)))
     except (TypeError, ValueError, DimensionMismatch) as exc:
         raise ParseError(f"scenario: {exc}") from exc
-    spec = obj.get("metrics", {})
-    if not isinstance(spec, dict):
-        raise ParseError("scenario metrics: expected an object")
+    spec = _object(obj.get("metrics", {}), "scenario metrics")
     metrics = {key: _number(spec.get(key, default), f"scenario metric {key!r}")
                for key, default in METRIC_DEFAULTS.items()}
     return scenario, metrics

@@ -2,7 +2,7 @@
 
 All systems are continuous-time real state-space quadruples (A, B, C, D).
 Types are immutable after construction and every operation is a pure
-function, so frequency sweeps can be evaluated point-parallel.
+function; a frequency response is one batched solve over all its points.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ImproperSection, UnstableSection
+from .errors import ComputationFailed, DimensionMismatch, ImproperSection, UnstableSection
 
 # Eigenvalues with |Re| below this (relative) threshold are treated as
 # imaginary-axis.
@@ -150,8 +150,8 @@ class FrequencyGrid:
         object.__setattr__(self, "points", pts)
 
     @staticmethod
-    def default(lo: float = 1e-3, hi: float = 1e5, num: int = 400) -> "FrequencyGrid":
-        return FrequencyGrid(np.logspace(np.log10(lo), np.log10(hi), num))
+    def default() -> "FrequencyGrid":
+        return FrequencyGrid(np.logspace(-3.0, 5.0, 400))
 
 
 @dataclass(frozen=True)
@@ -161,19 +161,18 @@ class EigenInfo:
     value: complex
     damping: float
     natural_frequency: float
-    marginal: bool = False
 
 
 def eigen_info(lam: complex) -> EigenInfo:
     """Damping/natural frequency of a single eigenvalue.
 
-    lam == 0 reports zeta=1, wn=0 and is flagged marginal (by convention,
-    to avoid 0/0; origin poles are handled by the imaginary-axis logic in
-    the nu-gap code, not by damping checks).
+    lam == 0 reports zeta=1, wn=0 (by convention, to avoid 0/0; origin
+    poles are handled by the imaginary-axis logic in the nu-gap code, not by
+    damping checks).
     """
     wn = abs(lam)
     if wn == 0.0:
-        return EigenInfo(0j, 1.0, 0.0, marginal=True)
+        return EigenInfo(0j, 1.0, 0.0)
     return EigenInfo(complex(lam), -lam.real / wn, wn)
 
 
@@ -192,8 +191,9 @@ def is_imag_axis(lam, rtol: float = IMAG_AXIS_RTOL):
 def eval_response(plant: StateSpacePlant, s_values) -> np.ndarray:
     """P(s) evaluated at an array of complex points; shape (k, r, m).
 
-    No singularity guard: entries blow up smoothly near poles, which is the
-    behaviour the sweep/refinement engines want.
+    Entries grow without bound near a pole; a point where sI - A is exactly
+    singular (a pole on the sampled axis) raises ComputationFailed naming the
+    plant, since no finite value is right there.
     """
     s = np.asarray(s_values, dtype=complex).ravel()
     if plant.n == 0:
@@ -202,14 +202,9 @@ def eval_response(plant: StateSpacePlant, s_values) -> np.ndarray:
     lhs = s[:, None, None] * eye - plant.A
     try:
         x = np.linalg.solve(lhs, np.broadcast_to(plant.B, (s.size,) + plant.B.shape))
-    except np.linalg.LinAlgError:
-        # fall back to least squares pointwise when some point is singular
-        x = np.empty((s.size, plant.n, plant.m), dtype=complex)
-        for k in range(s.size):
-            try:
-                x[k] = np.linalg.solve(lhs[k], plant.B)
-            except np.linalg.LinAlgError:
-                x[k] = np.linalg.lstsq(lhs[k], plant.B, rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise ComputationFailed(
+            f"plant {plant.label!r}: a frequency point is a pole ({exc})") from exc
     return plant.C @ x + plant.D
 
 

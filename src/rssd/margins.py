@@ -98,7 +98,6 @@ class MarginReport:
 
 @dataclass(frozen=True)
 class SensitivityCurves:
-    omega: np.ndarray
     so_max: np.ndarray
     so_min: np.ndarray
     si_max: np.ndarray
@@ -109,11 +108,8 @@ class SensitivityCurves:
 
 @dataclass(frozen=True)
 class UncertaintyBounds:
-    omega: np.ndarray
     output_mult: np.ndarray
     inverse_input: np.ndarray
-    output_mult_min: tuple
-    inverse_input_min: tuple
 
 
 def crossings(sys: StateSpacePlant, gamma: float) -> np.ndarray:
@@ -230,8 +226,7 @@ def sensitivity_curves(cl: ClosedLoop, grid: FrequencyGrid) -> SensitivityCurves
     so_hi, so_lo = ext(resp.so)
     si_hi, si_lo = ext(resp.si)
     kso_hi, kso_lo = ext(cl.gain @ resp.so)
-    return SensitivityCurves(grid.points, so_hi, so_lo, si_hi, si_lo,
-                             kso_hi, kso_lo)
+    return SensitivityCurves(so_hi, so_lo, si_hi, si_lo, kso_hi, kso_lo)
 
 
 def uncertainty_bounds(cl: ClosedLoop, grid: FrequencyGrid) -> UncertaintyBounds:
@@ -249,13 +244,7 @@ def uncertainty_bounds(cl: ClosedLoop, grid: FrequencyGrid) -> UncertaintyBounds
     with np.errstate(divide="ignore"):
         out_bound = np.where(sig_to > 0, 1.0 / sig_to, np.inf)
         inv_bound = np.where(sig_si > 0, 1.0 / sig_si, np.inf)
-    i_out = int(np.argmin(out_bound))
-    i_inv = int(np.argmin(inv_bound))
-    return UncertaintyBounds(
-        grid.points, out_bound, inv_bound,
-        (float(out_bound[i_out]), float(grid.points[i_out])),
-        (float(inv_bound[i_inv]), float(grid.points[i_inv])),
-    )
+    return UncertaintyBounds(out_bound, inv_bound)
 
 
 def disk_margin(cl: ClosedLoop) -> MarginReport:

@@ -325,7 +325,6 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
     state = {
         "jbar": jbar0,
         "history": [],
-        "found": False,
         "result": None,
         "invocations": 0,
         "rssd_gens": 0,
@@ -351,7 +350,6 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
                           stop=lambda: "K" in hit)
         state["rssd_gens"] += res.generations
         if "K" in hit:
-            state["found"] = True
             state["result"] = {
                 "K": hit["K"], "j2": hit["j2"], "genome": hit["genome"],
                 "w_in": w_in, "w_out": w_out, "p_cp": p_cp, "cp_index": cp_idx,
@@ -376,10 +374,10 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
         return j1
 
     outer = ga_minimize(scp_fitness, np.asarray(constraints.boxes, float),
-                        scp_cfg, stop=lambda: state["found"])
+                        scp_cfg, stop=lambda: state["result"] is not None)
 
     seeds = {"scp": scp_cfg.seed, "rssd": rssd_cfg.seed}
-    if not state["found"]:
+    if state["result"] is None:
         return SynthesisReport(
             feasible=False, gain=None, w_in=None, w_out=None,
             j1_history=state["history"], j2=None, cp_index=None,

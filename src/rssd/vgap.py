@@ -46,8 +46,6 @@ SHARED_AXIS_RTOL = 1e-6
 class VgapResult:
     value: float
     condition_met: bool
-    wno: int
-    peak_frequency: float | None
 
 
 @dataclass(frozen=True)
@@ -207,13 +205,11 @@ def _pair_gap(s1: SampledPlant, s2: SampledPlant, psi) -> VgapResult:
     try:
         wno = winding_number_det(s1.plant, s2.plant)
     except DetVanishesOnContour:
-        return VgapResult(1.0, False, 0, None)
+        return VgapResult(1.0, False)
     # wno + eta(P1) - eta(P2) - eta_0(P2) must vanish
     if wno + s1.poles[0] - sum(s2.poles) != 0:
-        return VgapResult(1.0, False, wno, None)
-
-    value, peak_w = grid_peak(psi, s1.grid)
-    return VgapResult(_clip(value), True, wno, peak_w)
+        return VgapResult(1.0, False)
+    return VgapResult(_clip(grid_peak(psi, s1.grid)[0]), True)
 
 
 def nu_gap(p1: StateSpacePlant | SampledPlant, p2: StateSpacePlant | SampledPlant,

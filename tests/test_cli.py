@@ -271,12 +271,19 @@ class TestPlantLabels:
         assert report["labels"] == ["plant0", "plant1"]
 
 
+DROP = object()
+
+
 def _set(obj, path, value):
-    """``obj`` with the value at the dotted ``path`` replaced."""
-    *parents, last = path.split(".")
-    for key in parents:
+    """``obj`` with the value at the dotted ``path`` replaced, or removed if
+    ``value`` is DROP; a list item is named by its index."""
+    keys = [int(k) if k.isdigit() else k for k in path.split(".")]
+    for key in keys[:-1]:
         obj = obj[key]
-    obj[last] = value
+    if value is DROP:
+        del obj[keys[-1]]
+    else:
+        obj[keys[-1]] = value
 
 
 class TestBadValues:
@@ -336,6 +343,81 @@ class TestBadValues:
                    "--out", str(out)) == 3
         assert "error: " in capsys.readouterr().err
         assert not list(out.glob("traces_*.csv"))
+
+
+class TestWrongShapes:
+    # a JSON input of the wrong shape is a parse error (exit 3), never a
+    # traceback; a fractional grid count is refused, not rounded
+    @pytest.mark.parametrize("kind, path, value", [
+        pytest.param("plants", "plants", [1], id="plant-not-object"),
+        pytest.param("plants", "plants", 5, id="plants-number"),
+        pytest.param("plants", "plants", {"a": 1}, id="plants-object"),
+        pytest.param("plants", "plants.0.A", DROP, id="plant-without-A"),
+        pytest.param("plants", "plants.0.B", DROP, id="plant-without-B"),
+        pytest.param("plants", "plants.0.C", DROP, id="plant-without-C"),
+        pytest.param("config", None, [1, 2], id="config-list"),
+        pytest.param("config", "target.modes.0", 1, id="mode-not-object"),
+        pytest.param("config", "grid", {"lo_exp": -2, "hi_exp": 3, "count": 2.5},
+                     id="grid-count-fraction"),
+        pytest.param("scenario", "reference.0", 1, id="signal-not-object"),
+    ])
+    def test_wrong_shape_parse_exit(self, tmp_path, capsys, kind, path, value):
+        from rssd.lti import CompensatorBank
+        controller = tmp_path / "unit.json"
+        fileio.save_controller(np.ones((1, 1)),
+                               CompensatorBank.identity(1, "in"),
+                               CompensatorBank.identity(1, "out"), controller)
+        source = {"plants": FAMILY, "config": CONFIG, "scenario": SCENARIO}[kind]
+        obj = json.loads(Path(source).read_text())
+        if path is None:
+            obj = value
+        else:
+            _set(obj, path, value)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(obj))
+        argv = {"plants": ["vgap", str(edited)],
+                "config": ["synth", FAMILY, "--config", str(edited)],
+                "scenario": ["sim", FAMILY, "--controller", str(controller),
+                             "--scenario", str(edited)]}[kind]
+        assert run(*argv, "--out", str(tmp_path / "out")) == 3
+        assert "error: " in capsys.readouterr().err
+
+
+class TestPoleOnGrid:
+    # --grid=-1:1:3 samples w = 1, the undamped pole of 1/(s^2 + 1), where
+    # the response has no finite value
+    @pytest.fixture
+    def plants(self, tmp_path):
+        from rssd.lti import PlantSet, StateSpacePlant
+        osc = StateSpacePlant([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]],
+                              [[1.0, 0.0]], [[0.0]], "osc")
+        path = tmp_path / "plants.json"
+        fileio.save_plantset(PlantSet((osc, StateSpacePlant.siso(-1.0, 1.0,
+                                                                 "lag"))), path)
+        return str(path)
+
+    def test_analyze_records_error_and_continues(self, tmp_path, plants):
+        from rssd.lti import CompensatorBank
+        controller = tmp_path / "half.json"
+        fileio.save_controller(np.array([[0.5]]),
+                               CompensatorBank.identity(1, "in"),
+                               CompensatorBank.identity(1, "out"), controller)
+        out = tmp_path / "out"
+        assert run("analyze", plants, "--controller", str(controller),
+                   "--grid=-1:1:3", "--out", str(out)) == 0
+        margins = json.loads((out / "margins.json").read_text())
+        assert list(margins["osc"]) == ["error"]
+        assert "plant 'osc'" in margins["osc"]["error"]
+        assert not margins["lag"]["unstable"]
+        assert not (out / "curves_0_osc.csv").exists()
+        assert (out / "curves_1_lag.csv").exists()
+
+    @pytest.mark.parametrize("command", ["vgap", "synth"])
+    def test_nu_gap_exits_numeric(self, tmp_path, capsys, plants, command):
+        extra = ["--config", CONFIG] if command == "synth" else []
+        assert run(command, plants, *extra, "--grid=-1:1:3",
+                   "--out", str(tmp_path / "out")) == 4
+        assert "plant 'osc'" in capsys.readouterr().err
 
 
 class TestEnvironment:

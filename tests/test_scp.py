@@ -4,7 +4,7 @@ import pytest
 import rssd.margins
 import rssd.scp
 from conftest import identity_banks, mimo_family
-from rssd.errors import DimensionMismatch, OutOfBox, UnstableSection
+from rssd.errors import ComputationFailed, DimensionMismatch, OutOfBox, UnstableSection
 from rssd.lti import (
     CompensatorBank,
     FirstOrderSection,
@@ -255,6 +255,12 @@ class TestExactBand:
         if not passed:
             assert band_reasons(report) == [
                 "plant 0: sigma_min <= 0 dB inside band near 1.155 rad/s"]
+
+    def test_band_edge_on_axis_pole_raises(self):
+        # 1/(s^2 + 1) has no value at lo = 1; the pole is the plant's, so
+        # every candidate would hit it, and the check fails instead
+        with pytest.raises(ComputationFailed, match="a frequency point is a pole"):
+            self.check(siso([1.0], [1.0, 0.0, 1.0]), (1.0, 2.0))
 
     @pytest.mark.parametrize("gain", [1.0, 1.0 + 1e-8, 1.0 - 1e-8])
     def test_unit_feedthrough_rejected_undecided(self, gain):
