@@ -32,6 +32,24 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 
+_FLAGS = {
+    "--config": {"help": "run-configuration JSON file"},
+    "--seed": {"type": int, "help": "override the config seed"},
+    "--grid": {"help": "frequency grid override LO:HI:N (log10 rad/s exponents)"},
+    "--controller": {"required": True, "help": "controller JSON file"},
+    "--scenario": {"required": True, "help": "scenario JSON file"},
+}
+# each command takes a plant set, --out and only the flags it reads
+_SUBCOMMANDS = {
+    "vgap": ("pairwise nu-gap matrix and central-plant report",
+             ("--config", "--grid")),
+    "synth": ("two-level GA synthesis of compensators and gain",
+              ("--config", "--seed", "--grid")),
+    "analyze": ("closed-loop curves, eigenvalues, and margins",
+                ("--config", "--grid", "--controller")),
+    "sim": ("linear closed-loop time simulation", ("--controller", "--scenario")),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -39,25 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simultaneous-stabilization controller synthesis toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("vgap", "pairwise nu-gap matrix and central-plant report"),
-        ("synth", "two-level GA synthesis of compensators and gain"),
-        ("analyze", "closed-loop curves, eigenvalues, and margins"),
-        ("sim", "linear closed-loop time simulation"),
-    ):
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("plantset", help="plant-set JSON file")
-        cmd.add_argument("--config", help="run-configuration JSON file")
-        cmd.add_argument("--seed", type=int, help="override the config seed")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--grid", help="frequency grid override LO:HI:N "
-                                        "(log10 rad/s exponents)")
-        if name in ("analyze", "sim"):
-            cmd.add_argument("--controller", required=True,
-                             help="controller JSON file")
-        if name == "sim":
-            cmd.add_argument("--scenario", required=True,
-                             help="scenario JSON file")
+        for flag in flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -73,13 +78,16 @@ def _grid_override(spec: str) -> FrequencyGrid:
         raise UsageError(f"bad --grid spec {spec!r}: {exc}") from exc
 
 
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _resolve(args):
     cfg = fileio.load_config(args.config) if args.config else fileio.config_from_obj({})
     grid = _grid_override(args.grid) if args.grid else cfg.grid
-    seed = args.seed if args.seed is not None else cfg.seed
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return cfg, grid, seed, out
+    return cfg, grid, _out_dir(args)
 
 
 def _load_plantset(path):
@@ -101,7 +109,7 @@ def _matrix_list(M):
 
 def cmd_vgap(args) -> int:
     pset = _load_plantset(args.plantset)
-    _, grid, _, out = _resolve(args)
+    _, grid, out = _resolve(args)
     mat = gap_matrix(pset, grid)
     result = central_from_matrix(mat)
     labels = [p.label for p in pset]
@@ -124,7 +132,8 @@ def cmd_vgap(args) -> int:
 
 def cmd_synth(args) -> int:
     pset = _load_plantset(args.plantset)
-    cfg, grid, seed, out = _resolve(args)
+    cfg, grid, out = _resolve(args)
+    seed = args.seed if args.seed is not None else cfg.seed
     if seed is None:
         raise UsageError("synth requires a seed (config or --seed)")
     if cfg.constraints is None or cfg.target is None:
@@ -216,7 +225,7 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
 
 def cmd_analyze(args) -> int:
     pset = _load_plantset(args.plantset)
-    _, grid, _, out = _resolve(args)
+    _, grid, out = _resolve(args)
     gain, w_in, w_out = fileio.load_controller(args.controller)
     summary = _analysis_bundle(pset, gain, w_in, w_out, grid, out)
     flagged = [lab for lab, t in summary.items() if t.get("unstable")]
@@ -228,7 +237,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_sim(args) -> int:
     pset = _load_plantset(args.plantset)
-    _, _, _, out = _resolve(args)
+    out = _out_dir(args)
     gain, w_in, w_out = fileio.load_controller(args.controller)
     scenario, metric_args = fileio.load_scenario(args.scenario)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,8 @@ def _matrix_obj(M) -> dict:
 
 def _matrix_from(obj, where: str) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = (_number(obj[k], f"{where} {k}", integer=True)
+                      for k in ("rows", "cols"))
         data = [float(v) for v in obj["data"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: malformed matrix ({exc})") from exc
@@ -103,7 +104,8 @@ def plantset_from_obj(obj) -> PlantSet:
         entry = _object(entry, f"plant {i}")
         where = f"plant {i} ({entry.get('label', '?')})"
         try:
-            n, m, r = int(entry["n"]), int(entry["m"]), int(entry["r"])
+            n, m, r = (_number(entry[k], f"{where} {k}", integer=True)
+                       for k in "nmr")
             label = str(entry.get("label", "")) or f"plant{i}"
             A = _matrix_from(entry["A"], f"{where} A") if n else np.zeros((0, 0))
             B = _matrix_from(entry["B"], f"{where} B")
@@ -261,15 +263,13 @@ def _number(value, where: str, integer: bool = False):
 
 
 def ga_config(options: dict, seed: int) -> GaConfig:
-    """GaConfig from a config's ga_scp/ga_rssd object; ``seed`` replaces its seed."""
+    """GaConfig from a config's ga_scp/ga_rssd budget and the run's ``seed``."""
     _object(options, "config GA options")
-    defaults = {f.name: f.default for f in fields(GaConfig)}
-    unknown = sorted(set(options) - set(defaults))
+    unknown = sorted(set(options) - {"population", "max_generations"})
     if unknown:
         raise ParseError(f"config GA options {unknown} are unknown")
-    opts = {key: _number(value, f"config GA option {key!r}",
-                         isinstance(defaults[key], int))
-            for key, value in options.items() if key != "seed"}
+    opts = {key: _number(value, f"config GA option {key!r}", integer=True)
+            for key, value in options.items()}
     try:
         return GaConfig(seed=seed, **opts)
     except DimensionMismatch as exc:

@@ -11,15 +11,15 @@ quantified nu-gap robustness ball around the central plant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .eigassign import (
     EigTarget,
     allowable_subspace,
-    check_S1,
     compute_gain,
+    in_S1,
     select_vectors,
 )
 from .errors import (
@@ -33,46 +33,37 @@ from .errors import (
     OutOfBox,
     UnstableSection,
 )
-from .lti import (
-    CompensatorBank,
-    FrequencyGrid,
-    PlantSet,
-    StateSpacePlant,
-    augment_plant,
-    sorted_spectrum,
-)
+from .lti import CompensatorBank, FrequencyGrid, PlantSet, StateSpacePlant, augment_plant
 from .margins import closed_loop, gsm, linf_norm
-from .scp import BankTemplate, ScpConstraints, check_constraints, decode_bank, j1_fitness
+from .scp import ScpConstraints, check_constraints, decode_banks, j1_fitness
 from .vgap import central_plant
 
 PENALTY = 1e18
 JBAR_FLOOR = 1e-3  # keeps the feasibility test J2 < 1/J1bar satisfiable at eps=0
 
+# GA operators: tournament selection, BLX-alpha crossover, Gaussian mutation
+# scaled by the box width, and elites carried over unchanged
+TOURNAMENT = 3
+CROSSOVER_PROB = 0.8
+BLEND_ALPHA = 0.5
+MUTATION_PROB = 0.1
+MUTATION_SCALE = 0.1
+ELITES = 2
+
 
 @dataclass(frozen=True)
 class GaConfig:
-    """Knobs of the real-coded GA; seed is mandatory for reproducibility."""
+    """Budget of the real-coded GA; seed is mandatory for reproducibility."""
 
     population: int = 50
     max_generations: int = 100
-    tournament: int = 3
-    crossover_prob: float = 0.8
-    blend_alpha: float = 0.5
-    mutation_prob: float = 0.1
-    mutation_scale: float = 0.1
-    elites: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        if self.population < 4:
+        if self.population < 4:  # keeps ELITES below the population
             raise DimensionMismatch("population must be >= 4")
-        if self.tournament < 1:
-            raise DimensionMismatch("tournament must be >= 1")
-        if not 0 <= self.elites < self.population:
-            raise DimensionMismatch("elites must be in [0, population)")
-        for p in (self.crossover_prob, self.mutation_prob):
-            if not 0.0 <= p <= 1.0:
-                raise DimensionMismatch("probabilities must be in [0, 1]")
+        if self.max_generations < 0:
+            raise DimensionMismatch("max_generations must be >= 0")
         if self.seed is None:
             raise DimensionMismatch("seed is required")
 
@@ -122,16 +113,16 @@ def ga_minimize(fitness, boxes, config: GaConfig, stop=None) -> GaResult:
         history.append(best_fit)
 
         order = np.argsort(fits, kind="stable")
-        elites = pop[order[:config.elites]].copy()
+        elites = pop[order[:ELITES]].copy()
         children = [*elites]
         while len(children) < pop.shape[0]:
-            pa = _tournament(rng, fits, config.tournament)
-            pb = _tournament(rng, fits, config.tournament)
+            pa = _tournament(rng, fits)
+            pb = _tournament(rng, fits)
             ca, cb = pop[pa].copy(), pop[pb].copy()
-            if rng.random() < config.crossover_prob:
-                ca, cb = _blend(rng, pop[pa], pop[pb], config.blend_alpha, lo, hi)
+            if rng.random() < CROSSOVER_PROB:
+                ca, cb = _blend(rng, pop[pa], pop[pb], lo, hi)
             for child in (ca, cb):
-                _mutate(rng, child, config, lo, hi)
+                _mutate(rng, child, lo, hi)
                 if len(children) < pop.shape[0]:
                     children.append(child)
         pop = np.asarray(children)
@@ -139,26 +130,26 @@ def ga_minimize(fitness, boxes, config: GaConfig, stop=None) -> GaResult:
     return GaResult(best_genes, best_fit, history, config.max_generations)
 
 
-def _tournament(rng, fits, size):
-    idx = rng.integers(0, fits.size, size=size)
+def _tournament(rng, fits):
+    idx = rng.integers(0, fits.size, size=TOURNAMENT)
     return idx[np.argmin(fits[idx])]
 
 
-def _blend(rng, pa, pb, alpha, lo, hi):
+def _blend(rng, pa, pb, lo, hi):
     low = np.minimum(pa, pb)
     high = np.maximum(pa, pb)
     span = high - low
-    a = low - alpha * span
-    b = high + alpha * span
+    a = low - BLEND_ALPHA * span
+    b = high + BLEND_ALPHA * span
     ca = rng.uniform(a, b)
     cb = rng.uniform(a, b)
     return np.clip(ca, lo, hi), np.clip(cb, lo, hi)
 
 
-def _mutate(rng, child, config, lo, hi):
-    mask = rng.random(child.size) < config.mutation_prob
+def _mutate(rng, child, lo, hi):
+    mask = rng.random(child.size) < MUTATION_PROB
     noise = rng.normal(0.0, 1.0, size=child.size)
-    child += mask * noise * config.mutation_scale * (hi - lo)
+    child += mask * noise * MUTATION_SCALE * (hi - lo)
     np.clip(child, lo, hi, out=child)
 
 
@@ -235,18 +226,12 @@ def j2_fitness(p_cp: StateSpacePlant, genome: RssdGenome, target: EigTarget):
                 for lam in genome.eigenvalues]
         W, R = select_vectors(subs, target, genome.entry_values)
         K = compute_gain(W, R, p_cp.C)
-    except (EmptySubspace, BoundViolation, IllConditioned, np.linalg.LinAlgError):
-        return PENALTY, None
-    try:
         cl = closed_loop(p_cp, K)
-    except (IllPosedLoop, np.linalg.LinAlgError):
-        return PENALTY, None
-    ok, _ = check_S1(sorted_spectrum(cl.eigenvalues), target)
-    if not ok or not cl.stable:
-        return PENALTY, None
-    try:
+        if not in_S1(cl.eigenvalues, target) or not cl.stable:
+            return PENALTY, None
         norm, _ = linf_norm(cl.realization, cl.eigenvalues)
-    except ComputationFailed:
+    except (EmptySubspace, BoundViolation, IllConditioned, IllPosedLoop,
+            ComputationFailed, np.linalg.LinAlgError):
         return PENALTY, None
     if not np.isfinite(norm):
         return PENALTY, None
@@ -282,7 +267,7 @@ def verify_lemma(pset: PlantSet, w_in, w_out, K, p_cp, desired, target,
     assigned_ok = all(
         np.min(np.abs(cl_eigs - lam)) < 1e-6 for lam in _with_conjugates(desired)
     )
-    s1_ok, _ = check_S1(sorted_spectrum(cl_eigs), target)
+    s1_ok = in_S1(cl_eigs, target)
     margin = gsm(cl)
     margin_ok = margin > jbar
     all_stable = True
@@ -316,11 +301,7 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
                 grid: FrequencyGrid | None = None) -> SynthesisReport:
     """Full two-level synthesis; infeasibility is a report state, not an error."""
     grid = grid or FrequencyGrid.default()
-    t_in = BankTemplate("in", pset.m)
-    t_out = BankTemplate("out", pset.r)
-    if len(constraints.in_boxes) != t_in.genes or len(constraints.out_boxes) != t_out.genes:
-        raise DimensionMismatch("coefficient boxes do not match bank layout")
-
+    constraints.require_banks(pset.m, pset.r)
     jbar0 = max(central_plant(pset, grid).epsilon, JBAR_FLOOR)
     state = {
         "jbar": jbar0,
@@ -335,7 +316,7 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
         state["invocations"] += 1
         inner_seed = int(np.random.SeedSequence(
             [rssd_cfg.seed, state["invocations"]]).generate_state(1)[0])
-        cfg = GaConfig(**{**rssd_cfg.__dict__, "seed": inner_seed})
+        cfg = replace(rssd_cfg, seed=inner_seed)
         jbar = state["jbar"]
         hit = {}
 
@@ -343,24 +324,19 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
             genome = decode_rssd_genome(genes, target)
             j2, K = j2_fitness(p_cp, genome, target)
             if K is not None and j2 < 1.0 / jbar and "K" not in hit:
-                hit.update(j2=j2, K=K, genome=genome)
+                hit.update(j2=j2, K=K, eigenvalues=genome.eigenvalues)
             return j2
 
         res = ga_minimize(inner_fitness, inner_boxes, cfg,
                           stop=lambda: "K" in hit)
         state["rssd_gens"] += res.generations
         if "K" in hit:
-            state["result"] = {
-                "K": hit["K"], "j2": hit["j2"], "genome": hit["genome"],
-                "w_in": w_in, "w_out": w_out, "p_cp": p_cp, "cp_index": cp_idx,
-                "jbar": jbar,
-            }
+            state["result"] = {**hit, "w_in": w_in, "w_out": w_out,
+                               "p_cp": p_cp, "cp_index": cp_idx, "jbar": jbar}
 
     def scp_fitness(genes):
-        genes = np.asarray(genes)
         try:
-            w_in = decode_bank(genes[:t_in.genes], t_in, constraints.in_boxes)
-            w_out = decode_bank(genes[t_in.genes:], t_out, constraints.out_boxes)
+            w_in, w_out = decode_banks(genes, constraints)
         except (OutOfBox, ImproperSection, UnstableSection):
             return 2.0
         report = check_constraints(w_in, w_out, pset, constraints)
@@ -376,29 +352,18 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
     outer = ga_minimize(scp_fitness, np.asarray(constraints.boxes, float),
                         scp_cfg, stop=lambda: state["result"] is not None)
 
-    seeds = {"scp": scp_cfg.seed, "rssd": rssd_cfg.seed}
-    if state["result"] is None:
-        return SynthesisReport(
-            feasible=False, gain=None, w_in=None, w_out=None,
-            j1_history=state["history"], j2=None, cp_index=None,
-            desired_eigenvalues=None, verification={},
-            scp_generations=outer.generations,
-            rssd_invocations=state["invocations"],
-            rssd_generations=state["rssd_gens"], seeds=seeds,
-        )
-
-    res = state["result"]
-    verification = verify_lemma(
+    res = state["result"] or {}
+    verification = {} if not res else verify_lemma(
         pset, res["w_in"], res["w_out"], res["K"], res["p_cp"],
-        res["genome"].eigenvalues, target, res["jbar"],
-    )
-    feasible = all(v for k, v in verification.items() if k != "margin")
+        res["eigenvalues"], target, res["jbar"])
     return SynthesisReport(
-        feasible=feasible, gain=res["K"], w_in=res["w_in"], w_out=res["w_out"],
-        j1_history=state["history"], j2=res["j2"], cp_index=res["cp_index"],
-        desired_eigenvalues=res["genome"].eigenvalues,
-        verification=verification,
-        scp_generations=outer.generations,
+        feasible=bool(res) and all(v for k, v in verification.items()
+                                   if k != "margin"),
+        gain=res.get("K"), w_in=res.get("w_in"), w_out=res.get("w_out"),
+        j1_history=state["history"], j2=res.get("j2"),
+        cp_index=res.get("cp_index"), desired_eigenvalues=res.get("eigenvalues"),
+        verification=verification, scp_generations=outer.generations,
         rssd_invocations=state["invocations"],
-        rssd_generations=state["rssd_gens"], seeds=seeds,
+        rssd_generations=state["rssd_gens"],
+        seeds={"scp": scp_cfg.seed, "rssd": rssd_cfg.seed},
     )

@@ -3,7 +3,8 @@ J1 fitness (maximum nu-gap of the augmented set's central plant).
 
 Compensator sections are first-order proper stable rational functions
 matching the shape of the realized solutions; the genome of the outer GA
-is the flat list of their coefficients.
+is the flat list of their coefficients, (a, b, c, d) per section, input
+bank first (``decode_banks``).
 """
 
 from __future__ import annotations
@@ -32,23 +33,11 @@ ORIGIN_OMEGA = 1e-12  # w -> 0+ for DC and lo = 0 when a pole sits at the origin
 
 
 @dataclass(frozen=True)
-class BankTemplate:
-    """Gene layout for one diagonal bank: 4 coefficients per section."""
-
-    side: str
-    sections: int
-
-    @property
-    def genes(self) -> int:
-        return 4 * self.sections
-
-
-@dataclass(frozen=True)
 class ScpConstraints:
     """Loop-shaping constraints on the augmented plants.
 
-    coefficient boxes are (lo, hi) pairs, flat per gene, covering the
-    input bank first then the output bank.
+    coefficient boxes are (lo, hi) pairs, flat per gene, four (a, b, c, d)
+    per section, covering the input bank first then the output bank.
     """
 
     in_boxes: tuple
@@ -70,11 +59,19 @@ class ScpConstraints:
             if not all(-np.inf < a <= b < np.inf for a, b in boxes):
                 raise DimensionMismatch("coefficient boxes must be finite "
                                         "(lo, hi) with lo <= hi")
+            if len(boxes) % 4:
+                raise DimensionMismatch(f"{name}: 4 boxes per section")
             object.__setattr__(self, name, boxes)
 
     @property
     def boxes(self) -> tuple:
         return self.in_boxes + self.out_boxes
+
+    def require_banks(self, m: int, r: int):
+        """DimensionMismatch unless the boxes lay out an m-section input bank
+        and an r-section output bank."""
+        if (len(self.in_boxes), len(self.out_boxes)) != (4 * m, 4 * r):
+            raise DimensionMismatch("coefficient boxes do not match bank layout")
 
 
 @dataclass(frozen=True)
@@ -83,26 +80,24 @@ class ConstraintReport:
     reasons: tuple
 
 
-def decode_bank(genes, template: BankTemplate, boxes) -> CompensatorBank:
-    """Genome slice -> compensator bank; invariant-violating decodes reject."""
+def decode_banks(genes, constraints: ScpConstraints):
+    """Outer genome -> (w_in, w_out); a gene outside its box, an improper
+    section or an unstable one rejects the genome."""
     genes = np.asarray(genes, dtype=float).ravel()
-    if genes.size != template.genes:
-        raise DimensionMismatch(
-            f"expected {template.genes} genes for {template.sections} sections"
-        )
-    boxes = tuple(boxes)
-    if len(boxes) != genes.size:
-        raise DimensionMismatch("one (lo, hi) box required per gene")
+    boxes = constraints.boxes
+    if genes.size != len(boxes):
+        raise DimensionMismatch(f"expected {len(boxes)} genes, got {genes.size}")
     for g, (lo, hi) in zip(genes, boxes):
         if not lo <= g <= hi:
             raise OutOfBox(f"gene {g:.6g} outside [{lo}, {hi}]")
     sections = []
-    for i in range(template.sections):
-        a, b, c, d = genes[4 * i:4 * i + 4]
+    for a, b, c, d in genes.reshape(-1, 4):
         sec = FirstOrderSection(a, b, c, d)  # may raise ImproperSection
         sec.require_stable()
         sections.append(sec)
-    return CompensatorBank(tuple(sections), template.side)
+    k = len(constraints.in_boxes) // 4
+    return (CompensatorBank(tuple(sections[:k]), "in"),
+            CompensatorBank(tuple(sections[k:]), "out"))
 
 
 def transmission_zeros(plant: StateSpacePlant) -> np.ndarray:

@@ -289,29 +289,38 @@ def _set(obj, path, value):
 class TestBadValues:
     # every bad number in a config or scenario is a parse error (exit 3),
     # never a traceback or a silently crippled run
-    @pytest.mark.parametrize("changes", [
-        pytest.param({"ga_scp.populaton": 20}, id="unknown-key"),
-        pytest.param({"ga_scp.population": "abc"}, id="population-string"),
-        pytest.param({"ga_scp.population": 20.5}, id="population-fraction"),
-        pytest.param({"ga_rssd.tournament": 0}, id="tournament-0"),
-        pytest.param({"ga_scp.population": 4, "ga_scp.elites": 10},
+    # a GA option sets the budget only: the operators are constants and the
+    # seed is the run's, so a config that sets one names an unknown key
+    @pytest.mark.parametrize("changes, message", [
+        pytest.param({"ga_scp.populaton": 20}, "unknown", id="unknown-key"),
+        pytest.param({"ga_scp.population": "abc"}, "error: ",
+                     id="population-string"),
+        pytest.param({"ga_scp.population": 20.5}, "error: ",
+                     id="population-fraction"),
+        pytest.param({"ga_rssd.tournament": 0}, "unknown", id="tournament-0"),
+        pytest.param({"ga_scp.population": 4, "ga_scp.elites": 10}, "unknown",
                      id="elites-above-population"),
-        pytest.param({"ga_rssd.mutation_scale": float("nan")},
+        pytest.param({"ga_rssd.mutation_scale": float("nan")}, "unknown",
                      id="mutation-scale-nan"),
-        pytest.param({"constraints.band": [0.01, float("inf")]},
+        pytest.param({"ga_scp.max_generations": -5}, "max_generations",
+                     id="max-generations-negative"),
+        pytest.param({"ga_scp.seed": 3}, "unknown", id="ga-seed-ignored"),
+        pytest.param({"constraints.band": [0.01, float("inf")]}, "error: ",
                      id="band-infinite"),
-        pytest.param({"constraints.band": [0.01]}, id="band-one-edge"),
-        pytest.param({"constraints.cancellation_tol": float("nan")},
+        pytest.param({"constraints.band": [0.01]}, "error: ",
+                     id="band-one-edge"),
+        pytest.param({"constraints.cancellation_tol": float("nan")}, "error: ",
                      id="cancellation-tol-nan"),
-        pytest.param({"constraints.cancellation_tol": -1e-4},
+        pytest.param({"constraints.cancellation_tol": -1e-4}, "error: ",
                      id="cancellation-tol-negative"),
         pytest.param({"constraints.in_boxes": [[0, 0], [5.0, 0.5], [0, 0], [1, 1]]},
-                     id="box-inverted"),
-        pytest.param({"seed": "abc"}, id="seed-string"),
-        pytest.param({"ga_scp": [20, 4]}, id="ga-options-list"),
-        pytest.param({"grid": {"points": [1.0, "x"]}}, id="grid-point-string"),
+                     "error: ", id="box-inverted"),
+        pytest.param({"seed": "abc"}, "error: ", id="seed-string"),
+        pytest.param({"ga_scp": [20, 4]}, "error: ", id="ga-options-list"),
+        pytest.param({"grid": {"points": [1.0, "x"]}}, "error: ",
+                     id="grid-point-string"),
     ])
-    def test_bad_config_parse_exit(self, tmp_path, capsys, changes):
+    def test_bad_config_parse_exit(self, tmp_path, capsys, changes, message):
         cfg = json.loads(Path(CONFIG).read_text())
         for path, value in changes.items():
             _set(cfg, path, value)
@@ -319,7 +328,8 @@ class TestBadValues:
         out = tmp_path / "out"
         assert run("synth", FAMILY, "--config", str(tmp_path / "cfg.json"),
                    "--out", str(out)) == 3
-        assert "error: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: " in err and message in err
         assert not (out / "synthesis_report.json").exists()
 
     @pytest.mark.parametrize("changes", [
@@ -347,7 +357,8 @@ class TestBadValues:
 
 class TestWrongShapes:
     # a JSON input of the wrong shape is a parse error (exit 3), never a
-    # traceback; a fractional grid count is refused, not rounded
+    # traceback; a fractional or string grid count or plant dimension is
+    # refused, not truncated
     @pytest.mark.parametrize("kind, path, value", [
         pytest.param("plants", "plants", [1], id="plant-not-object"),
         pytest.param("plants", "plants", 5, id="plants-number"),
@@ -355,6 +366,9 @@ class TestWrongShapes:
         pytest.param("plants", "plants.0.A", DROP, id="plant-without-A"),
         pytest.param("plants", "plants.0.B", DROP, id="plant-without-B"),
         pytest.param("plants", "plants.0.C", DROP, id="plant-without-C"),
+        pytest.param("plants", "plants.0.n", 1.7, id="n-fraction"),
+        pytest.param("plants", "plants.0.A.rows", 1.9, id="rows-fraction"),
+        pytest.param("plants", "plants.0.n", "1", id="n-string"),
         pytest.param("config", None, [1, 2], id="config-list"),
         pytest.param("config", "target.modes.0", 1, id="mode-not-object"),
         pytest.param("config", "grid", {"lo_exp": -2, "hi_exp": 3, "count": 2.5},
@@ -418,6 +432,32 @@ class TestPoleOnGrid:
         assert run(command, plants, *extra, "--grid=-1:1:3",
                    "--out", str(tmp_path / "out")) == 4
         assert "plant 'osc'" in capsys.readouterr().err
+
+
+class TestFlags:
+    # a command accepts only the flags it reads; one it would drop is a
+    # usage error (exit 2), not silently ignored
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param("vgap", "--seed=1", id="vgap-seed"),
+        pytest.param("analyze", "--seed=1", id="analyze-seed"),
+        pytest.param("sim", "--seed=1", id="sim-seed"),
+        pytest.param("sim", f"--config={CONFIG}", id="sim-config"),
+        pytest.param("sim", "--grid=-2:3:50", id="sim-grid"),
+    ])
+    def test_unread_flag_usage_exit(self, tmp_path, capsys, command, flag):
+        from rssd.lti import CompensatorBank
+        controller = tmp_path / "unit.json"
+        fileio.save_controller(np.ones((1, 1)),
+                               CompensatorBank.identity(1, "in"),
+                               CompensatorBank.identity(1, "out"), controller)
+        extra = {"vgap": [],
+                 "analyze": ["--controller", str(controller)],
+                 "sim": ["--controller", str(controller),
+                         "--scenario", SCENARIO]}[command]
+        with pytest.raises(SystemExit) as exc:
+            run(command, FAMILY, *extra, flag, "--out", str(tmp_path / "out"))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
 
 
 class TestEnvironment:

@@ -66,9 +66,9 @@ class TestGaMinimize:
             calls.append(1)
             return float(np.sum(g ** 2))
 
-        cfg = GaConfig(population=8, max_generations=5, seed=1,
-                       mutation_prob=0.0, crossover_prob=0.0)
-        # degenerate boxes: every individual starts as (2, -1)
+        cfg = GaConfig(population=8, max_generations=5, seed=1)
+        # degenerate boxes: every individual starts as (2, -1), and every
+        # child of crossover or mutation is clipped back to it
         res = ga_minimize(f, [(2, 2), (-1, -1)], cfg)
         assert res.history == [5.0] * 5
         assert len(calls) == 1  # one distinct genome is scored once
@@ -126,13 +126,13 @@ class TestGaMinimize:
             GaConfig(population=2, seed=0)
 
     def test_genes_stay_in_boxes(self):
-        cfg = GaConfig(population=12, max_generations=10, seed=5,
-                       mutation_scale=2.0)
+        cfg = GaConfig(population=12, max_generations=10, seed=5)
         seen = []
         f = lambda g: (seen.append(g.copy()), float(g[0])) [1]
         ga_minimize(f, [(2.0, 3.0)], cfg)
         arr = np.asarray(seen)
         assert arr.min() >= 2.0 and arr.max() <= 3.0
+        assert np.any(arr == 2.0)  # a child pushed below the box was clipped
 
 
 class TestGenome:

@@ -15,10 +15,9 @@ from rssd.lti import (
 )
 from rssd.margins import linf_norm
 from rssd.scp import (
-    BankTemplate,
     ScpConstraints,
     check_constraints,
-    decode_bank,
+    decode_banks,
     j1_fitness,
     transmission_zeros,
 )
@@ -33,24 +32,36 @@ def static_trio():
 WIDE = ((-100.0, 100.0),) * 4
 
 
+def wide_banks(in_boxes=WIDE):
+    return ScpConstraints(in_boxes, WIDE, dc_floor_db=0.0, band=(0.01, 0.1))
+
+
 class TestDecodeBank:
     def test_published_coefficients(self):
-        bank = decode_bank([1.0, 7.36, 0.007, 10.1], BankTemplate("in", 1),
-                           WIDE)
-        assert bank.sections[0].dc_gain == pytest.approx(0.7287, abs=1e-4)
+        w_in, w_out = decode_banks([1.0, 7.36, 0.007, 10.1, 0.0, 2.0, 0.0, 1.0],
+                                   wide_banks())
+        assert w_in.sections[0].dc_gain == pytest.approx(0.7287, abs=1e-4)
+        assert w_out.sections[0].dc_gain == 2.0
 
     def test_out_of_box_rejected(self):
         with pytest.raises(OutOfBox):
-            decode_bank([1.0, 7.36, 0.007, 10.1], BankTemplate("in", 1),
-                        ((0.0, 0.5),) + WIDE[1:])
+            decode_banks([1.0, 7.36, 0.007, 10.1, 0.0, 1.0, 0.0, 1.0],
+                         wide_banks(((0.0, 0.5),) + WIDE[1:]))
 
     def test_unstable_section_rejected(self):
         with pytest.raises(UnstableSection):
-            decode_bank([1.0, 1.0, 1.0, -1.0], BankTemplate("in", 1), WIDE)
+            decode_banks([0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, -1.0], wide_banks())
 
     def test_gene_count_checked(self):
         with pytest.raises(DimensionMismatch):
-            decode_bank([1.0, 2.0], BankTemplate("in", 1), WIDE[:2])
+            decode_banks([1.0, 2.0], wide_banks())
+
+    def test_bank_layout_checked(self):
+        with pytest.raises(DimensionMismatch):
+            wide_banks(WIDE[:3])  # a partial section
+        wide_banks().require_banks(1, 1)
+        with pytest.raises(DimensionMismatch):
+            wide_banks().require_banks(2, 1)
 
 
 class TestTransmissionZeros:
