@@ -309,7 +309,9 @@ def scenario_from_obj(obj) -> tuple[Scenario, dict]:
         try:
             uncertainty = UncertaintyInjection(
                 FirstOrderSection(*(float(v) for v in u["weight"])),
-                int(u["channel"]), float(u.get("delta", 1.0)))
+                _number(u["channel"], "scenario uncertainty channel",
+                        integer=True),
+                float(u.get("delta", 1.0)))
         except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
             raise ParseError(f"scenario uncertainty: {exc}") from exc
     try:

@@ -5,7 +5,9 @@ the loop convention u = K (y + d - r), so the steady-state tracking error
 is governed by the output sensitivity (I - P K)^(-1).  Integration is
 fixed-step 4th-order Runge-Kutta over the full augmented state (plant plus
 compensator plus optional uncertainty-weight states), evaluated as the exact
-one-step linear recurrence it is on a linear loop.
+one-step linear recurrence x_k = Phi x_(k-1) + f_k it is on a linear loop.
+The recurrence runs as a blocked prefix scan (Hillis & Steele, CACM 1986):
+each block of rows is a few batched matrix products, not one step per row.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .lti import (
 from .margins import closed_loop
 
 DIVERGENCE_LIMIT = 1e9
-DIVERGENCE_BLOCK = 256  # steps between divergence checks
+DIVERGENCE_BLOCK = 256  # longest scan block: steps between divergence checks
+POWER_LIMIT = 1e100  # largest entry of a power of Phi a scan block may use
 
 
 @dataclass(frozen=True)
@@ -113,17 +116,41 @@ def _uncertainty_plant(inj: UncertaintyInjection, channels: int) -> StateSpacePl
     return StateSpacePlant(A, B, C, D, label="uncertainty")
 
 
+def _powers(phi: np.ndarray) -> np.ndarray:
+    """Phi^1 ... Phi^L stacked, for the scan block length L.
+
+    L starts at DIVERGENCE_BLOCK and halves while one of these powers has an
+    entry that is non-finite or above POWER_LIMIT, so an explosive
+    discretization gets shorter blocks instead of inf * 0 = NaN on rows that
+    are exactly zero.  L = 1 is the plain step-by-step recurrence.
+    """
+    powers = phi[None]
+    while len(powers) < DIVERGENCE_BLOCK:
+        powers = np.concatenate([powers, powers @ powers[-1]])
+    length = DIVERGENCE_BLOCK
+    while length > 1 and not np.all(np.abs(powers[:length]) <= POWER_LIMIT):
+        length //= 2
+    return powers[:length]
+
+
 def simulate(plant: StateSpacePlant, gain, w_in: CompensatorBank,
              w_out: CompensatorBank, scenario: Scenario) -> TraceSet:
     """Fixed-step RK4 trace of the augmented loop under a scenario.
 
     The controller sees y + d - r; with zero reference and disturbance from
-    a zero initial state every trace is identically zero.  From the first
-    state that is non-finite or exceeds DIVERGENCE_LIMIT on, outputs and
-    inputs are NaN.
+    a zero initial state every trace is identically zero.  The states are
+    computed a scan block at a time (see _powers), and each block is checked
+    before the next one starts.  From the first state that is non-finite or
+    exceeds DIVERGENCE_LIMIT on, outputs and inputs are NaN, and
+    divergence_time is that state's time.  The uncertainty channel must be
+    one of the loop's outputs.
     """
     aug = augment_plant(w_out, plant, w_in)
     if scenario.uncertainty is not None:
+        if not 0 <= scenario.uncertainty.channel < aug.r:
+            raise DimensionMismatch(
+                f"uncertainty channel {scenario.uncertainty.channel} is not "
+                f"one of the {aug.r} output channels")
         aug = cascade(aug, _uncertainty_plant(scenario.uncertainty, aug.r))
     cl = closed_loop(aug, gain)  # IllPosedLoop on a bad shape or singular I - K D
     if len(scenario.reference) != aug.r:
@@ -161,12 +188,17 @@ def simulate(plant: StateSpacePlant, gain, w_in: CompensatorBank,
     x[1:] = np.hstack([w[:-1], w_h, w[1:]]) @ g.T
     end = n_steps + 1  # first divergent row, if any
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(1, n_steps + 1, DIVERGENCE_BLOCK):
-            block = x[start:start + DIVERGENCE_BLOCK]
-            prev = x[start - 1]
-            for row in block:
-                row += phi @ prev
-                prev = row
+        powers = _powers(phi)
+        for start in range(1, n_steps + 1, len(powers)):
+            block = x[start:start + len(powers)]
+            # Hillis-Steele doubling leaves sum_{i <= j} Phi^(j-i) f_i in
+            # block row j; each product is formed before its in-place add,
+            # so the overlapping rows are read as they were
+            span = 1
+            while span < len(block):
+                block[span:] += block[:-span] @ powers[span - 1].T
+                span *= 2
+            block += powers[:len(block)] @ x[start - 1]  # + Phi^(j+1) x_prev
             bad = ~np.all(np.abs(block) <= DIVERGENCE_LIMIT, axis=1)
             if bad.any():
                 end = start + int(np.argmax(bad))

@@ -336,6 +336,12 @@ class TestBadValues:
         pytest.param({"metrics.error_band": "abc"}, id="error-band-string"),
         pytest.param({"dt": float("nan")}, id="dt-nan"),
         pytest.param({"duration": float("inf")}, id="duration-infinite"),
+        pytest.param({"uncertainty": {"weight": [3.0, 923.9, 1.0, 9239.0],
+                                      "channel": 3}}, id="channel-past-end"),
+        pytest.param({"uncertainty": {"weight": [3.0, 923.9, 1.0, 9239.0],
+                                      "channel": -1}}, id="channel-negative"),
+        pytest.param({"uncertainty": {"weight": [3.0, 923.9, 1.0, 9239.0],
+                                      "channel": 2.5}}, id="channel-fraction"),
     ])
     def test_bad_scenario_parse_exit(self, tmp_path, capsys, changes):
         from rssd.lti import CompensatorBank

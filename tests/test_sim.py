@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import identity_banks
+from rssd import fileio
 from rssd.errors import DimensionMismatch, DivergentTrace, IllPosedLoop
 from rssd.lti import (
     CompensatorBank,
@@ -275,6 +278,46 @@ class TestRecurrence:
         tr = simulate(*case, sc)
         assert tr.diverged
         assert_matches_oracle(tr, rk4_loop_oracle(*case, sc))
+
+    def test_stiff_weight_after_zero_rows(self):
+        # ~900 rows are exactly zero before the doublet; the discretization
+        # grows 206-fold per step, so a full block's powers of Phi overflow
+        # and inf * 0 would put NaN on those rows
+        case = mimo_case(8)
+        inj = UncertaintyInjection(FirstOrderSection(3.0, 923.9, 1.0, 9239.0),
+                                   2, 1.0)
+        refs = (SignalSpec("doublet", 0.0873, 0.9, 0.05),
+                SignalSpec("zero"), SignalSpec("zero"))
+        sc = Scenario(refs, uncertainty=inj, dt=1e-3, duration=1.2)
+        tr = simulate(*case, sc)
+        assert tr.diverged and tr.divergence_time > 0.9
+        assert np.all(tr.outputs[tr.time < 0.9] == 0.0)
+        assert_matches_oracle(tr, rk4_loop_oracle(*case, sc))
+
+    @pytest.mark.parametrize("a", [1e4, 1e6])
+    def test_explosive_discretization_shrinks_the_block(self, a):
+        # Phi = R(dt (a + 1)) is 644 or 4.2e10: its 256th power is not finite
+        case = (StateSpacePlant.siso(a, 1.0), np.array([[1.0]]),
+                *identity_banks(1, 1))
+        sc = Scenario((SignalSpec("zero"),), (SignalSpec("step", 1.0, 0.2),),
+                      dt=1e-3, duration=1.0)
+        tr = simulate(*case, sc)
+        assert tr.diverged and tr.divergence_time > 0.2
+        assert_matches_oracle(tr, rk4_loop_oracle(*case, sc))
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_committed_scenario_on_the_fixture(self, index):
+        # the sim workload's length (10,000 steps, about 40 scan blocks)
+        # under the fixture's synthesized controller, rounded
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        plant = fileio.load_plantset(configs / "three_plant_family.json")[index]
+        scenario, _ = fileio.load_scenario(configs / "doublet_scenario.json")
+        case = (plant, np.array([[-1.28]]),
+                CompensatorBank(((0.0, 4.54, 0.0, 1.0),), "in"),
+                CompensatorBank(((0.0, 4.43, 0.0, 1.0),), "out"))
+        tr = simulate(*case, scenario)
+        assert tr.time.size == 10001 and not tr.diverged
+        assert_matches_oracle(tr, rk4_loop_oracle(*case, scenario))
 
 
 class TestTrackingMetrics:
