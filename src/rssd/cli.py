@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -90,25 +91,12 @@ def _resolve(args):
     return cfg, grid, _out_dir(args)
 
 
-def _load_plantset(path):
-    """The plant set, with labels fit to key reports and name output files."""
-    pset = fileio.load_plantset(path)
-    labels = [p.label for p in pset]
-    for i, label in enumerate(labels):
-        if "/" in label or "\\" in label:
-            raise ParseError(f"{path}: plant label {label!r} contains a path "
-                             f"separator")
-        if label in labels[:i]:
-            raise ParseError(f"{path}: duplicate plant label {label!r}")
-    return pset
-
-
 def _matrix_list(M):
     return None if M is None else fileio._matrix_obj(M)
 
 
 def cmd_vgap(args) -> int:
-    pset = _load_plantset(args.plantset)
+    pset = fileio.load_plantset(args.plantset)
     _, grid, out = _resolve(args)
     mat = gap_matrix(pset, grid)
     result = central_from_matrix(mat)
@@ -131,17 +119,16 @@ def cmd_vgap(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    pset = _load_plantset(args.plantset)
+    pset = fileio.load_plantset(args.plantset)
     cfg, grid, out = _resolve(args)
     seed = args.seed if args.seed is not None else cfg.seed
     if seed is None:
         raise UsageError("synth requires a seed (config or --seed)")
     if cfg.constraints is None or cfg.target is None:
         raise UsageError("synth requires constraints and target in the config")
-    scp_cfg = fileio.ga_config(cfg.ga_scp, seed)
-    rssd_cfg = fileio.ga_config(cfg.ga_rssd, seed + 1)
-    report = run_nn_rssd(pset, cfg.constraints, cfg.target, scp_cfg, rssd_cfg,
-                         grid)
+    report = run_nn_rssd(pset, cfg.constraints, cfg.target,
+                         replace(cfg.ga_scp, seed=seed),
+                         replace(cfg.ga_rssd, seed=seed + 1), grid)
     obj = {
         "feasible": report.feasible,
         "gain": _matrix_list(report.gain),
@@ -224,9 +211,9 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    pset = _load_plantset(args.plantset)
-    _, grid, out = _resolve(args)
+    pset = fileio.load_plantset(args.plantset)
     gain, w_in, w_out = fileio.load_controller(args.controller)
+    _, grid, out = _resolve(args)
     summary = _analysis_bundle(pset, gain, w_in, w_out, grid, out)
     flagged = [lab for lab, t in summary.items() if t.get("unstable")]
     if flagged:
@@ -236,10 +223,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    pset = _load_plantset(args.plantset)
-    out = _out_dir(args)
+    pset = fileio.load_plantset(args.plantset)
     gain, w_in, w_out = fileio.load_controller(args.controller)
     scenario, metric_args = fileio.load_scenario(args.scenario)
+    out = _out_dir(args)
 
     results = [simulate(plant, gain, w_in, w_out, scenario) for plant in pset]
     report = {}

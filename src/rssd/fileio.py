@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError
+from .errors import DimensionMismatch, ParseError, RssdError
 from .eigassign import EigTarget, EntryConstraint, ModeTarget
 from .lti import CompensatorBank, FirstOrderSection, FrequencyGrid, PlantSet, StateSpacePlant
 from .nn_rssd import GaConfig
@@ -39,11 +40,56 @@ def _load_json(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _object(value, where: str) -> dict:
-    """``value`` if it is a JSON object, else ParseError."""
-    if not isinstance(value, dict):
-        raise ParseError(f"{where}: expected an object, got {value!r}")
+# Every reader below takes its JSON leaves through these four helpers alone.
+
+REQUIRED = object()  # _field's default for a key that must be present
+
+
+def _field(obj, key: str, where: str, default=REQUIRED, kind=object):
+    """``obj[key]`` of the JSON object ``obj``, ``default`` if it is absent
+    or null.  A present value must be a ``kind``; an int or a float one is
+    read by _number."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object, got {obj!r}")
+    value = obj.get(key)
+    if value is None:
+        if default is REQUIRED:
+            raise ParseError(f"{where}: missing {key!r}")
+        return default
+    if kind in (int, float):
+        return _number(value, f"{where} {key}", integer=kind is int)
+    if not isinstance(value, kind):
+        raise ParseError(f"{where} {key}: expected a {kind.__name__}, "
+                         f"got {value!r}")
     return value
+
+
+def _number(value, where: str, integer: bool = False):
+    """A finite JSON number, else ParseError; with ``integer`` an integral
+    one >= 0 (every integer in these formats is a count or an index)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max  # NaN, inf, huge ints
+            or (integer and (value < 0 or value != int(value)))):
+        kind = "a count or index" if integer else "a finite number"
+        raise ParseError(f"{where}: expected {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _list(value, where: str, length: int | None = None) -> list:
+    """``value`` if it is a JSON list (of ``length`` items if given)."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        kind = "a list" if length is None else f"a list of {length}"
+        raise ParseError(f"{where}: expected {kind}, got {value!r}")
+    return value
+
+
+def _build(cls, where: str, *args, **kwargs):
+    """``cls(*args, **kwargs)``; the one place where a constructor's refusal
+    of what was read becomes a ParseError."""
+    try:
+        return cls(*args, **kwargs)
+    except RssdError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def _matrix_obj(M) -> dict:
@@ -56,20 +102,10 @@ def _matrix_obj(M) -> dict:
 
 
 def _matrix_from(obj, where: str) -> np.ndarray:
-    try:
-        rows, cols = (_number(obj[k], f"{where} {k}", integer=True)
-                      for k in ("rows", "cols"))
-        data = [float(v) for v in obj["data"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: malformed matrix ({exc})") from exc
-    if len(data) != rows * cols:
-        raise ParseError(
-            f"{where}: expected {rows * cols} entries, got {len(data)}"
-        )
-    mat = np.asarray(data, dtype=float).reshape(rows, cols)
-    if not np.all(np.isfinite(mat)):
-        raise ParseError(f"{where}: non-finite entries")
-    return mat
+    rows, cols = (_field(obj, k, where, kind=int) for k in ("rows", "cols"))
+    data = _list(_field(obj, "data", where), f"{where} data", rows * cols)
+    return np.array([_number(v, f"{where} data") for v in data],
+                    dtype=float).reshape(rows, cols)
 
 
 # --- plant sets -------------------------------------------------------------
@@ -91,40 +127,28 @@ def plantset_obj(pset: PlantSet) -> dict:
 
 
 def plantset_from_obj(obj) -> PlantSet:
-    try:
-        raw = obj["plants"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"plant set: missing 'plants' list ({exc})") from exc
-    if not isinstance(raw, list):
-        raise ParseError(f"plant set: 'plants' must be a list, got {raw!r}")
-    if not raw:
-        raise ParseError("plant set: empty plant list")
+    """The plant set, with labels fit to key reports and name output files:
+    unique and free of path separators."""
+    if _field(obj, "schema", "plant set", SCHEMA_VERSION, int) != SCHEMA_VERSION:
+        raise ParseError(f"plant set: schema is not {SCHEMA_VERSION}")
     plants = []
-    for i, entry in enumerate(raw):
-        entry = _object(entry, f"plant {i}")
-        where = f"plant {i} ({entry.get('label', '?')})"
-        try:
-            n, m, r = (_number(entry[k], f"{where} {k}", integer=True)
-                       for k in "nmr")
-            label = str(entry.get("label", "")) or f"plant{i}"
-            A = _matrix_from(entry["A"], f"{where} A") if n else np.zeros((0, 0))
-            B = _matrix_from(entry["B"], f"{where} B")
-            C = _matrix_from(entry["C"], f"{where} C")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: missing dimensions or matrix ({exc})") from exc
-        D = (_matrix_from(entry["D"], f"{where} D")
-             if "D" in entry else np.zeros((r, m)))
-        try:
-            plants.append(StateSpacePlant(A, B, C, D, label))
-        except DimensionMismatch as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-        if plants[-1].n != n or plants[-1].m != m or plants[-1].r != r:
+    for i, entry in enumerate(_field(obj, "plants", "plant set", kind=list)):
+        label = _field(entry, "label", f"plant {i}", "", str) or f"plant{i}"
+        where = f"plant {i} ({label})"
+        if "/" in label or "\\" in label:
+            raise ParseError(f"{where}: label contains a path separator")
+        if label in (p.label for p in plants):
+            raise ParseError(f"{where}: duplicate plant label {label!r}")
+        n, m, r = (_field(entry, k, where, kind=int) for k in "nmr")
+        A, B, C = (_matrix_from(_field(entry, k, where), f"{where} {k}")
+                   for k in "ABC")
+        D = _field(entry, "D", where, None)
+        D = np.zeros((r, m)) if D is None else _matrix_from(D, f"{where} D")
+        plants.append(_build(StateSpacePlant, where, A, B, C, D, label))
+        if (plants[-1].n, plants[-1].m, plants[-1].r) != (n, m, r):
             raise ParseError(f"{where}: stated dims (n={n}, m={m}, r={r}) "
                              f"disagree with matrices")
-    try:
-        return PlantSet(tuple(plants))
-    except DimensionMismatch as exc:
-        raise ParseError(f"plant set: {exc}") from exc
+    return _build(PlantSet, "plant set", tuple(plants))
 
 
 def load_plantset(path) -> PlantSet:
@@ -141,13 +165,10 @@ def _bank_obj(bank: CompensatorBank) -> list:
     return [[s.a, s.b, s.c, s.d] for s in bank.sections]
 
 
-def _bank_from(obj, side: str, where: str) -> CompensatorBank:
-    try:
-        sections = tuple(FirstOrderSection(*(float(v) for v in coeffs))
-                         for coeffs in obj)
-        return CompensatorBank(sections, side)
-    except (TypeError, ValueError, DimensionMismatch) as exc:
-        raise ParseError(f"{where}: malformed compensator bank ({exc})") from exc
+def _section_from(coeffs, where: str) -> FirstOrderSection:
+    """(a s + b) / (c s + d) from its coefficient list [a, b, c, d]."""
+    return _build(FirstOrderSection, where,
+                  *(_number(v, where) for v in _list(coeffs, where, 4)))
 
 
 def controller_obj(gain, w_in: CompensatorBank, w_out: CompensatorBank) -> dict:
@@ -159,14 +180,19 @@ def controller_obj(gain, w_in: CompensatorBank, w_out: CompensatorBank) -> dict:
     }
 
 
+def _bank_from(obj, key: str, side: str) -> CompensatorBank:
+    where = f"controller {key}"
+    return _build(CompensatorBank, where, tuple(
+        _section_from(s, f"{where} section {i}")
+        for i, s in enumerate(_field(obj, key, "controller", kind=list))), side)
+
+
 def controller_from_obj(obj):
-    try:
-        gain = _matrix_from(obj["gain"], "controller gain")
-        w_in = _bank_from(obj["w_in"], "in", "controller w_in")
-        w_out = _bank_from(obj["w_out"], "out", "controller w_out")
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"controller: missing field ({exc})") from exc
-    return gain, w_in, w_out
+    """(gain, w_in, w_out) from a controller object."""
+    if _field(obj, "schema", "controller", SCHEMA_VERSION, int) != SCHEMA_VERSION:
+        raise ParseError(f"controller: schema is not {SCHEMA_VERSION}")
+    return (_matrix_from(_field(obj, "gain", "controller"), "controller gain"),
+            _bank_from(obj, "w_in", "in"), _bank_from(obj, "w_out", "out"))
 
 
 def load_controller(path):
@@ -184,68 +210,81 @@ class RunConfig:
     grid: FrequencyGrid
     constraints: ScpConstraints | None
     target: EigTarget | None
-    ga_scp: dict
-    ga_rssd: dict
+    ga_scp: GaConfig  # budgets only: the run's seed replaces theirs
+    ga_rssd: GaConfig
     seed: int | None
 
 
-def _grid_from(obj) -> FrequencyGrid:
-    if obj is None:
-        return FrequencyGrid.default()
-    try:
-        if "points" in obj:
-            return FrequencyGrid(np.asarray(obj["points"], dtype=float))
-        return FrequencyGrid(np.logspace(
-            float(obj["lo_exp"]), float(obj["hi_exp"]),
-            _number(obj["count"], "config grid count", integer=True)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"config grid: {exc}") from exc
+def _grid_from(obj, where: str = "config grid") -> FrequencyGrid:
+    points = _field(obj, "points", where, None, list)
+    if points is None:
+        points = np.logspace(_field(obj, "lo_exp", where, kind=float),
+                             _field(obj, "hi_exp", where, kind=float),
+                             _field(obj, "count", where, kind=int))
+    else:
+        points = [_number(v, f"{where} points") for v in points]
+    return _build(FrequencyGrid, where, np.asarray(points, dtype=float))
 
 
-def _target_from(obj) -> EigTarget:
-    try:
-        modes = []
-        for m in obj["modes"]:
-            m = _object(m, "config target mode")
-            entries = tuple(
-                EntryConstraint(int(e["state"]), float(e["re_lo"]),
-                                float(e["re_hi"]), float(e.get("im_lo", 0.0)),
-                                float(e.get("im_hi", 0.0)))
-                for e in m.get("entries", ())
-            )
-            modes.append(ModeTarget(str(m["kind"]), float(m["wn_lo"]),
-                                    float(m["wn_hi"]), entries))
-        sigma = obj.get("sigma_max")
-        return EigTarget(tuple(modes), float(obj["zeta_min"]),
-                         None if sigma is None else float(sigma))
-    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
-        raise ParseError(f"config target: {exc}") from exc
+def _target_from(obj, where: str = "config target") -> EigTarget:
+    modes = []
+    for i, mode in enumerate(_field(obj, "modes", where, kind=list)):
+        mw = f"{where} mode {i}"
+        entries = []
+        for j, e in enumerate(_field(mode, "entries", mw, [], list)):
+            ew = f"{mw} entry {j}"
+            entries.append(_build(
+                EntryConstraint, ew, _field(e, "state", ew, kind=int),
+                _field(e, "re_lo", ew, kind=float),
+                _field(e, "re_hi", ew, kind=float),
+                _field(e, "im_lo", ew, 0.0, float),
+                _field(e, "im_hi", ew, 0.0, float)))
+        modes.append(_build(ModeTarget, mw, _field(mode, "kind", mw, kind=str),
+                            _field(mode, "wn_lo", mw, kind=float),
+                            _field(mode, "wn_hi", mw, kind=float),
+                            tuple(entries)))
+    return _build(EigTarget, where, tuple(modes),
+                  _field(obj, "zeta_min", where, kind=float),
+                  _field(obj, "sigma_max", where, None, float))
 
 
-def _constraints_from(obj) -> ScpConstraints:
-    try:
-        return ScpConstraints(
-            tuple((float(a), float(b)) for a, b in obj["in_boxes"]),
-            tuple((float(a), float(b)) for a, b in obj["out_boxes"]),
-            float(obj["dc_floor_db"]),
-            (float(obj["band"][0]), float(obj["band"][1])),
-            float(obj.get("cancellation_tol", 1e-4)),
-        )
-    except (LookupError, TypeError, ValueError, DimensionMismatch) as exc:
-        raise ParseError(f"config constraints: {exc}") from exc
+def _constraints_from(obj, where: str = "config constraints") -> ScpConstraints:
+    def pair(value, key):
+        return tuple(_number(v, f"{where} {key}")
+                     for v in _list(value, f"{where} {key}", 2))
+
+    return _build(ScpConstraints, where, *(
+        tuple(pair(box, key) for box in _field(obj, key, where, kind=list))
+        for key in ("in_boxes", "out_boxes")),
+        _field(obj, "dc_floor_db", where, kind=float),
+        pair(_field(obj, "band", where), "band"),
+        _field(obj, "cancellation_tol", where, 1e-4, float))
+
+
+def _ga_from(obj, key: str) -> GaConfig:
+    """A GA budget: the operators are constants and the seed is the run's,
+    so any key but these two is unknown."""
+    where = f"config {key}"
+    budget = _field(obj, key, "config", {}, dict)
+    unknown = sorted(set(budget) - {"population", "max_generations"})
+    if unknown:
+        raise ParseError(f"{where} options {unknown} are unknown")
+    return _build(GaConfig, where,
+                  **{k: _field(budget, k, where, kind=int) for k in budget})
 
 
 def config_from_obj(obj) -> RunConfig:
-    obj = _object(obj or {}, "config")
+    def optional(key, read):
+        value = _field(obj, key, "config", None)
+        return None if value is None else read(value)
+
     return RunConfig(
-        grid=_grid_from(obj.get("grid")),
-        constraints=(_constraints_from(obj["constraints"])
-                     if "constraints" in obj else None),
-        target=_target_from(obj["target"]) if "target" in obj else None,
-        ga_scp=obj.get("ga_scp", {}),
-        ga_rssd=obj.get("ga_rssd", {}),
-        seed=(None if obj.get("seed") is None
-              else _number(obj["seed"], "config seed", integer=True)),
+        grid=optional("grid", _grid_from) or FrequencyGrid.default(),
+        constraints=optional("constraints", _constraints_from),
+        target=optional("target", _target_from),
+        ga_scp=_ga_from(obj, "ga_scp"),
+        ga_rssd=_ga_from(obj, "ga_rssd"),
+        seed=_field(obj, "seed", "config", None, int),
     )
 
 
@@ -253,40 +292,12 @@ def load_config(path) -> RunConfig:
     return config_from_obj(_load_json(path))
 
 
-def _number(value, where: str, integer: bool = False):
-    """A finite JSON number (an integral one if ``integer``), else ParseError."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not np.isfinite(value) or (integer and value != int(value))):
-        kind = "an integer" if integer else "a finite number"
-        raise ParseError(f"{where}: expected {kind}, got {value!r}")
-    return int(value) if integer else float(value)
-
-
-def ga_config(options: dict, seed: int) -> GaConfig:
-    """GaConfig from a config's ga_scp/ga_rssd budget and the run's ``seed``."""
-    _object(options, "config GA options")
-    unknown = sorted(set(options) - {"population", "max_generations"})
-    if unknown:
-        raise ParseError(f"config GA options {unknown} are unknown")
-    opts = {key: _number(value, f"config GA option {key!r}", integer=True)
-            for key, value in options.items()}
-    try:
-        return GaConfig(seed=seed, **opts)
-    except DimensionMismatch as exc:
-        raise ParseError(f"config GA options: {exc}") from exc
-
-
 # --- scenarios --------------------------------------------------------------
 
-def _signal_from(obj, where) -> SignalSpec:
-    _object(obj, where)
-    try:
-        return SignalSpec(str(obj.get("kind", "zero")),
-                          float(obj.get("magnitude", 0.0)),
-                          float(obj.get("start", 0.0)),
-                          float(obj.get("width", 0.0)))
-    except (TypeError, ValueError, DimensionMismatch) as exc:
-        raise ParseError(f"{where}: bad signal spec ({exc})") from exc
+def _signal_from(obj, where: str) -> SignalSpec:
+    return _build(SignalSpec, where, _field(obj, "kind", where, "zero", str),
+                  *(_field(obj, k, where, 0.0, float)
+                    for k in ("magnitude", "start", "width")))
 
 
 # tracking_metrics' arguments, read from a scenario's "metrics" object
@@ -296,32 +307,21 @@ METRIC_DEFAULTS = {"error_band": 0.0087, "rms_ceiling": 0.0873,
 
 def scenario_from_obj(obj) -> tuple[Scenario, dict]:
     """(scenario, tracking_metrics keyword arguments) from a scenario object."""
-    try:
-        reference = tuple(_signal_from(s, "scenario reference")
-                          for s in obj["reference"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"scenario: missing reference list ({exc})") from exc
-    disturbance = tuple(_signal_from(s, "scenario disturbance")
-                        for s in obj.get("disturbance", ()))
-    uncertainty = None
-    if obj.get("uncertainty") is not None:
-        u = obj["uncertainty"]
-        try:
-            uncertainty = UncertaintyInjection(
-                FirstOrderSection(*(float(v) for v in u["weight"])),
-                _number(u["channel"], "scenario uncertainty channel",
-                        integer=True),
-                float(u.get("delta", 1.0)))
-        except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
-            raise ParseError(f"scenario uncertainty: {exc}") from exc
-    try:
-        scenario = Scenario(reference, disturbance, uncertainty,
-                            float(obj.get("dt", 1e-3)),
-                            float(obj.get("duration", 10.0)))
-    except (TypeError, ValueError, DimensionMismatch) as exc:
-        raise ParseError(f"scenario: {exc}") from exc
-    spec = _object(obj.get("metrics", {}), "scenario metrics")
-    metrics = {key: _number(spec.get(key, default), f"scenario metric {key!r}")
+    reference, disturbance = (
+        tuple(_signal_from(s, f"scenario {key} {i}") for i, s in
+              enumerate(_field(obj, key, "scenario", default, list)))
+        for key, default in (("reference", REQUIRED), ("disturbance", [])))
+    u = _field(obj, "uncertainty", "scenario", None)
+    where = "scenario uncertainty"
+    uncertainty = None if u is None else UncertaintyInjection(
+        _section_from(_field(u, "weight", where), f"{where} weight"),
+        _field(u, "channel", where, kind=int),
+        _field(u, "delta", where, 1.0, float))
+    scenario = _build(Scenario, "scenario", reference, disturbance, uncertainty,
+                      _field(obj, "dt", "scenario", 1e-3, float),
+                      _field(obj, "duration", "scenario", 10.0, float))
+    spec = _field(obj, "metrics", "scenario", {}, dict)
+    metrics = {key: _field(spec, key, "scenario metrics", default, float)
                for key, default in METRIC_DEFAULTS.items()}
     return scenario, metrics
 

@@ -472,3 +472,108 @@ class TestEnvironment:
                    "--out", str(tmp_path)) == 0
         assert run("vgap", FAMILY, "--grid", "nope",
                    "--out", str(tmp_path)) == 2
+
+
+def numeric_leaves(value, path=""):
+    """Dotted paths (as ``_set`` takes them) of every numeric leaf."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return [path] if numeric else []
+    return [leaf for key, item in items
+            for leaf in numeric_leaves(item, f"{path}.{key}".lstrip("."))]
+
+
+def _get(obj, path):
+    for key in path.split("."):
+        obj = obj[int(key) if key.isdigit() else key]
+    return obj
+
+
+@pytest.fixture(scope="module")
+def synthesized(tmp_path_factory):
+    """The controller that synth finds for the fixture family."""
+    out = tmp_path_factory.mktemp("synth")
+    assert run("synth", FAMILY, "--config", CONFIG, "--out", str(out)) == 0
+    return str(out / "controller.json")
+
+
+class TestLeafSweep:
+    # every numeric leaf of every committed input must be a finite JSON
+    # number (an integer where the format says so), so each bad value is a
+    # parse error (exit 3) that writes nothing
+    UNCERTAINTY = {"weight": [3.0, 923.9, 1.0, 9239.0], "channel": 0,
+                   "delta": -1.0}
+
+    def inputs(self, kind, controller):
+        """(input object, the leaves to spoil, argv with {} for its file)."""
+        if kind == "plants":
+            obj = json.loads(Path(FAMILY).read_text())
+            return obj, numeric_leaves(obj), ["vgap", "{}"]
+        if kind == "config":
+            obj = json.loads(Path(CONFIG).read_text())
+            return obj, numeric_leaves(obj), ["vgap", FAMILY, "--config", "{}"]
+        if kind == "controller":
+            obj = json.loads(Path(controller).read_text())
+            return obj, numeric_leaves(obj), ["analyze", FAMILY,
+                                              "--controller", "{}"]
+        if kind == "scenario":
+            obj = json.loads(Path(SCENARIO).read_text())
+            obj["uncertainty"] = dict(self.UNCERTAINTY)
+            return obj, numeric_leaves(obj), ["sim", FAMILY, "--controller",
+                                              controller, "--scenario", "{}"]
+        obj = json.loads((FIXTURES / "nav_defaults.json").read_text())
+        leaves = [leaf for leaf in numeric_leaves(obj)
+                  if leaf.startswith("target.") and ".entries." in leaf]
+        return obj, leaves, ["vgap", FAMILY, "--config", "{}"]
+
+    @pytest.mark.parametrize("kind", ["plants", "config", "controller",
+                                      "scenario", "nav-target-entries"])
+    def test_every_bad_leaf_parse_exit(self, tmp_path, capsys, synthesized,
+                                       kind):
+        obj, leaves, argv = self.inputs(kind, synthesized)
+        assert leaves
+        edited, out = tmp_path / "edited.json", tmp_path / "out"
+        wrong = []
+        for leaf in leaves:
+            value = _get(obj, leaf)
+            for bad in (float("nan"), float("inf"), "x", str(value), True):
+                spoiled = json.loads(json.dumps(obj))
+                _set(spoiled, leaf, bad)
+                edited.write_text(json.dumps(spoiled))
+                code = run(*(str(edited) if a == "{}" else a for a in argv),
+                           "--out", str(out))
+                if code != 3 or out.exists():
+                    wrong.append((leaf, bad, code))
+        capsys.readouterr()
+        assert wrong == []
+
+    @pytest.mark.parametrize("source, path, value, argv", [
+        # an infinite frequency bound once reached the GA's sampler
+        pytest.param(CONFIG, "target.modes.0.wn_hi", float("inf"),
+                     ["synth", FAMILY, "--config"], id="wn-hi-infinite"),
+        # a fractional state index was truncated to state 0
+        pytest.param(str(FIXTURES / "nav_defaults.json"),
+                     "target.modes.0.entries.0.state", 0.7,
+                     ["vgap", FAMILY, "--config"], id="state-fraction"),
+        # a section (0 s + 1) / (0 s + 0) was a numeric failure (exit 4)
+        pytest.param(str(FIXTURES / "nav_controller.json"), "w_in.0",
+                     [0, 1, 0, 0], ["analyze", FAMILY, "--controller"],
+                     id="section-c-d-zero"),
+        pytest.param(FAMILY, "schema", 2, ["vgap"], id="plants-schema-2"),
+        pytest.param(CONFIG, "ga_scp.population", "abc",
+                     ["vgap", FAMILY, "--config"], id="vgap-reads-ga-budget"),
+    ])
+    def test_named_defects_parse_exit(self, tmp_path, capsys, source, path,
+                                      value, argv):
+        obj = json.loads(Path(source).read_text())
+        _set(obj, path, value)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        assert run(*argv, str(edited), "--out", str(out)) == 3
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()

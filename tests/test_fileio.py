@@ -40,6 +40,23 @@ class TestPlantSetIO:
         with pytest.raises(ParseError):
             fileio.load_plantset(path)
 
+    @pytest.mark.parametrize("labels", [["x", "x"], ["a/b", "c"],
+                                        ["a\\b", "c"]])
+    def test_labels_checked_on_load(self, labels):
+        obj = fileio.plantset_obj(PlantSet(tuple(
+            StateSpacePlant.siso(-1.0, 1.0, label) for label in labels)))
+        with pytest.raises(ParseError, match="label"):
+            fileio.plantset_from_obj(obj)
+
+    def test_schema_optional_but_checked(self):
+        obj = fileio.plantset_obj(PlantSet((StateSpacePlant.siso(-1.0, 1.0),)))
+        del obj["schema"]
+        assert len(fileio.plantset_from_obj(obj)) == 1
+        for schema in (2, "1", True):
+            obj["schema"] = schema
+            with pytest.raises(ParseError, match="schema"):
+                fileio.plantset_from_obj(obj)
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
@@ -66,8 +83,8 @@ class TestConfig:
         cfg = fileio.load_config(FIXTURES / "nav_defaults.json")
         assert cfg.target.zeta_min == pytest.approx(0.3)
         assert cfg.constraints.dc_floor_db == pytest.approx(6.0)
-        assert cfg.ga_scp["max_generations"] == 20
-        assert cfg.ga_rssd["max_generations"] == 1000
+        assert cfg.ga_scp.max_generations == 20
+        assert cfg.ga_rssd.max_generations == 1000
         assert cfg.seed == 1
 
     def test_defaults_contain_published_coefficients(self):
