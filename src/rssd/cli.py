@@ -33,6 +33,7 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 
+
 _FLAGS = {
     "--config": {"help": "run-configuration JSON file"},
     "--seed": {"type": int, "help": "override the config seed"},
@@ -119,6 +120,8 @@ def cmd_vgap(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.seed is not None and args.seed < 0:  # numpy's generators refuse it
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     pset = fileio.load_plantset(args.plantset)
     cfg, grid, out = _resolve(args)
     seed = args.seed if args.seed is not None else cfg.seed

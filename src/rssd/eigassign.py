@@ -31,6 +31,8 @@ class EntryConstraint:
     im_hi: float = 0.0
 
     def __post_init__(self):
+        if self.state < 0:
+            raise DimensionMismatch(f"entry state {self.state} is negative")
         if self.re_lo > self.re_hi or self.im_lo > self.im_hi:
             raise DimensionMismatch("empty bound box")
 
@@ -78,6 +80,16 @@ class EigTarget:
             raise DimensionMismatch("zeta_min must be in (0, 1)")
         object.__setattr__(self, "modes", tuple(self.modes))
 
+    def require_states(self, n: int):
+        """DimensionMismatch unless every constrained entry names one of the
+        n states of the plant the modes are assigned to."""
+        for mode in self.modes:
+            for e in mode.entries:
+                if e.state >= n:
+                    raise DimensionMismatch(
+                        f"entry state {e.state} is not below the augmented "
+                        f"central plant's order {n}")
+
 
 @dataclass(frozen=True)
 class SubspaceBasis:
@@ -111,10 +123,11 @@ def allowable_subspace(A, B, lam: complex) -> SubspaceBasis:
         block = np.hstack([A - lam.real * eye, B])
     else:
         sig, wd = lam.real, lam.imag
-        block = np.block([
-            [A - sig * eye, wd * eye, B, np.zeros((n, m))],
-            [-wd * eye, A - sig * eye, np.zeros((n, m)), B],
-        ])
+        block = np.zeros((2 * n, 2 * (n + m)))
+        block[:n, :n] = block[n:, n:2 * n] = A - sig * eye
+        block[:n, n:2 * n] = wd * eye
+        block[n:, :n] = -wd * eye
+        block[:n, 2 * n:2 * n + m] = block[n:, 2 * n + m:] = B
     _, sv, vt = np.linalg.svd(block)
     tol = NULLSPACE_RTOL * (sv[0] if sv.size else 1.0)
     rank = int(np.count_nonzero(sv > tol))
@@ -171,6 +184,8 @@ def select_vectors(subspaces, target: EigTarget, entry_values) -> tuple[np.ndarr
     """
     if len(subspaces) != len(target.modes):
         raise DimensionMismatch("one subspace required per desired mode")
+    for sub in subspaces:
+        target.require_states(sub.n)
     r_cols, w_cols = [], []
     for sub, mode, values in zip(subspaces, target.modes, entry_values):
         vec = _pick_member(sub, mode.entries, values)

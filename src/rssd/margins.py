@@ -121,10 +121,12 @@ def crossings(sys: StateSpacePlant, gamma: float) -> np.ndarray:
     try:
         r_inv = np.linalg.inv(gamma**2 * np.eye(sys.m) - D.T @ D)
         ah = A + B @ r_inv @ D.T @ C
-        H = np.block([
-            [ah, B @ r_inv @ B.T],
-            [-C.T @ (np.eye(sys.r) + D @ r_inv @ D.T) @ C, -ah.T],
-        ])
+        n = sys.n
+        H = np.empty((2 * n, 2 * n))
+        H[:n, :n] = ah
+        H[:n, n:] = B @ r_inv @ B.T
+        H[n:, :n] = -C.T @ (np.eye(sys.r) + D @ r_inv @ D.T) @ C
+        H[n:, n:] = -ah.T
         lam = np.linalg.eigvals(H)
     except np.linalg.LinAlgError as exc:
         raise ComputationFailed(f"Hamiltonian eigen-solve failed: {exc}") from exc

@@ -36,7 +36,7 @@ from .errors import (
 from .lti import CompensatorBank, FrequencyGrid, PlantSet, StateSpacePlant, augment_plant
 from .margins import closed_loop, gsm, linf_norm
 from .scp import ScpConstraints, check_constraints, decode_banks, j1_fitness
-from .vgap import central_plant
+from .vgap import central_plant, sample
 
 PENALTY = 1e18
 JBAR_FLOOR = 1e-3  # keeps the feasibility test J2 < 1/J1bar satisfiable at eps=0
@@ -66,6 +66,8 @@ class GaConfig:
             raise DimensionMismatch("max_generations must be >= 0")
         if self.seed is None:
             raise DimensionMismatch("seed is required")
+        if self.seed < 0:
+            raise DimensionMismatch(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -302,7 +304,8 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
     """Full two-level synthesis; infeasibility is a report state, not an error."""
     grid = grid or FrequencyGrid.default()
     constraints.require_banks(pset.m, pset.r)
-    jbar0 = max(central_plant(pset, grid).epsilon, JBAR_FLOOR)
+    samples = [sample(p, grid) for p in pset]  # every J1 reuses them
+    jbar0 = max(central_plant(samples, grid).epsilon, JBAR_FLOOR)
     state = {
         "jbar": jbar0,
         "history": [],
@@ -313,6 +316,7 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
     inner_boxes = rssd_boxes(target)
 
     def run_inner(p_cp, cp_idx, w_in, w_out):
+        target.require_states(p_cp.n)
         state["invocations"] += 1
         inner_seed = int(np.random.SeedSequence(
             [rssd_cfg.seed, state["invocations"]]).generate_state(1)[0])
@@ -342,7 +346,7 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
         report = check_constraints(w_in, w_out, pset, constraints)
         if not report.passed:
             return 1.0 + len(report.reasons)
-        j1, cp_idx, p_cp = j1_fitness(w_in, w_out, pset, grid)
+        j1, cp_idx, p_cp = j1_fitness(w_in, w_out, samples, grid)
         if j1 < state["jbar"]:
             state["jbar"] = max(j1, JBAR_FLOOR)
             state["history"].append(state["jbar"])

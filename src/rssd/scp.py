@@ -23,9 +23,10 @@ from .lti import (
     StateSpacePlant,
     augment_plant,
     eval_response,
+    realize_bank,
 )
 from .margins import crossings
-from .vgap import central_plant
+from .vgap import SampledPlant, central_plant, sample
 
 FEEDTHROUGH_TOL = 1e-6  # |1 - s^2| of a singular value s of D: H(1) undecided
 BAND_EDGE_RTOL = 1e-9  # a crossing this close outside the band is on its edge
@@ -201,9 +202,28 @@ def check_constraints(w_in: CompensatorBank, w_out: CompensatorBank,
     return ConstraintReport(len(reasons) == 0, tuple(reasons))
 
 
-def j1_fitness(w_in: CompensatorBank, w_out: CompensatorBank, pset: PlantSet,
+def j1_fitness(w_in: CompensatorBank, w_out: CompensatorBank, members,
                grid: FrequencyGrid):
-    """(J1, central index, augmented central plant) for the augmented set."""
-    augmented = PlantSet(tuple(augment_plant(w_out, p, w_in) for p in pset))
+    """(J1, central index, augmented central plant) for the augmented set
+    {W_out P_i W_in}.
+
+    ``members`` are the raw plants P_i, a PlantSet or a sequence whose
+    entries may already be sampled on ``grid`` (``vgap.sample``), as
+    ``run_nn_rssd`` passes them, so that only the banks' work is redone per
+    genome.  Each augmented member's grid response is the product
+    W_out(jw) P_i(jw) W_in(jw) of the banks' responses and the member's;
+    its ``augment_plant`` realization gives the pole counts, the winding
+    test and the responses off the grid.
+    """
+    s = 1j * grid.points
+    # the banks are diagonal: scale P_i's rows and columns by their entries
+    post = np.diagonal(eval_response(realize_bank(w_out), s), axis1=1, axis2=2)
+    pre = np.diagonal(eval_response(realize_bank(w_in), s), axis1=1, axis2=2)
+    augmented = []
+    for p in members:
+        raw = sample(p, grid)
+        aug = augment_plant(w_out, raw.plant, w_in)
+        response = post[:, :, None] * raw.response * pre[:, None, :]
+        augmented.append(SampledPlant.of(aug, grid, response))
     result = central_plant(augmented, grid)
-    return result.epsilon, result.index, augmented[result.index]
+    return result.epsilon, result.index, augmented[result.index].plant

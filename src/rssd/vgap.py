@@ -10,18 +10,24 @@ P2(-s)^T, which keeps them well defined for non-square plants and makes the
 gap symmetric for mixed stable/unstable pairs, and decided exactly from the
 eigenvalues of one state-space realization of I + P2~ P1 and its inverse
 (Vinnicombe, IEEE TAC 38(9), 1993): the grid carries only the peak of Psi.
-Every member of a set is evaluated once on the grid; each pair then only
-combines the stored responses and factors.
+Every member of a set is evaluated once on the grid (``sample``); each
+pair then only combines the stored responses and factors.  A caller that
+already has a member's grid response, such as a product of factors it
+sampled itself, builds the sample from it (``SampledPlant.of``).
 
 ``central_plant`` needs only min_i max_j delta_ij and its index, so it
-prunes: the grid maximum of sigma_max Psi is a lower bound on each delta
-(the refined peak never falls below it, and a pair failing the winding
-condition reads 1, which sigma_max Psi never exceeds), and a row whose bound
-already loses to the best row found is never evaluated exactly.
+prunes: the maximum of sigma_max Psi over any grid subset is a lower bound
+on each delta (the refined peak never falls below the grid maximum, and a
+pair failing the winding condition reads 1, which sigma_max Psi never
+exceeds).  Rows are ranked first on every ``COARSE_STRIDE``-th grid point,
+a row's bound is retaken on the full grid only when it reaches the front,
+and a row whose bound already loses to the best row found is never
+evaluated exactly.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +46,9 @@ from .sweep import grid_peak
 # An eigenvalue of A_z this close (relative) to an imaginary-axis eigenvalue
 # of A_x lies inside the contour's right indentation around that pole.
 SHARED_AXIS_RTOL = 1e-6
+# central_plant first bounds each pair by sigma_max Psi at every this many
+# grid points; most rows are never bounded on the full grid.
+COARSE_STRIDE = 8
 
 
 @dataclass(frozen=True)
@@ -66,20 +75,24 @@ class SampledPlant:
     right: np.ndarray
     poles: tuple[int, int]
 
+    @staticmethod
+    def of(plant: StateSpacePlant, grid: FrequencyGrid,
+           response: np.ndarray) -> "SampledPlant":
+        """``plant`` with ``response``, its value at 1j * grid.points."""
+        left, right = _factors(response)
+        return SampledPlant(plant, grid, response, left, right,
+                            pole_counts(plant))
 
-def sample(plant: StateSpacePlant, grid: FrequencyGrid) -> SampledPlant:
-    """Evaluate ``plant`` once on ``grid`` for any number of nu-gap pairs."""
-    resp = eval_response(plant, 1j * grid.points)
-    left, right = _factors(resp)
-    return SampledPlant(plant, grid, resp, left, right, pole_counts(plant))
 
-
-def _sampled(p, grid: FrequencyGrid) -> SampledPlant:
-    if not isinstance(p, SampledPlant):
-        return sample(p, grid)
-    if p.grid is not grid:
-        raise DimensionMismatch("plant was sampled on a different grid")
-    return p
+def sample(plant: StateSpacePlant | SampledPlant,
+           grid: FrequencyGrid) -> SampledPlant:
+    """Evaluate ``plant`` once on ``grid`` for any number of nu-gap pairs; a
+    plant already sampled on ``grid`` is returned as it is."""
+    if isinstance(plant, SampledPlant):
+        if plant.grid is not grid:
+            raise DimensionMismatch("plant was sampled on a different grid")
+        return plant
+    return SampledPlant.of(plant, grid, eval_response(plant, 1j * grid.points))
 
 
 def _rhp_count(eig: np.ndarray) -> int:
@@ -171,6 +184,14 @@ def _sigma_max(mats):
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
+def _grid_sigma(s1: SampledPlant, s2: SampledPlant, points=slice(None)):
+    """sigma_max of Psi(P1(jw), P2(jw)) at the grid points ``points`` selects,
+    read from the samples; each point's value does not depend on the others
+    selected."""
+    return _sigma_max(s2.left[points] @ (s1.response[points] - s2.response[points])
+                      @ s1.right[points])
+
+
 def _psi_sigma(s1: SampledPlant, s2: SampledPlant):
     """sigma_max of Psi(P1(jw), P2(jw)) as a batch function of omega.
 
@@ -183,8 +204,7 @@ def _psi_sigma(s1: SampledPlant, s2: SampledPlant):
     def fun(omegas):
         if omegas is s1.grid.points:
             if not on_grid:
-                on_grid.append(_sigma_max(s2.left @ (s1.response - s2.response)
-                                          @ s1.right))
+                on_grid.append(_grid_sigma(s1, s2))
             return on_grid[0]
         s = 1j * np.asarray(omegas, dtype=float)
         r1 = eval_response(s1.plant, s)
@@ -218,7 +238,7 @@ def nu_gap(p1: StateSpacePlant | SampledPlant, p2: StateSpacePlant | SampledPlan
 
     Either plant may be passed already sampled on ``grid``.
     """
-    s1, s2 = _sampled(p1, grid), _sampled(p2, grid)
+    s1, s2 = sample(p1, grid), sample(p2, grid)
     return _pair_gap(s1, s2, _psi_sigma(s1, s2))
 
 
@@ -240,37 +260,51 @@ def central_from_matrix(mat: np.ndarray) -> CentralPlantResult:
     return CentralPlantResult(index, float(row_max[index]))
 
 
-def central_plant(pset: PlantSet, grid: FrequencyGrid) -> CentralPlantResult:
+def central_plant(members, grid: FrequencyGrid) -> CentralPlantResult:
     """Plant with the smallest maximum nu-gap; ties break to smallest index.
 
-    Returns ``central_from_matrix(gap_matrix(pset, grid))`` bit for bit,
-    evaluating only the rows that can still decide it.  Each pair's clipped
-    grid maximum of sigma_max Psi is a lower bound on its gap, and a row's
-    largest bound one on its maximum.  Rows are visited in ascending
-    (bound, index); once a row's (bound, index) exceeds the best (row
-    maximum, index) found so far, neither it nor any later row can win.  A
-    row that can still win evaluates all its pairs exactly, in
+    ``members``: plants, each a StateSpacePlant or already sampled on
+    ``grid``.  Returns ``central_from_matrix(gap_matrix(members, grid))`` bit
+    for bit, evaluating only the rows that can still decide it.  A pair's
+    clipped maximum of sigma_max Psi over any grid points is a lower bound
+    on its gap, and a row's largest bound one on its maximum.  Rows leave a
+    queue in ascending (bound, index), first bounded on every
+    ``COARSE_STRIDE``-th point.  A row leaving on that bound is queued anew
+    on its full-grid bound (the values ``grid_peak`` starts from); a row
+    leaving on its full-grid bound evaluates all its pairs exactly, in
     ``gap_matrix``'s operand order, so its maximum equals the matrix's.
+    Once the front (bound, index) exceeds the best (row maximum, index)
+    found, no queued row can win.  So rows are evaluated exactly in the
+    order, and up to the row, that full-grid bounds alone would give.
     Exact values are kept, so no pair is evaluated twice.  A pair failing
     the winding condition reads 1 while its bound may be far below, so both
     of its rows can survive; sets holding such pairs do evaluate more than
     one row.
     """
-    samples = [sample(p, grid) for p in pset]
+    samples = [sample(p, grid) for p in members]
     n = len(samples)
+    coarse = slice(None, None, COARSE_STRIDE)
     psi, low = {}, np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             psi[i, j] = _psi_sigma(samples[i], samples[j])
-            low[i, j] = low[j, i] = _clip(psi[i, j](grid.points).max())
-    row_low = low.max(axis=1)
+            low[i, j] = low[j, i] = _clip(
+                _grid_sigma(samples[i], samples[j], coarse).max())
+    queue = [(bound, i, False) for i, bound in enumerate(low.max(axis=1))]
+    heapq.heapify(queue)
 
     best = (np.inf, n)  # (row maximum, index) of the best row so far
     exact = {}
-    for i in sorted(range(n), key=lambda i: (row_low[i], i)):
-        if (row_low[i], i) > best:
+    while queue:
+        bound, i, full = heapq.heappop(queue)
+        if (bound, i) > best:
             break
         pairs = [(min(i, j), max(i, j)) for j in range(n) if j != i]
+        if not full:
+            bound = max((_clip(psi[p](grid.points).max()) for p in pairs),
+                        default=0.0)
+            heapq.heappush(queue, (bound, i, True))
+            continue
         for a, b in pairs:
             if (a, b) not in exact:
                 exact[a, b] = _pair_gap(samples[a], samples[b], psi[a, b]).value

@@ -143,6 +143,27 @@ class TestSynthCommand:
         assert run("synth", FAMILY, "--config", str(path),
                    "--out", str(tmp_path)) == 2
 
+    def test_negative_seed_usage_error(self, tmp_path, capsys):
+        # numpy's generators take no negative seed: it ended in a traceback
+        out = tmp_path / "out"
+        assert run("synth", FAMILY, "--config", CONFIG, "--seed", "-1",
+                   "--out", str(out)) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_entry_state_beyond_the_plant_exit_3(self, tmp_path, capsys):
+        # the fixture's augmented plants have one state; state 5 was an
+        # IndexError inside the inner search
+        cfg = json.loads(Path(CONFIG).read_text())
+        cfg["target"]["modes"][0]["entries"] = [
+            {"state": 5, "re_lo": -1, "re_hi": 1}]
+        path = tmp_path / "state5.json"
+        path.write_text(json.dumps(cfg))
+        assert run("synth", FAMILY, "--config", str(path),
+                   "--out", str(tmp_path)) == 3
+        assert ("entry state 5 is not below the augmented central plant's "
+                "order 1") in capsys.readouterr().err
+
     def test_zero_generations_infeasible_normal_exit(self, tmp_path):
         cfg = json.loads(Path(CONFIG).read_text())
         cfg["ga_scp"]["max_generations"] = 0

@@ -1,5 +1,6 @@
 """Contracts with code outside src/: the benchmark's tracer wraps rssd
-functions by name, and README's library example runs as written."""
+functions by name, its set-up writes inputs through rssd.fileio, and
+README's library example runs as written."""
 
 import contextlib
 import importlib
@@ -25,6 +26,28 @@ def test_tracer_targets_resolve(monkeypatch):
     for module, name, _, _ in tracer.TARGETS:
         fn = getattr(importlib.import_module(f"rssd.{module}"), name, None)
         assert callable(fn), f"rssd.{module}.{name}"
+
+
+def test_benchmark_inputs_written_and_read(monkeypatch, tmp_path):
+    # perfbench/workloads.py writes every workload's inputs with rssd's own
+    # constructors and writers; an API change that breaks it fails here
+    # rather than in the benchmark's set-up run
+    from rssd import fileio
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        out = tmp_path / name
+        workloads.write_inputs(name, 1, out)
+        pset = fileio.load_plantset(out / "plants.json")
+        cfg = fileio.load_config(out / "config.json")
+        assert cfg.constraints is not None and cfg.target is not None
+        cfg.constraints.require_banks(pset.m, pset.r)
+        if (out / "scenario.json").exists():
+            fileio.load_scenario(out / "scenario.json")
 
 
 def test_readme_library_example():

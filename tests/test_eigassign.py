@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from rssd.errors import BoundViolation, EmptySubspace, IllConditioned
+from rssd.errors import (
+    BoundViolation,
+    DimensionMismatch,
+    EmptySubspace,
+    IllConditioned,
+)
 from rssd.eigassign import (
     EigTarget,
     EntryConstraint,
@@ -118,6 +123,22 @@ class TestEntryConstraints:
         target = EigTarget((mode,), zeta_min=0.5)
         with pytest.raises(BoundViolation):
             select_vectors([sub], target, ((0.95,),))
+
+    def test_negative_state_rejected(self):
+        # it read the basis's last row, an input direction
+        with pytest.raises(DimensionMismatch, match="negative"):
+            EntryConstraint(-1, 0.4, 0.6)
+
+    @pytest.mark.parametrize("lam", [-1.0, complex(-1.0, 2.0)])
+    def test_state_beyond_the_plant_rejected(self, lam):
+        # state 2 of a 2-state plant is the input row of a real basis and
+        # beyond a complex one's rows
+        A, B, _ = double_integrator()
+        mode = ModeTarget("real" if lam.imag == 0 else "complex", 0.5, 3.0,
+                          entries=(EntryConstraint(2, 0.4, 0.6),))
+        target = EigTarget((mode,), zeta_min=0.3)
+        with pytest.raises(DimensionMismatch, match="state 2 .* order 2"):
+            select_vectors([allowable_subspace(A, B, lam)], target, ((0.5,),))
 
 
 class TestDampingRegion:

@@ -3,6 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
+import rssd.lti
+import rssd.margins
+import rssd.nn_rssd
+import rssd.scp
+import rssd.vgap
 from conftest import identity_banks, mimo_family
 from rssd.eigassign import EigTarget, EntryConstraint, ModeTarget
 from rssd.errors import DimensionMismatch
@@ -125,6 +130,11 @@ class TestGaMinimize:
         with pytest.raises(DimensionMismatch):
             GaConfig(population=2, seed=0)
 
+    def test_negative_seed_rejected(self):
+        # numpy's default_rng would raise a bare ValueError at the first run
+        with pytest.raises(DimensionMismatch, match="seed must be >= 0"):
+            GaConfig(seed=-1)
+
     def test_genes_stay_in_boxes(self):
         cfg = GaConfig(population=12, max_generations=10, seed=5)
         seen = []
@@ -241,6 +251,35 @@ class TestRunNnRssd:
         assert not report.feasible
         assert report.j1_history == []
         assert report.gain is None
+
+    def test_each_member_sampled_once_per_run(self, grid, monkeypatch):
+        # every J1 reuses the members' grid responses and evaluates only
+        # its two banks on the grid; an empty inner budget never certifies,
+        # so the outer search runs its whole budget
+        pset = family()
+        constraints, target = family_setup()
+        evaluated, j1_calls = [], []
+
+        def counted(plant, s_values, _fn=rssd.vgap.eval_response):
+            if np.size(s_values) == grid.points.size:
+                evaluated.append(plant)
+            return _fn(plant, s_values)
+
+        def j1_counted(*args, _fn=rssd.nn_rssd.j1_fitness):
+            j1_calls.append(args)
+            return _fn(*args)
+
+        for module in (rssd.vgap, rssd.scp, rssd.lti, rssd.margins):
+            monkeypatch.setattr(module, "eval_response", counted)
+        monkeypatch.setattr(rssd.nn_rssd, "j1_fitness", j1_counted)
+        run_nn_rssd(pset, constraints, target,
+                    GaConfig(population=6, max_generations=2, seed=7),
+                    GaConfig(population=4, max_generations=0, seed=11), grid)
+        assert len(j1_calls) >= 2
+        for p in pset:
+            assert sum(q is p for q in evaluated) == 1
+        banks = [q.label for q in evaluated if all(q is not p for p in pset)]
+        assert banks == ["bank_out", "bank_in"] * len(j1_calls)
 
     def test_degenerate_singleton_uses_floor(self, grid):
         pset = PlantSet((StateSpacePlant.siso(1.0, 1.0, label="only"),))

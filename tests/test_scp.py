@@ -12,6 +12,7 @@ from rssd.lti import (
     PlantSet,
     StateSpacePlant,
     augment_plant,
+    eval_response,
 )
 from rssd.margins import linf_norm
 from rssd.scp import (
@@ -21,6 +22,7 @@ from rssd.scp import (
     j1_fitness,
     transmission_zeros,
 )
+from rssd.vgap import central_plant
 
 
 def static_trio():
@@ -324,3 +326,55 @@ class TestJ1Fitness:
         w_out = w_in
         base, _, _ = j1_fitness(w_in, w_out, static_trio(), grid)
         assert base > 0
+
+    def test_product_route_matches_augmented_state_space(self, grid,
+                                                         monkeypatch):
+        # static banks (every seeded workload's) and dynamic ones: the grid
+        # samples J1 builds from bank products are the augmented plants'
+        pset = mimo_family(2, 3)
+        static = tuple(FirstOrderSection(0.0, b, 0.0, 1.0) for b in
+                       (0.2, 1.1, 0.7, 1.4, 0.3, 0.9, 1.2, 0.5))
+        dynamic = tuple(FirstOrderSection(a, b, c, d) for a, b, c, d in
+                        ((0.5, 2.0, 1.0, 3.0), (0.0, 1.0, 0.2, 1.0),
+                         (1.0, 0.3, 1.0, 0.4), (0.0, 2.0, 0.5, 1.0),
+                         (2.0, 1.0, 1.0, 2.0), (0.0, 0.8, 0.0, 1.0),
+                         (1.0, 5.0, 0.1, 2.0), (0.3, 0.3, 1.0, 1.0)))
+        captured = []
+
+        def spy(members, g):
+            captured[:] = members
+            return central_plant(members, g)
+
+        monkeypatch.setattr(rssd.scp, "central_plant", spy)
+        for sections in (static, dynamic):
+            w_in = CompensatorBank(sections[:3], "in")
+            w_out = CompensatorBank(sections[3:], "out")
+            j1_fitness(w_in, w_out, pset, grid)
+            assert len(captured) == len(pset)
+            for got, p in zip(captured, pset):
+                aug = augment_plant(w_out, p, w_in)
+                assert all(np.array_equal(getattr(got.plant, k), getattr(aug, k))
+                           for k in "ABCD")
+                want = eval_response(aug, 1j * grid.points)
+                err = np.linalg.norm(got.response - want, axis=(1, 2))
+                assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
+
+    def test_static_banks_equal_scaled_members(self, grid):
+        # W_out P W_in with static banks is the member with B diag(W_in)
+        # and diag(W_out) C under identity banks
+        pset = mimo_family(2, 3)
+        w_in = CompensatorBank(tuple(FirstOrderSection(0.0, b, 0.0, d)
+                                     for b, d in ((0.3, 1.0), (1.2, 2.0),
+                                                  (0.9, 0.5))), "in")
+        w_out = CompensatorBank(tuple(FirstOrderSection(0.0, b, 0.0, 1.0)
+                                      for b in (1.4, 0.2, 0.8, 1.1, 0.6)),
+                                "out")
+        g_in = np.diag([s.b / s.d for s in w_in.sections])
+        g_out = np.diag([s.b / s.d for s in w_out.sections])
+        scaled = PlantSet(tuple(
+            StateSpacePlant(p.A, p.B @ g_in, g_out @ p.C, g_out @ p.D @ g_in,
+                            p.label) for p in pset))
+        j1, idx, _ = j1_fitness(w_in, w_out, pset, grid)
+        ref, ref_idx, _ = j1_fitness(*identity_banks(3, 5), scaled, grid)
+        assert idx == ref_idx
+        assert j1 == pytest.approx(ref, rel=1e-13, abs=0.0)

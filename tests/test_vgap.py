@@ -8,6 +8,7 @@ from conftest import random_siso, random_stable_siso
 from rssd.errors import DetVanishesOnContour
 from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, cascade, eval_response
 from rssd.vgap import (
+    COARSE_STRIDE,
     central_from_matrix,
     central_plant,
     gap_matrix,
@@ -175,6 +176,66 @@ def reference_winding(p1, p2, indent=1e-3, radius=1e6, num=4000):
     assert np.max(np.abs(steps)) < np.pi / 2, "reference contour too coarse"
     # the closed path runs clockwise around the right half-plane
     return int(np.rint(-steps.sum() / (2.0 * np.pi)))
+
+
+def seeded_families():
+    """The 24 families of the bitwise pruning test, then those seeded 43
+    (five members, well-separated rows) and 47 (three members)."""
+    for seed in range(24):
+        rng = np.random.default_rng(200 + seed)
+        size = 1 + seed % 6
+        m, r = (1, 1) if seed % 12 < 6 else (3, 5)
+        if seed < 12:
+            D = 0.3 * rng.normal(size=(r, m))
+            yield PlantSet(tuple(StateSpacePlant(p.A, p.B, p.C, D)
+                                 for p in random_family(rng, size, m, r)))
+        else:
+            yield axis_chain(rng, size, m, r)
+    yield random_family(np.random.default_rng(43), 5, 3, 5)
+    yield random_family(np.random.default_rng(47), 3, 3, 5)
+
+
+def row_bounds(pset, grid):
+    """Each row's largest clipped grid sigma_max Psi: on every
+    COARSE_STRIDE-th grid point, and on the full grid."""
+    samples = [sample(p, grid) for p in pset]
+    n = len(pset)
+    coarse, full = np.zeros((n, n)), np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            values = np.clip(rssd.vgap._grid_sigma(samples[i], samples[j]), 0, 1)
+            coarse[i, j] = coarse[j, i] = values[::COARSE_STRIDE].max()
+            full[i, j] = full[j, i] = values.max()
+    return coarse.max(axis=1), full.max(axis=1)
+
+
+def full_bound_search(mat, full_rows):
+    """Pairs a search ranking rows by their full-grid bounds alone evaluates
+    exactly: rows in ascending (bound, index) until one cannot win."""
+    n = len(mat)
+    best, pairs = (np.inf, n), set()
+    for i in sorted(range(n), key=lambda i: (full_rows[i], i)):
+        if (full_rows[i], i) > best:
+            break
+        pairs |= {(min(i, j), max(i, j)) for j in range(n) if j != i}
+        best = min(best, (mat[i].max(), i))
+    return pairs
+
+
+def exact_pairs(pset, grid, monkeypatch):
+    """central_plant's result and the index pairs it ran the winding test
+    on, which every exactly evaluated pair does first."""
+    index = {id(p): k for k, p in enumerate(pset)}
+    pairs = []
+
+    def counted(p1, p2, _fn=rssd.vgap.winding_number_det):
+        pairs.append((index[id(p1)], index[id(p2)]))
+        return _fn(p1, p2)
+
+    monkeypatch.setattr(rssd.vgap, "winding_number_det", counted)
+    result = central_plant(pset, grid)
+    monkeypatch.undo()
+    return result, pairs
 
 
 class TestPoleCounts:
@@ -385,6 +446,57 @@ class TestCentralPlant:
         central_plant(pset, coarse_grid)
         assert 0 < calls["winding_number_det"] <= len(pset) - 1
         assert 0 < calls["grid_peak"] <= len(pset) - 1
+
+    def test_exact_pairs_those_of_the_full_bound_search(self, coarse_grid,
+                                                        monkeypatch):
+        # ranking on coarse bounds first changes which bounds are formed,
+        # never which pairs are evaluated exactly: 77 over these families
+        total = 0
+        for pset in seeded_families():
+            result, pairs = exact_pairs(pset, coarse_grid, monkeypatch)
+            mat = gap_matrix(pset, coarse_grid)
+            assert result == central_from_matrix(mat)
+            assert len(pairs) == len(set(pairs))
+            assert set(pairs) == full_bound_search(mat, row_bounds(
+                pset, coarse_grid)[1])
+            total += len(pairs)
+        assert total == 77
+
+    def test_full_grid_bound_prunes_a_row_the_coarse_one_keeps(
+            self, coarse_grid, monkeypatch):
+        pset = random_family(np.random.default_rng(72), 4, 1, 1)
+        oracle = central_from_matrix(gap_matrix(pset, coarse_grid))
+        coarse, full = row_bounds(pset, coarse_grid)
+        best = (oracle.epsilon, oracle.index)
+        kept = [i for i in range(4)
+                if i != oracle.index and (coarse[i], i) <= best < (full[i], i)]
+        assert kept
+        result, pairs = exact_pairs(pset, coarse_grid, monkeypatch)
+        assert result == oracle
+        assert len(pairs) == len(pset) - 1
+
+    def test_central_row_not_first_on_coarse_bounds(self, coarse_grid,
+                                                    monkeypatch):
+        # the central row is still the first evaluated exactly, as its
+        # full-grid bound is the smallest
+        pset = random_family(np.random.default_rng(148), 4, 3, 5)
+        mat = gap_matrix(pset, coarse_grid)
+        oracle = central_from_matrix(mat)
+        coarse, full = row_bounds(pset, coarse_grid)
+        assert min(range(4), key=lambda i: (coarse[i], i)) != oracle.index
+        result, pairs = exact_pairs(pset, coarse_grid, monkeypatch)
+        assert result == oracle
+        assert set(pairs) == full_bound_search(mat, full)
+        assert all(oracle.index in pair for pair in pairs[:len(pset) - 1])
+
+    def test_coarse_values_are_the_grids_own(self, coarse_grid):
+        # each coarse bound is a maximum over a subset of the very values
+        # the full grid holds, so it never exceeds the full-grid bound
+        pset = random_family(np.random.default_rng(39), 2, 3, 5)
+        s1, s2 = (sample(p, coarse_grid) for p in pset)
+        full = rssd.vgap._grid_sigma(s1, s2)
+        coarse = rssd.vgap._grid_sigma(s1, s2, slice(None, None, COARSE_STRIDE))
+        assert np.array_equal(coarse, full[::COARSE_STRIDE])
 
 
 class TestSampling:
