@@ -115,16 +115,19 @@ class UncertaintyBounds:
 def crossings(sys: StateSpacePlant, gamma: float) -> np.ndarray:
     """Sorted w >= 0 where gamma is a singular value of sys(jw): the imaginary
     eigenvalues of the Bruinsma-Steinbuch Hamiltonian H(gamma) (Syst. Control
-    Lett. 14, 1990), with gamma^2 I - D^T D invertible.  The axis test is
-    looser than the pole test, so a near-touch of gamma counts as a crossing."""
+    Lett. 14, 1990), with gamma^2 I - D^T D invertible.  H is real, so a
+    crossing appears once per eigenvalue of its +-jw pair: twice, or more
+    where the pair is repeated.  The axis test is looser than the pole test,
+    so a near-touch of gamma counts as a crossing."""
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     try:
         r_inv = np.linalg.inv(gamma**2 * np.eye(sys.m) - D.T @ D)
-        ah = A + B @ r_inv @ D.T @ C
+        b_r = B @ r_inv
+        ah = A + b_r @ D.T @ C
         n = sys.n
         H = np.empty((2 * n, 2 * n))
         H[:n, :n] = ah
-        H[:n, n:] = B @ r_inv @ B.T
+        H[:n, n:] = b_r @ B.T
         H[n:, :n] = -C.T @ (np.eye(sys.r) + D @ r_inv @ D.T) @ C
         H[n:, n:] = -ah.T
         lam = np.linalg.eigvals(H)
@@ -139,9 +142,11 @@ def linf_norm(sys: StateSpacePlant, poles=None) -> tuple[float, float]:
     Bruinsma-Steinbuch iteration: starting from the best of w = 0, |lambda|,
     |Im lambda| and infinity, the lower bound lb rises to sigma_max at the
     ``crossings`` of gamma = (1 + 2 LINF_TOL) lb and their midpoints until
-    none beats it; gamma is then an upper bound on the norm.  Returns
-    (gamma, frequency of lb).  Imaginary-axis poles make the norm infinite;
-    the offending pole frequency is reported.  ``poles``: eig(sys.A) if known.
+    none beats it; gamma is then an upper bound on the norm.  Each distinct
+    candidate frequency is sampled once, in increasing order: crossings come
+    in +-jw pairs and poles in conjugate pairs.  Returns (gamma, frequency
+    of lb).  Imaginary-axis poles make the norm infinite; the offending pole
+    frequency is reported.  ``poles``: eig(sys.A) if known.
     """
     if poles is None:
         poles = np.linalg.eigvals(sys.A) if sys.n else np.zeros(0, complex)
@@ -151,9 +156,12 @@ def linf_norm(sys: StateSpacePlant, poles=None) -> tuple[float, float]:
         return np.inf, float(np.abs(eig[on_axis][0].imag))
 
     def peak(omegas):
+        # never empty; np.unique would import numpy.ma
+        w = np.sort(omegas)
+        omegas = w[np.concatenate([[True], w[1:] != w[:-1]])]
         try:
-            sig = np.linalg.norm(eval_response(sys, 1j * omegas), ord=2,
-                                 axis=(1, 2))
+            sig = np.linalg.svd(eval_response(sys, 1j * omegas),
+                                compute_uv=False)[:, 0]
         except np.linalg.LinAlgError as exc:
             raise ComputationFailed(f"singular values failed: {exc}") from exc
         i = int(np.argmax(sig))

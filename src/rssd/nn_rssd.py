@@ -304,8 +304,10 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
     """Full two-level synthesis; infeasibility is a report state, not an error."""
     grid = grid or FrequencyGrid.default()
     constraints.require_banks(pset.m, pset.r)
-    samples = [sample(p, grid) for p in pset]  # every J1 reuses them
+    samples = [sample(p, grid) for p in pset]
     jbar0 = max(central_plant(samples, grid).epsilon, JBAR_FLOOR)
+    # every J1 reuses each member's plant and response, never its factors
+    samples = [replace(s, left=None, right=None) for s in samples]
     state = {
         "jbar": jbar0,
         "history": [],

@@ -66,13 +66,15 @@ class CentralPlantResult:
 @dataclass(frozen=True)
 class SampledPlant:
     """A plant with its response on ``grid``, the per-point factors a pair
-    needs, (I + P P*)^(-1/2) and (I + P* P)^(-1/2), and its ``pole_counts``."""
+    needs, (I + P P*)^(-1/2) and (I + P* P)^(-1/2), and its ``pole_counts``.
+    A sample kept only for products of its response drops the factors
+    (None)."""
 
     plant: StateSpacePlant
     grid: FrequencyGrid
     response: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    left: np.ndarray | None
+    right: np.ndarray | None
     poles: tuple[int, int]
 
     @staticmethod

@@ -1,6 +1,6 @@
 """Every name imported under src/rssd is used (checked with ast; no linter),
 and importing rssd loads numpy only: scipy waits for the first square plant's
-transmission zeros."""
+transmission zeros, and numpy.ma is not loaded before them."""
 
 import ast
 import json
@@ -18,7 +18,8 @@ from rssd.scp import transmission_zeros
 SRC = Path(__file__).resolve().parents[1] / "src" / "rssd"
 
 # Run in a fresh interpreter, since this one has scipy loaded already; prints
-# whether scipy is loaded after each step, and the zeros of a square plant
+# whether scipy is loaded after each step, whether numpy.ma is before the
+# square plant, and the zeros of a square plant
 SCIPY_PROBE = """
 import json, sys, tempfile
 from pathlib import Path
@@ -49,11 +50,21 @@ check_constraints(CompensatorBank.identity(2, "in"),
                   ScpConstraints((), (), -60.0, (0.1, 1.0)))
 loaded["check_constraints"] = "scipy" in sys.modules
 
+from rssd.margins import closed_loop, linf_norm
+q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+loop = closed_loop(StateSpacePlant(q @ np.diag(-np.arange(1.0, 9.0)) @ q.T,
+                                   rng.normal(size=(8, 3)),
+                                   rng.normal(size=(5, 8)), np.zeros((5, 3))),
+                   np.zeros((3, 5)))
+assert loop.stable and loop.realization.n == 8 and linf_norm(loop.realization)[0] > 0
+loaded["linf_norm"] = "scipy" in sys.modules
+numpy_ma = "numpy.ma" in sys.modules
+
 square = StateSpacePlant(np.diag([-1.0, -3.0]), np.ones((2, 1)),
                          np.array([[0.5, 0.5]]), np.zeros((1, 1)))
 zeros = transmission_zeros(square)
 loaded["transmission_zeros"] = "scipy" in sys.modules
-print(json.dumps({"loaded": loaded,
+print(json.dumps({"loaded": loaded, "numpy_ma": numpy_ma,
                   "zeros": [[z.real, z.imag] for z in zeros.tolist()]}))
 """
 
@@ -98,8 +109,10 @@ def test_scipy_loads_only_for_square_transmission_zeros():
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["loaded"] == {"import": False, "vgap": False,
-                             "check_constraints": False,
+                             "check_constraints": False, "linf_norm": False,
                              "transmission_zeros": True}
+    # nor numpy.ma (np.unique imports it) before the square plant's zeros
+    assert got["numpy_ma"] is False
     # (s + 2)/((s + 1)(s + 3)), and the same values in this interpreter
     square = StateSpacePlant(np.diag([-1.0, -3.0]), np.ones((2, 1)),
                              np.array([[0.5, 0.5]]), np.zeros((1, 1)))

@@ -9,7 +9,7 @@ from conftest import random_stable_siso
 from rssd.eigassign import EigTarget, ModeTarget
 from rssd.errors import ComputationFailed
 from rssd.lti import FrequencyGrid, StateSpacePlant, eval_response
-from rssd.margins import closed_loop, linf_norm
+from rssd.margins import closed_loop, crossings, disk_margin, linf_norm
 from rssd.nn_rssd import PENALTY, decode_rssd_genome, j2_fitness
 from rssd.sweep import grid_peak
 
@@ -36,8 +36,8 @@ def resonance(zeta, wn):
     return StateSpacePlant(A, [[0.0], [1.0]], [[wn * wn, 0.0]], [[0.0]])
 
 
-def random_loop(rng, order=8, m=3, r=5):
-    """Stable four-block loop of a stable 3x5 plant under a random gain."""
+def random_closed_loop(rng, order=8, m=3, r=5):
+    """Stable loop of a stable 3x5 plant under a random gain."""
     while True:
         q, _ = np.linalg.qr(rng.normal(size=(order, order)))
         pairs = order // 2
@@ -50,7 +50,12 @@ def random_loop(rng, order=8, m=3, r=5):
                                 rng.normal(size=(r, order)), np.zeros((r, m)))
         cl = closed_loop(plant, 0.3 * rng.normal(size=(m, r)))
         if cl.stable:
-            return cl.realization
+            return cl
+
+
+def random_loop(rng):
+    """Four-block realization of a ``random_closed_loop``."""
+    return random_closed_loop(rng).realization
 
 
 def reference_peak(sys):
@@ -204,7 +209,8 @@ class TestJ2Path:
 
 def test_norm_does_not_sweep_a_grid(monkeypatch):
     """One 4-block norm of an 8-state 3x5 loop samples far fewer than the
-    400 frequencies of the default grid."""
+    400 frequencies of the default grid, and no frequency twice: this loop
+    takes 12 samples, 24 when the +-jw crossing pairs are both sampled."""
     sys = random_loop(np.random.default_rng(77))
     sizes = []
 
@@ -215,4 +221,100 @@ def test_norm_does_not_sweep_a_grid(monkeypatch):
     monkeypatch.setattr(rssd.margins, "eval_response", counted)
     linf_norm(sys)
     assert sys.n == 8
-    assert 0 < sum(sizes) < 100
+    assert 0 < sum(sizes) <= 16
+
+
+def repeated_sample_norm(sys, poles=None):
+    """linf_norm as it was before each distinct frequency was sampled once:
+    every candidate is evaluated, repeats included, in the order found, and
+    sigma_max is np.linalg.norm(ord=2).  The reference for bit-equality."""
+    if poles is None:
+        poles = np.linalg.eigvals(sys.A) if sys.n else np.zeros(0, complex)
+    eig = np.asarray(poles)
+
+    def peak(omegas):
+        sig = np.linalg.norm(eval_response(sys, 1j * omegas), ord=2,
+                             axis=(1, 2))
+        i = int(np.argmax(sig))
+        return float(sig[i]), float(omegas[i])
+
+    lb, omega = peak(np.concatenate([[0.0], np.abs(eig), np.abs(eig.imag)]))
+    d_gain = np.linalg.norm(sys.D, ord=2) if sys.D.size else 0.0
+    if d_gain > lb:
+        lb, omega = float(d_gain), np.inf
+    if lb == 0.0 and sys.n:
+        lb, omega = peak(np.arange(1.0, sys.n + 1) * max(1.0, np.abs(eig).max()))
+    if lb == 0.0:
+        return 0.0, 0.0
+    if not sys.n:
+        return lb, omega
+    for _ in range(rssd.margins.LINF_MAX_ITER):
+        gamma = (1.0 + 2.0 * rssd.margins.LINF_TOL) * lb
+        w = crossings(sys, gamma)
+        if w.size == 0:
+            return gamma, omega
+        value, w_best = peak(np.concatenate([w, 0.5 * (w[:-1] + w[1:])]))
+        if value <= lb:
+            return gamma, omega
+        lb, omega = value, w_best
+    raise AssertionError("reference iteration did not settle")
+
+
+def disk_halves(cl):
+    """The two (S - T)/2 systems disk_margin takes the norm of, with the
+    loop's poles, captured from disk_margin itself."""
+    seen = []
+
+    def recorded(half, poles=None):
+        seen.append((half, poles))
+        return linf_norm(half, poles)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rssd.margins, "linf_norm", recorded)
+        disk_margin(cl)
+    return [(h, p) for h, p in seen if h is not cl.realization]
+
+
+def oracle_cases():
+    rng = np.random.default_rng(1818)
+    cases = []
+    for _ in range(24):
+        cl = random_closed_loop(rng)
+        cases.append((cl.realization, cl.eigenvalues))
+        cases.extend(disk_halves(cl))
+    for zeta, wn in [(0.1, 1.0), (1e-4, 3.0), (0.05, 3e5)]:
+        cases.append((resonance(zeta, wn), None))
+    cases.append((StateSpacePlant.from_gain([[3.0, 4.0]]), None))
+    cases.append((StateSpacePlant.from_gain(np.zeros((2, 2))), None))
+    for B, C in [(np.ones((2, 1)), np.zeros((1, 2))),
+                 (np.zeros((2, 1)), np.ones((1, 2))),
+                 (np.array([[1.0], [0.0]]), np.array([[0.0, 1.0]]))]:
+        cases.append((StateSpacePlant(np.diag([-1.0, -2.0]), B, C, [[0.0]]),
+                      None))
+    # zero at w = 0 and w = |lambda|: the fallback samples run
+    cases.append((StateSpacePlant(-np.eye(4) + np.diag(np.ones(3), 1),
+                                  [[0.0], [0.0], [0.0], [1.0]],
+                                  [[-2.0, 4.0, -3.0, 1.0]], [[0.0]]), None))
+    return cases
+
+
+class TestDistinctSamples:
+    def test_bit_equal_to_repeated_sampling(self):
+        cases = oracle_cases()
+        assert len(cases) == 24 * 3 + 9
+        for sys, poles in cases:
+            assert linf_norm(sys, poles) == repeated_sample_norm(sys, poles)
+
+    def test_each_call_samples_increasing_frequencies(self, monkeypatch):
+        calls = []
+
+        def spy(plant, s_values):
+            calls.append(np.asarray(s_values).imag.copy())
+            return eval_response(plant, s_values)
+
+        monkeypatch.setattr(rssd.margins, "eval_response", spy)
+        for sys, poles in oracle_cases():
+            linf_norm(sys, poles)
+        assert len(calls) > 100
+        for w in calls:
+            assert w.size and np.all(np.diff(w) > 0)

@@ -253,9 +253,10 @@ class TestRunNnRssd:
         assert report.gain is None
 
     def test_each_member_sampled_once_per_run(self, grid, monkeypatch):
-        # every J1 reuses the members' grid responses and evaluates only
-        # its two banks on the grid; an empty inner budget never certifies,
-        # so the outer search runs its whole budget
+        # every J1 reuses the members' grid responses, without the
+        # normalizing factors J1bar0 needed, and evaluates only its two
+        # banks on the grid; an empty inner budget never certifies, so the
+        # outer search runs its whole budget
         pset = family()
         constraints, target = family_setup()
         evaluated, j1_calls = [], []
@@ -280,6 +281,11 @@ class TestRunNnRssd:
             assert sum(q is p for q in evaluated) == 1
         banks = [q.label for q in evaluated if all(q is not p for p in pset)]
         assert banks == ["bank_out", "bank_in"] * len(j1_calls)
+        for _, _, members, _ in j1_calls:
+            assert all(s.plant is p for s, p in zip(members, pset, strict=True))
+            assert all(s.left is None and s.right is None for s in members)
+            assert all(s.response.shape == (grid.points.size, 1, 1)
+                       for s in members)
 
     def test_degenerate_singleton_uses_floor(self, grid):
         pset = PlantSet((StateSpacePlant.siso(1.0, 1.0, label="only"),))
