@@ -31,6 +31,7 @@ from .vgap import SampledPlant, central_plant, sample
 FEEDTHROUGH_TOL = 1e-6  # |1 - s^2| of a singular value s of D: H(1) undecided
 BAND_EDGE_RTOL = 1e-9  # a crossing this close outside the band is on its edge
 ORIGIN_OMEGA = 1e-12  # w -> 0+ for DC and lo = 0 when a pole sits at the origin
+ZERO_RANK_RTOL = 1e-12  # rank threshold of transmission_zeros' deflation
 
 
 @dataclass(frozen=True)
@@ -102,22 +103,54 @@ def decode_banks(genes, constraints: ScpConstraints):
 
 
 def transmission_zeros(plant: StateSpacePlant) -> np.ndarray:
-    """Finite transmission zeros via the system-pencil generalized eigenproblem.
+    """Finite transmission zeros of a square plant: the λ at which the system
+    pencil [A − λI, B; C, D] loses rank.  Non-square plants return none.
 
-    Only defined for square plants; non-square plants return an empty set.
-    The QZ solve is scipy's, imported here on the first square plant: it
-    is rssd's only use of scipy, and importing rssd then loads numpy only.
+    Orthogonal deflation (Emami-Naeini & Van Dooren, Automatica 18(4), 1982):
+    scale the columns of [B; D] and the rows of [C D] by powers of two (no
+    zero moves), then compress D's rows by its SVD to rank ρ.  If ρ = m the
+    zeros are eig(A − B D⁻¹ C).  Otherwise the m − ρ rows C₂ that D does not
+    reach pin the state to null(C₂) = range(V₂), where the rows V₁ᵀ[A B] hold
+    no λ and join the outputs: a square system with fewer states.  Singular
+    values count above ``ZERO_RANK_RTOL`` times the scaled pencil's norm.
+
+    A singular pencil (a zero column of [B; D] or row of [C D], or C₂ short
+    of full row rank) has every λ as a zero and raises ``ComputationFailed``
+    naming the plant.
     """
-    if plant.m != plant.r or plant.n == 0:
+    if plant.m != plant.r:
         return np.array([], dtype=complex)
-    from scipy.linalg import eig as generalized_eig
-
-    n = plant.n
-    pencil_a = np.block([[plant.A, plant.B], [plant.C, plant.D]])
-    pencil_b = np.zeros_like(pencil_a)
-    pencil_b[:n, :n] = np.eye(n)
-    vals = generalized_eig(pencil_a, pencil_b, right=False)
-    return vals[np.isfinite(vals)]
+    singular = f"plant {plant.label!r}: singular system pencil"
+    A, B, C, D = plant.A, plant.B, plant.C, plant.D
+    cols = np.linalg.norm(np.vstack([B, D]), axis=0)
+    if not np.all(cols > 0):
+        raise ComputationFailed(f"{singular} (input {np.argmin(cols)} reaches "
+                                "neither state nor output)")
+    cols = 2.0 ** np.round(np.log2(cols))
+    B, D = B / cols, D / cols
+    rows = np.linalg.norm(np.hstack([C, D]), axis=1)[:, None]
+    if not np.all(rows > 0):
+        raise ComputationFailed(f"{singular} (output {np.argmin(rows)} reads "
+                                "neither state nor input)")
+    rows = 2.0 ** np.round(np.log2(rows))
+    C, D = C / rows, D / rows
+    tol = ZERO_RANK_RTOL * np.linalg.norm(np.block([[A, B], [C, D]]))
+    while True:
+        u, sv, vt = np.linalg.svd(D)
+        rho = int(np.count_nonzero(sv > tol))
+        uc = u.T @ C
+        if rho == plant.m:
+            return np.linalg.eigvals(
+                A - (B @ vt.T) @ (uc / sv[:, None])).astype(complex)
+        k = plant.m - rho
+        _, sc, wt = np.linalg.svd(uc[rho:])
+        if sc.size < k or not sc[-1] > tol:  # C₂ lacks full row rank
+            raise ComputationFailed(f"{singular} (normal rank below {plant.m})")
+        v1, v2 = wt[:k].T, wt[k:].T
+        av2 = A @ v2
+        A, B, C, D = (v2.T @ av2, v2.T @ B,
+                      np.vstack([uc[:rho] @ v2, v1.T @ av2]),
+                      np.vstack([sv[:rho, None] * vt[:rho], v1.T @ B]))
 
 
 def _bank_poles_zeros(bank: CompensatorBank):

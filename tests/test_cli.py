@@ -9,7 +9,7 @@ import pytest
 
 from rssd import fileio
 from rssd.cli import main
-from rssd.lti import FrequencyGrid, eval_response
+from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, eval_response
 from rssd.margins import closed_loop
 
 FIXTURES = Path(__file__).resolve().parent.parent / "configs"
@@ -89,7 +89,6 @@ class TestVgapCommand:
 
     def test_single_plant_trivial(self, tmp_path):
         pset = fileio.load_plantset(FAMILY)
-        from rssd.lti import PlantSet
         solo = PlantSet((pset[0],))
         path = tmp_path / "solo.json"
         fileio.save_plantset(solo, path)
@@ -163,6 +162,28 @@ class TestSynthCommand:
                    "--out", str(tmp_path)) == 3
         assert ("entry state 5 is not below the augmented central plant's "
                 "order 1") in capsys.readouterr().err
+
+    def test_singular_pencil_exit_4(self, tmp_path, capsys):
+        # a 2x2 member whose B has rank 1 has no transmission zeros to
+        # check against: every s drops its system pencil's rank
+        rng = np.random.default_rng(5)
+        A = -np.diag([1.0, 2.0, 3.0]) + 0.3 * rng.normal(size=(3, 3))
+        C, B = rng.normal(size=(2, 3)), rng.normal(size=(3, 2))
+        rank1 = rng.normal(size=(3, 1)) @ rng.normal(size=(1, 2))
+        plants = tmp_path / "plants.json"
+        fileio.save_plantset(PlantSet((
+            StateSpacePlant(A, B, C, np.zeros((2, 2)), "full"),
+            StateSpacePlant(1.1 * A, rank1, C, np.zeros((2, 2)), "rank1"))),
+            plants)
+        cfg = json.loads(Path(CONFIG).read_text())
+        for side in ("in_boxes", "out_boxes"):
+            cfg["constraints"][side] *= 2
+        path = tmp_path / "square2.json"
+        path.write_text(json.dumps(cfg))
+        assert run("synth", str(plants), "--config", str(path),
+                   "--out", str(tmp_path)) == 4
+        assert ("plant 'rank1': singular system pencil (normal rank below 2)"
+                in capsys.readouterr().err)
 
     def test_zero_generations_infeasible_normal_exit(self, tmp_path):
         cfg = json.loads(Path(CONFIG).read_text())

@@ -1,6 +1,7 @@
 """Every name imported under src/rssd is used (checked with ast; no linter),
-and importing rssd loads numpy only: scipy waits for the first square plant's
-transmission zeros, and numpy.ma is not loaded before them."""
+no module under src/rssd imports scipy, and running rssd loads numpy only:
+scipy is never loaded, and numpy.ma is not loaded before a square plant's
+transmission zeros."""
 
 import ast
 import json
@@ -16,13 +17,17 @@ from rssd.lti import StateSpacePlant
 from rssd.scp import transmission_zeros
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rssd"
+FIXTURES = SRC.parents[1] / "configs"
 
 # Run in a fresh interpreter, since this one has scipy loaded already; prints
 # whether scipy is loaded after each step, whether numpy.ma is before the
-# square plant, and the zeros of a square plant
+# square plant, and the zeros of a square plant.  argv: the committed
+# fixture's plant set, config and scenario
 SCIPY_PROBE = """
 import json, sys, tempfile
 from pathlib import Path
+
+family, config, scenario = sys.argv[1:]
 
 import rssd, rssd.cli
 loaded = {"import": "scipy" in sys.modules}
@@ -64,6 +69,17 @@ square = StateSpacePlant(np.diag([-1.0, -3.0]), np.ones((2, 1)),
                          np.array([[0.5, 0.5]]), np.zeros((1, 1)))
 zeros = transmission_zeros(square)
 loaded["transmission_zeros"] = "scipy" in sys.modules
+
+with tempfile.TemporaryDirectory() as tmp:
+    controller = str(Path(tmp) / "controller.json")
+    for argv in (["vgap", family], ["synth", family, "--config", config],
+                 ["analyze", family, "--controller", controller],
+                 ["sim", family, "--controller", controller,
+                  "--scenario", scenario]):
+        code = rssd.cli.main(argv + ["--out", tmp])
+        if code:
+            sys.exit(f"{argv[0]} exited with {code}")
+loaded["pipeline"] = "scipy" in sys.modules
 print(json.dumps({"loaded": loaded, "numpy_ma": numpy_ma,
                   "zeros": [[z.real, z.imag] for z in zeros.tolist()]}))
 """
@@ -101,16 +117,46 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_scipy_loads_only_for_square_transmission_zeros():
+def scipy_imports(source: str) -> list[int]:
+    """Lines of the imports that bind scipy or one of its modules."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scipy_scanner():
+    source = ("import numpy, scipy\nfrom scipy.linalg import eig\n"
+              "import scipyx\nfrom .scipy import x\n"
+              "def f():\n    import scipy.linalg as la\n")
+    assert scipy_imports(source) == [1, 2, 6]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_scipy_never_loads():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
-                          capture_output=True, text=True, timeout=120)
+    fixture = [str(FIXTURES / name) for name in (
+        "three_plant_family.json", "three_plant_config.json",
+        "doublet_scenario.json")]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *fixture],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["loaded"] == {"import": False, "vgap": False,
                              "check_constraints": False, "linf_norm": False,
-                             "transmission_zeros": True}
+                             "transmission_zeros": False, "pipeline": False}
     # nor numpy.ma (np.unique imports it) before the square plant's zeros
     assert got["numpy_ma"] is False
     # (s + 2)/((s + 1)(s + 3)), and the same values in this interpreter

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import rssd.margins
 import rssd.scp
@@ -84,6 +85,136 @@ class TestTransmissionZeros:
         p = StateSpacePlant(np.diag([-1.0]), np.ones((1, 2)),
                             np.ones((1, 1)), np.zeros((1, 2)))
         assert transmission_zeros(p).size == 0
+
+
+def roots(rng, count):
+    """``count`` random roots, real ones of either sign and conjugate pairs."""
+    out = []
+    while len(out) < count:
+        if count - len(out) >= 2 and rng.random() < 0.4:
+            pair = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.2, 3.0))
+            out += [pair, pair.conjugate()]
+        else:
+            out.append(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 5.0))
+    return np.array(out, dtype=complex)
+
+
+def siso_channel(rng, rel_degree):
+    """Controllable-canonical (A, B, C, D) of k n(s)/d(s), deg d - deg n =
+    ``rel_degree``, and the roots of n."""
+    n = int(rng.integers(max(rel_degree, 1), rel_degree + 4))
+    den = np.poly(roots(rng, n)).real
+    zeros = roots(rng, n - rel_degree)
+    num = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * np.atleast_1d(
+        np.poly(zeros).real)
+    num = np.concatenate([np.zeros(n + 1 - num.size), num])
+    rem = num - num[0] * den  # the strictly proper part's numerator
+    A = np.eye(n, k=1)
+    A[-1] = -den[:0:-1]
+    return A, np.eye(n)[:, -1:], rem[:0:-1][None, :], num[:1, None], zeros
+
+
+def known_zero_plant(rng):
+    """A square plant of 1-3 SISO channels of relative degree 0-3 seen through
+    a similarity of condition up to 100 and orthogonal input/output
+    rotations, and its transmission zeros (the channels' numerator roots)."""
+    m = int(rng.integers(1, 4))
+    channels = [siso_channel(rng, int(rng.integers(0, 4))) for _ in range(m)]
+    A, B, C, D = (block_diag(*parts) for parts in list(zip(*channels))[:4])
+    n = A.shape[0]
+    q1, q2 = (np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(2))
+    T = q1 @ np.diag(10.0 ** rng.uniform(-1.0, 1.0, n)) @ q2
+    T_inv = np.linalg.inv(T)
+    q_in, q_out = (np.linalg.qr(rng.normal(size=(m, m)))[0] for _ in range(2))
+    plant = StateSpacePlant(T_inv @ A @ T, T_inv @ B @ q_in.T, q_out @ C @ T,
+                            q_out @ D @ q_in.T)
+    return plant, np.concatenate([ch[4] for ch in channels])
+
+
+def zero_error(got, want):
+    """Largest relative distance of a greedy one-to-one match, inf when the
+    counts differ."""
+    if got.size != want.size:
+        return np.inf
+    got, worst = list(got), 0.0
+    for w in want:
+        i = int(np.argmin(np.abs(np.array(got) - w)))
+        worst = max(worst, abs(got.pop(i) - w) / max(1.0, abs(w)))
+    return worst
+
+
+def pencil_rank_gap(plant, z):
+    """sigma_min / sigma_max of the system pencil at z."""
+    n = plant.n
+    pencil = np.block([[plant.A - z * np.eye(n), plant.B], [plant.C, plant.D]])
+    sv = np.linalg.svd(pencil, compute_uv=False)
+    return sv[-1] / sv[0]
+
+
+class TestZeroDeflation:
+    """The deflation counts zeros at infinity as infinite, where the system
+    pencil's QZ left rounded ones finite, and refuses a singular pencil."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_chain_has_no_finite_zeros(self, seed):
+        # 1/(s + 1)^3 in a rotated basis: QZ returned +-5.4e7 for seed 0
+        J = np.eye(3, k=1) - np.eye(3)
+        q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+        plant = StateSpacePlant(q @ J @ q.T, q[:, 2:], q[:, :1].T, [[0.0]])
+        assert transmission_zeros(plant).size == 0
+
+    def test_cb_zero_leaves_n_minus_2m_zeros(self):
+        # relative degree 2 in both channels; QZ returned 5 zeros, three of
+        # them near |s| = 2e6
+        rng = np.random.default_rng(1)
+        A, C = rng.normal(size=(6, 6)), rng.normal(size=(2, 6))
+        B = np.linalg.svd(C)[2][2:].T @ rng.normal(size=(4, 2))
+        plant = StateSpacePlant(A, B, C, np.zeros((2, 2)))
+        zeros = transmission_zeros(plant)
+        assert zeros.size == 2
+        assert max(pencil_rank_gap(plant, z) for z in zeros) < 1e-12
+
+    def test_known_numerator_roots(self):
+        rng = np.random.default_rng(2024)
+        errors = [zero_error(transmission_zeros(p), want)
+                  for p, want in (known_zero_plant(rng) for _ in range(2000))]
+        assert max(errors) < 1e-5
+
+    def test_input_output_scaling_moves_no_zero(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            plant, _ = known_zero_plant(rng)
+            ref = transmission_zeros(plant)
+            for a in (1e-4, 1.0, 1e4):
+                for b in (1e-4, 1.0, 1e4):
+                    scaled = StateSpacePlant(plant.A, a * plant.B, b * plant.C,
+                                             a * b * plant.D)
+                    assert zero_error(transmission_zeros(scaled), ref) < 1e-6
+
+    def test_rank_one_b_is_singular(self):
+        # QZ returned two finite values, though every s is a zero
+        rng = np.random.default_rng(5)
+        plant = StateSpacePlant(rng.normal(size=(3, 3)),
+                                rng.normal(size=(3, 1)) @ rng.normal(size=(1, 2)),
+                                rng.normal(size=(2, 3)), np.zeros((2, 2)), "rank1")
+        with pytest.raises(ComputationFailed,
+                           match="plant 'rank1': singular system pencil"):
+            transmission_zeros(plant)
+
+    @pytest.mark.parametrize("B, C, D, why", [
+        ([[1.0, 0.0], [1.0, 0.0]], np.eye(2), np.zeros((2, 2)), "input 1"),
+        (np.eye(2), [[1.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], "output 1"),
+    ])
+    def test_zero_column_or_row_is_singular(self, B, C, D, why):
+        plant = StateSpacePlant(-np.eye(2), B, C, D, "dead")
+        with pytest.raises(ComputationFailed, match=f"'dead'.*{why}"):
+            transmission_zeros(plant)
+
+    def test_static_plant(self):
+        assert transmission_zeros(
+            StateSpacePlant.from_gain([[1.0, 2.0], [3.0, 4.0]])).size == 0
+        with pytest.raises(ComputationFailed, match="normal rank below 2"):
+            transmission_zeros(StateSpacePlant.from_gain([[1.0, 2.0], [2.0, 4.0]]))
 
 
 class TestScpConstraints:
