@@ -8,6 +8,7 @@ function; a frequency response is one batched solve over all its points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,8 +131,9 @@ class FrequencyGrid:
 
     ``rel_tol`` sets the bracket stop of the peak refinement in
     ``rssd.sweep.grid_peak`` (applied ten times tighter, relative to the
-    bracket's position in log-frequency) and ``max_refine_depth`` caps its
-    rounds.
+    bracket's position in log-frequency, |log10 omega|, so a peak near
+    1 rad/s takes about four times the rounds of one at 300 rad/s) and
+    ``max_refine_depth`` caps its rounds.
     """
 
     points: np.ndarray
@@ -229,8 +231,7 @@ def cascade(first: StateSpacePlant, second: StateSpacePlant,
 def augment_plant(w_out: "CompensatorBank", plant: StateSpacePlant,
                   w_in: "CompensatorBank") -> StateSpacePlant:
     """Series augmentation W_out(s) P(s) W_in(s) as one state-space plant."""
-    win_ss = realize_bank(w_in)
-    wout_ss = realize_bank(w_out)
+    win_ss, wout_ss = w_in.realization, w_out.realization
     if win_ss.r != plant.m:
         raise DimensionMismatch(
             f"w_in has {win_ss.r} channels, plant expects {plant.m} inputs"
@@ -310,6 +311,11 @@ class CompensatorBank:
 
     def __len__(self):
         return len(self.sections)
+
+    @cached_property
+    def realization(self) -> StateSpacePlant:
+        """``realize_bank(self)``, formed once per bank."""
+        return realize_bank(self)
 
     @staticmethod
     def identity(channels: int, side: str = "in") -> "CompensatorBank":

@@ -35,8 +35,15 @@ from .errors import (
 )
 from .lti import CompensatorBank, FrequencyGrid, PlantSet, StateSpacePlant, augment_plant
 from .margins import closed_loop, gsm, linf_norm
-from .scp import ScpConstraints, check_constraints, decode_banks, j1_fitness
-from .vgap import central_plant, sample
+from .scp import (
+    ScpConstraints,
+    augment,
+    check_constraints,
+    decode_banks,
+    j1_fitness,
+    sampled_member,
+)
+from .vgap import central_plant
 
 PENALTY = 1e18
 JBAR_FLOOR = 1e-3  # keeps the feasibility test J2 < 1/J1bar satisfiable at eps=0
@@ -304,10 +311,13 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
     """Full two-level synthesis; infeasibility is a report state, not an error."""
     grid = grid or FrequencyGrid.default()
     constraints.require_banks(pset.m, pset.r)
-    samples = [sample(p, grid) for p in pset]
-    jbar0 = max(central_plant(samples, grid).epsilon, JBAR_FLOOR)
-    # every J1 reuses each member's plant and response, never its factors
-    samples = [replace(s, left=None, right=None) for s in samples]
+    members = [sampled_member(p, grid) for p in pset]
+    jbar0 = max(central_plant([m.raw for m in members], grid).epsilon,
+                JBAR_FLOOR)
+    # every genome reuses each member's poles, zeros, plant and response,
+    # never its factors
+    members = [replace(m, raw=replace(m.raw, left=None, right=None))
+               for m in members]
     state = {
         "jbar": jbar0,
         "history": [],
@@ -345,10 +355,11 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
             w_in, w_out = decode_banks(genes, constraints)
         except (OutOfBox, ImproperSection, UnstableSection):
             return 2.0
-        report = check_constraints(w_in, w_out, pset, constraints)
+        augmented = augment(w_in, w_out, members)
+        report = check_constraints(w_in, w_out, augmented, constraints)
         if not report.passed:
             return 1.0 + len(report.reasons)
-        j1, cp_idx, p_cp = j1_fitness(w_in, w_out, samples, grid)
+        j1, cp_idx, p_cp = j1_fitness(w_in, w_out, augmented, grid)
         if j1 < state["jbar"]:
             state["jbar"] = max(j1, JBAR_FLOOR)
             state["history"].append(state["jbar"])

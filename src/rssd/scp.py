@@ -4,12 +4,15 @@ J1 fitness (maximum nu-gap of the augmented set's central plant).
 Compensator sections are first-order proper stable rational functions
 matching the shape of the realized solutions; the genome of the outer GA
 is the flat list of their coefficients, (a, b, c, d) per section, input
-bank first (``decode_banks``).
+bank first (``decode_banks``).  Each genome's augmented set is realized once
+(``augment``) and read by both the constraint check and J1; what no genome
+changes of a member, its poles, transmission zeros and grid response, a
+synthesis finds once (``sampled_member``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,14 +22,12 @@ from .lti import (
     CompensatorBank,
     FirstOrderSection,
     FrequencyGrid,
-    PlantSet,
     StateSpacePlant,
     augment_plant,
     eval_response,
-    realize_bank,
 )
 from .margins import crossings
-from .vgap import SampledPlant, central_plant, sample
+from .vgap import SampledPlant, central_plant, sample, spectrum_counts
 
 FEEDTHROUGH_TOL = 1e-6  # |1 - s^2| of a singular value s of D: H(1) undecided
 BAND_EDGE_RTOL = 1e-9  # a crossing this close outside the band is on its edge
@@ -80,6 +81,55 @@ class ScpConstraints:
 class ConstraintReport:
     passed: bool
     reasons: tuple
+
+
+@dataclass(frozen=True)
+class Member:
+    """A plant P of the family with what no outer genome changes of it: the
+    eigenvalues of its A (``poles``) and its transmission ``zeros``.  ``raw``
+    is P, or in a synthesis its grid sample (``sampled_member``), whose
+    response J1 reads.  ``augment`` sets ``augmented``, W_out P W_in
+    realized once under ``banks`` = (w_in, w_out)."""
+
+    raw: StateSpacePlant | SampledPlant
+    poles: np.ndarray
+    zeros: np.ndarray
+    banks: tuple = ()
+    augmented: StateSpacePlant | None = None
+
+    @property
+    def plant(self) -> StateSpacePlant:
+        """P itself."""
+        return self.raw.plant if isinstance(self.raw, SampledPlant) else self.raw
+
+
+def _member(plant: StateSpacePlant) -> Member:
+    poles = np.linalg.eigvals(plant.A) if plant.n else np.array([])
+    return Member(plant, poles, transmission_zeros(plant))
+
+
+def sampled_member(plant: StateSpacePlant, grid: FrequencyGrid) -> Member:
+    """``plant`` as a ``Member`` whose ``raw`` is its sample on ``grid``, both
+    factors formed and its pole counts read from ``poles``."""
+    m = _member(plant)
+    raw = SampledPlant.of(plant, grid, eval_response(plant, 1j * grid.points),
+                          spectrum_counts(m.poles))
+    return replace(m, raw=raw)
+
+
+def augment(w_in: CompensatorBank, w_out: CompensatorBank, members) -> list:
+    """The family under the banks, each W_out P W_in realized once, as
+    ``Member``s.  ``members`` are plants or ``Member``s; one already
+    augmented under these banks is kept as it is."""
+    out = []
+    for m in members:
+        if not isinstance(m, Member):
+            m = _member(m)
+        if m.banks != (w_in, w_out):
+            m = replace(m, banks=(w_in, w_out),
+                        augmented=augment_plant(w_out, m.plant, w_in))
+        out.append(m)
+    return out
 
 
 def decode_banks(genes, constraints: ScpConstraints):
@@ -187,9 +237,10 @@ def _band_violation(aug: StateSpacePlant, lo: float, hi: float,
     return f"sigma_min <= 0 dB inside band near {w[0]:.4g} rad/s" if w.size else None
 
 
-def check_constraints(w_in: CompensatorBank, w_out: CompensatorBank,
-                      pset: PlantSet, constraints: ScpConstraints) -> ConstraintReport:
-    """Loop-shaping and cancellation checks on every augmented plant.
+def check_constraints(w_in: CompensatorBank, w_out: CompensatorBank, members,
+                      constraints: ScpConstraints) -> ConstraintReport:
+    """Loop-shaping and cancellation checks on every augmented plant of
+    ``augment(w_in, w_out, members)``.
 
     Passes iff (i) each augmented plant clears the DC floor on its smallest
     singular value, (ii) sigma_min stays above 0 dB on the whole crossover
@@ -205,9 +256,8 @@ def check_constraints(w_in: CompensatorBank, w_out: CompensatorBank,
     c_poles = np.concatenate([in_poles, out_poles])
     c_zeros = np.concatenate([in_zeros, out_zeros])
 
-    for idx, plant in enumerate(pset):
-        aug = augment_plant(w_out, plant, w_in)
-        p_poles = np.linalg.eigvals(plant.A) if plant.n else np.array([])
+    for idx, member in enumerate(augment(w_in, w_out, members)):
+        aug, p_poles = member.augmented, member.poles
         origin = np.abs(np.append(p_poles, c_poles)) <= IMAG_AXIS_RTOL  # aug's poles
         w0 = ORIGIN_OMEGA if np.any(origin) else 0.0
         resp = eval_response(aug, 1j * np.array([w0, max(lo, w0)]))
@@ -220,7 +270,7 @@ def check_constraints(w_in: CompensatorBank, w_out: CompensatorBank,
         band = _band_violation(aug, lo, hi, smin_lo)
         if band is not None:
             reasons.append(f"plant {idx}: {band}")
-        p_zeros = transmission_zeros(plant)
+        p_zeros = member.zeros
         tol = constraints.cancellation_tol
         for cz in c_zeros:
             if any(_near(cz, pp, tol) for pp in p_poles):
@@ -240,23 +290,29 @@ def j1_fitness(w_in: CompensatorBank, w_out: CompensatorBank, members,
     """(J1, central index, augmented central plant) for the augmented set
     {W_out P_i W_in}.
 
-    ``members`` are the raw plants P_i, a PlantSet or a sequence whose
-    entries may already be sampled on ``grid`` (``vgap.sample``), as
-    ``run_nn_rssd`` passes them, so that only the banks' work is redone per
-    genome.  Each augmented member's grid response is the product
-    W_out(jw) P_i(jw) W_in(jw) of the banks' responses and the member's;
-    its ``augment_plant`` realization gives the pole counts, the winding
-    test and the responses off the grid.
+    ``members`` are as ``check_constraints`` takes them; ``run_nn_rssd``
+    passes the genome's augmented set, whose raw plants are sampled on
+    ``grid`` (``sampled_member``), so that only the banks' work is redone
+    per genome.  Each augmented member's grid response is the product
+    W_out(jw) P_i(jw) W_in(jw) of the banks' responses and the member's,
+    its pole counts are those of P_i's poles and the sections' poles, and
+    it forms only the factors its pairs read.  Its ``augment_plant``
+    realization gives the winding test and the responses off the grid.
     """
+    members = augment(w_in, w_out, members)
     s = 1j * grid.points
     # the banks are diagonal: scale P_i's rows and columns by their entries
-    post = np.diagonal(eval_response(realize_bank(w_out), s), axis1=1, axis2=2)
-    pre = np.diagonal(eval_response(realize_bank(w_in), s), axis1=1, axis2=2)
+    post = np.diagonal(eval_response(w_out.realization, s), axis1=1, axis2=2)
+    pre = np.diagonal(eval_response(w_in.realization, s), axis1=1, axis2=2)
+    sections = np.concatenate([_bank_poles_zeros(w_in)[0],
+                               _bank_poles_zeros(w_out)[0]])
+    last = len(members) - 1
     augmented = []
-    for p in members:
-        raw = sample(p, grid)
-        aug = augment_plant(w_out, raw.plant, w_in)
-        response = post[:, :, None] * raw.response * pre[:, None, :]
-        augmented.append(SampledPlant.of(aug, grid, response))
+    for i, m in enumerate(members):
+        response = post[:, :, None] * sample(m.raw, grid).response * pre[:, None, :]
+        augmented.append(SampledPlant.of(
+            m.augmented, grid, response,
+            spectrum_counts(np.append(m.poles, sections)),
+            left=i > 0, right=i < last))
     result = central_plant(augmented, grid)
     return result.epsilon, result.index, augmented[result.index].plant

@@ -12,8 +12,9 @@ eigenvalues of one state-space realization of I + P2~ P1 and its inverse
 (Vinnicombe, IEEE TAC 38(9), 1993): the grid carries only the peak of Psi.
 Every member of a set is evaluated once on the grid (``sample``); each
 pair then only combines the stored responses and factors.  A caller that
-already has a member's grid response, such as a product of factors it
-sampled itself, builds the sample from it (``SampledPlant.of``).
+already has a member's grid response and pole counts, such as a product of
+factors it sampled itself, builds the sample from them (``SampledPlant.of``),
+forming only the factor sides its pairs read.
 
 ``central_plant`` needs only min_i max_j delta_ij and its index, so it
 prunes: the maximum of sigma_max Psi over any grid subset is a lower bound
@@ -22,7 +23,9 @@ pair failing the winding condition reads 1, which sigma_max Psi never
 exceeds).  Rows are ranked first on every ``COARSE_STRIDE``-th grid point,
 a row's bound is retaken on the full grid only when it reaches the front,
 and a row whose bound already loses to the best row found is never
-evaluated exactly.
+evaluated exactly.  Pair (i, j), i < j, reads only P_j's left factor and
+P_i's right one, so the first member needs no left factor and the last no
+right one.
 """
 
 from __future__ import annotations
@@ -67,8 +70,8 @@ class CentralPlantResult:
 class SampledPlant:
     """A plant with its response on ``grid``, the per-point factors a pair
     needs, (I + P P*)^(-1/2) and (I + P* P)^(-1/2), and its ``pole_counts``.
-    A sample kept only for products of its response drops the factors
-    (None)."""
+    A factor no pair reads is None, as are both in a sample kept only for
+    products of its response."""
 
     plant: StateSpacePlant
     grid: FrequencyGrid
@@ -78,12 +81,13 @@ class SampledPlant:
     poles: tuple[int, int]
 
     @staticmethod
-    def of(plant: StateSpacePlant, grid: FrequencyGrid,
-           response: np.ndarray) -> "SampledPlant":
-        """``plant`` with ``response``, its value at 1j * grid.points."""
-        left, right = _factors(response)
-        return SampledPlant(plant, grid, response, left, right,
-                            pole_counts(plant))
+    def of(plant: StateSpacePlant, grid: FrequencyGrid, response: np.ndarray,
+           poles: tuple[int, int], left: bool = True,
+           right: bool = True) -> "SampledPlant":
+        """``plant`` with ``response``, its value at 1j * grid.points, its
+        ``pole_counts`` and the factors ``left`` and ``right`` ask for."""
+        left, right = _factors(response, left, right)
+        return SampledPlant(plant, grid, response, left, right, poles)
 
 
 def sample(plant: StateSpacePlant | SampledPlant,
@@ -94,11 +98,17 @@ def sample(plant: StateSpacePlant | SampledPlant,
         if plant.grid is not grid:
             raise DimensionMismatch("plant was sampled on a different grid")
         return plant
-    return SampledPlant.of(plant, grid, eval_response(plant, 1j * grid.points))
+    return SampledPlant.of(plant, grid, eval_response(plant, 1j * grid.points),
+                           pole_counts(plant))
 
 
 def _rhp_count(eig: np.ndarray) -> int:
     return int(np.count_nonzero(~is_imag_axis(eig) & (eig.real > 0)))
+
+
+def spectrum_counts(eig: np.ndarray) -> tuple[int, int]:
+    """(open-RHP count, imaginary-axis count) of the eigenvalues ``eig``."""
+    return _rhp_count(eig), int(np.count_nonzero(is_imag_axis(eig)))
 
 
 def pole_counts(plant: StateSpacePlant) -> tuple[int, int]:
@@ -109,8 +119,7 @@ def pole_counts(plant: StateSpacePlant) -> tuple[int, int]:
     """
     if plant.n == 0:
         return 0, 0
-    eig = np.linalg.eigvals(plant.A)
-    return _rhp_count(eig), int(np.count_nonzero(is_imag_axis(eig)))
+    return spectrum_counts(np.linalg.eigvals(plant.A))
 
 
 def paraconjugate(plant: StateSpacePlant) -> StateSpacePlant:
@@ -158,7 +167,9 @@ def _ct(mats):
 
 def _factors(resp, left=True, right=True):
     """(I + P P*)^(-1/2) and (I + P* P)^(-1/2) per point, from one eigh of
-    the smaller Gram.  A factor not asked for is None.
+    the smaller Gram.  ``left`` and ``right`` each select the points whose
+    factor is formed: all (True), a slice of them, or none (False), which
+    makes the factor None.
 
     For a tall P, P* P = W diag(s^2) W* gives the small factor
     W diag((1 + s^2)^-1/2) W* and the large one
@@ -173,10 +184,16 @@ def _factors(resp, left=True, right=True):
     pw = p @ w
     s2 = np.sum(np.abs(pw) ** 2, axis=1)
     root = np.sqrt(1.0 + s2)
-    want_small, want_large = (left, right) if wide else (right, left)
-    small = (w / root[:, None, :]) @ _ct(w) if want_small else None
-    large = (np.eye(p.shape[1]) - (pw / (root * (root + 1.0))[:, None, :]) @ _ct(pw)
-             if want_large else None)
+    sides = (left, right) if wide else (right, left)
+    want_small, want_large = (slice(None) if want is True else want
+                              for want in sides)
+    small = large = None
+    if want_small is not False:
+        ws, rs = w[want_small], root[want_small]
+        small = (ws / rs[:, None, :]) @ _ct(ws)
+    if want_large is not False:
+        pl, rl = pw[want_large], root[want_large]
+        large = np.eye(p.shape[1]) - (pl / (rl * (rl + 1.0))[:, None, :]) @ _ct(pl)
     return (small, large) if wide else (large, small)
 
 
@@ -186,12 +203,28 @@ def _sigma_max(mats):
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
+def _grid_psi(s1: SampledPlant, s2: SampledPlant, points=slice(None)):
+    """Psi(P1(jw), P2(jw)) at the grid points ``points`` selects, read from
+    P2's left factor and P1's right one."""
+    return (s2.left[points] @ (s1.response[points] - s2.response[points])
+            @ s1.right[points])
+
+
 def _grid_sigma(s1: SampledPlant, s2: SampledPlant, points=slice(None)):
     """sigma_max of Psi(P1(jw), P2(jw)) at the grid points ``points`` selects,
     read from the samples; each point's value does not depend on the others
     selected."""
-    return _sigma_max(s2.left[points] @ (s1.response[points] - s2.response[points])
-                      @ s1.right[points])
+    return _sigma_max(_grid_psi(s1, s2, points))
+
+
+def _coarse_sigma(samples, pairs) -> np.ndarray:
+    """``_grid_sigma`` of each pair (i, j) of ``samples`` on every
+    ``COARSE_STRIDE``-th grid point, one row per pair, from one stacked
+    ``_sigma_max``."""
+    coarse = slice(None, None, COARSE_STRIDE)
+    psi = np.concatenate([_grid_psi(samples[i], samples[j], coarse)
+                          for i, j in pairs])
+    return _sigma_max(psi).reshape(len(pairs), -1)
 
 
 def _psi_sigma(s1: SampledPlant, s2: SampledPlant):
@@ -199,7 +232,8 @@ def _psi_sigma(s1: SampledPlant, s2: SampledPlant):
 
     The grid itself is read from the samples and evaluated once: later calls
     on the grid return the stored array.  Refinement points off the grid are
-    evaluated from state space.
+    evaluated from state space, P2's left factor and P1's right one from one
+    stacked eigh.
     """
     on_grid = []
 
@@ -211,7 +245,8 @@ def _psi_sigma(s1: SampledPlant, s2: SampledPlant):
         s = 1j * np.asarray(omegas, dtype=float)
         r1 = eval_response(s1.plant, s)
         r2 = eval_response(s2.plant, s)
-        l2, m1 = _factors(r2, right=False)[0], _factors(r1, left=False)[1]
+        l2, m1 = _factors(np.concatenate([r1, r2]), left=slice(s.size, None),
+                          right=slice(s.size))
         return _sigma_max(l2 @ (r1 - r2) @ m1)
 
     return fun
@@ -285,13 +320,12 @@ def central_plant(members, grid: FrequencyGrid) -> CentralPlantResult:
     """
     samples = [sample(p, grid) for p in members]
     n = len(samples)
-    coarse = slice(None, None, COARSE_STRIDE)
-    psi, low = {}, np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            psi[i, j] = _psi_sigma(samples[i], samples[j])
-            low[i, j] = low[j, i] = _clip(
-                _grid_sigma(samples[i], samples[j], coarse).max())
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    psi = {(i, j): _psi_sigma(samples[i], samples[j]) for i, j in pairs}
+    low = np.zeros((n, n))
+    if pairs:
+        for (i, j), row in zip(pairs, _coarse_sigma(samples, pairs)):
+            low[i, j] = low[j, i] = _clip(row.max())
     queue = [(bound, i, False) for i, bound in enumerate(low.max(axis=1))]
     heapq.heapify(queue)
 

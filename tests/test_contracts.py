@@ -1,6 +1,7 @@
 """Contracts with code outside src/: the benchmark's tracer wraps rssd
-functions by name, its set-up writes inputs through rssd.fileio, and
-README's library example runs as written."""
+functions by name and fails a traced run in which one is never called, its
+set-up writes inputs through rssd.fileio, and README's library example runs
+as written."""
 
 import contextlib
 import importlib
@@ -15,17 +16,45 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def load_perfbench(monkeypatch, name):
+    """perfbench/<name>.py as a module, registered for the test only."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_targets_resolve(monkeypatch):
     # perfbench/tracer.py imports the standard library only; a renamed or
     # deleted rssd function would fail its traced run, so it fails here
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)  # for its dataclass
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench(monkeypatch, "tracer")
     for module, name, _, _ in tracer.TARGETS:
         fn = getattr(importlib.import_module(f"rssd.{module}"), name, None)
         assert callable(fn), f"rssd.{module}.{name}"
+
+
+def test_traced_names_all_called(monkeypatch, tmp_path):
+    # a traced benchmark run fails when a wrapped name is never called, so
+    # dropping the last call site of one (or calling it only through a
+    # name the tracer does not patch) fails here: vgap and synth on the
+    # mimo_outer inputs, which certify no controller
+    from rssd import cli
+
+    tracer = load_perfbench(monkeypatch, "tracer")
+    workloads = load_perfbench(monkeypatch, "workloads")
+    workloads.write_inputs("mimo_outer", 1, tmp_path)
+    plants, config = str(tmp_path / "plants.json"), str(tmp_path / "config.json")
+    rec = tracer.Recorder()
+    with tracer.tracing(rec), contextlib.redirect_stdout(io.StringIO()):
+        for command in ("vgap", "synth"):
+            assert cli.main([command, plants, "--config", config,
+                             "--out", str(tmp_path / command)]) == 0
+    calls = tracer.layer_numbers(rec)
+    missing = [name for name in tracer.expected_spans(False)
+               if not calls.get(f"{name}.calls")]
+    assert not missing
 
 
 def test_benchmark_inputs_written_and_read(monkeypatch, tmp_path):
@@ -34,11 +63,7 @@ def test_benchmark_inputs_written_and_read(monkeypatch, tmp_path):
     # rather than in the benchmark's set-up run
     from rssd import fileio
 
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    workloads = load_perfbench(monkeypatch, "workloads")
     for name in workloads.WORKLOADS:
         out = tmp_path / name
         workloads.write_inputs(name, 1, out)

@@ -10,7 +10,7 @@ import rssd.scp
 import rssd.vgap
 from conftest import identity_banks, mimo_family
 from rssd.eigassign import EigTarget, EntryConstraint, ModeTarget
-from rssd.errors import DimensionMismatch
+from rssd.errors import ComputationFailed, DimensionMismatch
 from rssd.lti import PlantSet, StateSpacePlant, augment_plant
 from rssd.margins import closed_loop, gsm
 from rssd.nn_rssd import (
@@ -282,10 +282,59 @@ class TestRunNnRssd:
         banks = [q.label for q in evaluated if all(q is not p for p in pset)]
         assert banks == ["bank_out", "bank_in"] * len(j1_calls)
         for _, _, members, _ in j1_calls:
-            assert all(s.plant is p for s, p in zip(members, pset, strict=True))
-            assert all(s.left is None and s.right is None for s in members)
+            raws = [m.raw for m in members]
+            assert all(s.plant is p for s, p in zip(raws, pset, strict=True))
+            assert all(s.left is None and s.right is None for s in raws)
             assert all(s.response.shape == (grid.points.size, 1, 1)
-                       for s in members)
+                       for s in raws)
+
+    def test_member_work_once_per_synthesis(self, grid, monkeypatch):
+        # a square family: each raw member's spectrum and transmission zeros
+        # are found once per synthesis, and each scored genome augments each
+        # member once for both its constraint check and its J1
+        pset = square_family()
+        constraints, target = mimo_setup(2, 2)
+        eig_args, zero_args, augmented, checks, j1s = [], [], [], [], []
+
+        def spy(log, fn, arg=0):
+            def wrapped(*args):
+                log.append(args[arg])
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy(eig_args, np.linalg.eigvals))
+        monkeypatch.setattr(rssd.scp, "transmission_zeros",
+                            spy(zero_args, rssd.scp.transmission_zeros))
+        monkeypatch.setattr(rssd.scp, "augment_plant",
+                            spy(augmented, rssd.scp.augment_plant, 1))
+        monkeypatch.setattr(rssd.nn_rssd, "check_constraints",
+                            spy(checks, rssd.nn_rssd.check_constraints))
+        monkeypatch.setattr(rssd.nn_rssd, "j1_fitness",
+                            spy(j1s, rssd.nn_rssd.j1_fitness))
+        report = run_nn_rssd(pset, constraints, target,
+                             GaConfig(population=4, max_generations=1, seed=7),
+                             GaConfig(population=4, max_generations=0, seed=11),
+                             grid)
+        assert not report.feasible and report.rssd_invocations >= 1
+        assert len(checks) >= 2 and len(j1s) == len(checks)
+        for p in pset:
+            assert sum(a is p.A for a in eig_args) == 1
+            assert sum(q is p for q in zero_args) == 1
+            assert sum(q is p for q in augmented) == len(checks)
+        assert len(augmented) == len(pset) * len(checks)
+
+    def test_singular_pencil_raises_before_the_search(self, grid):
+        # each member's zeros are found once, before any genome is scored,
+        # so a member whose every s is a zero fails even an empty budget
+        full = square_family(1)[0]
+        rank1 = StateSpacePlant(full.A, full.B[:, :1] @ [[1.0, 2.0]], full.C,
+                                full.D, "rank1")
+        constraints, target = mimo_setup(2, 2)
+        with pytest.raises(ComputationFailed, match="'rank1': singular"):
+            run_nn_rssd(PlantSet((full, rank1)), constraints, target,
+                        GaConfig(population=4, max_generations=0, seed=7),
+                        GaConfig(population=4, max_generations=0, seed=11),
+                        grid)
 
     def test_degenerate_singleton_uses_floor(self, grid):
         pset = PlantSet((StateSpacePlant.siso(1.0, 1.0, label="only"),))
@@ -295,6 +344,19 @@ class TestRunNnRssd:
         report = run_nn_rssd(pset, constraints, target, scp, rssd, grid)
         assert report.feasible
         assert report.j1_history[-1] == pytest.approx(1e-3)
+
+
+def square_family(members=3):
+    """2 x 2 members of order 4 with one RHP pole, each scaling every pole
+    by 1 + 0.05 k; sigma_min of each stays above 0 dB at low frequency."""
+    rng = np.random.default_rng(15)
+    T, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    poles = np.array([0.5, -1.0, -2.0, -3.0])
+    B, C = rng.normal(size=(4, 2)), 5.0 * rng.normal(size=(2, 4))
+    return PlantSet(tuple(
+        StateSpacePlant(T @ np.diag(poles * (1 + 0.05 * k)) @ T.T, B, C,
+                        np.zeros((2, 2)), f"square{k}")
+        for k in range(members)))
 
 
 GAIN_SHA256 = "d17a1b33ed71eaa69b41b5bd1be9f862820a29aafcd444564055d3f77554f9d8"

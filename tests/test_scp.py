@@ -14,16 +14,18 @@ from rssd.lti import (
     StateSpacePlant,
     augment_plant,
     eval_response,
+    is_imag_axis,
 )
 from rssd.margins import linf_norm
 from rssd.scp import (
     ScpConstraints,
+    augment,
     check_constraints,
     decode_banks,
     j1_fitness,
     transmission_zeros,
 )
-from rssd.vgap import central_plant
+from rssd.vgap import central_plant, pole_counts
 
 
 def static_trio():
@@ -489,6 +491,59 @@ class TestJ1Fitness:
                 want = eval_response(aug, 1j * grid.points)
                 err = np.linalg.norm(got.response - want, axis=(1, 2))
                 assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
+
+    def test_pole_counts_from_member_and_section_poles(self, grid,
+                                                       monkeypatch):
+        # each augmented member counts P_i's poles and the sections' poles,
+        # as eig of the cascade's A would: here a member with poles at +-2j,
+        # seeded dynamic banks, and a section pole within IMAG_AXIS_RTOL of
+        # the origin
+        rng = np.random.default_rng(23)
+        T, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        B, C = rng.normal(size=(4, 2)), rng.normal(size=(3, 4))
+        oscillator = np.diag([0.0, 0.0, 0.7, -1.5])
+        oscillator[0, 1], oscillator[1, 0] = 2.0, -2.0
+        pset = PlantSet(tuple(
+            StateSpacePlant(T @ block @ T.T, B, C, np.zeros((3, 2)))
+            for block in (np.diag([0.7, -1.0, -1.5, -2.0]), oscillator,
+                          np.diag([0.8, 0.3, -1.5, -2.5]))))
+        assert [pole_counts(p) for p in pset] == [(1, 0), (1, 2), (2, 0)]
+        near_origin = FirstOrderSection(1.0, 2.0, 1.0, 1e-10)
+        assert is_imag_axis(near_origin.pole)
+        captured = []
+
+        def spy(members, g):
+            captured[:] = members
+            return central_plant(members, g)
+
+        monkeypatch.setattr(rssd.scp, "central_plant", spy)
+        seen = set()
+        for k in range(4):
+            w_in, w_out = random_bank(rng, 2, "in"), random_bank(rng, 3, "out")
+            if k % 2:
+                w_in = CompensatorBank((near_origin,) + w_in.sections[1:], "in")
+            j1_fitness(w_in, w_out, pset, grid)
+            for got, p in zip(captured, pset, strict=True):
+                want = pole_counts(augment_plant(w_out, p, w_in))
+                assert got.poles == want
+                seen.add(want)
+        assert {(1, 0), (1, 3), (2, 1)} <= seen
+
+    def test_augmented_once_per_banks(self):
+        # a member augmented under these banks is kept; under other banks
+        # it is augmented anew from its raw plant, keeping poles and zeros
+        pset = mimo_family(2, 3)
+        rng = np.random.default_rng(31)
+        first = (random_bank(rng, 3, "in"), random_bank(rng, 5, "out"))
+        second = (random_bank(rng, 3, "in"), random_bank(rng, 5, "out"))
+        members = augment(*first, pset)
+        assert all(a is b for a, b in zip(augment(*first, members), members))
+        again = augment(*second, members)
+        for m, n, p in zip(members, again, pset, strict=True):
+            assert n.plant is p and n.poles is m.poles and n.zeros is m.zeros
+            want = augment_plant(second[1], p, second[0])
+            assert all(np.array_equal(getattr(n.augmented, k), getattr(want, k))
+                       for k in "ABCD")
 
     def test_static_banks_equal_scaled_members(self, grid):
         # W_out P W_in with static banks is the member with B diag(W_in)

@@ -9,6 +9,7 @@ from rssd.errors import DetVanishesOnContour
 from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, cascade, eval_response
 from rssd.vgap import (
     COARSE_STRIDE,
+    SampledPlant,
     central_from_matrix,
     central_plant,
     gap_matrix,
@@ -491,12 +492,34 @@ class TestCentralPlant:
 
     def test_coarse_values_are_the_grids_own(self, coarse_grid):
         # each coarse bound is a maximum over a subset of the very values
-        # the full grid holds, so it never exceeds the full-grid bound
-        pset = random_family(np.random.default_rng(39), 2, 3, 5)
-        s1, s2 = (sample(p, coarse_grid) for p in pset)
-        full = rssd.vgap._grid_sigma(s1, s2)
-        coarse = rssd.vgap._grid_sigma(s1, s2, slice(None, None, COARSE_STRIDE))
-        assert np.array_equal(coarse, full[::COARSE_STRIDE])
+        # the full grid holds, so it never exceeds the full-grid bound; all
+        # pairs' coarse values, taken in one stacked batch, are each pair's
+        # own bit for bit
+        pset = random_family(np.random.default_rng(39), 4, 3, 5)
+        samples = [sample(p, coarse_grid) for p in pset]
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        stacked = rssd.vgap._coarse_sigma(samples, pairs)
+        assert stacked.shape == (len(pairs), coarse_grid.points[::COARSE_STRIDE].size)
+        for (i, j), row in zip(pairs, stacked):
+            full = rssd.vgap._grid_sigma(samples[i], samples[j])
+            coarse = rssd.vgap._grid_sigma(samples[i], samples[j],
+                                           slice(None, None, COARSE_STRIDE))
+            assert np.array_equal(coarse, full[::COARSE_STRIDE])
+            assert np.array_equal(row, coarse)
+
+    def test_end_members_with_one_factor(self, coarse_grid):
+        # pair (i, j), i < j, reads P_j's left factor and P_i's right one:
+        # the first member needs no left factor and the last no right one
+        for pset in seeded_families():
+            n = len(pset)
+            samples = [SampledPlant.of(p, coarse_grid,
+                                       eval_response(p, 1j * coarse_grid.points),
+                                       pole_counts(p), left=i > 0,
+                                       right=i < n - 1)
+                       for i, p in enumerate(pset)]
+            assert samples[0].left is None and samples[-1].right is None
+            assert central_plant(samples, coarse_grid) == central_from_matrix(
+                gap_matrix(pset, coarse_grid))
 
 
 class TestSampling:
@@ -575,6 +598,21 @@ class TestSampling:
         assert only_left[1] is None and only_right[0] is None
         assert np.array_equal(only_left[0], left)
         assert np.array_equal(only_right[1], right)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
+    def test_refinement_factors_from_one_eigh_bitwise(self, shape, coarse_grid):
+        # off the grid both members' factors come from one eigh of their
+        # stacked Grams: the same floats as two one-sided _factors calls
+        r, m = shape
+        p1, p2 = mixed_pair(np.random.default_rng(47), m, r)
+        pts = coarse_grid.points
+        omegas = np.sqrt(pts[1:] * pts[:-1])
+        s1, s2 = sample(p1, coarse_grid), sample(p2, coarse_grid)
+        got = rssd.vgap._psi_sigma(s1, s2)(omegas)
+        r1, r2 = eval_response(p1, 1j * omegas), eval_response(p2, 1j * omegas)
+        l2 = rssd.vgap._factors(r2, right=False)[0]
+        m1 = rssd.vgap._factors(r1, left=False)[1]
+        assert np.array_equal(got, rssd.vgap._sigma_max(l2 @ (r1 - r2) @ m1))
 
     @pytest.mark.parametrize("m, r", [(2, 3), (3, 2)])
     def test_psi_sigma_from_gram_matches_svd(self, m, r, coarse_grid,
