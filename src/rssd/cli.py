@@ -22,6 +22,7 @@ from .margins import (
     closed_loop,
     disk_margin,
     sensitivity_curves,
+    singular_values,
     uncertainty_bounds,
 )
 from .nn_rssd import run_nn_rssd
@@ -168,7 +169,7 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
         loop or response fails gets an error entry and no files."""
         try:
             cl = closed_loop(augment_plant(w_out, plant, w_in), gain)
-            sv = np.linalg.svd(cl.response(grid).plant, compute_uv=False)
+            sv = singular_values(cl.response(grid).plant)
         except RssdError as exc:
             return {"error": str(exc)}, None, None
         tables = {"eigenvalues": [

@@ -4,7 +4,12 @@ sensitivity curves, uncertainty tolerance bounds, and multiloop disk margins.
 ``closed_loop`` builds a plant's loop once; every analysis entry point
 (``gsm``, ``disk_margin``, ``sensitivity_curves``, ``uncertainty_bounds``)
 takes that ``ClosedLoop``, and the loop evaluates P(jw), S_o and S_i at
-most once per frequency grid.
+most once per frequency grid, and the singular values of S_i once.
+
+``singular_values`` is the one singular-value kernel here.  A stack of 1x1
+matrices (a SISO loop) gets LAPACK's own value elementwise, without one
+LAPACK call per frequency; every other shape goes to ``np.linalg.svd``.
+Both give the same bits.
 
 L-infinity norms are certified upper bounds from a Hamiltonian iteration
 over all of [0, inf], so the generalized stability margin and the disk
@@ -32,6 +37,30 @@ HAMILTONIAN_AXIS_RTOL = 1e-7
 # linf_norm's bound is within 2 LINF_TOL (relative) above the norm.
 LINF_TOL = 1e-10
 LINF_MAX_ITER = 50
+# LAPACK's gesdd rescales a matrix whose largest |entry| lies outside about
+# (6.7e-139, 1.5e138) before its SVD; 1x1 entries outside this range go to it
+SV_RANGE = (1e-130, 1e130)
+
+
+def singular_values(mats: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix or stack, descending along the last axis:
+    ``np.linalg.svd(mats, compute_uv=False)``, bit for bit.
+
+    For 1x1 matrices gesdd's Householder step gives |z| as
+    hi sqrt(1 + (lo/hi)^2) with hi, lo = max, min(|Re z|, |Im z|) (LAPACK's
+    dlapy3), which is computed here elementwise.  Zeros, non-finite
+    entries and those gesdd would rescale first go to ``np.linalg.svd``.
+    """
+    if mats.shape[-2:] != (1, 1):
+        return np.linalg.svd(mats, compute_uv=False)
+    re, im = np.abs(mats.real[..., 0]), np.abs(mats.imag[..., 0])
+    hi = np.maximum(re, im)
+    with np.errstate(all="ignore"):
+        sv = hi * np.sqrt(1.0 + (np.minimum(re, im) / hi) ** 2)
+    odd = ~((sv > SV_RANGE[0]) & (sv < SV_RANGE[1]))[..., 0]
+    if np.any(odd):
+        sv[odd] = np.linalg.svd(mats[odd], compute_uv=False)
+    return sv
 
 
 @dataclass(frozen=True)
@@ -85,6 +114,11 @@ class LoopResponse:
         return np.linalg.inv(np.eye(self.loop.plant.m)
                              - self.loop.gain @ self.plant)
 
+    @cached_property
+    def si_sv(self) -> np.ndarray:
+        """Singular values of S_i per frequency, descending."""
+        return singular_values(self.si)
+
 
 @dataclass(frozen=True)
 class MarginReport:
@@ -131,6 +165,8 @@ def crossings(sys: StateSpacePlant, gamma: float) -> np.ndarray:
         H[n:, :n] = -C.T @ (np.eye(sys.r) + D @ r_inv @ D.T) @ C
         H[n:, n:] = -ah.T
         lam = np.linalg.eigvals(H)
+    except OverflowError as exc:
+        raise ComputationFailed(f"gamma^2 overflows at gamma={gamma:.6g}") from exc
     except np.linalg.LinAlgError as exc:
         raise ComputationFailed(f"Hamiltonian eigen-solve failed: {exc}") from exc
     return np.sort(np.abs(lam[is_imag_axis(lam, HAMILTONIAN_AXIS_RTOL)].imag))
@@ -160,8 +196,7 @@ def linf_norm(sys: StateSpacePlant, poles=None) -> tuple[float, float]:
         w = np.sort(omegas)
         omegas = w[np.concatenate([[True], w[1:] != w[:-1]])]
         try:
-            sig = np.linalg.svd(eval_response(sys, 1j * omegas),
-                                compute_uv=False)[:, 0]
+            sig = singular_values(eval_response(sys, 1j * omegas))[:, 0]
         except np.linalg.LinAlgError as exc:
             raise ComputationFailed(f"singular values failed: {exc}") from exc
         i = int(np.argmax(sig))
@@ -170,7 +205,7 @@ def linf_norm(sys: StateSpacePlant, poles=None) -> tuple[float, float]:
         return float(sig[i]), float(omegas[i])
 
     lb, omega = peak(np.concatenate([[0.0], np.abs(eig), np.abs(eig.imag)]))
-    d_gain = np.linalg.norm(sys.D, ord=2) if sys.D.size else 0.0
+    d_gain = singular_values(sys.D)[0] if sys.D.size else 0.0
     if d_gain > lb:
         lb, omega = float(d_gain), np.inf
     if lb == 0.0 and sys.n:
@@ -229,14 +264,10 @@ def sensitivity_curves(cl: ClosedLoop, grid: FrequencyGrid) -> SensitivityCurves
         raise UnstableLoop("sensitivity curves require a stable loop")
     resp = cl.response(grid)
 
-    def ext(mats):
-        sv = np.linalg.svd(mats, compute_uv=False)
-        return sv[:, 0], sv[:, -1]
-
-    so_hi, so_lo = ext(resp.so)
-    si_hi, si_lo = ext(resp.si)
-    kso_hi, kso_lo = ext(cl.gain @ resp.so)
-    return SensitivityCurves(so_hi, so_lo, si_hi, si_lo, kso_hi, kso_lo)
+    so, si = singular_values(resp.so), resp.si_sv
+    kso = singular_values(cl.gain @ resp.so)
+    return SensitivityCurves(so[:, 0], so[:, -1], si[:, 0], si[:, -1],
+                             kso[:, 0], kso[:, -1])
 
 
 def uncertainty_bounds(cl: ClosedLoop, grid: FrequencyGrid) -> UncertaintyBounds:
@@ -249,8 +280,8 @@ def uncertainty_bounds(cl: ClosedLoop, grid: FrequencyGrid) -> UncertaintyBounds
         raise UnstableLoop("uncertainty bounds require a stable loop")
     resp = cl.response(grid)
     to = resp.plant @ cl.gain @ resp.so
-    sig_to = np.linalg.norm(to, ord=2, axis=(1, 2))
-    sig_si = np.linalg.norm(resp.si, ord=2, axis=(1, 2))
+    sig_to = singular_values(to)[:, 0]
+    sig_si = resp.si_sv[:, 0]
     with np.errstate(divide="ignore"):
         out_bound = np.where(sig_to > 0, 1.0 / sig_to, np.inf)
         inv_bound = np.where(sig_si > 0, 1.0 / sig_si, np.inf)

@@ -164,25 +164,23 @@ def transmission_zeros(plant: StateSpacePlant) -> np.ndarray:
     no λ and join the outputs: a square system with fewer states.  Singular
     values count above ``ZERO_RANK_RTOL`` times the scaled pencil's norm.
 
-    A singular pencil (a zero column of [B; D] or row of [C D], or C₂ short
-    of full row rank) has every λ as a zero and raises ``ComputationFailed``
-    naming the plant.
+    A singular pencil (an exactly zero column of [B; D] or row of [C D], or
+    C₂ short of full row rank) has every λ as a zero and raises
+    ``ComputationFailed`` naming the plant.
     """
     if plant.m != plant.r:
         return np.array([], dtype=complex)
     singular = f"plant {plant.label!r}: singular system pencil"
     A, B, C, D = plant.A, plant.B, plant.C, plant.D
-    cols = np.linalg.norm(np.vstack([B, D]), axis=0)
+    cols = _pow2_scale(np.vstack([B, D]), axis=0)
     if not np.all(cols > 0):
         raise ComputationFailed(f"{singular} (input {np.argmin(cols)} reaches "
                                 "neither state nor output)")
-    cols = 2.0 ** np.round(np.log2(cols))
     B, D = B / cols, D / cols
-    rows = np.linalg.norm(np.hstack([C, D]), axis=1)[:, None]
+    rows = _pow2_scale(np.hstack([C, D]), axis=1)[:, None]
     if not np.all(rows > 0):
         raise ComputationFailed(f"{singular} (output {np.argmin(rows)} reads "
                                 "neither state nor input)")
-    rows = 2.0 ** np.round(np.log2(rows))
     C, D = C / rows, D / rows
     tol = ZERO_RANK_RTOL * np.linalg.norm(np.block([[A, B], [C, D]]))
     while True:
@@ -201,6 +199,17 @@ def transmission_zeros(plant: StateSpacePlant) -> np.ndarray:
         A, B, C, D = (v2.T @ av2, v2.T @ B,
                       np.vstack([uc[:rho] @ v2, v1.T @ av2]),
                       np.vstack([sv[:rho, None] * vt[:rho], v1.T @ B]))
+
+
+def _pow2_scale(M: np.ndarray, axis: int) -> np.ndarray:
+    """The power of two nearest the 2-norm of each column (axis 0) or row
+    (axis 1) of M, and exactly 0 for a zero one.  Where the 2-norm under- or
+    overflows, the power of two nearest the largest |entry| instead."""
+    with np.errstate(over="ignore", divide="ignore"):
+        norms = np.linalg.norm(M, axis=axis)
+        lost = ~(np.isfinite(norms) & (norms > 0))
+        norms[lost] = np.abs(M).max(axis=axis)[lost]
+        return 2.0 ** np.round(np.log2(norms))
 
 
 def _bank_poles_zeros(bank: CompensatorBank):

@@ -50,6 +50,32 @@ ANALYZE_SHA256 = {
         "f9e635ebb568b85f9d8600f3cb70ac98842929ca3436fad1b37298837d6efd65",
 }
 
+# synth analyses its controller on the config's grid, as analyze does
+SYNTH_SHA256 = {
+    "synthesis_report.json":
+        "9c8e7c7c0bf34b4dfdd75a09b12aa5fc96dc5940000f6517ff92b8baae169673",
+    "controller.json":
+        "d1f7b062633c737608efed174ebe7394f062b2c08421eee7ded292a09c4fcf81",
+    **ANALYZE_SHA256,
+}
+
+SIM_SHA256 = {
+    "traces_0_nominal.csv":
+        "476b8233551892c771de7e63aef8733d2998a03ff332284096100a368157307d",
+    "traces_1_fast.csv":
+        "2bb6b15962e07c545922faeba0769935211550431bf902be5f2f6a9cf3a40c58",
+    "traces_2_slow.csv":
+        "a3402606ad64454afa6974a382a059e03dc9c1de54e5215fb248bba12a608390",
+    "tracking_report.json":
+        "a8122632fd1cd7564c7101b6ab9affa88a49c72eb574e11a0bf6b154a575e86e",
+}
+
+
+def assert_pinned(out: Path, digests: dict):
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+            == digest, name
+
 
 # SHA-256 of the fixture's gap matrix; plain labels are written unquoted
 GAP_MATRIX_SHA256 = \
@@ -115,6 +141,11 @@ class TestSynthCommand:
         assert report["feasible"]
         assert (out / "controller.json").exists()
         assert (out / "margins.json").exists()
+
+    def test_outputs_pinned(self, tmp_path):
+        assert run("synth", FAMILY, "--config", CONFIG,
+                   "--out", str(tmp_path)) == 0
+        assert_pinned(tmp_path, SYNTH_SHA256)
 
     def test_identical_invocations_identical_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -242,9 +273,44 @@ class TestAnalyzeCommand:
     def test_outputs_pinned(self, tmp_path, controller):
         assert run("analyze", FAMILY, "--config", CONFIG, "--controller",
                    controller, "--out", str(tmp_path)) == 0
-        for name, digest in ANALYZE_SHA256.items():
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
-                == digest, name
+        assert_pinned(tmp_path, ANALYZE_SHA256)
+
+    def test_no_lapack_call_on_a_1x1_stack(self, tmp_path, controller,
+                                           monkeypatch):
+        # a SISO loop's singular values come from margins.singular_values'
+        # elementwise kernel, not from one LAPACK call per frequency
+        shapes = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        assert run("analyze", FAMILY, "--config", CONFIG, "--controller",
+                   controller, "--out", str(tmp_path)) == 0
+        assert shapes and not [s for s in shapes if s[-2:] == (1, 1)]
+
+    def test_mimo_loop_takes_five_sigma_batches(self, tmp_path, monkeypatch):
+        # P, S_o, S_i, K S_o and T_o: S_i's singular values serve both the
+        # sensitivity curves and the inverse-input bound
+        from rssd import cli
+        from rssd.lti import CompensatorBank
+        from rssd.margins import singular_values
+
+        grid = FrequencyGrid.default()
+        counts = {"batches": 0}
+        count_calls(monkeypatch, singular_values, counts, "batches",
+                    lambda mats: np.shape(mats)[0] == grid.points.size)
+        plant = StateSpacePlant(-np.diag([1.0, 2.0, 3.0]),
+                                [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                                [[1.0, 0.5, 0.0], [0.0, 1.0, -1.0]],
+                                np.zeros((2, 2)), "mimo")
+        summary = cli._analysis_bundle(
+            PlantSet((plant,)), -0.2 * np.eye(2), CompensatorBank.identity(2),
+            CompensatorBank.identity(2, "out"), grid, tmp_path)
+        assert not summary["mimo"]["unstable"]
+        assert counts == {"batches": 5}
 
 
 class TestSimCommand:
@@ -258,6 +324,7 @@ class TestSimCommand:
         assert traces[0] == "time,ref_0,y_0,err_0,u_0"
         report = json.loads((sim_out / "tracking_report.json").read_text())
         assert set(report) == {"nominal", "fast", "slow"}
+        assert_pinned(sim_out, SIM_SHA256)
 
     def test_divergent_pairing_reported(self, tmp_path):
         from rssd.lti import CompensatorBank

@@ -1,8 +1,10 @@
 """Contracts with code outside src/: the benchmark's tracer wraps rssd
 functions by name and fails a traced run in which one is never called, its
 set-up writes inputs through rssd.fileio, and README's library example runs
-as written."""
+as written.  Inside src/: the analysis layer takes singular values from one
+kernel."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -86,3 +88,41 @@ def test_readme_library_example():
     assert report.feasible
     np.testing.assert_allclose(report.gain, [[-1.11460837]], rtol=1e-8)
     assert printed.getvalue().startswith("True [[")
+
+
+def sigma_calls_outside_kernel(source: str) -> list[str]:
+    """Calls of ``np.linalg.svd`` or ``np.linalg.norm(..., ord=2)`` outside
+    a function named ``singular_values``, as 'line: name'."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name == "singular_values"
+        if isinstance(node, ast.Call) and not inside:
+            name = ast.unparse(node.func)
+            leaf = name.rsplit(".", 1)[-1]
+            ords = [kw.value for kw in node.keywords if kw.arg == "ord"] \
+                + node.args[1:2]
+            if leaf == "svd" or (
+                    leaf == "norm" and
+                    any(isinstance(v, ast.Constant) and v.value == 2
+                        for v in ords)):
+                found.append(f"{node.lineno}: {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_analysis_sigma_through_one_kernel():
+    # margins.singular_values gives a SISO loop LAPACK's bits without a
+    # LAPACK call per frequency; a direct SVD in the analysis layer would
+    # bypass it
+    for module in ("margins", "cli"):
+        source = (ROOT / "src" / "rssd" / f"{module}.py").read_text()
+        assert not sigma_calls_outside_kernel(source), module
+    assert sigma_calls_outside_kernel(
+        "def f(x):\n    return np.linalg.svd(x), np.linalg.norm(x, ord=2)\n"
+        "def singular_values(x):\n    return np.linalg.svd(x)\n"
+    ) == ["2: np.linalg.svd", "2: np.linalg.norm"]

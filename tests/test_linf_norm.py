@@ -158,6 +158,26 @@ class TestDegenerate:
         with pytest.raises(ComputationFailed):
             linf_norm(resonance(0.1, 1.0))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1j * np.inf])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_non_finite_entry_raises(self, monkeypatch, value, m):
+        # one bad entry among finite ones, in a 1x1 and a 2x2 stack
+        def bad_response(plant, s_values):
+            resp = np.ones((np.size(s_values), m, m), dtype=complex)
+            resp[-1, 0, 0] = value
+            return resp
+
+        monkeypatch.setattr(rssd.margins, "eval_response", bad_response)
+        with pytest.raises(ComputationFailed):
+            linf_norm(resonance(0.1, 1.0))
+
+    def test_gamma_square_overflow_raises(self):
+        # H(gamma) needs gamma^2: past ~1.3e154 it overflows
+        assert linf_norm(StateSpacePlant.siso(-1.0, 1e154)) \
+            == (1.0000000002e154, 0.0)
+        with pytest.raises(ComputationFailed, match="gamma\\^2 overflows"):
+            linf_norm(StateSpacePlant.siso(-1.0, 1e155))
+
 
 def double_integrator_case():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])

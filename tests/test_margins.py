@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -12,9 +17,30 @@ from rssd.margins import (
     gsm,
     linf_norm,
     sensitivity_curves,
+    singular_values,
     uncertainty_bounds,
 )
 from rssd.sweep import grid_peak
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def one_by_one_stacks(rng, size):
+    """1x1 stacks: |z| over 1e-140..1e140 with random phase (beyond the
+    kernel's range at both ends), real and imaginary parts of unrelated
+    scale, pure real and imaginary entries with +-0, and a real stack."""
+    mag = 10.0 ** rng.uniform(-140.0, 140.0, size)
+    polar = mag * np.exp(2j * np.pi * rng.uniform(size=size))
+    mixed = (rng.normal(size=size) * 10.0 ** rng.uniform(-40.0, 40.0, size)
+             + 1j * rng.normal(size=size) * 10.0 ** rng.uniform(-40.0, 40.0, size))
+    axes = np.concatenate([polar.real, 1j * polar.imag, [0.0, -0.0, 0.0j]])
+    return [z.reshape(-1, 1, 1) for z in
+            (polar, mixed, axes.astype(complex), polar.real)]
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestSweep:
@@ -73,6 +99,52 @@ class TestLinfNorm:
                               np.array([[9.0]]), np.array([[1.0]]))
         norm, _ = linf_norm(sys)
         assert norm == pytest.approx(10.0, rel=1e-6)
+
+
+class TestSingularValues:
+    """The 1x1 kernel returns LAPACK's bits; every other shape is LAPACK."""
+
+    def test_1x1_stacks_bitwise(self):
+        for mats in one_by_one_stacks(np.random.default_rng(21), 50_000):
+            assert same_bits(singular_values(mats),
+                             np.linalg.svd(mats, compute_uv=False))
+
+    def test_single_matrix_and_other_shapes(self):
+        rng = np.random.default_rng(3)
+        for mats in (np.array([[-2.5]]), np.array([[0.0]]),
+                     np.array([[3.0 - 4.0j]]), rng.normal(size=(2, 3)),
+                     rng.normal(size=(7, 3, 2)) + 1j * rng.normal(size=(7, 3, 2)),
+                     rng.normal(size=(4, 1, 2))):
+            assert same_bits(singular_values(mats),
+                             np.linalg.svd(mats, compute_uv=False))
+
+    def test_non_finite_entries_as_lapack(self):
+        # inf gives LAPACK's NaN; NaN makes LAPACK fail and raise
+        mats = np.array([1.0, np.inf, 1j * np.inf, 2.0 + 1e-300j],
+                        dtype=complex).reshape(-1, 1, 1)
+        np.testing.assert_array_equal(singular_values(mats),
+                                      np.linalg.svd(mats, compute_uv=False))
+        mats[0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.svd(mats, compute_uv=False)
+        with pytest.raises(np.linalg.LinAlgError):
+            singular_values(mats)
+
+    @pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+    def test_bitwise_under_other_openblas_kernels(self, coretype):
+        code = (
+            "import numpy as np\n"
+            "from test_margins import one_by_one_stacks, same_bits\n"
+            "from rssd.margins import singular_values\n"
+            "for m in one_by_one_stacks(np.random.default_rng(22), 20_000):\n"
+            "    assert same_bits(singular_values(m),\n"
+            "                     np.linalg.svd(m, compute_uv=False))\n"
+        )
+        env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+               "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(__file__).parent)])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestClosedLoop:

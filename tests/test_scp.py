@@ -206,11 +206,19 @@ class TestZeroDeflation:
     @pytest.mark.parametrize("B, C, D, why", [
         ([[1.0, 0.0], [1.0, 0.0]], np.eye(2), np.zeros((2, 2)), "input 1"),
         (np.eye(2), [[1.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], "output 1"),
+        ([[1e-170, 0.0], [1e-170, 0.0]], np.eye(2), np.zeros((2, 2)), "input 1"),
     ])
     def test_zero_column_or_row_is_singular(self, B, C, D, why):
         plant = StateSpacePlant(-np.eye(2), B, C, D, "dead")
         with pytest.raises(ComputationFailed, match=f"'dead'.*{why}"):
             transmission_zeros(plant)
+
+    @pytest.mark.parametrize("b", [1e-170, 1e170])
+    def test_column_norm_out_of_range(self, b):
+        # -1/(s + 1) with B = b, C = -1/b: the squares in the 2-norms of
+        # B's column and C's row under- or overflow, yet neither is zero
+        plant = StateSpacePlant([[-1.0]], [[b]], [[-1.0 / b]], [[0.0]])
+        assert transmission_zeros(plant).size == 0
 
     def test_static_plant(self):
         assert transmission_zeros(
