@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolation, DimensionMismatch, EmptySubspace, IllConditioned
+from .margins import singular_values
 
 COND_LIMIT = 1e5
 NULLSPACE_RTOL = 1e-10
@@ -218,7 +219,7 @@ def compute_gain(W, R, C) -> np.ndarray:
     CR = C @ R
     if CR.shape[0] != CR.shape[1]:
         raise DimensionMismatch(f"CR must be square, got {CR.shape}")
-    sv = np.linalg.svd(CR, compute_uv=False)
+    sv = singular_values(CR)
     cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
     if cond >= COND_LIMIT:
         raise IllConditioned(cond, COND_LIMIT)

@@ -127,18 +127,9 @@ class PlantSet:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing evaluation frequencies with refinement config.
-
-    ``rel_tol`` sets the bracket stop of the peak refinement in
-    ``rssd.sweep.grid_peak`` (applied ten times tighter, relative to the
-    bracket's position in log-frequency, |log10 omega|, so a peak near
-    1 rad/s takes about four times the rounds of one at 300 rad/s) and
-    ``max_refine_depth`` caps its rounds.
-    """
+    """Strictly increasing, nonnegative evaluation frequencies."""
 
     points: np.ndarray
-    max_refine_depth: int = 40
-    rel_tol: float = 1e-4
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).ravel()

@@ -43,7 +43,6 @@ from .scp import (
     j1_fitness,
     sampled_member,
 )
-from .vgap import central_plant
 
 PENALTY = 1e18
 JBAR_FLOOR = 1e-3  # keeps the feasibility test J2 < 1/J1bar satisfiable at eps=0
@@ -311,13 +310,10 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
     """Full two-level synthesis; infeasibility is a report state, not an error."""
     grid = grid or FrequencyGrid.default()
     constraints.require_banks(pset.m, pset.r)
+    # every genome reuses each member's poles, zeros and response; J1bar0
+    # is J1 under the identity banks the members start under
     members = [sampled_member(p, grid) for p in pset]
-    jbar0 = max(central_plant([m.raw for m in members], grid).epsilon,
-                JBAR_FLOOR)
-    # every genome reuses each member's poles, zeros, plant and response,
-    # never its factors
-    members = [replace(m, raw=replace(m.raw, left=None, right=None))
-               for m in members]
+    jbar0 = max(j1_fitness(*members[0].banks, members, grid)[0], JBAR_FLOOR)
     state = {
         "jbar": jbar0,
         "history": [],

@@ -26,8 +26,8 @@ from .lti import (
     augment_plant,
     eval_response,
 )
-from .margins import crossings
-from .vgap import SampledPlant, central_plant, sample, spectrum_counts
+from .margins import crossings, singular_values
+from .vgap import SampledPlant, central_plant, spectrum_counts
 
 FEEDTHROUGH_TOL = 1e-6  # |1 - s^2| of a singular value s of D: H(1) undecided
 BAND_EDGE_RTOL = 1e-9  # a crossing this close outside the band is on its edge
@@ -86,21 +86,17 @@ class ConstraintReport:
 @dataclass(frozen=True)
 class Member:
     """A plant P of the family with what no outer genome changes of it: the
-    eigenvalues of its A (``poles``) and its transmission ``zeros``.  ``raw``
-    is P, or in a synthesis its grid sample (``sampled_member``), whose
-    response J1 reads.  ``augment`` sets ``augmented``, W_out P W_in
+    eigenvalues of its A (``poles``), its transmission ``zeros`` and, in a
+    synthesis, its ``response`` on the grid, which J1 reads
+    (``sampled_member``).  ``augment`` sets ``augmented``, W_out P W_in
     realized once under ``banks`` = (w_in, w_out)."""
 
-    raw: StateSpacePlant | SampledPlant
+    plant: StateSpacePlant
     poles: np.ndarray
     zeros: np.ndarray
+    response: np.ndarray | None = None
     banks: tuple = ()
     augmented: StateSpacePlant | None = None
-
-    @property
-    def plant(self) -> StateSpacePlant:
-        """P itself."""
-        return self.raw.plant if isinstance(self.raw, SampledPlant) else self.raw
 
 
 def _member(plant: StateSpacePlant) -> Member:
@@ -109,12 +105,14 @@ def _member(plant: StateSpacePlant) -> Member:
 
 
 def sampled_member(plant: StateSpacePlant, grid: FrequencyGrid) -> Member:
-    """``plant`` as a ``Member`` whose ``raw`` is its sample on ``grid``, both
-    factors formed and its pole counts read from ``poles``."""
+    """``plant`` as a ``Member`` with its ``response`` on ``grid``, augmented
+    under identity banks: W_out P W_in is P itself, so no cascade runs, and
+    J1 under those banks is the family's own central-plant gap."""
     m = _member(plant)
-    raw = SampledPlant.of(plant, grid, eval_response(plant, 1j * grid.points),
-                          spectrum_counts(m.poles))
-    return replace(m, raw=raw)
+    return replace(m, response=eval_response(plant, 1j * grid.points),
+                   banks=(CompensatorBank.identity(plant.m, "in"),
+                          CompensatorBank.identity(plant.r, "out")),
+                   augmented=plant)
 
 
 def augment(w_in: CompensatorBank, w_out: CompensatorBank, members) -> list:
@@ -235,7 +233,7 @@ def _band_violation(aug: StateSpacePlant, lo: float, hi: float,
         return f"sigma_min <= 0 dB inside band near {lo:.4g} rad/s"
     if aug.n == 0:
         return None
-    s2 = np.linalg.svd(aug.D, compute_uv=False) ** 2
+    s2 = singular_values(aug.D) ** 2
     if np.any(np.abs(1.0 - s2) <= FEEDTHROUGH_TOL):
         return "band undecided: a feedthrough singular value is 0 dB"
     try:
@@ -270,7 +268,7 @@ def check_constraints(w_in: CompensatorBank, w_out: CompensatorBank, members,
         origin = np.abs(np.append(p_poles, c_poles)) <= IMAG_AXIS_RTOL  # aug's poles
         w0 = ORIGIN_OMEGA if np.any(origin) else 0.0
         resp = eval_response(aug, 1j * np.array([w0, max(lo, w0)]))
-        smin0, smin_lo = np.linalg.svd(resp, compute_uv=False)[:, -1]
+        smin0, smin_lo = singular_values(resp)[:, -1]
         if not smin0 > floor:
             reasons.append(
                 f"plant {idx}: sigma_min at DC {20*np.log10(max(smin0,1e-300)):.2f} dB"
@@ -299,14 +297,13 @@ def j1_fitness(w_in: CompensatorBank, w_out: CompensatorBank, members,
     """(J1, central index, augmented central plant) for the augmented set
     {W_out P_i W_in}.
 
-    ``members`` are as ``check_constraints`` takes them; ``run_nn_rssd``
-    passes the genome's augmented set, whose raw plants are sampled on
-    ``grid`` (``sampled_member``), so that only the banks' work is redone
-    per genome.  Each augmented member's grid response is the product
+    ``members`` are ``sampled_member``s on ``grid``, or the genome's
+    ``augment``ed set of them, so that only the banks' work is redone per
+    genome.  Each augmented member's grid response is the product
     W_out(jw) P_i(jw) W_in(jw) of the banks' responses and the member's,
     its pole counts are those of P_i's poles and the sections' poles, and
-    it forms only the factors its pairs read.  Its ``augment_plant``
-    realization gives the winding test and the responses off the grid.
+    it forms only the factors its pairs read.  Its realization,
+    ``augmented``, gives the winding test and the responses off the grid.
     """
     members = augment(w_in, w_out, members)
     s = 1j * grid.points
@@ -318,7 +315,7 @@ def j1_fitness(w_in: CompensatorBank, w_out: CompensatorBank, members,
     last = len(members) - 1
     augmented = []
     for i, m in enumerate(members):
-        response = post[:, :, None] * sample(m.raw, grid).response * pre[:, None, :]
+        response = post[:, :, None] * m.response * pre[:, None, :]
         augmented.append(SampledPlant.of(
             m.augmented, grid, response,
             spectrum_counts(np.append(m.poles, sections)),

@@ -12,24 +12,25 @@ import numpy as np
 # Interior samples per bracket and round; each round keeps the two
 # intervals around the best sample, shrinking a bracket by 2/9.
 _ROUND_POINTS = 8
-# Brackets stop this much tighter than FrequencyGrid.rel_tol: stopped at
-# rel_tol itself, the coarser 2/9 steps left some nu-gap peaks up to 8e-10
-# below a golden-section polish to the same tolerance.
-_TOL_FACTOR = 0.1
+# A bracket stops once its width is within BRACKET_RTOL of its position:
+# stopped at 1e-4, the coarser 2/9 steps left some nu-gap peaks up to 8e-10
+# below a golden-section polish to 1e-4.
+BRACKET_RTOL = 1e-5
+MAX_ROUNDS = 40  # refinement rounds at most
+MAX_REFINED = 8  # grid-local maxima refined, largest first
 
 
-def grid_peak(f_batch, grid, max_refined: int = 8):
+def grid_peak(f_batch, grid):
     """Maximum of a scalar frequency function over a refined grid.
 
     f_batch maps an array of omega to an array of values.  Every grid-local
-    maximum (up to ``max_refined``, largest first) is bracketed by its
+    maximum (up to ``MAX_REFINED``, largest first) is bracketed by its
     neighbouring grid points, in log-frequency when the bracket allows it.
     Each round samples ``_ROUND_POINTS`` interior points of every live
     bracket in one ``f_batch`` call and shrinks each bracket to the
     neighbours of its best sample.  A bracket stops once its width is within
-    ``grid.rel_tol / 10`` of its position; at most ``grid.max_refine_depth``
-    rounds run.  The best value seen is returned, so it is never below the
-    grid maximum.
+    ``BRACKET_RTOL`` of its position; at most ``MAX_ROUNDS`` rounds run.
+    The best value seen is returned, so it is never below the grid maximum.
 
     A log bracket's position is |log10 omega|, so the round count depends on
     where the peak sits: the nearer 1 rad/s, the narrower the bracket must
@@ -51,7 +52,7 @@ def grid_peak(f_batch, grid, max_refined: int = 8):
         cand.append(0)
     if vals[-1] >= vals[-2]:
         cand.append(pts.size - 1)
-    cand = np.array(sorted(cand, key=lambda i: -vals[i])[:max_refined], dtype=int)
+    cand = np.array(sorted(cand, key=lambda i: -vals[i])[:MAX_REFINED], dtype=int)
 
     lo = pts[np.maximum(cand - 1, 0)]
     hi = pts[np.minimum(cand + 1, pts.size - 1)]
@@ -59,9 +60,8 @@ def grid_peak(f_batch, grid, max_refined: int = 8):
     a = np.where(log, np.log10(np.maximum(lo, 1e-300)), lo)
     b = np.where(log, np.log10(hi), hi)
     steps = np.arange(_ROUND_POINTS + 2) / (_ROUND_POINTS + 1)
-    tol = _TOL_FACTOR * grid.rel_tol
-    for _ in range(grid.max_refine_depth):
-        live = (b - a) > tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+    for _ in range(MAX_ROUNDS):
+        live = b - a > BRACKET_RTOL * np.maximum(np.abs(a), np.abs(b)).clip(1e-300)
         if not live.any():
             break
         a, b, log = a[live], b[live], log[live]

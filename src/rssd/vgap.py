@@ -31,11 +31,12 @@ right one.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DetVanishesOnContour, DimensionMismatch
+from .errors import ComputationFailed, DetVanishesOnContour, DimensionMismatch
 from .lti import (
     FrequencyGrid,
     PlantSet,
@@ -44,6 +45,7 @@ from .lti import (
     eval_response,
     is_imag_axis,
 )
+from .margins import singular_values
 from .sweep import grid_peak
 
 # An eigenvalue of A_z this close (relative) to an imaginary-axis eigenvalue
@@ -70,8 +72,7 @@ class CentralPlantResult:
 class SampledPlant:
     """A plant with its response on ``grid``, the per-point factors a pair
     needs, (I + P P*)^(-1/2) and (I + P* P)^(-1/2), and its ``pole_counts``.
-    A factor no pair reads is None, as are both in a sample kept only for
-    products of its response."""
+    A factor no pair reads is None."""
 
     plant: StateSpacePlant
     grid: FrequencyGrid
@@ -86,7 +87,7 @@ class SampledPlant:
            right: bool = True) -> "SampledPlant":
         """``plant`` with ``response``, its value at 1j * grid.points, its
         ``pole_counts`` and the factors ``left`` and ``right`` ask for."""
-        left, right = _factors(response, left, right)
+        left, right = _factors(response, left, right, (plant,))
         return SampledPlant(plant, grid, response, left, right, poles)
 
 
@@ -146,7 +147,7 @@ def winding_number_det(p1: StateSpacePlant, p2: StateSpacePlant) -> int:
     x = cascade(p1, paraconjugate(p2))
     ipd = np.eye(p1.m) + x.D
     if abs(np.linalg.det(ipd)) <= 1e-9 * (
-            1.0 + np.linalg.norm(p1.D, 2) * np.linalg.norm(p2.D, 2)):
+            1.0 + singular_values(p1.D)[0] * singular_values(p2.D)[0]):
         raise DetVanishesOnContour("det(I + P2~ P1) vanishes at infinity")
     if x.n == 0:
         return 0
@@ -165,11 +166,14 @@ def _ct(mats):
     return mats.conj().swapaxes(-1, -2)
 
 
-def _factors(resp, left=True, right=True):
+def _factors(resp, left=True, right=True, plants=()):
     """(I + P P*)^(-1/2) and (I + P* P)^(-1/2) per point, from one eigh of
     the smaller Gram.  ``left`` and ``right`` each select the points whose
     factor is formed: all (True), a slice of them, or none (False), which
-    makes the factor None.
+    makes the factor None.  Where |P|^2 overflows (the Gram's largest
+    entry times its order, a bound on its trace, is not finite) it raises
+    ComputationFailed naming ``plants``, whose responses ``resp`` holds;
+    nothing downstream overflows otherwise.
 
     For a tall P, P* P = W diag(s^2) W* gives the small factor
     W diag((1 + s^2)^-1/2) W* and the large one
@@ -180,7 +184,13 @@ def _factors(resp, left=True, right=True):
     """
     wide = resp.shape[1] < resp.shape[2]
     p = _ct(resp) if wide else resp
-    w = np.linalg.eigh(_ct(p) @ p)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = _ct(p) @ p
+    if not math.isfinite(float(gram.real.max()) * gram.shape[-1]):
+        raise ComputationFailed(
+            f"plant {' or '.join(repr(q.label) for q in plants)}: |P(jw)|^2 "
+            "overflows in the nu-gap")
+    w = np.linalg.eigh(gram)[1]
     pw = p @ w
     s2 = np.sum(np.abs(pw) ** 2, axis=1)
     root = np.sqrt(1.0 + s2)
@@ -245,8 +255,8 @@ def _psi_sigma(s1: SampledPlant, s2: SampledPlant):
         s = 1j * np.asarray(omegas, dtype=float)
         r1 = eval_response(s1.plant, s)
         r2 = eval_response(s2.plant, s)
-        l2, m1 = _factors(np.concatenate([r1, r2]), left=slice(s.size, None),
-                          right=slice(s.size))
+        l2, m1 = _factors(np.concatenate([r1, r2]), slice(s.size, None),
+                          slice(s.size), (s1.plant, s2.plant))
         return _sigma_max(l2 @ (r1 - r2) @ m1)
 
     return fun

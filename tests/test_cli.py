@@ -122,6 +122,17 @@ class TestVgapCommand:
         report = json.loads((tmp_path / "vgap_report.json").read_text())
         assert report["epsilon"] == 0.0
 
+    @pytest.mark.parametrize("command", ["vgap", "synth"])
+    def test_response_whose_square_overflows_exit_4(self, tmp_path, capsys,
+                                                    command):
+        path = tmp_path / "huge.json"
+        fileio.save_plantset(PlantSet((
+            StateSpacePlant.siso(-1.0, 1e160, "huge"),
+            StateSpacePlant.siso(-1.0, 1.0, "lag"))), path)
+        extra = ["--config", CONFIG] if command == "synth" else []
+        assert run(command, str(path), *extra, "--out", str(tmp_path)) == 4
+        assert "plant 'huge': |P(jw)|^2 overflows" in capsys.readouterr().err
+
     def test_missing_file_parse_exit(self, tmp_path):
         assert run("vgap", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path)) == 3

@@ -90,10 +90,16 @@ def test_readme_library_example():
     assert printed.getvalue().startswith("True [[")
 
 
-def sigma_calls_outside_kernel(source: str) -> list[str]:
+def sigma_calls_outside_kernel(source: str, full_svd_ok=False) -> list[str]:
     """Calls of ``np.linalg.svd`` or ``np.linalg.norm(..., ord=2)`` outside
-    a function named ``singular_values``, as 'line: name'."""
+    a function named ``singular_values``, as 'line: name'.  With
+    ``full_svd_ok`` an SVD counts only where it is asked for the singular
+    values alone (``compute_uv=False``)."""
     found = []
+
+    def any_false(values):
+        return any(isinstance(v, ast.Constant) and v.value is False
+                   for v in values)
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -103,7 +109,10 @@ def sigma_calls_outside_kernel(source: str) -> list[str]:
             leaf = name.rsplit(".", 1)[-1]
             ords = [kw.value for kw in node.keywords if kw.arg == "ord"] \
                 + node.args[1:2]
-            if leaf == "svd" or (
+            values_only = any_false(
+                [kw.value for kw in node.keywords if kw.arg == "compute_uv"]
+                + node.args[2:3])
+            if (leaf == "svd" and (values_only or not full_svd_ok)) or (
                     leaf == "norm" and
                     any(isinstance(v, ast.Constant) and v.value == 2
                         for v in ords)):
@@ -118,11 +127,21 @@ def sigma_calls_outside_kernel(source: str) -> list[str]:
 def test_analysis_sigma_through_one_kernel():
     # margins.singular_values gives a SISO loop LAPACK's bits without a
     # LAPACK call per frequency; a direct SVD in the analysis layer would
-    # bypass it
+    # bypass it, as would a singular-value-only SVD or an ord-2 norm
+    # elsewhere; full SVDs whose U and V are used stay there
     for module in ("margins", "cli"):
         source = (ROOT / "src" / "rssd" / f"{module}.py").read_text()
         assert not sigma_calls_outside_kernel(source), module
+    for module in ("scp", "eigassign", "vgap", "nn_rssd", "sim"):
+        source = (ROOT / "src" / "rssd" / f"{module}.py").read_text()
+        assert not sigma_calls_outside_kernel(source, full_svd_ok=True), module
     assert sigma_calls_outside_kernel(
         "def f(x):\n    return np.linalg.svd(x), np.linalg.norm(x, ord=2)\n"
         "def singular_values(x):\n    return np.linalg.svd(x)\n"
     ) == ["2: np.linalg.svd", "2: np.linalg.norm"]
+    assert sigma_calls_outside_kernel(
+        "u, s, vt = np.linalg.svd(x)\n"
+        "s = np.linalg.svd(x, compute_uv=False)\n"
+        "s = np.linalg.svd(x, True, False)\n"
+        "n = np.linalg.norm(x, 2)\n", full_svd_ok=True
+    ) == ["2: np.linalg.svd", "3: np.linalg.svd", "4: np.linalg.norm"]

@@ -1,10 +1,13 @@
 """The L-infinity norm is a certified upper bound within 1e-6 of the peak."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import rssd.margins
 import rssd.nn_rssd
+import rssd.sweep
 from conftest import random_stable_siso
 from rssd.eigassign import EigTarget, ModeTarget
 from rssd.errors import ComputationFailed
@@ -60,9 +63,10 @@ def random_loop(rng):
 
 def reference_peak(sys):
     """Grid sweep plus golden-section polish, floored by w = 0 and w -> inf."""
-    grid = FrequencyGrid(np.logspace(-3, 5, 2000), max_refine_depth=120,
-                         rel_tol=1e-12)
-    value, _ = grid_peak(lambda w: sigma_max(sys, w), grid, max_refined=40)
+    grid = FrequencyGrid(np.logspace(-3, 5, 2000))
+    with mock.patch.multiple(rssd.sweep, BRACKET_RTOL=1e-13, MAX_ROUNDS=120,
+                             MAX_REFINED=40):
+        value, _ = grid_peak(lambda w: sigma_max(sys, w), grid)
     return max(value, float(sigma_max(sys, [0.0])[0]),
                float(np.linalg.norm(sys.D, ord=2)))
 

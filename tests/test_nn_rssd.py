@@ -253,10 +253,10 @@ class TestRunNnRssd:
         assert report.gain is None
 
     def test_each_member_sampled_once_per_run(self, grid, monkeypatch):
-        # every J1 reuses the members' grid responses, without the
-        # normalizing factors J1bar0 needed, and evaluates only its two
-        # banks on the grid; an empty inner budget never certifies, so the
-        # outer search runs its whole budget
+        # every J1, J1bar0's under identity banks among them, reuses the
+        # members' grid responses and evaluates only its two banks on the
+        # grid; an empty inner budget never certifies, so the outer search
+        # runs its whole budget
         pset = family()
         constraints, target = family_setup()
         evaluated, j1_calls = [], []
@@ -282,16 +282,15 @@ class TestRunNnRssd:
         banks = [q.label for q in evaluated if all(q is not p for p in pset)]
         assert banks == ["bank_out", "bank_in"] * len(j1_calls)
         for _, _, members, _ in j1_calls:
-            raws = [m.raw for m in members]
-            assert all(s.plant is p for s, p in zip(raws, pset, strict=True))
-            assert all(s.left is None and s.right is None for s in raws)
-            assert all(s.response.shape == (grid.points.size, 1, 1)
-                       for s in raws)
+            assert all(m.plant is p for m, p in zip(members, pset, strict=True))
+            assert all(m.response.shape == (grid.points.size, 1, 1)
+                       for m in members)
 
     def test_member_work_once_per_synthesis(self, grid, monkeypatch):
         # a square family: each raw member's spectrum and transmission zeros
         # are found once per synthesis, and each scored genome augments each
-        # member once for both its constraint check and its J1
+        # member once for both its constraint check and its J1; J1bar0 is
+        # one more J1, under identity banks, which augments nothing
         pset = square_family()
         constraints, target = mimo_setup(2, 2)
         eig_args, zero_args, augmented, checks, j1s = [], [], [], [], []
@@ -316,7 +315,7 @@ class TestRunNnRssd:
                              GaConfig(population=4, max_generations=0, seed=11),
                              grid)
         assert not report.feasible and report.rssd_invocations >= 1
-        assert len(checks) >= 2 and len(j1s) == len(checks)
+        assert len(checks) >= 2 and len(j1s) == len(checks) + 1
         for p in pset:
             assert sum(a is p.A for a in eig_args) == 1
             assert sum(q is p for q in zero_args) == 1
@@ -420,3 +419,67 @@ class TestTwoLevelSearch:
         # a change to the seeded trajectory has to be declared here
         assert K.shape == (3, 5)
         assert hashlib.sha256(K.tobytes()).hexdigest() == GAIN_SHA256
+
+
+def two_level_search(pset):
+    """``TestTwoLevelSearch``'s synthesis on ``pset``."""
+    constraints, target = mimo_setup()
+    return run_nn_rssd(pset, constraints, target,
+                       GaConfig(population=6, max_generations=4, seed=1),
+                       GaConfig(population=10, max_generations=10, seed=2))
+
+
+def report_fields(report):
+    """Every field of a report, the gain as its bytes."""
+    return {**vars(report), "gain": report.gain.tobytes()}
+
+
+class TestSearchRelations:
+    """Relations the theory gives the whole synthesis, on
+    ``TestTwoLevelSearch``'s flow: the family is a set, so neither the order
+    of its members nor a repeated member changes the controller."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        pset = mimo_family(1, 3)
+        return pset, two_level_search(pset)
+
+    def test_member_permutation(self, base):
+        # K is bit-identical and the central index follows its member; a
+        # pair's nu-gap is taken with its members in index order, so J1
+        # moves in the last bits (1.8e-15 relative, measured)
+        pset, want = base
+        perm = mimo_family(2, 3)
+        got = two_level_search(perm)
+        assert got.feasible and got.gain.tobytes() == want.gain.tobytes()
+        assert got.cp_index != want.cp_index
+        assert perm[got.cp_index].label == pset[want.cp_index].label
+        np.testing.assert_allclose(got.j1_history, want.j1_history,
+                                   rtol=1e-14, atol=0.0)
+
+    def test_appended_duplicate_member(self, base, monkeypatch):
+        # a genome failing the constraint check scores 1 + one reason per
+        # member, so the relation holds where every check passes, as here.
+        # A copy of a non-central member leaves the report identical; a copy
+        # of the central one ties its row, which goes to the smaller index,
+        # and moves J1 in the last bits only (its pairs' operands swap)
+        pset, want = base
+        passed = []
+
+        def check(*args, _fn=rssd.nn_rssd.check_constraints):
+            report = _fn(*args)
+            passed.append(report.passed)
+            return report
+
+        monkeypatch.setattr(rssd.nn_rssd, "check_constraints", check)
+        other = (want.cp_index + 1) % len(pset)
+        got = two_level_search(PlantSet(pset.plants + (pset[other],)))
+        assert passed and all(passed)
+        assert report_fields(got) == report_fields(want)
+
+        got = two_level_search(PlantSet(pset.plants + (pset[want.cp_index],)))
+        assert all(passed)
+        np.testing.assert_allclose(got.j1_history, want.j1_history,
+                                   rtol=1e-14, atol=0.0)
+        assert report_fields(got) == {**report_fields(want),
+                                      "j1_history": got.j1_history}

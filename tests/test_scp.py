@@ -23,6 +23,7 @@ from rssd.scp import (
     check_constraints,
     decode_banks,
     j1_fitness,
+    sampled_member,
     transmission_zeros,
 )
 from rssd.vgap import central_plant, pole_counts
@@ -32,6 +33,11 @@ def static_trio():
     return PlantSet(tuple(
         StateSpacePlant.from_gain(np.array([[g]]), label=f"g{g}")
         for g in (0.5, 1.0, 2.0)))
+
+
+def sampled(pset, grid):
+    """The family as J1 takes it: members with their grid responses."""
+    return [sampled_member(p, grid) for p in pset]
 
 
 WIDE = ((-100.0, 100.0),) * 4
@@ -457,7 +463,8 @@ class TestExactBand:
 class TestJ1Fitness:
     def test_identity_banks_match_raw_central_plant(self, grid):
         w_in, w_out = identity_banks(1, 1)
-        j1, idx, p_cp = j1_fitness(w_in, w_out, static_trio(), grid)
+        j1, idx, p_cp = j1_fitness(w_in, w_out, sampled(static_trio(), grid),
+                                   grid)
         assert idx == 1
         assert j1 == pytest.approx(1.0 / np.sqrt(10.0), abs=1e-6)
 
@@ -465,7 +472,7 @@ class TestJ1Fitness:
         # normalizing each plant towards gain 1 shrinks the spread
         w_in = CompensatorBank((FirstOrderSection(0.0, 1.0, 0.0, 1.0),), "in")
         w_out = w_in
-        base, _, _ = j1_fitness(w_in, w_out, static_trio(), grid)
+        base, _, _ = j1_fitness(w_in, w_out, sampled(static_trio(), grid), grid)
         assert base > 0
 
     def test_product_route_matches_augmented_state_space(self, grid,
@@ -490,7 +497,7 @@ class TestJ1Fitness:
         for sections in (static, dynamic):
             w_in = CompensatorBank(sections[:3], "in")
             w_out = CompensatorBank(sections[3:], "out")
-            j1_fitness(w_in, w_out, pset, grid)
+            j1_fitness(w_in, w_out, sampled(pset, grid), grid)
             assert len(captured) == len(pset)
             for got, p in zip(captured, pset):
                 aug = augment_plant(w_out, p, w_in)
@@ -530,7 +537,7 @@ class TestJ1Fitness:
             w_in, w_out = random_bank(rng, 2, "in"), random_bank(rng, 3, "out")
             if k % 2:
                 w_in = CompensatorBank((near_origin,) + w_in.sections[1:], "in")
-            j1_fitness(w_in, w_out, pset, grid)
+            j1_fitness(w_in, w_out, sampled(pset, grid), grid)
             for got, p in zip(captured, pset, strict=True):
                 want = pole_counts(augment_plant(w_out, p, w_in))
                 assert got.poles == want
@@ -568,7 +575,8 @@ class TestJ1Fitness:
         scaled = PlantSet(tuple(
             StateSpacePlant(p.A, p.B @ g_in, g_out @ p.C, g_out @ p.D @ g_in,
                             p.label) for p in pset))
-        j1, idx, _ = j1_fitness(w_in, w_out, pset, grid)
-        ref, ref_idx, _ = j1_fitness(*identity_banks(3, 5), scaled, grid)
+        j1, idx, _ = j1_fitness(w_in, w_out, sampled(pset, grid), grid)
+        ref, ref_idx, _ = j1_fitness(*identity_banks(3, 5), sampled(scaled, grid),
+                                     grid)
         assert idx == ref_idx
         assert j1 == pytest.approx(ref, rel=1e-13, abs=0.0)

@@ -1,12 +1,14 @@
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import rssd.vgap
-from conftest import random_siso, random_stable_siso
-from rssd.errors import DetVanishesOnContour
+from conftest import identity_banks, random_siso, random_stable_siso
+from rssd.errors import ComputationFailed, DetVanishesOnContour
 from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, cascade, eval_response
+from rssd.scp import j1_fitness, sampled_member
 from rssd.vgap import (
     COARSE_STRIDE,
     SampledPlant,
@@ -105,17 +107,17 @@ def svd_psi(p1, p2, omegas):
     return np.linalg.svd(psi, compute_uv=False)[:, 0]
 
 
-def golden_grid_peak(f_batch, grid, max_refined=8):
+def golden_grid_peak(f_batch, grid, max_refined=8, rel_tol=1e-4, rounds=40):
     """Reference peak search: each grid-local maximum polished by one-point
     golden-section steps in log-frequency (the engine before batched
-    refinement)."""
+    refinement), at most ``rounds`` steps to a bracket within ``rel_tol``."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
 
     def golden_max(f, a, b):
         c, d = b - invphi * (b - a), a + invphi * (b - a)
         fc, fd = f(c), f(d)
-        for _ in range(grid.max_refine_depth):
-            if (b - a) <= grid.rel_tol * max(abs(a), abs(b), 1e-300):
+        for _ in range(rounds):
+            if (b - a) <= rel_tol * max(abs(a), abs(b), 1e-300):
                 break
             if fc >= fd:
                 b, d, fd = d, c, fc
@@ -378,6 +380,31 @@ class TestNuGap:
             v = nu_gap(random_siso(rng), random_siso(rng), grid).value
             assert 0.0 <= v <= 1.0
 
+    @pytest.mark.parametrize("k", [1e155, 1e158, 1e160])
+    def test_response_whose_square_overflows_raises(self, k, grid):
+        # |k/(jw + 1)|^2 overflows on the grid: k = 1e160 once read as
+        # identical to 1/(s + 1), with only RuntimeWarnings to show for it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ComputationFailed, match="plant 'huge':"):
+                nu_gap(StateSpacePlant.siso(-1.0, k, "huge"),
+                       StateSpacePlant.siso(-1.0, 1.0), grid)
+
+    def test_largest_squarable_response_keeps_its_value(self, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nu_gap(StateSpacePlant.siso(-1.0, 1e154),
+                         StateSpacePlant.siso(-1.0, 1.0), grid)
+        assert got.condition_met and got.value == 0.99999999995
+
+    def test_refinement_point_whose_square_overflows_raises(self):
+        # squares that overflow only off the grid name both plants
+        grid = FrequencyGrid(np.logspace(3, 5, 20))
+        s1 = sample(StateSpacePlant.siso(-1.0, 1e156, "huge"), grid)
+        s2 = sample(StateSpacePlant.siso(-1.0, 1.0, "lag"), grid)
+        with pytest.raises(ComputationFailed, match="plant 'huge' or 'lag':"):
+            rssd.vgap._psi_sigma(s1, s2)(np.array([1e-3]))
+
 
 class TestCentralPlant:
     def test_static_trio(self, grid):
@@ -520,6 +547,20 @@ class TestCentralPlant:
             assert samples[0].left is None and samples[-1].right is None
             assert central_plant(samples, coarse_grid) == central_from_matrix(
                 gap_matrix(pset, coarse_grid))
+
+    def test_j1_under_identity_banks_is_the_raw_central_plant(self,
+                                                               coarse_grid):
+        # J1bar0 is J1 under identity banks: each sampled member stands as
+        # its own augmented plant, and J1's index and epsilon are those of
+        # central_plant on the raw plants, bit for bit
+        for pset in seeded_families():
+            members = [sampled_member(p, coarse_grid) for p in pset]
+            assert all(m.augmented is p for m, p in zip(members, pset))
+            j1, index, p_cp = j1_fitness(*identity_banks(pset.m, pset.r),
+                                         members, coarse_grid)
+            want = central_plant(pset, coarse_grid)
+            assert index == want.index and p_cp is pset[index]
+            assert np.float64(j1).tobytes() == np.float64(want.epsilon).tobytes()
 
 
 class TestSampling:
