@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fileio
 from .errors import DimensionMismatch, DivergentTrace, ParseError, RssdError
-from .lti import FrequencyGrid, augment_plant, sorted_spectrum
+from .lti import augment_plant, sorted_spectrum
 from .margins import (
     closed_loop,
     disk_margin,
@@ -38,18 +38,17 @@ EXIT_NUMERIC = 4
 _FLAGS = {
     "--config": {"help": "run-configuration JSON file"},
     "--seed": {"type": int, "help": "override the config seed"},
-    "--grid": {"help": "frequency grid override LO:HI:N (log10 rad/s exponents)"},
     "--controller": {"required": True, "help": "controller JSON file"},
     "--scenario": {"required": True, "help": "scenario JSON file"},
 }
 # each command takes a plant set, --out and only the flags it reads
 _SUBCOMMANDS = {
     "vgap": ("pairwise nu-gap matrix and central-plant report",
-             ("--config", "--grid")),
+             ("--config",)),
     "synth": ("two-level GA synthesis of compensators and gain",
-              ("--config", "--seed", "--grid")),
+              ("--config", "--seed")),
     "analyze": ("closed-loop curves, eigenvalues, and margins",
-                ("--config", "--grid", "--controller")),
+                ("--config", "--controller")),
     "sim": ("linear closed-loop time simulation", ("--controller", "--scenario")),
 }
 
@@ -73,14 +72,6 @@ class UsageError(Exception):
     pass
 
 
-def _grid_override(spec: str) -> FrequencyGrid:
-    try:
-        lo, hi, count = spec.split(":")
-        return FrequencyGrid(np.logspace(float(lo), float(hi), int(count)))
-    except (ValueError, DimensionMismatch) as exc:
-        raise UsageError(f"bad --grid spec {spec!r}: {exc}") from exc
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -89,8 +80,7 @@ def _out_dir(args) -> Path:
 
 def _resolve(args):
     cfg = fileio.load_config(args.config) if args.config else fileio.config_from_obj({})
-    grid = _grid_override(args.grid) if args.grid else cfg.grid
-    return cfg, grid, _out_dir(args)
+    return cfg, _out_dir(args)
 
 
 def _matrix_list(M):
@@ -99,8 +89,8 @@ def _matrix_list(M):
 
 def cmd_vgap(args) -> int:
     pset = fileio.load_plantset(args.plantset)
-    _, grid, out = _resolve(args)
-    mat = gap_matrix(pset, grid)
+    cfg, out = _resolve(args)
+    mat = gap_matrix(pset, cfg.grid)
     result = central_from_matrix(mat)
     labels = [p.label for p in pset]
     with open(out / "gap_matrix.csv", "w", newline="") as fh:
@@ -124,7 +114,7 @@ def cmd_synth(args) -> int:
     if args.seed is not None and args.seed < 0:  # numpy's generators refuse it
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     pset = fileio.load_plantset(args.plantset)
-    cfg, grid, out = _resolve(args)
+    cfg, out = _resolve(args)
     seed = args.seed if args.seed is not None else cfg.seed
     if seed is None:
         raise UsageError("synth requires a seed (config or --seed)")
@@ -132,7 +122,7 @@ def cmd_synth(args) -> int:
         raise UsageError("synth requires constraints and target in the config")
     report = run_nn_rssd(pset, cfg.constraints, cfg.target,
                          replace(cfg.ga_scp, seed=seed),
-                         replace(cfg.ga_rssd, seed=seed + 1), grid)
+                         replace(cfg.ga_rssd, seed=seed + 1), cfg.grid)
     obj = {
         "feasible": report.feasible,
         "gain": _matrix_list(report.gain),
@@ -154,7 +144,7 @@ def cmd_synth(args) -> int:
         fileio.save_controller(report.gain, report.w_in, report.w_out,
                                out / "controller.json")
         _analysis_bundle(pset, report.gain, report.w_in, report.w_out,
-                         grid, out)
+                         cfg.grid, out)
         print(f"feasible controller found (J2={report.j2:.6g})")
     else:
         print("no feasible controller found")
@@ -217,8 +207,8 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
 def cmd_analyze(args) -> int:
     pset = fileio.load_plantset(args.plantset)
     gain, w_in, w_out = fileio.load_controller(args.controller)
-    _, grid, out = _resolve(args)
-    summary = _analysis_bundle(pset, gain, w_in, w_out, grid, out)
+    cfg, out = _resolve(args)
+    summary = _analysis_bundle(pset, gain, w_in, w_out, cfg.grid, out)
     flagged = [lab for lab, t in summary.items() if t.get("unstable")]
     if flagged:
         print("unstable loops: " + ", ".join(flagged))

@@ -91,7 +91,7 @@ class StateSpacePlant:
 
 @dataclass(frozen=True)
 class PlantSet:
-    """Ordered finite collection of plants sharing input/output dimensions."""
+    """Ordered finite collection of plants sharing nonzero input/output dims."""
 
     plants: tuple
 
@@ -100,6 +100,9 @@ class PlantSet:
         if not plants:
             raise DimensionMismatch("plant set must be nonempty")
         m, r = plants[0].m, plants[0].r
+        if not (m and r):
+            raise DimensionMismatch(
+                f"plants need inputs and outputs, got (m, r) = ({m}, {r})")
         for p in plants:
             if (p.m, p.r) != (m, r):
                 raise DimensionMismatch(

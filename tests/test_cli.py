@@ -92,6 +92,19 @@ def relabelled(tmp_path, labels):
     return str(path)
 
 
+def command_args(command, tmp_path):
+    """The arguments ``command`` needs besides the plant set and --out: the
+    fixture's config for synth, a unit 1x1 controller for analyze and sim."""
+    from rssd.lti import CompensatorBank
+    controller = tmp_path / "unit.json"
+    fileio.save_controller(np.ones((1, 1)), CompensatorBank.identity(1, "in"),
+                           CompensatorBank.identity(1, "out"), controller)
+    return {"vgap": [], "synth": ["--config", CONFIG],
+            "analyze": ["--controller", str(controller)],
+            "sim": ["--controller", str(controller),
+                    "--scenario", SCENARIO]}[command]
+
+
 class TestVgapCommand:
     def test_reports_central_plant(self, tmp_path, capsys):
         assert run("vgap", FAMILY, "--out", str(tmp_path)) == 0
@@ -366,15 +379,7 @@ class TestPlantLabels:
     @pytest.mark.parametrize("command", ["vgap", "synth", "analyze", "sim"])
     def test_bad_labels_parse_exit(self, tmp_path, capsys, command, labels,
                                    message):
-        from rssd.lti import CompensatorBank
-        controller = tmp_path / "unit.json"
-        fileio.save_controller(np.ones((1, 1)),
-                               CompensatorBank.identity(1, "in"),
-                               CompensatorBank.identity(1, "out"), controller)
-        extra = {"vgap": [], "synth": ["--config", CONFIG],
-                 "analyze": ["--controller", str(controller)],
-                 "sim": ["--controller", str(controller),
-                         "--scenario", SCENARIO]}[command]
+        extra = command_args(command, tmp_path)
         out = tmp_path / "out"
         assert run(command, relabelled(tmp_path, labels), *extra,
                    "--out", str(out)) == 3
@@ -389,6 +394,25 @@ class TestPlantLabels:
         assert run("vgap", str(plants), "--out", str(tmp_path)) == 0
         report = json.loads((tmp_path / "vgap_report.json").read_text())
         assert report["labels"] == ["plant0", "plant1"]
+
+
+class TestNoChannels:
+    # a plant set with no inputs or no outputs is refused (exit 3) by the
+    # plant-set reader, before any command computes on it
+    @pytest.mark.parametrize("m, r", [(0, 1), (1, 0)], ids=["m0", "r0"])
+    @pytest.mark.parametrize("command", ["vgap", "synth", "analyze", "sim"])
+    def test_parse_exit(self, tmp_path, capsys, command, m, r):
+        plants = tmp_path / "plants.json"
+        plants.write_text(json.dumps({"plants": [
+            {"label": f"p{k}", "n": 1, "m": m, "r": r,
+             "A": fileio._matrix_obj([[-1.0 - k]]),
+             "B": fileio._matrix_obj(np.ones((1, m))),
+             "C": fileio._matrix_obj(np.ones((r, 1)))} for k in range(2)]}))
+        out = tmp_path / "out"
+        assert run(command, str(plants), *command_args(command, tmp_path),
+                   "--out", str(out)) == 3
+        assert "plants need inputs and outputs" in capsys.readouterr().err
+        assert not out.exists()
 
 
 DROP = object()
@@ -524,8 +548,8 @@ class TestWrongShapes:
 
 
 class TestPoleOnGrid:
-    # --grid=-1:1:3 samples w = 1, the undamped pole of 1/(s^2 + 1), where
-    # the response has no finite value
+    # the config's three-point grid (w = 0.1, 1, 10) samples w = 1, the
+    # undamped pole of 1/(s^2 + 1), where the response has no finite value
     @pytest.fixture
     def plants(self, tmp_path):
         from rssd.lti import PlantSet, StateSpacePlant
@@ -536,7 +560,17 @@ class TestPoleOnGrid:
                                                                  "lag"))), path)
         return str(path)
 
-    def test_analyze_records_error_and_continues(self, tmp_path, plants):
+    @pytest.fixture
+    def config(self, tmp_path):
+        cfg = json.loads(Path(CONFIG).read_text())
+        cfg["grid"] = {"lo_exp": -1, "hi_exp": 1, "count": 3}
+        path = tmp_path / "grid3.json"
+        path.write_text(json.dumps(cfg))
+        np.testing.assert_array_equal(fileio.load_config(path).grid.points,
+                                      [0.1, 1.0, 10.0])
+        return str(path)
+
+    def test_analyze_records_error_and_continues(self, tmp_path, plants, config):
         from rssd.lti import CompensatorBank
         controller = tmp_path / "half.json"
         fileio.save_controller(np.array([[0.5]]),
@@ -544,7 +578,7 @@ class TestPoleOnGrid:
                                CompensatorBank.identity(1, "out"), controller)
         out = tmp_path / "out"
         assert run("analyze", plants, "--controller", str(controller),
-                   "--grid=-1:1:3", "--out", str(out)) == 0
+                   "--config", config, "--out", str(out)) == 0
         margins = json.loads((out / "margins.json").read_text())
         assert list(margins["osc"]) == ["error"]
         assert "plant 'osc'" in margins["osc"]["error"]
@@ -553,9 +587,9 @@ class TestPoleOnGrid:
         assert (out / "curves_1_lag.csv").exists()
 
     @pytest.mark.parametrize("command", ["vgap", "synth"])
-    def test_nu_gap_exits_numeric(self, tmp_path, capsys, plants, command):
-        extra = ["--config", CONFIG] if command == "synth" else []
-        assert run(command, plants, *extra, "--grid=-1:1:3",
+    def test_nu_gap_exits_numeric(self, tmp_path, capsys, plants, config,
+                                  command):
+        assert run(command, plants, "--config", config,
                    "--out", str(tmp_path / "out")) == 4
         assert "plant 'osc'" in capsys.readouterr().err
 
@@ -569,29 +603,17 @@ class TestFlags:
         pytest.param("sim", "--seed=1", id="sim-seed"),
         pytest.param("sim", f"--config={CONFIG}", id="sim-config"),
         pytest.param("sim", "--grid=-2:3:50", id="sim-grid"),
+        # the config's grid is the run's only grid
+        pytest.param("vgap", "--grid=-2:3:50", id="vgap-grid"),
+        pytest.param("synth", "--grid=-2:3:50", id="synth-grid"),
+        pytest.param("analyze", "--grid=-2:3:50", id="analyze-grid"),
     ])
     def test_unread_flag_usage_exit(self, tmp_path, capsys, command, flag):
-        from rssd.lti import CompensatorBank
-        controller = tmp_path / "unit.json"
-        fileio.save_controller(np.ones((1, 1)),
-                               CompensatorBank.identity(1, "in"),
-                               CompensatorBank.identity(1, "out"), controller)
-        extra = {"vgap": [],
-                 "analyze": ["--controller", str(controller)],
-                 "sim": ["--controller", str(controller),
-                         "--scenario", SCENARIO]}[command]
+        extra = command_args(command, tmp_path)
         with pytest.raises(SystemExit) as exc:
             run(command, FAMILY, *extra, flag, "--out", str(tmp_path / "out"))
         assert exc.value.code == 2
         assert "unrecognized arguments: " + flag in capsys.readouterr().err
-
-
-class TestEnvironment:
-    def test_grid_override(self, tmp_path):
-        assert run("vgap", FAMILY, "--grid=-2:3:50",
-                   "--out", str(tmp_path)) == 0
-        assert run("vgap", FAMILY, "--grid", "nope",
-                   "--out", str(tmp_path)) == 2
 
 
 def numeric_leaves(value, path=""):

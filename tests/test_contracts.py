@@ -2,7 +2,7 @@
 functions by name and fails a traced run in which one is never called, its
 set-up writes inputs through rssd.fileio, and README's library example runs
 as written.  Inside src/: the analysis layer takes singular values from one
-kernel."""
+kernel, which gives a zero block's without LAPACK."""
 
 import ast
 import contextlib
@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -145,3 +146,29 @@ def test_analysis_sigma_through_one_kernel():
         "s = np.linalg.svd(x, True, False)\n"
         "n = np.linalg.norm(x, 2)\n", full_svd_ok=True
     ) == ["2: np.linalg.svd", "3: np.linalg.svd", "4: np.linalg.norm"]
+
+
+@pytest.mark.parametrize("workload", ["fixture3", "mimo_outer"])
+def test_no_lapack_call_on_a_zero_block(monkeypatch, tmp_path, workload):
+    # a zero block's singular values are exactly +0.0, so the kernel gives
+    # them without LAPACK: the winding test's and the band check's D = 0
+    # feedthroughs make no singular-value-only SVD call (a transmission
+    # zero's full SVD, whose U and V are used, still may)
+    from rssd import cli
+
+    workloads = load_perfbench(monkeypatch, "workloads")
+    workloads.write_inputs(workload, 1, tmp_path)
+    zero_calls = []
+    svd = np.linalg.svd
+
+    def spy(a, full_matrices=True, compute_uv=True, *args, **kwargs):
+        if not compute_uv and not np.any(a):
+            zero_calls.append(np.shape(a))
+        return svd(a, full_matrices, compute_uv, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["synth", str(tmp_path / "plants.json"), "--config",
+                         str(tmp_path / "config.json"),
+                         "--out", str(tmp_path / "out")]) == 0
+    assert zero_calls == []

@@ -44,8 +44,10 @@ tall = PlantSet(tuple(
     for k in range(2)))
 with tempfile.TemporaryDirectory() as tmp:
     fileio.save_plantset(tall, Path(tmp) / "plants.json")
+    grid = {"grid": {"lo_exp": -2, "hi_exp": 2, "count": 40}}
+    (Path(tmp) / "grid.json").write_text(json.dumps(grid))
     code = rssd.cli.main(["vgap", str(Path(tmp) / "plants.json"),
-                          "--grid=-2:2:40", "--out", tmp])
+                          "--config", str(Path(tmp) / "grid.json"), "--out", tmp])
 if code:
     sys.exit(f"vgap exited with {code}")
 loaded["vgap"] = "scipy" in sys.modules

@@ -118,6 +118,29 @@ class TestSingularValues:
             assert same_bits(singular_values(mats),
                              np.linalg.svd(mats, compute_uv=False))
 
+    def test_zeros_bitwise_without_lapack(self, monkeypatch):
+        # a +-0.0 entry of a 1x1 stack, and an all-zero block of any shape,
+        # give LAPACK's +0.0 without a call to it
+        signed = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+        stacks = [np.array(signed).reshape(-1, 1, 1),
+                  np.array([-0.0, 0.0]).reshape(-1, 1, 1),
+                  np.array(signed + [3.0 - 4.0j, -2.5]).reshape(-1, 1, 1)]
+        blocks = [np.array([[-0.0]]), np.zeros((5, 3)), -np.zeros((3, 5)),
+                  np.zeros((4, 2, 2), complex) * -1.0, np.zeros((7, 1, 1)),
+                  np.zeros((3, 0)), np.zeros((2, 0, 0))]
+        expected = [np.linalg.svd(m, compute_uv=False) for m in stacks + blocks]
+        shapes = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        for mats, want in zip(stacks + blocks, expected):
+            assert same_bits(singular_values(mats), want)
+        assert shapes == []
+
     def test_non_finite_entries_as_lapack(self):
         # inf gives LAPACK's NaN; NaN makes LAPACK fail and raise
         mats = np.array([1.0, np.inf, 1j * np.inf, 2.0 + 1e-300j],
