@@ -48,10 +48,9 @@ def singular_values(mats: np.ndarray) -> np.ndarray:
 
     For 1x1 matrices gesdd's Householder step gives |z| as
     hi sqrt(1 + (lo/hi)^2) with hi, lo = max, min(|Re z|, |Im z|) (LAPACK's
-    dlapy3), which is computed here elementwise; a zero entry gives +0.0,
-    as does every entry of an all-zero block of any shape (-0.0 included).
-    Non-finite entries and those gesdd would rescale first go to
-    ``np.linalg.svd``.
+    dlapy3), which is computed here elementwise.  Zeros, non-finite
+    entries and those gesdd would rescale first go to ``np.linalg.svd``.
+    An all-zero block of any shape (-0.0 included) gives zeros.
     """
     if not mats.any():
         return np.zeros(mats.shape[:-2] + (min(mats.shape[-2:]),))
@@ -59,10 +58,9 @@ def singular_values(mats: np.ndarray) -> np.ndarray:
         return np.linalg.svd(mats, compute_uv=False)
     re, im = np.abs(mats.real[..., 0]), np.abs(mats.imag[..., 0])
     hi = np.maximum(re, im)
-    zero = hi == 0.0
     with np.errstate(all="ignore"):
-        sv = hi * np.sqrt(1.0 + (np.minimum(re, im) / np.where(zero, 1.0, hi)) ** 2)
-    odd = ~((sv > SV_RANGE[0]) & (sv < SV_RANGE[1]) | zero)[..., 0]
+        sv = hi * np.sqrt(1.0 + (np.minimum(re, im) / hi) ** 2)
+    odd = ~((sv > SV_RANGE[0]) & (sv < SV_RANGE[1]))[..., 0]
     if np.any(odd):
         sv[odd] = np.linalg.svd(mats[odd], compute_uv=False)
     return sv
