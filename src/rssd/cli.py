@@ -143,8 +143,6 @@ def cmd_synth(args) -> int:
     if report.feasible:
         fileio.save_controller(report.gain, report.w_in, report.w_out,
                                out / "controller.json")
-        _analysis_bundle(pset, report.gain, report.w_in, report.w_out,
-                         cfg.grid, out)
         print(f"feasible controller found (J2={report.j2:.6g})")
     else:
         print("no feasible controller found")
@@ -238,10 +236,6 @@ def cmd_sim(args) -> int:
             header.append(f"u_{ch}")
             cols.append(traces.inputs[:, ch])
         fileio.write_csv(out / f"traces_{idx}_{label}.csv", header, cols)
-        if traces.diverged:
-            report[label] = {"diverged": True,
-                             "divergence_time": traces.divergence_time}
-            continue
         try:
             metrics = tracking_metrics(traces, **metric_args)
             report[label] = {"diverged": False, "passed": metrics.passed,

@@ -116,7 +116,7 @@ def plantset_obj(pset: PlantSet) -> dict:
         entry = {
             "label": p.label,
             "n": p.n, "m": p.m, "r": p.r,
-            "A": _matrix_obj(p.A) if p.n else _matrix_obj(np.zeros((0, 0))),
+            "A": _matrix_obj(p.A),
             "B": _matrix_obj(p.B),
             "C": _matrix_obj(p.C),
         }

@@ -308,8 +308,29 @@ class CompensatorBank:
 
     @cached_property
     def realization(self) -> StateSpacePlant:
-        """``realize_bank(self)``, formed once per bank."""
-        return realize_bank(self)
+        """Diagonal state-space realization, formed once per bank.
+
+        One state per dynamic section; static sections (c=0) contribute only a
+        feedthrough entry. D entries are the high-frequency gains a/c.
+        """
+        k = len(self)
+        n = sum(0 if s.is_static else 1 for s in self.sections)
+        A = np.zeros((n, n))
+        B = np.zeros((n, k))
+        C = np.zeros((k, n))
+        D = np.zeros((k, k))
+        i = 0
+        for ch, s in enumerate(self.sections):
+            if s.is_static:
+                D[ch, ch] = s.b / s.d
+                continue
+            # (a s + b)/(c s + d) = a/c + (b/c - a d/c^2) / (s + d/c)
+            A[i, i] = -s.d / s.c
+            B[i, ch] = 1.0
+            C[ch, i] = s.b / s.c - s.a * s.d / s.c**2
+            D[ch, ch] = s.a / s.c
+            i += 1
+        return StateSpacePlant(A, B, C, D, f"bank_{self.side}")
 
     @staticmethod
     def identity(channels: int, side: str = "in") -> "CompensatorBank":
@@ -317,29 +338,3 @@ class CompensatorBank:
             tuple(FirstOrderSection(0.0, 1.0, 0.0, 1.0) for _ in range(channels)),
             side,
         )
-
-
-def realize_bank(bank: CompensatorBank) -> StateSpacePlant:
-    """Diagonal state-space realization of a compensator bank.
-
-    One state per dynamic section; static sections (c=0) contribute only a
-    feedthrough entry. D entries are the high-frequency gains a/c.
-    """
-    k = len(bank)
-    n = sum(0 if s.is_static else 1 for s in bank.sections)
-    A = np.zeros((n, n))
-    B = np.zeros((n, k))
-    C = np.zeros((k, n))
-    D = np.zeros((k, k))
-    i = 0
-    for ch, s in enumerate(bank.sections):
-        if s.is_static:
-            D[ch, ch] = s.b / s.d
-            continue
-        # (a s + b)/(c s + d) = a/c + (b/c - a d/c^2) / (s + d/c)
-        A[i, i] = -s.d / s.c
-        B[i, ch] = 1.0
-        C[ch, i] = s.b / s.c - s.a * s.d / s.c**2
-        D[ch, ch] = s.a / s.c
-        i += 1
-    return StateSpacePlant(A, B, C, D, f"bank_{bank.side}")

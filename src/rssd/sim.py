@@ -23,7 +23,6 @@ from .lti import (
     StateSpacePlant,
     augment_plant,
     cascade,
-    realize_bank,
 )
 from .margins import closed_loop
 
@@ -106,7 +105,7 @@ class TraceSet:
 
 def _uncertainty_plant(inj: UncertaintyInjection, channels: int) -> StateSpacePlant:
     """State-space form of I + delta * G(s) acting on one output channel."""
-    g = realize_bank(CompensatorBank((inj.weight,), side="out"))
+    g = CompensatorBank((inj.weight,), "out").realization
     e = np.zeros((channels, 1))
     e[inj.channel, 0] = 1.0
     A = g.A

@@ -25,7 +25,6 @@ from rssd.lti import (
     PlantSet,
     StateSpacePlant,
     eval_response,
-    realize_bank,
 )
 from rssd.margins import closed_loop, disk_margin, gsm, linf_norm
 from rssd.nn_rssd import GaConfig, run_nn_rssd
@@ -303,7 +302,7 @@ def test_criterion_10_format_fixtures():
     assert gain.shape == (3, 5)
     assert len(w_in) == 3 and len(w_out) == 5
 
-    sys = realize_bank(CompensatorBank((w_in.sections[0],), "in"))
+    sys = CompensatorBank((w_in.sections[0],), "in").realization
     dc = float(eval_response(sys, np.array([0.0 + 0.0j]))[0, 0, 0].real)
     assert abs(dc - 0.7287) < 1e-4
     report(10, f"controller fixture round-trips byte-identically, "

@@ -50,13 +50,12 @@ ANALYZE_SHA256 = {
         "f9e635ebb568b85f9d8600f3cb70ac98842929ca3436fad1b37298837d6efd65",
 }
 
-# synth analyses its controller on the config's grid, as analyze does
+# synth writes only its report and controller; analyze writes the analysis
 SYNTH_SHA256 = {
     "synthesis_report.json":
         "9c8e7c7c0bf34b4dfdd75a09b12aa5fc96dc5940000f6517ff92b8baae169673",
     "controller.json":
         "d1f7b062633c737608efed174ebe7394f062b2c08421eee7ded292a09c4fcf81",
-    **ANALYZE_SHA256,
 }
 
 SIM_SHA256 = {
@@ -157,14 +156,14 @@ class TestVgapCommand:
 
 
 class TestSynthCommand:
-    def test_feasible_report_and_bundle(self, tmp_path):
+    def test_feasible_writes_report_and_controller_only(self, tmp_path):
         out = tmp_path / "synth"
         assert run("synth", FAMILY, "--config", CONFIG,
                    "--out", str(out)) == 0
         report = json.loads((out / "synthesis_report.json").read_text())
         assert report["feasible"]
-        assert (out / "controller.json").exists()
-        assert (out / "margins.json").exists()
+        assert {p.name for p in out.iterdir()} == {
+            "synthesis_report.json", "controller.json"}
 
     def test_outputs_pinned(self, tmp_path):
         assert run("synth", FAMILY, "--config", CONFIG,
@@ -245,9 +244,11 @@ class TestSynthCommand:
         cfg["ga_scp"]["max_generations"] = 0
         path = tmp_path / "zero.json"
         path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
         assert run("synth", FAMILY, "--config", str(path),
-                   "--out", str(tmp_path)) == 0
-        report = json.loads((tmp_path / "synthesis_report.json").read_text())
+                   "--out", str(out)) == 0
+        assert [p.name for p in out.iterdir()] == ["synthesis_report.json"]
+        report = json.loads((out / "synthesis_report.json").read_text())
         assert not report["feasible"]
         assert report["j1_history"] == []
 
@@ -365,7 +366,10 @@ class TestSimCommand:
                    "--scenario", str(tmp_path / "sc.json"),
                    "--out", str(tmp_path)) == 0
         report = json.loads((tmp_path / "tracking_report.json").read_text())
-        assert any(report[k]["diverged"] for k in report)
+        assert report == {
+            label: {"diverged": True, "divergence_time": t}
+            for label, t in (("nominal", 21.02), ("fast", 22.594),
+                             ("slow", 19.496))}
 
 
 class TestPlantLabels:

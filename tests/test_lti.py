@@ -18,7 +18,6 @@ from rssd.lti import (
     eigen_info,
     eval_response,
     is_imag_axis,
-    realize_bank,
     sorted_spectrum,
 )
 
@@ -153,7 +152,7 @@ class TestFirstOrderSection:
 class TestRealizeBank:
     def test_dynamic_section_response(self):
         sec = FirstOrderSection(1.0, 7.36, 0.007, 10.1)
-        sys = realize_bank(CompensatorBank((sec,), "in"))
+        sys = CompensatorBank((sec,), "in").realization
         s = np.array([0.0j, 3j, 100j])
         expected = (s + 7.36) / (0.007 * s + 10.1)
         got = eval_response(sys, s)[:, 0, 0]
@@ -162,7 +161,7 @@ class TestRealizeBank:
     def test_mixed_static_dynamic_diagonal(self):
         bank = CompensatorBank((FirstOrderSection(0.0, 2.0, 0.0, 1.0),
                                 FirstOrderSection(0.0, 1.0, 1.0, 1.0)), "in")
-        sys = realize_bank(bank)
+        sys = bank.realization
         assert sys.n == 1
         resp = eval_response(sys, np.array([1j]))[0]
         assert resp[0, 1] == 0.0 and resp[1, 0] == 0.0

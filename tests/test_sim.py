@@ -14,7 +14,6 @@ from rssd.lti import (
     augment_plant,
     cascade,
     eval_response,
-    realize_bank,
 )
 from rssd.margins import closed_loop
 from rssd.sim import (
@@ -363,7 +362,7 @@ class TestWeightGainCurve:
     def test_published_weight_values(self):
         G = FirstOrderSection(3.0, 923.9, 1.0, 9239.0)
         grid = FrequencyGrid(np.union1d(FrequencyGrid.default().points, [3250.0]))
-        g = realize_bank(CompensatorBank((G,), side="out"))
+        g = CompensatorBank((G,), side="out").realization
         omega = grid.points
         mag = np.abs(eval_response(g, 1j * omega)[:, 0, 0])
         assert mag[0] == pytest.approx(0.1, rel=1e-3)          # DC
