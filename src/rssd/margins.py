@@ -4,12 +4,18 @@ sensitivity curves, uncertainty tolerance bounds, and multiloop disk margins.
 ``closed_loop`` builds a plant's loop once; every analysis entry point
 (``gsm``, ``disk_margin``, ``sensitivity_curves``, ``uncertainty_bounds``)
 takes that ``ClosedLoop``, and the loop evaluates P(jw), S_o and S_i at
-most once per frequency grid, and the singular values of S_i once.
+most once per frequency grid, and the singular values of S_i once.  The
+generalized stability margin (and J2) is the norm of the 4-block's
+m-input factor, which has the 4-block's singular values; the disk margin
+reads its two halves off the 4-block itself.
 
-``singular_values`` is the one singular-value kernel here.  A stack of 1x1
-matrices (a SISO loop) gets LAPACK's own value elementwise, without one
-LAPACK call per frequency, and an all-zero block gets zeros; every other
-input goes to ``np.linalg.svd``.  Both give the same bits.
+``singular_values`` gives singular values: a stack of 1x1 matrices (a SISO
+loop) gets LAPACK's own value elementwise, without one LAPACK call per
+frequency, and an all-zero block gets zeros; every other input goes to
+``np.linalg.svd``.  Both give the same bits.  ``sigma_max`` gives only the
+largest, from the eigenvalues of each matrix's smaller Gram; the
+L-infinity iteration samples through it (1x1 samples through
+``singular_values``), and so does the nu-gap grid engine.
 
 L-infinity norms are certified upper bounds from a Hamiltonian iteration
 over all of [0, inf], so the generalized stability margin and the disk
@@ -24,6 +30,7 @@ formulas apply; its sensitivities are blocks of the 4-block operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -66,6 +73,19 @@ def singular_values(mats: np.ndarray) -> np.ndarray:
     return sv
 
 
+def sigma_max(mats: np.ndarray) -> np.ndarray:
+    """sigma_max of each matrix in a stack: the square root of the largest
+    ``eigvalsh`` eigenvalue of its smaller Gram.  Where a Gram overflows or
+    is not finite (its largest entry times its order, a bound on its trace,
+    is not finite) it raises ComputationFailed."""
+    ct = mats.conj().swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = ct @ mats if mats.shape[-2] >= mats.shape[-1] else mats @ ct
+    if not math.isfinite(float(gram.real.max()) * gram.shape[-1]):
+        raise ComputationFailed("a Gram for sigma_max overflows or is not finite")
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+
+
 @dataclass(frozen=True)
 class ClosedLoop:
     """Plant + static gain u = K y: M = (I - K D)^(-1), A_cl = A + B M K C."""
@@ -80,16 +100,32 @@ class ClosedLoop:
                              compare=False)
 
     @cached_property
+    def _c_cl(self) -> np.ndarray:
+        """The 4-block's output map: (y, u) = [C + D M K C; M K C] x."""
+        plant, K, M = self.plant, self.gain, self.M
+        C, D = plant.C, plant.D
+        return np.vstack([C + D @ M @ K @ C, M @ K @ C])
+
+    @cached_property
     def realization(self) -> StateSpacePlant:
         """The 4-block [P;I](I-KP)^(-1)[-I K]: inputs (w1, w2) of sizes
         (m, r), outputs (y, u)."""
         plant, K, M = self.plant, self.gain, self.M
-        B, C, D = plant.B, plant.C, plant.D
         E = M @ np.hstack([-np.eye(plant.m), K])
-        b_cl = B @ E
-        c_cl = np.vstack([C + D @ M @ K @ C, M @ K @ C])
-        d_cl = np.vstack([D @ E, E])
-        return StateSpacePlant(self.a_cl, b_cl, c_cl, d_cl, plant.label + "_cl")
+        d_cl = np.vstack([plant.D @ E, E])
+        return StateSpacePlant(self.a_cl, plant.B @ E, self._c_cl, d_cl,
+                               plant.label + "_cl")
+
+    @cached_property
+    def factor(self) -> StateSpacePlant:
+        """The 4-block's m-input factor F = [P;I](I-KP)^(-1) L, with
+        L L^T = I + K K^T: F F^H equals the 4-block times its conjugate
+        transpose at every s, so the two share their singular values."""
+        plant, K = self.plant, self.gain
+        ml = self.M @ np.linalg.cholesky(np.eye(plant.m) + K @ K.T)
+        return StateSpacePlant(self.a_cl, plant.B @ ml, self._c_cl,
+                               np.vstack([plant.D @ ml, ml]),
+                               plant.label + "_cl")
 
     def response(self, grid: FrequencyGrid) -> LoopResponse:
         """P(jw), S_o and S_i of this loop on ``grid``; one evaluation per grid."""
@@ -198,8 +234,10 @@ def linf_norm(sys: StateSpacePlant, poles=None) -> tuple[float, float]:
         # never empty; np.unique would import numpy.ma
         w = np.sort(omegas)
         omegas = w[np.concatenate([[True], w[1:] != w[:-1]])]
+        resp = eval_response(sys, 1j * omegas)
         try:
-            sig = singular_values(eval_response(sys, 1j * omegas))[:, 0]
+            sig = (singular_values(resp)[:, 0] if resp.shape[1:] == (1, 1)
+                   else sigma_max(resp))
         except np.linalg.LinAlgError as exc:
             raise ComputationFailed(f"singular values failed: {exc}") from exc
         i = int(np.argmax(sig))
@@ -255,7 +293,7 @@ def gsm(cl: ClosedLoop) -> float:
     """Generalized stability margin b in [0, 1]; 0 when not internally stable."""
     if not cl.stable:
         return 0.0
-    norm, _ = linf_norm(cl.realization, cl.eigenvalues)
+    norm, _ = linf_norm(cl.factor, cl.eigenvalues)
     if not np.isfinite(norm) or norm <= 0:
         return 0.0
     return float(1.0 / norm)

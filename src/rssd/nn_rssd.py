@@ -224,7 +224,8 @@ def j2_fitness(p_cp: StateSpacePlant, genome: RssdGenome, target: EigTarget):
 
     Pipeline: allowable subspaces -> constrained vector selection ->
     K = W (CR)^(-1) under the condition-number guard -> full-spectrum
-    damping-region check -> infinity norm of the 4-block operator.
+    damping-region check -> infinity norm of the 4-block operator, taken on
+    its m-input factor (``ClosedLoop.factor``).
     """
     if target.sigma_max is not None:
         if any(l.real > target.sigma_max for l in genome.eigenvalues):
@@ -237,7 +238,7 @@ def j2_fitness(p_cp: StateSpacePlant, genome: RssdGenome, target: EigTarget):
         cl = closed_loop(p_cp, K)
         if not in_S1(cl.eigenvalues, target) or not cl.stable:
             return PENALTY, None
-        norm, _ = linf_norm(cl.realization, cl.eigenvalues)
+        norm, _ = linf_norm(cl.factor, cl.eigenvalues)
     except (EmptySubspace, BoundViolation, IllConditioned, IllPosedLoop,
             ComputationFailed, np.linalg.LinAlgError):
         return PENALTY, None

@@ -156,7 +156,8 @@ def transmission_zeros(plant: StateSpacePlant) -> np.ndarray:
 
     Orthogonal deflation (Emami-Naeini & Van Dooren, Automatica 18(4), 1982):
     scale the columns of [B; D] and the rows of [C D] by powers of two (no
-    zero moves), then compress D's rows by its SVD to rank ρ.  If ρ = m the
+    zero moves), then compress D's rows by its SVD to rank ρ (a zero D has
+    ρ = 0 and takes LAPACK's identity U and Vᵀ without the call).  If ρ = m the
     zeros are eig(A − B D⁻¹ C).  Otherwise the m − ρ rows C₂ that D does not
     reach pin the state to null(C₂) = range(V₂), where the rows V₁ᵀ[A B] hold
     no λ and join the outputs: a square system with fewer states.  Singular
@@ -182,7 +183,8 @@ def transmission_zeros(plant: StateSpacePlant) -> np.ndarray:
     C, D = C / rows, D / rows
     tol = ZERO_RANK_RTOL * np.linalg.norm(np.block([[A, B], [C, D]]))
     while True:
-        u, sv, vt = np.linalg.svd(D)
+        u, sv, vt = (np.linalg.svd(D) if D.any() else
+                     (np.eye(plant.m), np.zeros(plant.m), np.eye(plant.m)))
         rho = int(np.count_nonzero(sv > tol))
         uc = u.T @ C
         if rho == plant.m:

@@ -14,7 +14,9 @@ Every member of a set is evaluated once on the grid (``sample``); each
 pair then only combines the stored responses and factors.  A caller that
 already has a member's grid response and pole counts, such as a product of
 factors it sampled itself, builds the sample from them (``SampledPlant.of``),
-forming only the factor sides its pairs read.
+forming only the factor sides its pairs read.  sigma_max Psi per point is
+``margins.sigma_max``, from the largest eigenvalue of the smaller Gram: the
+kernel the L-infinity iteration samples with.
 
 ``central_plant`` needs only min_i max_j delta_ij and its index, so it
 prunes: the maximum of sigma_max Psi over any grid subset is a lower bound
@@ -45,7 +47,7 @@ from .lti import (
     eval_response,
     is_imag_axis,
 )
-from .margins import singular_values
+from .margins import sigma_max, singular_values
 from .sweep import grid_peak
 
 # An eigenvalue of A_z this close (relative) to an imaginary-axis eigenvalue
@@ -207,12 +209,6 @@ def _factors(resp, left=True, right=True, plants=()):
     return (small, large) if wide else (large, small)
 
 
-def _sigma_max(mats):
-    """sigma_max per point from the eigenvalues of the smaller Gram."""
-    gram = _ct(mats) @ mats if mats.shape[1] >= mats.shape[2] else mats @ _ct(mats)
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-
-
 def _grid_psi(s1: SampledPlant, s2: SampledPlant, points=slice(None)):
     """Psi(P1(jw), P2(jw)) at the grid points ``points`` selects, read from
     P2's left factor and P1's right one."""
@@ -224,17 +220,17 @@ def _grid_sigma(s1: SampledPlant, s2: SampledPlant, points=slice(None)):
     """sigma_max of Psi(P1(jw), P2(jw)) at the grid points ``points`` selects,
     read from the samples; each point's value does not depend on the others
     selected."""
-    return _sigma_max(_grid_psi(s1, s2, points))
+    return sigma_max(_grid_psi(s1, s2, points))
 
 
 def _coarse_sigma(samples, pairs) -> np.ndarray:
     """``_grid_sigma`` of each pair (i, j) of ``samples`` on every
     ``COARSE_STRIDE``-th grid point, one row per pair, from one stacked
-    ``_sigma_max``."""
+    ``sigma_max``."""
     coarse = slice(None, None, COARSE_STRIDE)
     psi = np.concatenate([_grid_psi(samples[i], samples[j], coarse)
                           for i, j in pairs])
-    return _sigma_max(psi).reshape(len(pairs), -1)
+    return sigma_max(psi).reshape(len(pairs), -1)
 
 
 def _psi_sigma(s1: SampledPlant, s2: SampledPlant):
@@ -257,7 +253,7 @@ def _psi_sigma(s1: SampledPlant, s2: SampledPlant):
         r2 = eval_response(s2.plant, s)
         l2, m1 = _factors(np.concatenate([r1, r2]), slice(s.size, None),
                           slice(s.size), (s1.plant, s2.plant))
-        return _sigma_max(l2 @ (r1 - r2) @ m1)
+        return sigma_max(l2 @ (r1 - r2) @ m1)
 
     return fun
 

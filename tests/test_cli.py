@@ -41,7 +41,7 @@ def count_calls(monkeypatch, original, counts, key,
 # declared here
 ANALYZE_SHA256 = {
     "margins.json":
-        "a78882bfeef326036313ef663070b825ebb0346680357c0737d20385a6aa7c2c",
+        "fd213d320ce2455c254c9ae04958a60783f380b0ce952a4e540b09eee3cd75e6",
     "curves_0_nominal.csv":
         "05be2638f8262d779774a34fe180313b84c9b44177317717382295eaa9641c44",
     "curves_1_fast.csv":
@@ -53,7 +53,7 @@ ANALYZE_SHA256 = {
 # synth writes only its report and controller; analyze writes the analysis
 SYNTH_SHA256 = {
     "synthesis_report.json":
-        "9c8e7c7c0bf34b4dfdd75a09b12aa5fc96dc5940000f6517ff92b8baae169673",
+        "8ce3a645d678cf0751a9dac401ee320870f90c0824125c07ef9ddc4e9c9bbbe5",
     "controller.json":
         "d1f7b062633c737608efed174ebe7394f062b2c08421eee7ded292a09c4fcf81",
 }

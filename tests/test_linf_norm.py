@@ -1,5 +1,6 @@
 """The L-infinity norm is a certified upper bound within 1e-6 of the peak."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -39,8 +40,9 @@ def resonance(zeta, wn):
     return StateSpacePlant(A, [[0.0], [1.0]], [[wn * wn, 0.0]], [[0.0]])
 
 
-def random_closed_loop(rng, order=8, m=3, r=5):
-    """Stable loop of a stable 3x5 plant under a random gain."""
+def random_closed_loop(rng, order=8, m=3, r=5, feedthrough=0.0):
+    """Stable loop of a stable 3x5 plant under a random gain; ``feedthrough``
+    scales a random D (0: D = 0)."""
     while True:
         q, _ = np.linalg.qr(rng.normal(size=(order, order)))
         pairs = order // 2
@@ -49,8 +51,10 @@ def random_closed_loop(rng, order=8, m=3, r=5):
                                   rng.uniform(0.2, 20.0, pairs))]
         A = q @ np.block([[blocks[i] if i == j else np.zeros((2, 2))
                            for j in range(pairs)] for i in range(pairs)]) @ q.T
+        D = (feedthrough * rng.normal(size=(r, m)) if feedthrough
+             else np.zeros((r, m)))
         plant = StateSpacePlant(A, rng.normal(size=(order, m)),
-                                rng.normal(size=(r, order)), np.zeros((r, m)))
+                                rng.normal(size=(r, order)), D)
         cl = closed_loop(plant, 0.3 * rng.normal(size=(m, r)))
         if cl.stable:
             return cl
@@ -182,6 +186,47 @@ class TestDegenerate:
         with pytest.raises(ComputationFailed, match="gamma\\^2 overflows"):
             linf_norm(StateSpacePlant.siso(-1.0, 1e155))
 
+    def test_gram_overflow_raises(self, monkeypatch):
+        # a 2x2 loop's samples take sigma_max from their Gram, which squares
+        # the response: past ~1e154 the Gram overflows before gamma^2 does
+        def twin(gain):
+            return StateSpacePlant(-np.eye(2), gain * np.array([[1.0, 0.5],
+                                                                [0.0, 1.0]]),
+                                   np.eye(2), np.zeros((2, 2)))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            norm, omega = linf_norm(twin(1e150))
+            with pytest.raises(ComputationFailed, match="Gram"):
+                linf_norm(twin(1e155))
+        def svd_route(mats):
+            return np.linalg.svd(mats, compute_uv=False)[:, 0]
+
+        monkeypatch.setattr(rssd.margins, "sigma_max", svd_route)
+        assert omega == 0.0
+        assert norm == pytest.approx(linf_norm(twin(1e150))[0], rel=1e-15,
+                                     abs=0)
+
+
+class TestFactor:
+    """J2 and the gsm take the 4-block's m-input factor: at every s its
+    product with its conjugate transpose is the 4-block's."""
+
+    @pytest.mark.parametrize("order, m, r", [(4, 1, 1), (8, 3, 5)])
+    def test_factor_has_the_four_block_sigma_max(self, order, m, r):
+        rng = np.random.default_rng(2525 + m)
+        omegas = np.concatenate([[0.0], np.logspace(-2, 3, 60)])
+        for _ in range(8):
+            cl = random_closed_loop(rng, order, m, r, feedthrough=0.5)
+            assert cl.factor.D.shape == (r + m, m) and cl.plant.D.any()
+            np.testing.assert_allclose(sigma_max(cl.factor, omegas),
+                                       sigma_max(cl.realization, omegas),
+                                       rtol=1e-13, atol=0)
+            norm, _ = linf_norm(cl.factor, cl.eigenvalues)
+            four_block, _ = linf_norm(cl.realization, cl.eigenvalues)
+            assert norm == pytest.approx(
+                four_block, rel=2 * rssd.margins.LINF_TOL, abs=0)
+
 
 def double_integrator_case():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -221,7 +266,7 @@ class TestJ2Path:
         assert sum(np.array_equal(a, cl.a_cl) for a in solved) == 1
         assert np.array_equal(cl.eigenvalues, np.linalg.eigvals(cl.a_cl))
         # the poles passed in give the norm bit for bit
-        assert j2 == linf_norm(cl.realization)[0]
+        assert j2 == linf_norm(cl.factor)[0]
 
     def test_failed_norm_penalized(self, monkeypatch):
         def failing(sys, poles=None):
@@ -250,15 +295,17 @@ def test_norm_does_not_sweep_a_grid(monkeypatch):
 
 def repeated_sample_norm(sys, poles=None):
     """linf_norm as it was before each distinct frequency was sampled once:
-    every candidate is evaluated, repeats included, in the order found, and
-    sigma_max is np.linalg.norm(ord=2).  The reference for bit-equality."""
+    every candidate is evaluated, repeats included, in the order found.
+    sigma_max is np.linalg.norm(ord=2) on 1x1 samples and the Gram kernel
+    ``margins.sigma_max`` on the rest.  The reference for bit-equality."""
     if poles is None:
         poles = np.linalg.eigvals(sys.A) if sys.n else np.zeros(0, complex)
     eig = np.asarray(poles)
 
     def peak(omegas):
-        sig = np.linalg.norm(eval_response(sys, 1j * omegas), ord=2,
-                             axis=(1, 2))
+        resp = eval_response(sys, 1j * omegas)
+        sig = (np.linalg.norm(resp, ord=2, axis=(1, 2))
+               if resp.shape[1:] == (1, 1) else rssd.margins.sigma_max(resp))
         i = int(np.argmax(sig))
         return float(sig[i]), float(omegas[i])
 
@@ -296,7 +343,7 @@ def disk_halves(cl):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rssd.margins, "linf_norm", recorded)
         disk_margin(cl)
-    return [(h, p) for h, p in seen if h is not cl.realization]
+    return [(h, p) for h, p in seen if h is not cl.factor]
 
 
 def oracle_cases():
@@ -305,6 +352,7 @@ def oracle_cases():
     for _ in range(24):
         cl = random_closed_loop(rng)
         cases.append((cl.realization, cl.eigenvalues))
+        cases.append((cl.factor, cl.eigenvalues))
         cases.extend(disk_halves(cl))
     for zeta, wn in [(0.1, 1.0), (1e-4, 3.0), (0.05, 3e5)]:
         cases.append((resonance(zeta, wn), None))
@@ -325,7 +373,7 @@ def oracle_cases():
 class TestDistinctSamples:
     def test_bit_equal_to_repeated_sampling(self):
         cases = oracle_cases()
-        assert len(cases) == 24 * 3 + 9
+        assert len(cases) == 24 * 4 + 9
         for sys, poles in cases:
             assert linf_norm(sys, poles) == repeated_sample_norm(sys, poles)
 

@@ -653,7 +653,7 @@ class TestSampling:
         r1, r2 = eval_response(p1, 1j * omegas), eval_response(p2, 1j * omegas)
         l2 = rssd.vgap._factors(r2, right=False)[0]
         m1 = rssd.vgap._factors(r1, left=False)[1]
-        assert np.array_equal(got, rssd.vgap._sigma_max(l2 @ (r1 - r2) @ m1))
+        assert np.array_equal(got, rssd.margins.sigma_max(l2 @ (r1 - r2) @ m1))
 
     @pytest.mark.parametrize("m, r", [(2, 3), (3, 2)])
     def test_psi_sigma_from_gram_matches_svd(self, m, r, coarse_grid,
