@@ -222,7 +222,7 @@ def compute_gain(W, R, C) -> np.ndarray:
     sv = singular_values(CR)
     cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
     if cond >= COND_LIMIT:
-        raise IllConditioned(cond, COND_LIMIT)
+        raise IllConditioned(f"cond(CR)={cond:.3e} >= {COND_LIMIT:.3e}")
     return np.linalg.solve(CR.T, W.T).T
 
 

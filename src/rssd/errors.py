@@ -48,21 +48,15 @@ class BoundViolation(RssdError):
 class IllConditioned(RssdError):
     """cond(CR) exceeds the invertibility guard."""
 
-    def __init__(self, cond, limit, message=None):
-        self.cond = cond
-        self.limit = limit
-        super().__init__(message or f"cond(CR)={cond:.3e} >= {limit:.3e}")
-
 
 class DivergentTrace(RssdError):
     """Simulation state magnitude exceeded the divergence threshold, or a
     trace holds non-finite samples (time None)."""
 
-    def __init__(self, time, message=None):
+    def __init__(self, time):
         self.time = time
-        super().__init__(message or ("trace has non-finite samples"
-                                     if time is None else
-                                     f"trace diverged at t={time:.6g} s"))
+        super().__init__("trace has non-finite samples" if time is None
+                         else f"trace diverged at t={time:.6g} s")
 
 
 class ParseError(RssdError):

@@ -272,16 +272,6 @@ class FirstOrderSection:
         """Finite zero -b/a, or None for a constant numerator."""
         return None if self.a == 0.0 else -self.b / self.a
 
-    @property
-    def dc_gain(self) -> float:
-        if self.d == 0.0:
-            raise ImproperSection("section has a pole at the origin")
-        return self.b / self.d
-
-    @property
-    def hf_gain(self) -> float:
-        return self.b / self.d if self.is_static else self.a / self.c
-
     def require_stable(self):
         if not self.is_static and self.pole >= 0.0:
             raise UnstableSection(f"section pole {self.pole:.6g} not in C-")

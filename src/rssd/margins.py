@@ -9,13 +9,12 @@ generalized stability margin (and J2) is the norm of the 4-block's
 m-input factor, which has the 4-block's singular values; the disk margin
 reads its two halves off the 4-block itself.
 
-``singular_values`` gives singular values: a stack of 1x1 matrices (a SISO
-loop) gets LAPACK's own value elementwise, without one LAPACK call per
-frequency, and an all-zero block gets zeros; every other input goes to
-``np.linalg.svd``.  Both give the same bits.  ``sigma_max`` gives only the
-largest, from the eigenvalues of each matrix's smaller Gram; the
-L-infinity iteration samples through it (1x1 samples through
-``singular_values``), and so does the nu-gap grid engine.
+``singular_values`` gives singular values and ``sigma_max`` only the
+largest: ``np.linalg.svd`` and the largest eigenvalue of each matrix's
+smaller Gram, except that a stack of 1x1 matrices (a SISO loop) takes
+|z| from ``modulus`` elementwise, without a LAPACK call per frequency, and
+``singular_values`` gives an all-zero block zeros.  The L-infinity
+iteration and the nu-gap grid engine sample through ``sigma_max``.
 
 L-infinity norms are certified upper bounds from a Hamiltonian iteration
 over all of [0, inf], so the generalized stability margin and the disk
@@ -44,46 +43,51 @@ HAMILTONIAN_AXIS_RTOL = 1e-7
 # linf_norm's bound is within 2 LINF_TOL (relative) above the norm.
 LINF_TOL = 1e-10
 LINF_MAX_ITER = 50
-# LAPACK's gesdd rescales a matrix whose largest |entry| lies outside about
-# (6.7e-139, 1.5e138) before its SVD; 1x1 entries outside this range go to it
-SV_RANGE = (1e-130, 1e130)
+
+
+def modulus(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise as hi sqrt(1 + (lo/hi)^2) with hi, lo = max, min(|Re z|,
+    |Im z|) (LAPACK's dlapy3): the same bits on every numpy SIMD path, which
+    np.abs of a complex array is not, and gesdd's own 1x1 singular value for
+    |z| in (1e-130, 1e130).  Zeros give +0.0 and infinities inf; a NaN
+    raises ComputationFailed."""
+    re, im = np.abs(z.real), np.abs(z.imag)
+    hi, lo = np.maximum(re, im), np.minimum(re, im)
+    ratio = np.divide(lo, hi, out=np.ones_like(hi), where=lo < hi)
+    with np.errstate(over="ignore"):
+        mod = hi * np.sqrt(1.0 + ratio**2)
+    if np.isnan(mod).any():
+        raise ComputationFailed("a 1x1 singular value of a NaN entry")
+    return mod
 
 
 def singular_values(mats: np.ndarray) -> np.ndarray:
-    """Singular values of a matrix or stack, descending along the last axis:
-    ``np.linalg.svd(mats, compute_uv=False)``, bit for bit.
-
-    For 1x1 matrices gesdd's Householder step gives |z| as
-    hi sqrt(1 + (lo/hi)^2) with hi, lo = max, min(|Re z|, |Im z|) (LAPACK's
-    dlapy3), which is computed here elementwise.  Zeros, non-finite
-    entries and those gesdd would rescale first go to ``np.linalg.svd``.
-    An all-zero block of any shape (-0.0 included) gives zeros.
-    """
+    """Singular values of a matrix or stack, descending along the last axis,
+    as ``np.linalg.svd(mats, compute_uv=False)``; 1x1 matrices through
+    ``modulus``, and an all-zero block of any shape (-0.0 included) zeros."""
+    if mats.shape[-2:] == (1, 1):
+        return modulus(mats[..., 0])
     if not mats.any():
         return np.zeros(mats.shape[:-2] + (min(mats.shape[-2:]),))
-    if mats.shape[-2:] != (1, 1):
-        return np.linalg.svd(mats, compute_uv=False)
-    re, im = np.abs(mats.real[..., 0]), np.abs(mats.imag[..., 0])
-    hi = np.maximum(re, im)
-    with np.errstate(all="ignore"):
-        sv = hi * np.sqrt(1.0 + (np.minimum(re, im) / hi) ** 2)
-    odd = ~((sv > SV_RANGE[0]) & (sv < SV_RANGE[1]))[..., 0]
-    if np.any(odd):
-        sv[odd] = np.linalg.svd(mats[odd], compute_uv=False)
-    return sv
+    return np.linalg.svd(mats, compute_uv=False)
 
 
 def sigma_max(mats: np.ndarray) -> np.ndarray:
-    """sigma_max of each matrix in a stack: the square root of the largest
-    ``eigvalsh`` eigenvalue of its smaller Gram.  Where a Gram overflows or
-    is not finite (its largest entry times its order, a bound on its trace,
-    is not finite) it raises ComputationFailed."""
+    """sigma_max of each matrix in a stack: ``modulus`` of a 1x1 matrix, else
+    the root of the largest eigenvalue of its smaller Gram (``eigvalsh``'s;
+    a 1x1 Gram's is its entry).  Where a Gram overflows or is not finite
+    (its largest entry times its order, a bound on its trace, is not) it
+    raises ComputationFailed."""
+    if mats.shape[-2:] == (1, 1):
+        return modulus(mats[..., 0, 0])
     ct = mats.conj().swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = ct @ mats if mats.shape[-2] >= mats.shape[-1] else mats @ ct
     if not math.isfinite(float(gram.real.max()) * gram.shape[-1]):
         raise ComputationFailed("a Gram for sigma_max overflows or is not finite")
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    top = (gram.real[..., 0, 0] if gram.shape[-1] == 1
+           else np.linalg.eigvalsh(gram)[..., -1])
+    return np.sqrt(np.maximum(top, 0.0))
 
 
 @dataclass(frozen=True)
@@ -235,11 +239,7 @@ def linf_norm(sys: StateSpacePlant, poles=None) -> tuple[float, float]:
         w = np.sort(omegas)
         omegas = w[np.concatenate([[True], w[1:] != w[:-1]])]
         resp = eval_response(sys, 1j * omegas)
-        try:
-            sig = (singular_values(resp)[:, 0] if resp.shape[1:] == (1, 1)
-                   else sigma_max(resp))
-        except np.linalg.LinAlgError as exc:
-            raise ComputationFailed(f"singular values failed: {exc}") from exc
+        sig = sigma_max(resp)
         i = int(np.argmax(sig))
         if not np.isfinite(sig[i]):
             raise ComputationFailed(f"sigma_max is {sig[i]} at w={omegas[i]}")

@@ -15,8 +15,9 @@ pair then only combines the stored responses and factors.  A caller that
 already has a member's grid response and pole counts, such as a product of
 factors it sampled itself, builds the sample from them (``SampledPlant.of``),
 forming only the factor sides its pairs read.  sigma_max Psi per point is
-``margins.sigma_max``, from the largest eigenvalue of the smaller Gram: the
-kernel the L-infinity iteration samples with.
+``margins.sigma_max``, the kernel the L-infinity iteration samples with: a
+SISO pair's |Psi| from ``margins.modulus``, else the largest eigenvalue of
+the smaller Gram.
 
 ``central_plant`` needs only min_i max_j delta_ij and its index, so it
 prunes: the maximum of sigma_max Psi over any grid subset is a lower bound

@@ -639,6 +639,33 @@ def _get(obj, path):
     return obj
 
 
+def test_no_lapack_sigma_of_a_1x1_stack(tmp_path, monkeypatch):
+    # every 1x1 sigma of the fixture's vgap, synth and analyze comes from
+    # margins.modulus: no eigvalsh of a 1x1 Gram, no singular-value-only SVD
+    shapes = []
+    eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
+
+    def eigvalsh_spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    def svd_spy(a, full_matrices=True, compute_uv=True, *args, **kwargs):
+        if not compute_uv:
+            shapes.append(np.shape(a))
+        return svd(a, full_matrices, compute_uv, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    synth = tmp_path / "synth"
+    assert run("vgap", FAMILY, "--config", CONFIG, "--out",
+               str(tmp_path / "vgap")) == 0
+    assert run("synth", FAMILY, "--config", CONFIG, "--out", str(synth)) == 0
+    assert run("analyze", FAMILY, "--config", CONFIG, "--controller",
+               str(synth / "controller.json"), "--out",
+               str(tmp_path / "analyze")) == 0
+    assert not [s for s in shapes if s[-2:] == (1, 1)]
+
+
 @pytest.fixture(scope="module")
 def synthesized(tmp_path_factory):
     """The controller that synth finds for the fixture family."""

@@ -126,10 +126,10 @@ def sigma_calls_outside_kernel(source: str, full_svd_ok=False) -> list[str]:
 
 
 def test_analysis_sigma_through_one_kernel():
-    # margins.singular_values gives a SISO loop LAPACK's bits without a
-    # LAPACK call per frequency; a direct SVD in the analysis layer would
-    # bypass it, as would a singular-value-only SVD or an ord-2 norm
-    # elsewhere; full SVDs whose U and V are used stay there
+    # margins.singular_values gives a SISO loop |z| without a LAPACK call
+    # per frequency; a direct SVD in the analysis layer would bypass it, as
+    # would a singular-value-only SVD or an ord-2 norm elsewhere; full SVDs
+    # whose U and V are used stay there
     for module in ("margins", "cli"):
         source = (ROOT / "src" / "rssd" / f"{module}.py").read_text()
         assert not sigma_calls_outside_kernel(source), module

@@ -125,7 +125,8 @@ class TestScenarioIO:
                             "channel": 0, "delta": -1.0},
         })
         assert scenario.uncertainty.delta == -1.0
-        assert scenario.uncertainty.weight.hf_gain == pytest.approx(3.0)
+        weight = scenario.uncertainty.weight
+        assert weight.a / weight.c == pytest.approx(3.0)
 
     def test_bad_scenario_rejected(self):
         with pytest.raises(ParseError):

@@ -296,16 +296,15 @@ def test_norm_does_not_sweep_a_grid(monkeypatch):
 def repeated_sample_norm(sys, poles=None):
     """linf_norm as it was before each distinct frequency was sampled once:
     every candidate is evaluated, repeats included, in the order found.
-    sigma_max is np.linalg.norm(ord=2) on 1x1 samples and the Gram kernel
-    ``margins.sigma_max`` on the rest.  The reference for bit-equality."""
+    Each sample's sigma_max is ``margins.sigma_max``, as in ``linf_norm``.
+    The reference for bit-equality."""
     if poles is None:
         poles = np.linalg.eigvals(sys.A) if sys.n else np.zeros(0, complex)
     eig = np.asarray(poles)
 
     def peak(omegas):
         resp = eval_response(sys, 1j * omegas)
-        sig = (np.linalg.norm(resp, ord=2, axis=(1, 2))
-               if resp.shape[1:] == (1, 1) else rssd.margins.sigma_max(resp))
+        sig = rssd.margins.sigma_max(resp)
         i = int(np.argmax(sig))
         return float(sig[i]), float(omegas[i])
 

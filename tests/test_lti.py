@@ -130,7 +130,7 @@ class TestCascadeAugment:
 class TestFirstOrderSection:
     def test_published_shape_dc_gain(self):
         sec = FirstOrderSection(1.0, 7.36, 0.007, 10.1)
-        assert sec.dc_gain == pytest.approx(7.36 / 10.1)
+        assert sec.b / sec.d == pytest.approx(7.36 / 10.1)
         assert sec.pole == pytest.approx(-10.1 / 0.007)
         assert sec.zero == pytest.approx(-7.36)
 
@@ -146,7 +146,7 @@ class TestFirstOrderSection:
     def test_static_section(self):
         sec = FirstOrderSection(0.0, 3.0, 0.0, 2.0)
         assert sec.is_static
-        assert sec.dc_gain == pytest.approx(1.5)
+        assert sec.b / sec.d == pytest.approx(1.5)
 
 
 class TestRealizeBank:

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from conftest import random_stable_siso
-from rssd.errors import UnstableLoop
+from rssd.errors import ComputationFailed, UnstableLoop
 from rssd.lti import FrequencyGrid, StateSpacePlant, eval_response
 from rssd.margins import (
     LINF_TOL,
@@ -17,6 +17,7 @@ from rssd.margins import (
     gsm,
     linf_norm,
     sensitivity_curves,
+    sigma_max,
     singular_values,
     uncertainty_bounds,
 )
@@ -102,12 +103,25 @@ class TestLinfNorm:
 
 
 class TestSingularValues:
-    """The 1x1 kernel returns LAPACK's bits; every other shape is LAPACK."""
+    """1x1 stacks take ``modulus``, gesdd's bits where gesdd does not
+    rescale; every other shape is LAPACK."""
 
     def test_1x1_stacks_bitwise(self):
+        # bit for bit for |z| in (1e-130, 1e130); outside it gesdd rescales
+        # first, and the two part by at most 3 ulp (measured)
         for mats in one_by_one_stacks(np.random.default_rng(21), 50_000):
-            assert same_bits(singular_values(mats),
-                             np.linalg.svd(mats, compute_uv=False))
+            got = singular_values(mats)
+            want = np.linalg.svd(mats, compute_uv=False)
+            inside = (want > 1e-130) & (want < 1e130)
+            assert same_bits(got[inside], want[inside])
+            np.testing.assert_array_max_ulp(got[~inside], want[~inside], 4)
+
+    def test_sigma_max_of_1x1_stacks_is_the_modulus(self):
+        # the same kernel, also where a 1x1 Gram would overflow or underflow
+        rng = np.random.default_rng(23)
+        stacks = one_by_one_stacks(rng, 20_000)
+        for mats in stacks + [1e150 * stacks[0], 1e-150 * stacks[0]]:
+            assert same_bits(sigma_max(mats), singular_values(mats)[..., 0])
 
     def test_single_matrix_and_other_shapes(self):
         rng = np.random.default_rng(3)
@@ -144,33 +158,52 @@ class TestSingularValues:
             assert same_bits(singular_values(mats), want)
         assert shapes == []
 
-    def test_non_finite_entries_as_lapack(self):
-        # inf gives LAPACK's NaN; NaN makes LAPACK fail and raise
-        mats = np.array([1.0, np.inf, 1j * np.inf, 2.0 + 1e-300j],
+    def test_non_finite_entries(self):
+        # inf gives inf (LAPACK gave NaN); a NaN raises, as LAPACK did
+        mats = np.array([1.0, np.inf, complex(0.0, np.inf),
+                         complex(-np.inf, -np.inf), 2.0 + 1e-300j],
                         dtype=complex).reshape(-1, 1, 1)
         np.testing.assert_array_equal(singular_values(mats),
-                                      np.linalg.svd(mats, compute_uv=False))
-        mats[0] = np.nan
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.svd(mats, compute_uv=False)
-        with pytest.raises(np.linalg.LinAlgError):
-            singular_values(mats)
+                                      [[1.0], [np.inf], [np.inf], [np.inf],
+                                       [2.0]])
+        for bad in (np.nan, np.nan * 1j, complex(np.inf, np.nan)):
+            mats[0] = bad
+            with pytest.raises(ComputationFailed):
+                singular_values(mats)
+            with pytest.raises(ComputationFailed):
+                sigma_max(mats)
 
-    @pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
-    def test_bitwise_under_other_openblas_kernels(self, coretype):
+    @pytest.mark.parametrize("target", ["X86_V4", "X86_V3"])
+    def test_same_bytes_on_every_simd_path(self, tmp_path, target):
+        # np.abs of a complex array rounds differently on different SIMD
+        # paths; modulus must not.  The inputs are made here and passed by
+        # file, since 10.0 ** x and np.exp are SIMD-dispatched too
+        umath = pytest.importorskip("numpy._core._multiarray_umath")
+        dispatch = list(umath.__cpu_dispatch__)
+        if target not in dispatch or not umath.__cpu_features__.get(target):
+            pytest.skip(f"{target} is not a numpy dispatch target here")
+        off = " ".join(dispatch[dispatch.index(target):])
+        z = np.concatenate([m.ravel().astype(complex) for m in
+                            one_by_one_stacks(np.random.default_rng(24), 20_000)])
+        np.save(tmp_path / "z.npy", z)
         code = (
+            "import sys\n"
             "import numpy as np\n"
-            "from test_margins import one_by_one_stacks, same_bits\n"
-            "from rssd.margins import singular_values\n"
-            "for m in one_by_one_stacks(np.random.default_rng(22), 20_000):\n"
-            "    assert same_bits(singular_values(m),\n"
-            "                     np.linalg.svd(m, compute_uv=False))\n"
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "from rssd.margins import modulus\n"
+            "assert not any(__cpu_features__[f] for f in sys.argv[2].split())\n"
+            "np.save(sys.argv[3], modulus(np.load(sys.argv[1])))\n"
         )
-        env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
-               "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(__file__).parent)])}
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
+        for name, disabled in (("default", ""), ("reduced", off)):
+            env = {**os.environ, "PYTHONPATH": str(SRC),
+                   "NPY_DISABLE_CPU_FEATURES": disabled}
+            done = subprocess.run(
+                [sys.executable, "-c", code, str(tmp_path / "z.npy"), disabled,
+                 str(tmp_path / f"{name}.npy")],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+        assert same_bits(np.load(tmp_path / "default.npy"),
+                         np.load(tmp_path / "reduced.npy"))
 
 
 class TestClosedLoop:

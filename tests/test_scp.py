@@ -51,8 +51,9 @@ class TestDecodeBank:
     def test_published_coefficients(self):
         w_in, w_out = decode_banks([1.0, 7.36, 0.007, 10.1, 0.0, 2.0, 0.0, 1.0],
                                    wide_banks())
-        assert w_in.sections[0].dc_gain == pytest.approx(0.7287, abs=1e-4)
-        assert w_out.sections[0].dc_gain == 2.0
+        sec_in, sec_out = w_in.sections[0], w_out.sections[0]
+        assert sec_in.b / sec_in.d == pytest.approx(0.7287, abs=1e-4)
+        assert sec_out.b / sec_out.d == 2.0
 
     def test_out_of_box_rejected(self):
         with pytest.raises(OutOfBox):
