@@ -235,13 +235,13 @@ def cmd_sim(args) -> int:
         for ch in range(m):
             header.append(f"u_{ch}")
             cols.append(traces.inputs[:, ch])
-        fileio.write_csv(out / f"traces_{idx}_{label}.csv", header, cols)
-        try:
+        try:  # before the first write: a steady window with no sample exits 3
             metrics = tracking_metrics(traces, **metric_args)
             report[label] = {"diverged": False, "passed": metrics.passed,
                              "channels": list(metrics.channels)}
         except DivergentTrace as exc:
             report[label] = {"diverged": True, "divergence_time": exc.time}
+        fileio.write_csv(out / f"traces_{idx}_{label}.csv", header, cols)
     (out / "tracking_report.json").write_text(fileio.canonical_json(report))
     print(f"simulation written to {out}")
     return EXIT_OK

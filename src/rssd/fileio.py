@@ -323,6 +323,8 @@ def scenario_from_obj(obj) -> tuple[Scenario, dict]:
     spec = _field(obj, "metrics", "scenario", {}, dict)
     metrics = {key: _field(spec, key, "scenario metrics", default, float)
                for key, default in METRIC_DEFAULTS.items()}
+    if metrics["steady_after"] >= scenario.duration:
+        raise ParseError("scenario metrics steady_after: must be below the duration")
     return scenario, metrics
 
 

@@ -2,11 +2,11 @@
 
 Simulates the compensated plant under the static output-feedback gain with
 the loop convention u = K (y + d - r), so the steady-state tracking error
-is governed by the output sensitivity (I - P K)^(-1).  Integration is
-fixed-step 4th-order Runge-Kutta over the full augmented state (plant plus
-compensator plus optional uncertainty-weight states), evaluated as the exact
-one-step linear recurrence x_k = Phi x_(k-1) + f_k it is on a linear loop.
-The recurrence runs as a blocked prefix scan (Hillis & Steele, CACM 1986):
+is governed by the output sensitivity (I - P K)^(-1).  Each signal is held
+from one sample to the next (zero-order hold), under which the exact step
+of the augmented state (plant, compensators, optional uncertainty weight)
+is x_(k+1) = Phi x_k + Gamma w_k, and dt sets only the sample period.  The
+recurrence runs as a blocked prefix scan (Hillis & Steele, CACM 1986):
 each block of rows is a few batched matrix products, not one step per row.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergentTrace
+from .errors import ComputationFailed, DimensionMismatch, DivergentTrace
 from .lti import (
     CompensatorBank,
     FirstOrderSection,
@@ -115,6 +115,24 @@ def _uncertainty_plant(inj: UncertaintyInjection, channels: int) -> StateSpacePl
     return StateSpacePlant(A, B, C, D, label="uncertainty")
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """e^a by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4),
+    2005) of a degree-18 Taylor polynomial, with errors a small multiple of
+    u (1 + |e^a|), u the unit roundoff.  ComputationFailed on overflow."""
+    s = max(0, int(np.frexp(np.max(np.abs(a).sum(axis=0), initial=0.0))[1]))
+    x = np.ldexp(a, -s)  # 1-norm below 1
+    e = eye = np.eye(len(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(18, 1, -1):
+            e = eye + x @ e / k
+        e = x @ e  # e^x - I, squared as (e + I)^2 - I to keep its small entries
+        for _ in range(s):
+            e = 2 * e + e @ e
+    if not np.all(np.isfinite(e)):
+        raise ComputationFailed("the matrix exponential overflows")
+    return e + eye
+
+
 def _powers(phi: np.ndarray) -> np.ndarray:
     """Phi^1 ... Phi^L stacked, for the scan block length L.
 
@@ -134,15 +152,17 @@ def _powers(phi: np.ndarray) -> np.ndarray:
 
 def simulate(plant: StateSpacePlant, gain, w_in: CompensatorBank,
              w_out: CompensatorBank, scenario: Scenario) -> TraceSet:
-    """Fixed-step RK4 trace of the augmented loop under a scenario.
+    """Zero-order-hold trace of the augmented loop under a scenario.
 
     The controller sees y + d - r; with zero reference and disturbance from
-    a zero initial state every trace is identically zero.  The states are
-    computed a scan block at a time (see _powers), and each block is checked
-    before the next one starts.  From the first state that is non-finite or
-    exceeds DIVERGENCE_LIMIT on, outputs and inputs are NaN, and
-    divergence_time is that state's time.  The uncertainty channel must be
-    one of the loop's outputs.
+    a zero initial state every trace is identically zero.  Each signal is
+    sampled at t_k = k dt and held until t_(k+1) (an edge between samples
+    acts at the next one); ComputationFailed if e^(A_cl dt) overflows.  The
+    states are computed a scan block at a time (see _powers), and each block
+    is checked before the next one starts.  From the first state that is
+    non-finite or exceeds DIVERGENCE_LIMIT on, outputs and inputs are NaN,
+    and divergence_time is that state's time.  The uncertainty channel must
+    be one of the loop's outputs.
     """
     aug = augment_plant(w_out, plant, w_in)
     if scenario.uncertainty is not None:
@@ -160,34 +180,20 @@ def simulate(plant: StateSpacePlant, gain, w_in: CompensatorBank,
     dt = scenario.dt
     n_steps = int(round(scenario.duration / dt))
     time = dt * np.arange(n_steps + 1)
-    half_t = time[:-1] + 0.5 * dt
 
-    def sample(specs, t):
-        if not specs:
-            return np.zeros((t.size, aug.r))
-        return np.column_stack([s.sample(t) for s in specs])
+    ref = np.column_stack([s.sample(time) for s in scenario.reference])
+    dist = scenario.disturbance or (SignalSpec(),) * aug.r  # none: all zero
+    w = np.column_stack([s.sample(time) for s in dist]) - ref  # forced by d - r
 
-    ref = sample(scenario.reference, time)
-    w = sample(scenario.disturbance, time) - ref  # the loop is forced by d - r
-    w_h = (sample(scenario.disturbance, half_t)
-           - sample(scenario.reference, half_t))
-
-    # One RK4 step of x' = A_cl x + B w with Z = dt A_cl is exactly
-    # x+ = Phi x + G0 w_k + G_half w_{k+1/2} + G1 w_{k+1}.
+    # Phi and Gamma are blocks of one exponential (Van Loan, IEEE TAC 23(3), 1978)
     MK = cl.M @ cl.gain
-    b = (dt / 6.0) * (aug.B @ MK)
-    eye = np.eye(aug.n)
-    z = dt * cl.a_cl
-    z2 = z @ z
-    phi = eye + z + z2 / 2 + z2 @ (z / 6 + z2 / 24)
-    g = np.hstack([(eye + z + z2 / 2 + z2 @ z / 4) @ b,
-                   (4 * eye + 2 * z + z2 / 2) @ b, b])
-
+    zoh = expm(dt * np.block([[cl.a_cl, aug.B @ MK],
+                              [np.zeros((aug.r, aug.n + aug.r))]]))
     x = np.zeros((n_steps + 1, aug.n))
-    x[1:] = np.hstack([w[:-1], w_h, w[1:]]) @ g.T
+    x[1:] = w[:-1] @ zoh[:aug.n, aug.n:].T  # Gamma w_k
     end = n_steps + 1  # first divergent row, if any
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = _powers(phi)
+        powers = _powers(zoh[:aug.n, :aug.n])  # of Phi
         for start in range(1, n_steps + 1, len(powers)):
             block = x[start:start + len(powers)]
             # Hillis-Steele doubling leaves sum_{i <= j} Phi^(j-i) f_i in
@@ -224,19 +230,21 @@ def tracking_metrics(traces: TraceSet, error_band: float, rms_ceiling: float,
                      steady_after: float = 0.0) -> TrackingReport:
     """Per-channel max steady error and RMS deviation against ceilings.
 
-    steady_after masks the initial transient out of the max-error check;
-    RMS is taken over the whole trace.
+    steady_after masks the initial transient out of the max-error check and
+    must leave a sample in it; RMS is taken over the whole trace.
     """
     if traces.diverged:
         raise DivergentTrace(traces.divergence_time)
     if not np.all(np.isfinite(traces.errors)):
         raise DivergentTrace(None)
     steady = traces.time >= steady_after
+    if not steady.any():
+        raise DimensionMismatch(f"no sample at or after steady_after {steady_after:g}")
     channels = []
     passed = True
     for ch in range(traces.errors.shape[1]):
         err = traces.errors[:, ch]
-        max_err = float(np.max(np.abs(err[steady]))) if steady.any() else 0.0
+        max_err = float(np.max(np.abs(err[steady])))
         rms = float(np.sqrt(np.mean(err ** 2)))
         band_ok = max_err <= error_band
         rms_ok = rms <= rms_ceiling

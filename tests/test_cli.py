@@ -16,6 +16,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "configs"
 FAMILY = str(FIXTURES / "three_plant_family.json")
 CONFIG = str(FIXTURES / "three_plant_config.json")
 SCENARIO = str(FIXTURES / "doublet_scenario.json")
+PAPER_SCENARIO = str(FIXTURES / "paper_weight_scenario.json")
 
 
 def run(*argv):
@@ -60,13 +61,13 @@ SYNTH_SHA256 = {
 
 SIM_SHA256 = {
     "traces_0_nominal.csv":
-        "476b8233551892c771de7e63aef8733d2998a03ff332284096100a368157307d",
+        "502acd41d65bc1ce77e294b453f10546dae3966e4ed8beec9301eca365e59d1d",
     "traces_1_fast.csv":
-        "2bb6b15962e07c545922faeba0769935211550431bf902be5f2f6a9cf3a40c58",
+        "e4600e16538a94439a3b6d4cadb98f6e4d013102d08fa220844d11dbea0a2eb3",
     "traces_2_slow.csv":
-        "a3402606ad64454afa6974a382a059e03dc9c1de54e5215fb248bba12a608390",
+        "1ae2c716e1a38bbd56b7756985242f9e5c2c4e6247d3d5add05881321bfae0e7",
     "tracking_report.json":
-        "a8122632fd1cd7564c7101b6ab9affa88a49c72eb574e11a0bf6b154a575e86e",
+        "fa8cdaf5cea7450b64f09b7a73406410722c38eb677cf7a6e536745b34e70f6f",
 }
 
 
@@ -351,6 +352,19 @@ class TestSimCommand:
         assert set(report) == {"nominal", "fast", "slow"}
         assert_pinned(sim_out, SIM_SHA256)
 
+    def test_paper_weight_scenario_tracks(self, tmp_path):
+        # the doublet under the paper's (3s + 923.9)/(s + 9239) output weight:
+        # every loop is stable (max Re lambda <= -19), and so is its trace
+        out = tmp_path / "synth"
+        run("synth", FAMILY, "--config", CONFIG, "--out", str(out))
+        sim_out = tmp_path / "sim"
+        assert run("sim", FAMILY, "--controller", str(out / "controller.json"),
+                   "--scenario", PAPER_SCENARIO, "--out", str(sim_out)) == 0
+        report = json.loads((sim_out / "tracking_report.json").read_text())
+        assert set(report) == {"nominal", "fast", "slow"}
+        for entry in report.values():
+            assert entry["diverged"] is False and entry["passed"] is True
+
     def test_divergent_pairing_reported(self, tmp_path):
         from rssd.lti import CompensatorBank
         fileio.save_controller(np.array([[0.1]]),
@@ -490,6 +504,12 @@ class TestBadValues:
                                       "channel": -1}}, id="channel-negative"),
         pytest.param({"uncertainty": {"weight": [3.0, 923.9, 1.0, 9239.0],
                                       "channel": 2.5}}, id="channel-fraction"),
+        # a steady window with no sample in it would pass any error band
+        pytest.param({"metrics.steady_after": 50.0}, id="steady-after-past-end"),
+        pytest.param({"metrics.steady_after": 10.0}, id="steady-after-at-end"),
+        # the last sample is at 10.0: refused before any trace is written
+        pytest.param({"duration": 10.0004, "metrics.steady_after": 10.0002},
+                     id="steady-after-past-last-sample"),
     ])
     def test_bad_scenario_parse_exit(self, tmp_path, capsys, changes):
         from rssd.lti import CompensatorBank

@@ -132,6 +132,13 @@ class TestScenarioIO:
         with pytest.raises(ParseError):
             fileio.scenario_from_obj({"reference": [{"kind": "spike"}]})
 
+    @pytest.mark.parametrize("steady_after", [10.0, 50.0])
+    def test_steady_window_past_the_trace_rejected(self, steady_after):
+        with pytest.raises(ParseError, match="steady_after"):
+            fileio.scenario_from_obj({"reference": [{"kind": "zero"}],
+                                      "duration": 10.0,
+                                      "metrics": {"steady_after": steady_after}})
+
 
 def reference_csv(path, header, columns):
     """One csv.writer row per sample, each value through f"{v:.12g}"."""

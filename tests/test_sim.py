@@ -2,10 +2,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import identity_banks
 from rssd import fileio
-from rssd.errors import DimensionMismatch, DivergentTrace, IllPosedLoop
+from rssd.errors import (
+    ComputationFailed,
+    DimensionMismatch,
+    DivergentTrace,
+    IllPosedLoop,
+)
 from rssd.lti import (
     CompensatorBank,
     FirstOrderSection,
@@ -23,6 +29,7 @@ from rssd.sim import (
     TraceSet,
     UncertaintyInjection,
     _uncertainty_plant,
+    expm,
     simulate,
     tracking_metrics,
 )
@@ -32,32 +39,26 @@ def lag_loop():
     return StateSpacePlant.siso(-1.0, 1.0), np.array([[-1.0]])
 
 
-def rk4_loop_oracle(plant, gain, w_in, w_out, scenario):
-    """Step-by-step RK4 of the augmented loop: (outputs, inputs, diverged,
-    divergence_time).  The reference that simulate's recurrence must match."""
+def zoh_loop_oracle(plant, gain, w_in, w_out, scenario):
+    """Step-by-step zero-order-hold recurrence of the augmented loop, with
+    Phi and Gamma from scipy's expm: (outputs, inputs, diverged,
+    divergence_time).  The reference that simulate's scan must match."""
     aug = augment_plant(w_out, plant, w_in)
     if scenario.uncertainty is not None:
         aug = cascade(aug, _uncertainty_plant(scenario.uncertainty, aug.r))
     cl = closed_loop(aug, gain)
     MK = cl.M @ cl.gain
-    a_cl = cl.a_cl
-    b_ext = aug.B @ MK
-
     dt = scenario.dt
+    phi, gamma = zoh_maps(cl.a_cl, aug.B @ MK, dt, scipy.linalg.expm)
     n_steps = int(round(scenario.duration / dt))
     time = dt * np.arange(n_steps + 1)
-    half_t = time[:-1] + 0.5 * dt
 
-    def sample(specs, t):
+    def sample(specs):
         if not specs:
-            return np.zeros((t.size, aug.r))
-        return np.column_stack([s.sample(t) for s in specs])
+            return np.zeros((time.size, aug.r))
+        return np.column_stack([s.sample(time) for s in specs])
 
-    w = sample(scenario.disturbance, time) - sample(scenario.reference, time)
-    w_h = sample(scenario.disturbance, half_t) - sample(scenario.reference, half_t)
-
-    def f(xv, wv):
-        return a_cl @ xv + b_ext @ wv
+    w = sample(scenario.disturbance) - sample(scenario.reference)
 
     def out_in(xk, wk):
         u = MK @ (aug.C @ xk + wk)
@@ -68,15 +69,21 @@ def rk4_loop_oracle(plant, gain, w_in, w_out, scenario):
     inputs = np.full((n_steps + 1, aug.m), np.nan)
     outputs[0], inputs[0] = out_in(x, w[0])
     for k in range(n_steps):
-        k1 = f(x, w[k])
-        k2 = f(x + 0.5 * dt * k1, w_h[k])
-        k3 = f(x + 0.5 * dt * k2, w_h[k])
-        k4 = f(x + dt * k3, w[k + 1])
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x = phi @ x + gamma @ w[k]
         if not np.all(np.isfinite(x)) or np.any(np.abs(x) > DIVERGENCE_LIMIT):
             return outputs, inputs, True, float(time[k + 1])
         outputs[k + 1], inputs[k + 1] = out_in(x, w[k + 1])
     return outputs, inputs, False, None
+
+
+def zoh_maps(a, b, dt, exp):
+    """(Phi, Gamma) = (e^(a dt), int_0^dt e^(a s) ds b) from the Van Loan
+    block exponential, taken by ``exp``."""
+    n, r = b.shape
+    block = np.zeros((n + r, n + r))
+    block[:n, :n], block[:n, n:] = a, b
+    e = exp(dt * block)
+    return e[:n, :n], e[:n, n:]
 
 
 def mimo_case(seed):
@@ -173,14 +180,31 @@ class TestSimulate:
                                    atol=1e-8)
         assert np.max(np.abs(tr_b.outputs)) > 0
 
-    def test_dt_halving_convergence(self):
+    def test_first_order_step_closed_form(self):
+        # x' = -2 x + r: a unit step held from t = 0 is exact on the grid,
+        # y(t) = (1 - e^(-2 t)) / 2 at every sample
         p, K = lag_loop()
         w_in, w_out = identity_banks(1, 1)
-        ref = (SignalSpec("step", 1.0),)
-        t1 = simulate(p, K, w_in, w_out, Scenario(ref, dt=1e-3, duration=8.0))
-        t2 = simulate(p, K, w_in, w_out, Scenario(ref, dt=5e-4, duration=8.0))
-        drift = abs(t1.outputs[-1, 0] - t2.outputs[-1, 0]) / abs(t1.outputs[-1, 0])
-        assert drift < 1e-3
+        sc = Scenario((SignalSpec("step", 1.0),), dt=1e-3, duration=5.0)
+        tr = simulate(p, K, w_in, w_out, sc)
+        np.testing.assert_allclose(tr.outputs[:, 0], -0.5 * np.expm1(-2 * tr.time),
+                                   rtol=0, atol=1e-12 * 0.5)
+
+    def test_dt_halving_convergence(self):
+        # every edge lies on both grids, so the held signals are the same
+        # functions of time and both traces are exact at the shared samples
+        case = mimo_case(3)
+        refs = (SignalSpec("doublet", 0.0873, 0.25, 0.5),
+                SignalSpec("step", -0.05, 1.5), SignalSpec("zero"))
+        dists = (SignalSpec("zero"), SignalSpec("step", 0.02, 0.75),
+                 SignalSpec("doublet", 0.01, 2.0, 1.0))
+        t1 = simulate(*case, Scenario(refs, dists, dt=1e-3, duration=8.0))
+        t2 = simulate(*case, Scenario(refs, dists, dt=5e-4, duration=8.0))
+        np.testing.assert_array_equal(t1.time, t2.time[::2])
+        for got, want in ((t1.outputs, t2.outputs[::2]),
+                          (t1.inputs, t2.inputs[::2])):
+            scale = np.max(np.abs(want), axis=0)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
     def test_uncertainty_injection_both_signs(self):
         p, K = lag_loop()
@@ -190,11 +214,25 @@ class TestSimulate:
         for delta in (1.0, -1.0):
             sc = Scenario((SignalSpec("step", 1.0),),
                           uncertainty=UncertaintyInjection(G, 0, delta),
-                          dt=1e-5, duration=1.0)
+                          dt=1e-3, duration=1.0)
             tr = simulate(p, K, w_in, w_out, sc)
             assert not tr.diverged
             finals.append(tr.outputs[-1, 0])
         assert finals[0] != finals[1]
+
+    def test_static_loop(self):
+        # no states: u = K (y + d - r) with y = D u, so u = (r - d) / 3 and
+        # y = 2 u at every sample for K = -1, D = 2
+        p = StateSpacePlant.from_gain([[2.0]])
+        w_in, w_out = identity_banks(1, 1)
+        sc = Scenario((SignalSpec("doublet", 0.3, 0.5, 0.25),),
+                      (SignalSpec("step", 0.1, 0.2),), dt=1e-3, duration=1.0)
+        tr = simulate(p, np.array([[-1.0]]), w_in, w_out, sc)
+        assert not tr.diverged
+        u = (tr.reference[:, 0] - sc.disturbance[0].sample(tr.time)) / 3
+        np.testing.assert_allclose(tr.inputs[:, 0], u, rtol=1e-15, atol=1e-17)
+        np.testing.assert_allclose(tr.outputs[:, 0], 2 * u, rtol=1e-15,
+                                   atol=1e-17)
 
     def test_wrong_gain_shape_is_ill_posed(self):
         p, _ = lag_loop()
@@ -212,9 +250,9 @@ class TestSimulate:
             simulate(p, np.array([[0.5]]), w_in, w_out, sc)
 
 
-def assert_matches_oracle(tr, oracle):
+def assert_matches_oracle(tr, oracle, rtol=1e-12):
     """Same divergence verdict, time and NaN rows; every output and input
-    column within 1e-12 of its largest magnitude."""
+    column within rtol of its largest magnitude."""
     outputs, inputs, diverged, div_time = oracle
     assert tr.diverged == diverged
     assert tr.divergence_time == div_time
@@ -224,7 +262,7 @@ def assert_matches_oracle(tr, oracle):
         for col in range(want.shape[1]):
             scale = np.max(np.abs(want[rows, col]), initial=0.0)
             dev = np.max(np.abs(got[rows, col] - want[rows, col]), initial=0.0)
-            assert dev <= 1e-12 * scale
+            assert dev <= rtol * scale
 
 
 DOUBLETS = (SignalSpec("doublet", 0.0873, 0.25, 0.7),
@@ -233,10 +271,20 @@ DOUBLETS = (SignalSpec("doublet", 0.0873, 0.25, 0.7),
 STEPS = (SignalSpec("step", 0.01, 0.6),
          SignalSpec("zero"),
          SignalSpec("step", -0.03, 1.2005))
+PAPER_WEIGHT = FirstOrderSection(3.0, 923.9, 1.0, 9239.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def fixture_case(index):
+    """A fixture plant under the fixture's synthesized controller, rounded."""
+    plant = fileio.load_plantset(CONFIGS / "three_plant_family.json")[index]
+    return (plant, np.array([[-1.28]]),
+            CompensatorBank(((0.0, 4.54, 0.0, 1.0),), "in"),
+            CompensatorBank(((0.0, 4.43, 0.0, 1.0),), "out"))
 
 
 class TestRecurrence:
-    """simulate's one-step recurrence against the step-by-step RK4 loop."""
+    """simulate's blocked scan against the step-by-step ZOH recurrence."""
 
     @pytest.mark.parametrize("seed", [3, 8])
     def test_mimo_doublets_and_step_disturbances(self, seed):
@@ -245,7 +293,7 @@ class TestRecurrence:
         tr = simulate(*case, sc)
         assert not tr.diverged
         assert np.max(np.abs(tr.outputs)) > 1e-3
-        assert_matches_oracle(tr, rk4_loop_oracle(*case, sc))
+        assert_matches_oracle(tr, zoh_loop_oracle(*case, sc))
 
     @pytest.mark.parametrize("delta", [1.0, -1.0])
     def test_uncertainty_injection(self, delta):
@@ -254,7 +302,7 @@ class TestRecurrence:
         sc = Scenario(DOUBLETS, STEPS, uncertainty=inj, dt=1e-3, duration=3.0)
         tr = simulate(*case, sc)
         assert not tr.diverged
-        assert_matches_oracle(tr, rk4_loop_oracle(*case, sc))
+        assert_matches_oracle(tr, zoh_loop_oracle(*case, sc))
 
     def test_unstable_loop_diverges_at_the_same_step(self):
         # A_cl = 1 + 2: the state passes the limit near t = 7, many checks in
@@ -264,59 +312,131 @@ class TestRecurrence:
                       dt=1e-3, duration=10.0)
         tr = simulate(*case, sc)
         assert tr.diverged and 5.0 < tr.divergence_time < 9.0
-        assert_matches_oracle(tr, rk4_loop_oracle(*case, sc))
+        # x_k = Gamma (Phi^k - 1) / (Phi - 1) sums positive terms that grow,
+        # so a relative error is carried on undamped but never amplified.  A
+        # relative difference d between the two Phi becomes k d in Phi^k (e
+        # in Gamma stays e).  The oracle rounds at most 2u a step.  Each
+        # scan row is a positive sum of its carry-in times Phi^(j+1) (255
+        # roundings in the power, 2 in the product and sum) and its doubling
+        # sums (255 in the powers, 8 products, 8 sums, 1 in Gamma w), so a
+        # block of 256 steps adds at most 272u, under 1.1u a step.  Row k is
+        # thus within k (d + 3.1u) + e of the oracle to first order.
+        plant, gain = case[:2]
+        cl = closed_loop(plant, gain)
+        phis, gammas = zip(*(zoh_maps(cl.a_cl, plant.B @ cl.M @ cl.gain, sc.dt, exp)
+                             for exp in (expm, scipy.linalg.expm)))
+        d, e = (abs(x[0] / x[1] - 1.0).item() for x in (phis, gammas))
+        u = np.finfo(float).eps / 2
+        rows = round(tr.divergence_time / sc.dt)
+        assert_matches_oracle(tr, zoh_loop_oracle(*case, sc),
+                              rtol=rows * (d + 3.1 * u) + e)
 
     @pytest.mark.parametrize("delta", [1.0, -1.0])
-    def test_stiff_weight_diverges_at_the_same_step(self, delta):
-        # a 9239 rad/s weight pole is outside RK4's stability region at
-        # dt = 1e-3: the discretization itself blows up once forced
+    def test_stiff_weight_does_not_diverge(self, delta):
+        # a 9239 rad/s weight pole, 9.2 / dt: the exact step is as stable
+        # as the loop at any dt
         case = mimo_case(8)
-        inj = UncertaintyInjection(FirstOrderSection(3.0, 923.9, 1.0, 9239.0),
-                                   2, delta)
+        inj = UncertaintyInjection(PAPER_WEIGHT, 2, delta)
         sc = Scenario(DOUBLETS, uncertainty=inj, dt=1e-3, duration=1.0)
         tr = simulate(*case, sc)
-        assert tr.diverged
-        assert_matches_oracle(tr, rk4_loop_oracle(*case, sc))
+        assert not tr.diverged
+        assert_matches_oracle(tr, zoh_loop_oracle(*case, sc))
 
-    def test_stiff_weight_after_zero_rows(self):
-        # ~900 rows are exactly zero before the doublet; the discretization
-        # grows 206-fold per step, so a full block's powers of Phi overflow
-        # and inf * 0 would put NaN on those rows
-        case = mimo_case(8)
-        inj = UncertaintyInjection(FirstOrderSection(3.0, 923.9, 1.0, 9239.0),
-                                   2, 1.0)
+    def test_unstable_loop_after_zero_rows(self):
+        # ~900 rows are exactly zero before the doublet; a 5000 rad/s loop
+        # pole grows e^5 = 148-fold per step, so a full block's powers of
+        # Phi overflow and inf * 0 would put NaN on those rows
+        plant, gain, w_in, w_out = mimo_case(8)
+        fast = StateSpacePlant(np.diag([5000.0, -1.0, -2.0]), plant.B, plant.C,
+                               plant.D)
         refs = (SignalSpec("doublet", 0.0873, 0.9, 0.05),
                 SignalSpec("zero"), SignalSpec("zero"))
-        sc = Scenario(refs, uncertainty=inj, dt=1e-3, duration=1.2)
-        tr = simulate(*case, sc)
+        sc = Scenario(refs, dt=1e-3, duration=1.2)
+        tr = simulate(fast, gain, w_in, w_out, sc)
         assert tr.diverged and tr.divergence_time > 0.9
         assert np.all(tr.outputs[tr.time < 0.9] == 0.0)
-        assert_matches_oracle(tr, rk4_loop_oracle(*case, sc))
+        assert_matches_oracle(tr, zoh_loop_oracle(fast, gain, w_in, w_out, sc))
 
-    @pytest.mark.parametrize("a", [1e4, 1e6])
+    @pytest.mark.parametrize("a", [1e4])
     def test_explosive_discretization_shrinks_the_block(self, a):
-        # Phi = R(dt (a + 1)) is 644 or 4.2e10: its 256th power is not finite
+        # Phi = e^(dt (a + 1)) = 2.2e4: its 256th power is not finite
         case = (StateSpacePlant.siso(a, 1.0), np.array([[1.0]]),
                 *identity_banks(1, 1))
         sc = Scenario((SignalSpec("zero"),), (SignalSpec("step", 1.0, 0.2),),
                       dt=1e-3, duration=1.0)
         tr = simulate(*case, sc)
         assert tr.diverged and tr.divergence_time > 0.2
-        assert_matches_oracle(tr, rk4_loop_oracle(*case, sc))
+        assert np.all(tr.outputs[tr.time < 0.2] == 0.0)
+        assert_matches_oracle(tr, zoh_loop_oracle(*case, sc))
+
+    def test_overflowing_exponential_is_refused(self):
+        # e^(dt (1e6 + 1)) = e^1000 is not a double
+        case = (StateSpacePlant.siso(1e6, 1.0), np.array([[1.0]]),
+                *identity_banks(1, 1))
+        sc = Scenario((SignalSpec("zero"),), (SignalSpec("step", 1.0, 0.2),),
+                      dt=1e-3, duration=1.0)
+        with pytest.raises(ComputationFailed, match="overflows"):
+            simulate(*case, sc)
 
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_committed_scenario_on_the_fixture(self, index):
         # the sim workload's length (10,000 steps, about 40 scan blocks)
-        # under the fixture's synthesized controller, rounded
-        configs = Path(__file__).resolve().parent.parent / "configs"
-        plant = fileio.load_plantset(configs / "three_plant_family.json")[index]
-        scenario, _ = fileio.load_scenario(configs / "doublet_scenario.json")
-        case = (plant, np.array([[-1.28]]),
-                CompensatorBank(((0.0, 4.54, 0.0, 1.0),), "in"),
-                CompensatorBank(((0.0, 4.43, 0.0, 1.0),), "out"))
+        case = fixture_case(index)
+        scenario, _ = fileio.load_scenario(CONFIGS / "doublet_scenario.json")
         tr = simulate(*case, scenario)
         assert tr.time.size == 10001 and not tr.diverged
-        assert_matches_oracle(tr, rk4_loop_oracle(*case, scenario))
+        assert_matches_oracle(tr, zoh_loop_oracle(*case, scenario))
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_paper_weight_scenario_on_the_fixture(self, index):
+        case = fixture_case(index)
+        scenario, _ = fileio.load_scenario(CONFIGS / "paper_weight_scenario.json")
+        assert scenario.uncertainty.weight == PAPER_WEIGHT
+        tr = simulate(*case, scenario)
+        assert not tr.diverged
+        assert_matches_oracle(tr, zoh_loop_oracle(*case, scenario))
+
+
+class TestExpm:
+    """rssd's scaling-and-squaring exponential against scipy's.  On these
+    inputs scipy's own error reaches 6e-14 of the largest entry (against a
+    40-digit reference), so both are held to 1e-13 of it."""
+
+    def assert_close(self, a):
+        want = scipy.linalg.expm(a)
+        np.testing.assert_allclose(expm(a), want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_random_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            a = rng.normal(size=(n, n))
+            self.assert_close(a * rng.uniform(1e-3, 4.0) / np.abs(a).sum(axis=0).max())
+
+    def test_stiff_stable_block(self):
+        # ||A dt||_1 = 1000: e^(-1000) underflows beside slow modes
+        a = 1e-3 * np.array([[-1e6, 1e3, 0.0], [0.0, -10.0, 1.0],
+                             [0.0, 0.0, -0.5]])
+        assert np.abs(a).sum(axis=0).max() == pytest.approx(1e3)
+        self.assert_close(a)
+
+    def test_defective_jordan_block(self):
+        lam = -2.0
+        a = np.array([[lam, 1.0, 0.0], [0.0, lam, 1.0], [0.0, 0.0, lam]])
+        self.assert_close(a)
+        closed = np.exp(lam) * np.array([[1.0, 1.0, 0.5], [0.0, 1.0, 1.0],
+                                         [0.0, 0.0, 1.0]])
+        np.testing.assert_allclose(expm(a), closed, rtol=0, atol=1e-15)
+
+    def test_empty_and_zero_matrices(self):
+        assert expm(np.zeros((0, 0))).shape == (0, 0)
+        np.testing.assert_array_equal(expm(np.zeros((3, 3))), np.eye(3))
+
+    def test_overflow_raises(self):
+        with pytest.raises(ComputationFailed, match="overflows"):
+            expm(np.array([[1000.0]]))
 
 
 class TestTrackingMetrics:
@@ -344,6 +464,12 @@ class TestTrackingMetrics:
         assert rep.channels[0]["rms"] == pytest.approx(0.05 / np.sqrt(2),
                                                        rel=1e-3)
         assert rep.channels[0]["rms_ok"]
+
+    def test_empty_steady_window_raises(self):
+        # before, a window past the trace's end reported max error 0.0
+        with pytest.raises(DimensionMismatch, match="steady_after"):
+            tracking_metrics(self.make_traces(np.full(100, 0.01)), 0.0087,
+                             0.0873, steady_after=50.0)
 
     def test_divergent_trace_rejected(self):
         # a diverged trace, and one with non-finite samples but no
