@@ -71,6 +71,46 @@ SIM_SHA256 = {
 }
 
 
+# SHA-256 of analyze on a seeded 3x2 MIMO set (mimo_analyze_inputs): three
+# stable loops, one of them with D != 0, and one unstable loop
+MIMO_ANALYZE_SHA256 = {
+    "margins.json":
+        "763d5afd6c007366fec69c61c4b62541a779f54e67b856e9e1fca1f3eeb12eee",
+    "curves_0_a.csv":
+        "44ba68d1cbe014c928ff5e79932889e00a25b5e55b4135a3b44d3de5830e338f",
+    "curves_1_b.csv":
+        "43cd9f8c2b304c2da705808bc463df8081a0b35369a723d0c4aac61236733261",
+    "curves_2_c.csv":
+        "288d72cf15971e7808f6b0aacc8489577cc4fb482b50fae3761dfec6a9169c0b",
+    "curves_3_d.csv":
+        "eff1e7f954c310dfbbb50e8fb3e344967b5c2a1e56f3d7662a3361a45d999b57",
+}
+
+
+def mimo_analyze_inputs(tmp_path):
+    """(plant set, controller) paths for four seeded 3x2 plants under one
+    gain and dynamic banks: loops a, b (D != 0) and c stable, d unstable."""
+    from rssd.lti import CompensatorBank
+    rng = np.random.default_rng(28)
+    plants = []
+    for label, feed, unstable in (("a", 0.0, False), ("b", 0.4, False),
+                                  ("c", 0.0, False), ("d", 0.0, True)):
+        poles = -rng.uniform(0.5, 4.0, 4)
+        if unstable:
+            poles[0] = 0.8
+        plants.append(StateSpacePlant(np.diag(poles), rng.normal(size=(4, 2)),
+                                      rng.normal(size=(3, 4)),
+                                      feed * rng.normal(size=(3, 2)), label))
+    plant_path, controller = tmp_path / "mimo.json", tmp_path / "mimo_k.json"
+    fileio.save_plantset(PlantSet(tuple(plants)), plant_path)
+    fileio.save_controller(
+        -0.15 * rng.normal(size=(2, 3)),
+        CompensatorBank(((1.0, 2.0, 1.0, 4.0), (0.0, 1.0, 0.0, 1.0)), "in"),
+        CompensatorBank(((0.0, 3.0, 1.0, 3.0), (0.5, 1.0, 1.0, 2.0),
+                         (0.0, 1.0, 0.0, 1.0)), "out"), controller)
+    return str(plant_path), str(controller)
+
+
 def assert_pinned(out: Path, digests: dict):
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
@@ -295,6 +335,22 @@ class TestAnalyzeCommand:
         assert run("analyze", FAMILY, "--config", CONFIG, "--controller",
                    controller, "--out", str(tmp_path)) == 0
         assert counts == {"loops": 3, "responses": 3}
+
+    def test_mimo_outputs_pinned(self, tmp_path, monkeypatch):
+        # one loop and one grid-sized response per plant, unstable one included
+        plants, controller = mimo_analyze_inputs(tmp_path)
+        counts = {"loops": 0, "responses": 0}
+        points = FrequencyGrid.default().points.size
+        count_calls(monkeypatch, closed_loop, counts, "loops")
+        count_calls(monkeypatch, eval_response, counts, "responses",
+                    lambda plant, s_values: np.size(s_values) == points)
+        out = tmp_path / "out"
+        assert run("analyze", plants, "--controller", controller,
+                   "--out", str(out)) == 0
+        assert counts == {"loops": 4, "responses": 4}
+        margins = json.loads((out / "margins.json").read_text())
+        assert [margins[k]["unstable"] for k in "abcd"] == [False] * 3 + [True]
+        assert_pinned(out, MIMO_ANALYZE_SHA256)
 
     def test_outputs_pinned(self, tmp_path, controller):
         assert run("analyze", FAMILY, "--config", CONFIG, "--controller",
