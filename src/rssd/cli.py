@@ -18,13 +18,7 @@ import numpy as np
 from . import fileio
 from .errors import DimensionMismatch, DivergentTrace, ParseError, RssdError
 from .lti import augment_plant, sorted_spectrum
-from .margins import (
-    closed_loop,
-    disk_margin,
-    sensitivity_curves,
-    singular_values,
-    uncertainty_bounds,
-)
+from .margins import closed_loop, disk_margin, sensitivity_curves
 from .nn_rssd import run_nn_rssd
 from .sim import simulate, tracking_metrics
 from .vgap import central_from_matrix, gap_matrix
@@ -153,24 +147,20 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
     eig_keys = ["re", "im", "zeta", "wn"]
 
     def one(plant):
-        """(margins.json entry, curve header, curve columns); a plant whose
-        loop or response fails gets an error entry and no files."""
+        """(margins.json entry, curves by column); a plant whose loop or
+        curves fail gets an error entry and no files."""
         try:
             cl = closed_loop(augment_plant(w_out, plant, w_in), gain)
-            sv = singular_values(cl.response(grid).plant)
+            curves = sensitivity_curves(cl, grid)
         except RssdError as exc:
-            return {"error": str(exc)}, None, None
+            return {"error": str(exc)}, None
         tables = {"eigenvalues": [
             {"re": e.value.real, "im": e.value.imag,
              "zeta": e.damping, "wn": e.natural_frequency}
             for e in sorted_spectrum(cl.eigenvalues)
         ]}
-        header = ["omega", "sigma_max", "sigma_min"]
-        cols = [grid.points, sv[:, 0], sv[:, -1]]
         if not cl.stable:
-            return {"unstable": True, **tables}, header, cols
-        curves = sensitivity_curves(cl, grid)
-        bounds = uncertainty_bounds(cl, grid)
+            return {"unstable": True, **tables}, curves
         margins = disk_margin(cl)
         tables.update({
             "unstable": False,
@@ -180,21 +170,17 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
             "mdpm_deg": margins.mdpm_deg,
             "degenerate": margins.degenerate,
         })
-        header += ["so_max", "so_min", "si_max", "si_min", "kso_max", "kso_min",
-                   "out_mult_bound", "inv_input_bound"]
-        cols += [curves.so_max, curves.so_min, curves.si_max, curves.si_min,
-                 curves.kso_max, curves.kso_min, bounds.output_mult,
-                 bounds.inverse_input]
-        return tables, header, cols
+        return tables, curves
 
     results = [one(plant) for plant in pset]
     summary = {}
-    for idx, (plant, (tables, header, cols)) in enumerate(zip(pset, results)):
+    for idx, (plant, (tables, curves)) in enumerate(zip(pset, results)):
         label = plant.label
         summary[label] = tables
-        if header is None:
+        if curves is None:
             continue
-        fileio.write_csv(out / f"curves_{idx}_{label}.csv", header, cols)
+        fileio.write_csv(out / f"curves_{idx}_{label}.csv", list(curves),
+                         list(curves.values()))
         eig = tables["eigenvalues"]
         fileio.write_csv(out / f"eigenvalues_{idx}_{label}.csv", eig_keys,
                          [[e[k] for e in eig] for k in eig_keys])

@@ -1,13 +1,13 @@
 """Closed-loop analysis: L-infinity norms, generalized stability margin,
 sensitivity curves, uncertainty tolerance bounds, and multiloop disk margins.
 
-``closed_loop`` builds a plant's loop once; every analysis entry point
-(``gsm``, ``disk_margin``, ``sensitivity_curves``, ``uncertainty_bounds``)
-takes that ``ClosedLoop``, and the loop evaluates P(jw), S_o and S_i at
-most once per frequency grid, and the singular values of S_i once.  The
-generalized stability margin (and J2) is the norm of the 4-block's
-m-input factor, which has the 4-block's singular values; the disk margin
-reads its two halves off the 4-block itself.
+``closed_loop`` builds a plant's loop once, and ``gsm``, ``disk_margin`` and
+``sensitivity_curves`` take that ``ClosedLoop``.  ``sensitivity_curves``
+forms every analysis curve of a loop in one pass: P(jw) on the grid once,
+each sensitivity inverted once, and the tolerance bounds through
+``uncertainty_bounds``.  The generalized stability margin (and J2) is the
+norm of the 4-block's m-input factor, which has the 4-block's singular
+values; the disk margin reads its two halves off the 4-block itself.
 
 ``singular_values`` gives singular values and ``sigma_max`` only the
 largest: ``np.linalg.svd`` and the largest eigenvalue of each matrix's
@@ -30,7 +30,7 @@ formulas apply; its sensitivities are blocks of the 4-block operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -100,8 +100,6 @@ class ClosedLoop:
     a_cl: np.ndarray
     eigenvalues: np.ndarray  # of a_cl
     stable: bool
-    _responses: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
 
     @cached_property
     def _c_cl(self) -> np.ndarray:
@@ -131,37 +129,6 @@ class ClosedLoop:
                                np.vstack([plant.D @ ml, ml]),
                                plant.label + "_cl")
 
-    def response(self, grid: FrequencyGrid) -> LoopResponse:
-        """P(jw), S_o and S_i of this loop on ``grid``; one evaluation per grid."""
-        key = grid.points.tobytes()
-        if key not in self._responses:
-            self._responses[key] = LoopResponse(self, grid.points)
-        return self._responses[key]
-
-
-class LoopResponse:
-    """P(jw) of a loop on a grid; S_o = (I - P K)^(-1) and S_i = (I - K P)^(-1)
-    are inverted on first use."""
-
-    def __init__(self, loop: ClosedLoop, omega: np.ndarray):
-        self.loop = loop
-        self.plant = eval_response(loop.plant, 1j * omega)
-
-    @cached_property
-    def so(self) -> np.ndarray:
-        return np.linalg.inv(np.eye(self.loop.plant.r)
-                             - self.plant @ self.loop.gain)
-
-    @cached_property
-    def si(self) -> np.ndarray:
-        return np.linalg.inv(np.eye(self.loop.plant.m)
-                             - self.loop.gain @ self.plant)
-
-    @cached_property
-    def si_sv(self) -> np.ndarray:
-        """Singular values of S_i per frequency, descending."""
-        return singular_values(self.si)
-
 
 @dataclass(frozen=True)
 class MarginReport:
@@ -171,22 +138,6 @@ class MarginReport:
     mdpm_deg: float
     worst_omega: dict
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class SensitivityCurves:
-    so_max: np.ndarray
-    so_min: np.ndarray
-    si_max: np.ndarray
-    si_min: np.ndarray
-    kso_max: np.ndarray
-    kso_min: np.ndarray
-
-
-@dataclass(frozen=True)
-class UncertaintyBounds:
-    output_mult: np.ndarray
-    inverse_input: np.ndarray
 
 
 def crossings(sys: StateSpacePlant, gamma: float) -> np.ndarray:
@@ -246,8 +197,9 @@ def linf_norm(sys: StateSpacePlant, poles=None) -> tuple[float, float]:
         return float(sig[i]), float(omegas[i])
 
     lb, omega = peak(np.concatenate([[0.0], np.abs(eig), np.abs(eig.imag)]))
-    d_gain = singular_values(sys.D)[0] if sys.D.size else 0.0
-    if d_gain > lb:
+    # sigma_max(D) <= |D|_F, so D's SVD is taken only where it could beat lb
+    if (1.0 + 1e-12) * np.linalg.norm(sys.D) > lb and \
+            (d_gain := singular_values(sys.D)[0]) > lb:
         lb, omega = float(d_gain), np.inf
     if lb == 0.0 and sys.n:
         # a nonzero strictly proper sys vanishes at fewer than n frequencies
@@ -299,34 +251,34 @@ def gsm(cl: ClosedLoop) -> float:
     return float(1.0 / norm)
 
 
-def sensitivity_curves(cl: ClosedLoop, grid: FrequencyGrid) -> SensitivityCurves:
-    """Per-frequency extreme singular values of S_o, S_I and K S_o."""
+def sensitivity_curves(cl: ClosedLoop, grid: FrequencyGrid) -> dict:
+    """A loop's analysis curves by column name: omega and the extreme singular
+    values of P(jw); for a stable loop also those of S_o = (I - P K)^(-1),
+    S_i = (I - K P)^(-1) and K S_o, and the two ``uncertainty_bounds``.
+    P(jw) is evaluated once and each sensitivity inverted once."""
+    P = eval_response(cl.plant, 1j * grid.points)
+    sv = singular_values(P)
+    curves = {"omega": grid.points, "sigma_max": sv[:, 0], "sigma_min": sv[:, -1]}
     if not cl.stable:
-        raise UnstableLoop("sensitivity curves require a stable loop")
-    resp = cl.response(grid)
+        return curves
+    K = cl.gain
+    pk = P @ K
+    so = np.linalg.inv(np.eye(cl.plant.r) - pk)
+    si = singular_values(np.linalg.inv(np.eye(cl.plant.m) - K @ P))
+    for name, vals in (("so", singular_values(so)), ("si", si),
+                       ("kso", singular_values(K @ so))):
+        curves[f"{name}_max"], curves[f"{name}_min"] = vals[:, 0], vals[:, -1]
+    curves["out_mult_bound"], curves["inv_input_bound"] = uncertainty_bounds(
+        singular_values(pk @ so)[:, 0], si[:, 0])
+    return curves
 
-    so, si = singular_values(resp.so), resp.si_sv
-    kso = singular_values(cl.gain @ resp.so)
-    return SensitivityCurves(so[:, 0], so[:, -1], si[:, 0], si[:, -1],
-                             kso[:, 0], kso[:, -1])
 
-
-def uncertainty_bounds(cl: ClosedLoop, grid: FrequencyGrid) -> UncertaintyBounds:
-    """Output-multiplicative and inverse-input-multiplicative tolerance curves.
-
-    output bound  = 1 / sigma_max(P K (I - P K)^(-1))
-    inverse bound = 1 / sigma_max((I - K P)^(-1))
-    """
-    if not cl.stable:
-        raise UnstableLoop("uncertainty bounds require a stable loop")
-    resp = cl.response(grid)
-    to = resp.plant @ cl.gain @ resp.so
-    sig_to = singular_values(to)[:, 0]
-    sig_si = resp.si_sv[:, 0]
+def uncertainty_bounds(to_max: np.ndarray, si_max: np.ndarray):
+    """Output-multiplicative and inverse-input-multiplicative tolerance
+    bounds 1 / sigma_max(P K S_o) and 1 / sigma_max(S_i) from those sigmas;
+    inf where one is 0."""
     with np.errstate(divide="ignore"):
-        out_bound = np.where(sig_to > 0, 1.0 / sig_to, np.inf)
-        inv_bound = np.where(sig_si > 0, 1.0 / sig_si, np.inf)
-    return UncertaintyBounds(out_bound, inv_bound)
+        return tuple(np.where(s > 0, 1.0 / s, np.inf) for s in (to_max, si_max))
 
 
 def disk_margin(cl: ClosedLoop) -> MarginReport:

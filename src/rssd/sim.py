@@ -29,6 +29,16 @@ from .margins import closed_loop
 DIVERGENCE_LIMIT = 1e9
 DIVERGENCE_BLOCK = 256  # longest scan block: steps between divergence checks
 POWER_LIMIT = 1e100  # largest entry of a power of Phi a scan block may use
+# k dt can land a few ulps below the decimal time it stands for (3 * 0.3 =
+# 0.8999999999999999); a time this close (relative) below an edge is at it
+SAMPLE_RTOL = 1e-12
+
+
+def at_or_after(t: np.ndarray, edge: float) -> np.ndarray:
+    """Whether each time is at or after ``edge``, a time within SAMPLE_RTOL
+    below it counting as on it: the one rule for signal edges and the steady
+    window."""
+    return t >= edge - SAMPLE_RTOL * abs(edge)
 
 
 @dataclass(frozen=True)
@@ -47,13 +57,15 @@ class SignalSpec:
             raise DimensionMismatch("doublet needs a positive pulse width")
 
     def sample(self, t) -> np.ndarray:
+        """The signal at times t; an edge acts from the first t ``at_or_after`` it."""
         t = np.asarray(t, dtype=float)
         if self.kind == "zero":
             return np.zeros_like(t)
         if self.kind == "step":
-            return np.where(t >= self.start, self.magnitude, 0.0)
-        up = (t >= self.start) & (t < self.start + self.width)
-        down = (t >= self.start + self.width) & (t < self.start + 2 * self.width)
+            return np.where(at_or_after(t, self.start), self.magnitude, 0.0)
+        on, flip, off = (at_or_after(t, self.start + i * self.width)
+                         for i in range(3))
+        up, down = on & ~flip, flip & ~off
         return self.magnitude * up.astype(float) - self.magnitude * down.astype(float)
 
 
@@ -237,7 +249,7 @@ def tracking_metrics(traces: TraceSet, error_band: float, rms_ceiling: float,
         raise DivergentTrace(traces.divergence_time)
     if not np.all(np.isfinite(traces.errors)):
         raise DivergentTrace(None)
-    steady = traces.time >= steady_after
+    steady = at_or_after(traces.time, steady_after)
     if not steady.any():
         raise DimensionMismatch(f"no sample at or after steady_after {steady_after:g}")
     channels = []

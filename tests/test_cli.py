@@ -352,6 +352,34 @@ class TestAnalyzeCommand:
         assert [margins[k]["unstable"] for k in "abcd"] == [False] * 3 + [True]
         assert_pinned(out, MIMO_ANALYZE_SHA256)
 
+    def test_singular_sensitivity_exits_numeric(self, tmp_path, controller,
+                                                monkeypatch, capsys):
+        # an S_o or S_i that cannot be inverted ends analyze (exit 4)
+        inv = np.linalg.inv
+
+        def singular(a):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        assert run("analyze", FAMILY, "--controller", controller,
+                   "--out", str(tmp_path)) == 4
+        assert "numeric failure: Singular matrix" in capsys.readouterr().err
+
+    def test_nan_sensitivity_records_error(self, tmp_path, controller,
+                                           monkeypatch):
+        # a NaN sensitivity's singular value fails the plant's curves as a
+        # NaN in P(jw) would: an error entry and no files, not exit 4
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inv(a) * (
+            np.nan if np.ndim(a) == 3 else 1.0))
+        assert run("analyze", FAMILY, "--controller", controller,
+                   "--out", str(tmp_path)) == 0
+        margins = json.loads((tmp_path / "margins.json").read_text())
+        assert all(list(entry) == ["error"] for entry in margins.values())
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_outputs_pinned(self, tmp_path, controller):
         assert run("analyze", FAMILY, "--config", CONFIG, "--controller",
                    controller, "--out", str(tmp_path)) == 0

@@ -38,26 +38,43 @@ def test_tracer_targets_resolve(monkeypatch):
         assert callable(fn), f"rssd.{module}.{name}"
 
 
+def missing_spans(monkeypatch, tmp_path, workload, has_controller):
+    """Names ``tracer.expected_spans(has_controller)`` requires that a traced
+    run of the benchmark's commands on ``workload`` (seed 1) never calls."""
+    from rssd import cli
+
+    tracer = load_perfbench(monkeypatch, "tracer")
+    workloads = load_perfbench(monkeypatch, "workloads")
+    workloads.write_inputs(workload, 1, tmp_path)
+    plants, config = str(tmp_path / "plants.json"), str(tmp_path / "config.json")
+    controller = str(tmp_path / "synth" / "controller.json")
+    extra = {"vgap": ["--config", config], "synth": ["--config", config],
+             "analyze": ["--config", config, "--controller", controller],
+             "sim": ["--controller", controller,
+                     "--scenario", str(tmp_path / "scenario.json")]}
+    commands = list(extra) if has_controller else ["vgap", "synth"]
+    rec = tracer.Recorder()
+    with tracer.tracing(rec), contextlib.redirect_stdout(io.StringIO()):
+        for command in commands:
+            assert cli.main([command, plants, *extra[command],
+                             "--out", str(tmp_path / command)]) == 0
+    calls = tracer.layer_numbers(rec)
+    return [name for name in tracer.expected_spans(has_controller)
+            if not calls.get(f"{name}.calls")]
+
+
 def test_traced_names_all_called(monkeypatch, tmp_path):
     # a traced benchmark run fails when a wrapped name is never called, so
     # dropping the last call site of one (or calling it only through a
     # name the tracer does not patch) fails here: vgap and synth on the
     # mimo_outer inputs, which certify no controller
-    from rssd import cli
+    assert not missing_spans(monkeypatch, tmp_path, "mimo_outer", False)
 
-    tracer = load_perfbench(monkeypatch, "tracer")
-    workloads = load_perfbench(monkeypatch, "workloads")
-    workloads.write_inputs("mimo_outer", 1, tmp_path)
-    plants, config = str(tmp_path / "plants.json"), str(tmp_path / "config.json")
-    rec = tracer.Recorder()
-    with tracer.tracing(rec), contextlib.redirect_stdout(io.StringIO()):
-        for command in ("vgap", "synth"):
-            assert cli.main([command, plants, "--config", config,
-                             "--out", str(tmp_path / command)]) == 0
-    calls = tracer.layer_numbers(rec)
-    missing = [name for name in tracer.expected_spans(False)
-               if not calls.get(f"{name}.calls")]
-    assert not missing
+
+def test_traced_controller_names_all_called(monkeypatch, tmp_path):
+    # the names only a controller's analysis or simulation calls: all four
+    # commands on fixture3, whose synth certifies one
+    assert not missing_spans(monkeypatch, tmp_path, "fixture3", True)
 
 
 def test_benchmark_inputs_written_and_read(monkeypatch, tmp_path):

@@ -125,6 +125,43 @@ class TestCertifiedBound:
         assert 4.0 <= norm <= 4.0 * (1 + 1e-9)
 
 
+class TestFeedthroughSvd:
+    # sigma_max(D) <= |D|_F: D's SVD is taken only where it could beat the
+    # starting bound, so skipping it leaves the norm's bits alone
+    @staticmethod
+    def svd_shapes(monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        return shapes
+
+    def test_skipped_below_the_starting_bound(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        sys = StateSpacePlant(-np.diag([1.0, 2.0, 3.0]), rng.normal(size=(3, 2)),
+                              rng.normal(size=(2, 3)),
+                              0.01 * rng.normal(size=(2, 2)))
+        want = repeated_sample_norm(sys)
+        shapes = self.svd_shapes(monkeypatch)
+        assert linf_norm(sys) == want
+        assert shapes == []
+
+    def test_taken_where_the_feedthrough_dominates(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        sys = StateSpacePlant(-np.diag([1.0, 2.0, 3.0]),
+                              0.1 * rng.normal(size=(3, 2)),
+                              0.1 * rng.normal(size=(2, 3)), np.diag([4.0, 1.0]))
+        shapes = self.svd_shapes(monkeypatch)
+        norm, omega = linf_norm(sys)
+        assert shapes == [(2, 2)]
+        assert np.isinf(omega)
+        assert norm == pytest.approx(4.0, rel=3 * rssd.margins.LINF_TOL)
+
+
 class TestDegenerate:
     @pytest.mark.parametrize("B, C", [
         (np.ones((2, 1)), np.zeros((1, 2))),

@@ -242,22 +242,28 @@ class TestSensitivity:
     def test_steady_state_value(self, grid):
         p = StateSpacePlant.siso(-1.0, 1.0)
         curves = sensitivity_curves(closed_loop(p, np.array([[-1.0]])), grid)
-        assert curves.so_max[0] == pytest.approx(0.5, rel=1e-3)
+        assert curves["so_max"][0] == pytest.approx(0.5, rel=1e-3)
 
     def test_unstable_loop_rejected(self, grid):
-        # every analysis entry point that needs a stable loop guards it
+        # an unstable loop has P's curves only, and no disk margin
         cl = closed_loop(StateSpacePlant.siso(1.0, 1.0), np.array([[0.0]]))
-        for analyse in (lambda: sensitivity_curves(cl, grid),
-                        lambda: uncertainty_bounds(cl, grid),
-                        lambda: disk_margin(cl)):
-            with pytest.raises(UnstableLoop):
-                analyse()
+        curves = sensitivity_curves(cl, grid)
+        assert list(curves) == ["omega", "sigma_max", "sigma_min"]
+        with pytest.raises(UnstableLoop):
+            disk_margin(cl)
 
     def test_bounds_positive(self, grid):
         rng = np.random.default_rng(8)
         p = random_stable_siso(rng)
-        bounds = uncertainty_bounds(closed_loop(p, np.array([[0.0]])), grid)
-        assert np.all(bounds.inverse_input > 0)
+        curves = sensitivity_curves(closed_loop(p, np.array([[0.0]])), grid)
+        assert np.all(curves["inv_input_bound"] > 0)
+
+    def test_bounds_from_sigmas(self):
+        # 1 / sigma_max(P K S_o) and 1 / sigma_max(S_i), inf where it is 0
+        out_bound, inv_bound = uncertainty_bounds(np.array([0.0, 2.0]),
+                                                  np.array([4.0, 0.0]))
+        np.testing.assert_array_equal(out_bound, [np.inf, 0.5])
+        np.testing.assert_array_equal(inv_bound, [0.25, np.inf])
 
 
 class TestDiskMargin:

@@ -154,6 +154,20 @@ class TestSimulate:
         assert tr.reference[np.searchsorted(t, 3.5), 0] == pytest.approx(-0.0873)
         assert tr.reference[np.searchsorted(t, 6.0), 0] == 0.0
 
+    def test_edges_on_samples_act_there(self):
+        # 3 * 0.3, 6 * 0.3 and 9 * 0.3 land an ulp below 0.9, 1.8 and 2.7;
+        # each edge still acts at its own sample, not one dt later
+        p, K = lag_loop()
+        w_in, w_out = identity_banks(1, 1)
+        for spec, want in ((SignalSpec("step", 1.0, 0.9), [0] * 3 + [1] * 8),
+                           (SignalSpec("doublet", 1.0, 0.9, 0.9),
+                            [0] * 3 + [1] * 3 + [-1] * 3 + [0] * 2)):
+            tr = simulate(p, K, w_in, w_out,
+                          Scenario((spec,), dt=0.3, duration=3.0))
+            assert tr.time[3] < 0.9
+            np.testing.assert_array_equal(tr.reference[:, 0], want)
+            assert tr.outputs[3, 0] == 0.0 and tr.outputs[4, 0] != 0.0
+
     def test_divergence_marker(self):
         p = StateSpacePlant.siso(1.0, 1.0)
         w_in, w_out = identity_banks(1, 1)
@@ -470,6 +484,15 @@ class TestTrackingMetrics:
         with pytest.raises(DimensionMismatch, match="steady_after"):
             tracking_metrics(self.make_traces(np.full(100, 0.01)), 0.0087,
                              0.0873, steady_after=50.0)
+
+    def test_window_start_on_a_sample_includes_it(self):
+        # time[3] = 3 * 0.3 = 0.8999999999999999 is the sample at 0.9
+        time = 0.3 * np.arange(11)
+        err = np.arange(11.0, 0.0, -1.0)[:, None]
+        zeros = np.zeros_like(err)
+        rep = tracking_metrics(TraceSet(time, err, zeros, zeros, err), 100.0,
+                               100.0, steady_after=0.9)
+        assert rep.channels[0]["max_steady_error"] == 8.0
 
     def test_divergent_trace_rejected(self):
         # a diverged trace, and one with non-finite samples but no
