@@ -57,14 +57,14 @@ class SignalSpec:
             raise DimensionMismatch("doublet needs a positive pulse width")
 
     def sample(self, t) -> np.ndarray:
-        """The signal at times t; an edge acts from the first t ``at_or_after`` it."""
+        """The signal at times t; each edge acts from ``at_or_after`` it."""
         t = np.asarray(t, dtype=float)
         if self.kind == "zero":
             return np.zeros_like(t)
         if self.kind == "step":
             return np.where(at_or_after(t, self.start), self.magnitude, 0.0)
-        on, flip, off = (at_or_after(t, self.start + i * self.width)
-                         for i in range(3))
+        on, flip, off = (at_or_after(t, edge) for edge in (
+            self.start, self.start + self.width, self.start + 2 * self.width))
         up, down = on & ~flip, flip & ~off
         return self.magnitude * up.astype(float) - self.magnitude * down.astype(float)
 
