@@ -87,6 +87,33 @@ MIMO_ANALYZE_SHA256 = {
 }
 
 
+# SHA-256 of sim on the same set (mimo_analyze_inputs, MIMO_SIM_SCENARIO):
+# doublet, step and zero references sharing one time axis, a disturbance on
+# channel 2, and loop d diverging into NaN rows at t = 24.7
+MIMO_SIM_SHA256 = {
+    "tracking_report.json":
+        "3852f3dc4b6f554b69d09316a51a264e6139bd47bc362ae07f93e58cafc134f7",
+    "traces_0_a.csv":
+        "82f2cbc5e51fa0d1b2a5a5b244387bc33df5b5b7551d5036ec249f47bc6169b6",
+    "traces_1_b.csv":
+        "1735dca3078033914513c5c679fdac83bf4229ef5c144586632f3f85e853082a",
+    "traces_2_c.csv":
+        "25007af116fcc8227902a2aed819dc3e90a690c81001b2a0d7362db8548a5381",
+    "traces_3_d.csv":
+        "6e9be54ed44e86dac894f5b7359c90feea4d7267fcbea86211704650281b1608",
+}
+
+MIMO_SIM_SCENARIO = {
+    "reference": [{"kind": "doublet", "magnitude": 0.2, "start": 1.0,
+                   "width": 1.5},
+                  {"kind": "step", "magnitude": -0.5, "start": 0.5},
+                  {"kind": "zero"}],
+    "disturbance": [{"kind": "zero"}, {"kind": "zero"},
+                    {"kind": "step", "magnitude": 0.1, "start": 3.0}],
+    "dt": 0.01, "duration": 40.0,
+}
+
+
 def mimo_analyze_inputs(tmp_path):
     """(plant set, controller) paths for four seeded 3x2 plants under one
     gain and dynamic banks: loops a, b (D != 0) and c stable, d unstable."""
@@ -435,6 +462,19 @@ class TestSimCommand:
         report = json.loads((sim_out / "tracking_report.json").read_text())
         assert set(report) == {"nominal", "fast", "slow"}
         assert_pinned(sim_out, SIM_SHA256)
+
+    def test_mimo_outputs_pinned(self, tmp_path):
+        plants, controller = mimo_analyze_inputs(tmp_path)
+        (tmp_path / "sc.json").write_text(json.dumps(MIMO_SIM_SCENARIO))
+        out = tmp_path / "out"
+        assert run("sim", plants, "--controller", controller, "--scenario",
+                   str(tmp_path / "sc.json"), "--out", str(out)) == 0
+        report = json.loads((out / "tracking_report.json").read_text())
+        assert [report[k]["diverged"] for k in "abcd"] == [False] * 3 + [True]
+        rows = list(csv.reader((out / "traces_3_d.csv").open()))
+        assert rows[0][:4] == ["time", "ref_0", "y_0", "err_0"]
+        assert rows[-1][0] == "40" and rows[-1][2] == "nan"
+        assert_pinned(out, MIMO_SIM_SHA256)
 
     def test_paper_weight_scenario_tracks(self, tmp_path):
         # the doublet under the paper's (3s + 923.9)/(s + 9239) output weight:
