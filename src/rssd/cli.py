@@ -207,20 +207,19 @@ def cmd_sim(args) -> int:
     out = _out_dir(args)
 
     results = [simulate(plant, gain, w_in, w_out, scenario) for plant in pset]
+    # time and reference come from the scenario alone (a diverged trace keeps
+    # both whole), so every trace file shares their text
+    time = fileio.CsvText(results[0].time)
+    refs = [fileio.CsvText(ref) for ref in results[0].reference.T]
     report = {}
     for idx, (plant, traces) in enumerate(zip(pset, results)):
         label = plant.label
-        header = ["time"]
-        cols = [traces.time]
-        r = traces.outputs.shape[1]
-        m = traces.inputs.shape[1]
-        for ch in range(r):
+        header, cols = ["time"], [time]
+        for ch, ref in enumerate(refs):
             header += [f"ref_{ch}", f"y_{ch}", f"err_{ch}"]
-            cols += [traces.reference[:, ch], traces.outputs[:, ch],
-                     traces.errors[:, ch]]
-        for ch in range(m):
-            header.append(f"u_{ch}")
-            cols.append(traces.inputs[:, ch])
+            cols += [ref, traces.outputs[:, ch], traces.errors[:, ch]]
+        header += [f"u_{ch}" for ch in range(traces.inputs.shape[1])]
+        cols += list(traces.inputs.T)
         try:  # before the first write: a steady window with no sample exits 3
             metrics = tracking_metrics(traces, **metric_args)
             report[label] = {"diverged": False, "passed": metrics.passed,

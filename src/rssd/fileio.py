@@ -2,12 +2,16 @@
 
 JSON is canonicalized (sorted keys, 2-space indent, trailing newline) so a
 write -> read -> write round trip is byte-identical.  Matrices are stored
-row-major with explicit dimensions.
+row-major with explicit dimensions.  A CSV curve or trace file is a
+csv-quoted header row, then one row of %.12g values per sample, every line
+ending in CRLF; a column that several files share is formatted once
+(CsvText).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -334,14 +338,36 @@ def load_scenario(path):
 
 # --- CSV curves/traces ------------------------------------------------------
 
+class CsvText(tuple):
+    """A column formatted once, one %.12g bytes item per row, that write_csv
+    writes as it stands: the text of a column that several files share."""
+
+    def __new__(cls, values):
+        return super().__new__(
+            cls, [b"%.12g" % v for v in np.asarray(values).tolist()])
+
+
 def write_csv(path, header, columns):
-    """Header row, then one %.12g row per sample, written in chunks."""
-    columns = [np.asarray(c) for c in columns]
+    """A csv-quoted header row, then one row per sample of each column's
+    %.12g value, written as UTF-8 bytes in chunks with CRLF line ends.
+
+    A column is numeric (an array or a list of numbers) or a CsvText, whose
+    text is written unchanged; DimensionMismatch unless there is one header
+    per column and every column has the same number of rows.
+    """
+    columns = [c if isinstance(c, CsvText) else np.asarray(c) for c in columns]
     if len(header) != len(columns):
         raise DimensionMismatch("one header per column required")
-    fmt = ",".join(["%.12g"] * len(columns)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+    if len({len(c) for c in columns}) > 1:
+        raise DimensionMismatch("every column needs the same number of rows")
+    text = [isinstance(c, CsvText) for c in columns]
+    fmt = b",".join([b"%s" if t else b"%.12g" for t in text]) + b"\r\n"
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    with open(path, "wb") as fh:
+        fh.write(head.getvalue().encode())
         for i in range(0, len(columns[0]) if columns else 0, CSV_CHUNK_ROWS):
-            rows = zip(*[c[i:i + CSV_CHUNK_ROWS].tolist() for c in columns])
-            fh.write("".join([fmt % row for row in rows]))
+            rows = zip(*[c[i:i + CSV_CHUNK_ROWS] if t else
+                         c[i:i + CSV_CHUNK_ROWS].tolist()
+                         for c, t in zip(columns, text)])
+            fh.write(b"".join([fmt % row for row in rows]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rssd import fileio
-from rssd.errors import ParseError
+from rssd.errors import DimensionMismatch, ParseError
 from rssd.lti import PlantSet, StateSpacePlant
 
 FIXTURES = Path(__file__).resolve().parent.parent / "configs"
@@ -164,6 +164,41 @@ class TestCsv:
         fileio.write_csv(tmp_path / "a.csv", header, columns)
         reference_csv(tmp_path / "b.csv", header, columns)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_quoted_header_names(self, tmp_path):
+        header = ["t", 'gain, "dB"', "y"]
+        columns = [np.arange(3.0), np.array([1e-3, -2.5, np.nan]),
+                   np.array([0.1, 0.2, 0.3])]
+        fileio.write_csv(tmp_path / "a.csv", header, columns)
+        reference_csv(tmp_path / "b.csv", header, columns)
+        text = (tmp_path / "a.csv").read_bytes()
+        assert text == (tmp_path / "b.csv").read_bytes()
+        assert text.startswith(b't,"gain, ""dB""",y\r\n')
+
+    def test_text_column_matches_its_numeric_twin(self, tmp_path):
+        n = fileio.CSV_CHUNK_ROWS + 3
+        columns = [np.arange(n) * 1e-3, np.where(np.arange(n) > 9, 0.0873, 0.0),
+                   np.random.default_rng(6).normal(size=n)]
+        shared = [fileio.CsvText(columns[0]), columns[1],
+                  fileio.CsvText(columns[2])]
+        fileio.write_csv(tmp_path / "a.csv", ["t", "r", "y"], shared)
+        reference_csv(tmp_path / "b.csv", ["t", "r", "y"], columns)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_list_of_floats_column(self, tmp_path):
+        # the eigenvalue table passes plain lists, which are numbers, not text
+        columns = [[-0.5, -1.25, 3.0], [0.0, 2.0000000000001, -2.0],
+                   [1.0, 0.5, float("nan")]]
+        fileio.write_csv(tmp_path / "a.csv", ["re", "im", "zeta"], columns)
+        reference_csv(tmp_path / "b.csv", ["re", "im", "zeta"], columns)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (3, 3, 0)])
+    def test_ragged_columns_refused(self, tmp_path, lengths):
+        columns = [np.arange(float(n)) for n in lengths]
+        with pytest.raises(DimensionMismatch, match="same number of rows"):
+            fileio.write_csv(tmp_path / "a.csv",
+                             [f"c{i}" for i in range(len(lengths))], columns)
 
     def test_rows_spanning_several_chunks(self, tmp_path):
         n = 2 * fileio.CSV_CHUNK_ROWS + 7
