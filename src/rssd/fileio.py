@@ -3,9 +3,8 @@
 JSON is canonicalized (sorted keys, 2-space indent, trailing newline) so a
 write -> read -> write round trip is byte-identical.  Matrices are stored
 row-major with explicit dimensions.  A CSV curve or trace file is a
-csv-quoted header row, then one row of %.12g values per sample, every line
-ending in CRLF; a column that several files share is formatted once
-(CsvText).
+csv-quoted header row, then one CRLF-ended row of %.12g values per sample
+(write_csv); a column that several files share is formatted once (CsvText).
 """
 
 from __future__ import annotations
@@ -355,12 +354,12 @@ def write_csv(path, header, columns):
     text is written unchanged; DimensionMismatch unless there is one header
     per column and every column has the same number of rows.
     """
-    columns = [c if isinstance(c, CsvText) else np.asarray(c) for c in columns]
+    text = [isinstance(c, CsvText) for c in columns]
+    columns = [c if t else np.asarray(c) for c, t in zip(columns, text)]
     if len(header) != len(columns):
         raise DimensionMismatch("one header per column required")
     if len({len(c) for c in columns}) > 1:
         raise DimensionMismatch("every column needs the same number of rows")
-    text = [isinstance(c, CsvText) for c in columns]
     fmt = b",".join([b"%s" if t else b"%.12g" for t in text]) + b"\r\n"
     head = io.StringIO()
     csv.writer(head).writerow(header)
