@@ -91,6 +91,14 @@ class EigTarget:
                         f"entry state {e.state} is not below the augmented "
                         f"central plant's order {n}")
 
+    def require_outputs(self, r: int):
+        """DimensionMismatch unless the modes give one eigenvector column per
+        output (1 per real mode, 2 per complex pair), so that CR is square."""
+        cols = sum(2 if mode.kind == "complex" else 1 for mode in self.modes)
+        if cols != r:
+            raise DimensionMismatch(
+                f"target modes give {cols} eigenvector columns for {r} outputs")
+
 
 @dataclass(frozen=True)
 class SubspaceBasis:

@@ -307,14 +307,14 @@ def _with_conjugates(eigenvalues):
 
 def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
                 scp_cfg: GaConfig, rssd_cfg: GaConfig,
-                grid: FrequencyGrid | None = None) -> SynthesisReport:
+                grid: FrequencyGrid) -> SynthesisReport:
     """Full two-level synthesis; infeasibility is a report state, not an error."""
-    grid = grid or FrequencyGrid.default()
     constraints.require_banks(pset.m, pset.r)
+    target.require_outputs(pset.r)
     # every genome reuses each member's poles, zeros and response; J1bar0
     # is J1 under the identity banks the members start under
     members = [sampled_member(p, grid) for p in pset]
-    jbar0 = max(j1_fitness(*members[0].banks, members, grid)[0], JBAR_FLOOR)
+    jbar0 = max(j1_fitness(members, grid)[0], JBAR_FLOOR)
     state = {
         "jbar": jbar0,
         "history": [],
@@ -353,10 +353,10 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
         except (OutOfBox, ImproperSection, UnstableSection):
             return 2.0
         augmented = augment(w_in, w_out, members)
-        report = check_constraints(w_in, w_out, augmented, constraints)
+        report = check_constraints(augmented, constraints)
         if not report.passed:
             return 1.0 + len(report.reasons)
-        j1, cp_idx, p_cp = j1_fitness(w_in, w_out, augmented, grid)
+        j1, cp_idx, p_cp = j1_fitness(augmented, grid)
         if j1 < state["jbar"]:
             state["jbar"] = max(j1, JBAR_FLOOR)
             state["history"].append(state["jbar"])

@@ -4,10 +4,11 @@ J1 fitness (maximum nu-gap of the augmented set's central plant).
 Compensator sections are first-order proper stable rational functions
 matching the shape of the realized solutions; the genome of the outer GA
 is the flat list of their coefficients, (a, b, c, d) per section, input
-bank first (``decode_banks``).  Each genome's augmented set is realized once
-(``augment``) and read by both the constraint check and J1; what no genome
-changes of a member, its poles, transmission zeros and grid response, a
-synthesis finds once (``sampled_member``).
+bank first (``decode_banks``).  What no genome changes of a member, its
+poles, transmission zeros and grid response, a synthesis finds once
+(``sampled_member``).  ``augment`` alone forms a genome's augmented set: it
+realizes each W_out P W_in once, and the constraint check and J1 read the
+members as formed, banks and realizations together.
 """
 
 from __future__ import annotations
@@ -86,48 +87,39 @@ class ConstraintReport:
 @dataclass(frozen=True)
 class Member:
     """A plant P of the family with what no outer genome changes of it: the
-    eigenvalues of its A (``poles``), its transmission ``zeros`` and, in a
-    synthesis, its ``response`` on the grid, which J1 reads
-    (``sampled_member``).  ``augment`` sets ``augmented``, W_out P W_in
-    realized once under ``banks`` = (w_in, w_out)."""
+    eigenvalues of its A (``poles``), its transmission ``zeros`` and its
+    ``response`` on the synthesis grid, which J1 reads.  ``augmented`` is
+    W_out P W_in realized under ``banks`` = (w_in, w_out): P itself under the
+    identity banks a ``sampled_member`` starts under, and ``augment``'s
+    cascade under a genome's."""
 
     plant: StateSpacePlant
     poles: np.ndarray
     zeros: np.ndarray
-    response: np.ndarray | None = None
-    banks: tuple = ()
-    augmented: StateSpacePlant | None = None
-
-
-def _member(plant: StateSpacePlant) -> Member:
-    poles = np.linalg.eigvals(plant.A) if plant.n else np.array([])
-    return Member(plant, poles, transmission_zeros(plant))
+    response: np.ndarray
+    banks: tuple
+    augmented: StateSpacePlant
 
 
 def sampled_member(plant: StateSpacePlant, grid: FrequencyGrid) -> Member:
     """``plant`` as a ``Member`` with its ``response`` on ``grid``, augmented
     under identity banks: W_out P W_in is P itself, so no cascade runs, and
     J1 under those banks is the family's own central-plant gap."""
-    m = _member(plant)
-    return replace(m, response=eval_response(plant, 1j * grid.points),
-                   banks=(CompensatorBank.identity(plant.m, "in"),
-                          CompensatorBank.identity(plant.r, "out")),
-                   augmented=plant)
+    return Member(plant,
+                  np.linalg.eigvals(plant.A) if plant.n else np.array([]),
+                  transmission_zeros(plant),
+                  eval_response(plant, 1j * grid.points),
+                  (CompensatorBank.identity(plant.m, "in"),
+                   CompensatorBank.identity(plant.r, "out")),
+                  plant)
 
 
 def augment(w_in: CompensatorBank, w_out: CompensatorBank, members) -> list:
-    """The family under the banks, each W_out P W_in realized once, as
-    ``Member``s.  ``members`` are plants or ``Member``s; one already
-    augmented under these banks is kept as it is."""
-    out = []
-    for m in members:
-        if not isinstance(m, Member):
-            m = _member(m)
-        if m.banks != (w_in, w_out):
-            m = replace(m, banks=(w_in, w_out),
-                        augmented=augment_plant(w_out, m.plant, w_in))
-        out.append(m)
-    return out
+    """The ``sampled_member``s under the banks: each W_out P W_in realized
+    once from the member's raw plant, with the banks recorded beside it."""
+    return [replace(m, banks=(w_in, w_out),
+                    augmented=augment_plant(w_out, m.plant, w_in))
+            for m in members]
 
 
 def decode_banks(genes, constraints: ScpConstraints):
@@ -246,10 +238,9 @@ def _band_violation(aug: StateSpacePlant, lo: float, hi: float,
     return f"sigma_min <= 0 dB inside band near {w[0]:.4g} rad/s" if w.size else None
 
 
-def check_constraints(w_in: CompensatorBank, w_out: CompensatorBank, members,
-                      constraints: ScpConstraints) -> ConstraintReport:
-    """Loop-shaping and cancellation checks on every augmented plant of
-    ``augment(w_in, w_out, members)``.
+def check_constraints(members, constraints: ScpConstraints) -> ConstraintReport:
+    """Loop-shaping and cancellation checks on the ``augmented`` plant of
+    every member, all under the same ``banks``.
 
     Passes iff (i) each augmented plant clears the DC floor on its smallest
     singular value, (ii) sigma_min stays above 0 dB on the whole crossover
@@ -260,12 +251,13 @@ def check_constraints(w_in: CompensatorBank, w_out: CompensatorBank, members,
     lo, hi = constraints.band
     floor = 10.0 ** (constraints.dc_floor_db / 20.0)
 
+    w_in, w_out = members[0].banks
     in_poles, in_zeros = _bank_poles_zeros(w_in)
     out_poles, out_zeros = _bank_poles_zeros(w_out)
     c_poles = np.concatenate([in_poles, out_poles])
     c_zeros = np.concatenate([in_zeros, out_zeros])
 
-    for idx, member in enumerate(augment(w_in, w_out, members)):
+    for idx, member in enumerate(members):
         aug, p_poles = member.augmented, member.poles
         origin = np.abs(np.append(p_poles, c_poles)) <= IMAG_AXIS_RTOL  # aug's poles
         w0 = ORIGIN_OMEGA if np.any(origin) else 0.0
@@ -294,20 +286,19 @@ def check_constraints(w_in: CompensatorBank, w_out: CompensatorBank, members,
     return ConstraintReport(len(reasons) == 0, tuple(reasons))
 
 
-def j1_fitness(w_in: CompensatorBank, w_out: CompensatorBank, members,
-               grid: FrequencyGrid):
+def j1_fitness(members, grid: FrequencyGrid):
     """(J1, central index, augmented central plant) for the augmented set
-    {W_out P_i W_in}.
+    {W_out P_i W_in} of ``members``, ``sampled_member``s on ``grid`` all
+    under the same ``banks``.
 
-    ``members`` are ``sampled_member``s on ``grid``, or the genome's
-    ``augment``ed set of them, so that only the banks' work is redone per
-    genome.  Each augmented member's grid response is the product
-    W_out(jw) P_i(jw) W_in(jw) of the banks' responses and the member's,
-    its pole counts are those of P_i's poles and the sections' poles, and
-    it forms only the factors its pairs read.  Its realization,
-    ``augmented``, gives the winding test and the responses off the grid.
+    Only the banks' work is redone per genome.  Each augmented member's grid
+    response is the product W_out(jw) P_i(jw) W_in(jw) of the banks'
+    responses and the member's, its pole counts are those of P_i's poles and
+    the sections' poles, and it forms only the factors its pairs read.  Its
+    realization, ``augmented``, gives the winding test and the responses off
+    the grid.
     """
-    members = augment(w_in, w_out, members)
+    w_in, w_out = members[0].banks
     s = 1j * grid.points
     # the banks are diagonal: scale P_i's rows and columns by their entries
     post = np.diagonal(eval_response(w_out.realization, s), axis1=1, axis2=2)

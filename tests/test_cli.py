@@ -285,6 +285,23 @@ class TestSynthCommand:
         assert ("entry state 5 is not below the augmented central plant's "
                 "order 1") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("outer_generations", [20, 0])
+    def test_target_columns_not_outputs_exit_3(self, tmp_path, capsys,
+                                               outer_generations):
+        # two real modes give CR two columns against one output; that was
+        # exit 3 from the inner search, and exit 0 with no search at all
+        cfg = json.loads(Path(CONFIG).read_text())
+        cfg["target"]["modes"] *= 2
+        cfg["ga_scp"]["max_generations"] = outer_generations
+        path = tmp_path / "two_modes.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run("synth", FAMILY, "--config", str(path),
+                   "--out", str(out)) == 3
+        assert ("target modes give 2 eigenvector columns for 1 outputs"
+                in capsys.readouterr().err)
+        assert not (out / "synthesis_report.json").exists()
+
     def test_singular_pencil_exit_4(self, tmp_path, capsys):
         # a 2x2 member whose B has rank 1 has no transmission zeros to
         # check against: every s drops its system pencil's rank
@@ -300,6 +317,7 @@ class TestSynthCommand:
         cfg = json.loads(Path(CONFIG).read_text())
         for side in ("in_boxes", "out_boxes"):
             cfg["constraints"][side] *= 2
+        cfg["target"]["modes"] *= 2
         path = tmp_path / "square2.json"
         path.write_text(json.dumps(cfg))
         assert run("synth", str(plants), "--config", str(path),

@@ -34,8 +34,9 @@ loaded = {"import": "scipy" in sys.modules}
 
 import numpy as np
 from rssd import fileio
-from rssd.lti import CompensatorBank, PlantSet, StateSpacePlant
-from rssd.scp import ScpConstraints, check_constraints, transmission_zeros
+from rssd.lti import CompensatorBank, FrequencyGrid, PlantSet, StateSpacePlant
+from rssd.scp import (ScpConstraints, augment, check_constraints,
+                      sampled_member, transmission_zeros)
 
 rng = np.random.default_rng(3)
 tall = PlantSet(tuple(
@@ -52,8 +53,10 @@ if code:
     sys.exit(f"vgap exited with {code}")
 loaded["vgap"] = "scipy" in sys.modules
 
-check_constraints(CompensatorBank.identity(2, "in"),
-                  CompensatorBank.identity(3, "out"), tall,
+check_constraints(augment(CompensatorBank.identity(2, "in"),
+                          CompensatorBank.identity(3, "out"),
+                          [sampled_member(p, FrequencyGrid.default())
+                           for p in tall]),
                   ScpConstraints((), (), -60.0, (0.1, 1.0)))
 loaded["check_constraints"] = "scipy" in sys.modules
 

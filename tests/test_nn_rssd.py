@@ -11,7 +11,7 @@ import rssd.vgap
 from conftest import identity_banks, mimo_family
 from rssd.eigassign import EigTarget, EntryConstraint, ModeTarget
 from rssd.errors import ComputationFailed, DimensionMismatch
-from rssd.lti import PlantSet, StateSpacePlant, augment_plant
+from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, augment_plant
 from rssd.margins import closed_loop, gsm
 from rssd.nn_rssd import (
     PENALTY,
@@ -281,7 +281,7 @@ class TestRunNnRssd:
             assert sum(q is p for q in evaluated) == 1
         banks = [q.label for q in evaluated if all(q is not p for p in pset)]
         assert banks == ["bank_out", "bank_in"] * len(j1_calls)
-        for _, _, members, _ in j1_calls:
+        for members, _ in j1_calls:
             assert all(m.plant is p for m, p in zip(members, pset, strict=True))
             assert all(m.response.shape == (grid.points.size, 1, 1)
                        for m in members)
@@ -365,8 +365,10 @@ def mimo_setup(m=3, r=5):
     static_gain = ((0.0, 0.0), (0.1, 1.5), (0.0, 0.0), (1.0, 1.0))  # a, b, c, d
     constraints = ScpConstraints(static_gain * m, static_gain * r,
                                  dc_floor_db=-60.0, band=(0.01, 0.02))
-    target = EigTarget((ModeTarget("real", 0.5, 10.0),)
-                       + (ModeTarget("complex", 0.5, 10.0),) * 2, zeta_min=0.3)
+    # one eigenvector column per output: a real mode if r is odd, then pairs
+    target = EigTarget((ModeTarget("real", 0.5, 10.0),) * (r % 2)
+                       + (ModeTarget("complex", 0.5, 10.0),) * (r // 2),
+                       zeta_min=0.3)
     return constraints, target
 
 
@@ -398,7 +400,8 @@ class TestTwoLevelSearch:
         constraints, target = mimo_setup()
         scp = GaConfig(population=6, max_generations=4, seed=1)
         rssd = GaConfig(population=10, max_generations=10, seed=2)
-        report = run_nn_rssd(pset, constraints, target, scp, rssd)
+        report = run_nn_rssd(pset, constraints, target, scp, rssd,
+                             FrequencyGrid.default())
         assert report.feasible
         assert all(report.verification[k] for k in
                    ("assigned_eigenvalues", "all_in_S1",
@@ -426,7 +429,8 @@ def two_level_search(pset):
     constraints, target = mimo_setup()
     return run_nn_rssd(pset, constraints, target,
                        GaConfig(population=6, max_generations=4, seed=1),
-                       GaConfig(population=10, max_generations=10, seed=2))
+                       GaConfig(population=10, max_generations=10, seed=2),
+                       FrequencyGrid.default())
 
 
 def report_fields(report):

@@ -40,6 +40,12 @@ def sampled(pset, grid):
     return [sampled_member(p, grid) for p in pset]
 
 
+def under(banks, pset, grid=FrequencyGrid.default()):
+    """The family as the constraint check and J1 take it: sampled on
+    ``grid`` and augmented under ``banks`` = (w_in, w_out)."""
+    return augment(*banks, sampled(pset, grid))
+
+
 WIDE = ((-100.0, 100.0),) * 4
 
 
@@ -255,15 +261,14 @@ class TestCheckConstraints:
         return ScpConstraints(WIDE, WIDE, floor_db, band)
 
     def test_identity_banks_pass_loose_constraints(self):
-        w_in, w_out = identity_banks(1, 1)
         loud = PlantSet(tuple(
             StateSpacePlant.from_gain(np.array([[g]])) for g in (1.5, 2.0, 3.0)))
-        report = check_constraints(w_in, w_out, loud, self.make())
+        report = check_constraints(under(identity_banks(1, 1), loud),
+                                   self.make())
         assert report.passed
 
     def test_dc_floor_violation(self):
-        w_in, w_out = identity_banks(1, 1)
-        report = check_constraints(w_in, w_out, static_trio(),
+        report = check_constraints(under(identity_banks(1, 1), static_trio()),
                                    self.make(floor_db=20.0))
         assert not report.passed
         assert any("DC" in r or "dB" in r for r in report.reasons)
@@ -271,8 +276,7 @@ class TestCheckConstraints:
     def test_band_violation(self):
         # plant 1/(s+1) falls below 0 dB beyond 1 rad/s
         pset = PlantSet((StateSpacePlant.siso(-1.0, 1.0),))
-        w_in, w_out = identity_banks(1, 1)
-        report = check_constraints(w_in, w_out, pset,
+        report = check_constraints(under(identity_banks(1, 1), pset),
                                    self.make(floor_db=-20.0, band=(0.1, 10.0)))
         assert not report.passed
 
@@ -281,7 +285,7 @@ class TestCheckConstraints:
         pset = PlantSet((StateSpacePlant.siso(-1.0, 10.0),))
         w_in = CompensatorBank((FirstOrderSection(1.0, 1.0, 0.1, 1.0),), "in")
         _, w_out = identity_banks(1, 1)
-        report = check_constraints(w_in, w_out, pset, self.make())
+        report = check_constraints(under((w_in, w_out), pset), self.make())
         assert not report.passed
         assert any("cancels" in r for r in report.reasons)
 
@@ -331,9 +335,9 @@ class TestExactBand:
     at lo, and no crossing of 0 dB inside the band."""
 
     def check(self, plant, band, floor_db=-20.0):
-        w_in, w_out = identity_banks(plant.m, plant.r)
-        return check_constraints(w_in, w_out, PlantSet((plant,)),
-                                 ScpConstraints(WIDE, WIDE, floor_db, band))
+        return check_constraints(
+            under(identity_banks(plant.m, plant.r), PlantSet((plant,))),
+            ScpConstraints(WIDE, WIDE, floor_db, band))
 
     def test_notch_between_grid_points_rejected(self):
         # a -44 dB notch midway between two default-grid points: every
@@ -357,6 +361,7 @@ class TestExactBand:
         # exact band verdict per plant == sigma_min <= 1 anywhere on 20k
         # log points plus the band edges, over random banks and five bands
         pset = mimo_family(1, 3)
+        members = sampled(pset, FrequencyGrid.default())
         rng = np.random.default_rng(5)
         bands = ((0.001, 0.1), (0.05, 2.0), (0.5, 50.0), (0.0, 1.0),
                  (0.01, 0.02))
@@ -364,13 +369,14 @@ class TestExactBand:
         for _ in range(4):
             w_in, w_out = random_bank(rng, 3, "in"), random_bank(rng, 5, "out")
             augs = [augment_plant(w_out, p, w_in) for p in pset]
+            augmented = augment(w_in, w_out, members)
             for band in bands:
                 omega = np.union1d(
                     np.geomspace(max(band[0], 1e-6), band[1], 20_000), band)
                 want = [bool(np.any(dense_sigma_min(a, omega) <= 1.0))
                         for a in augs]
                 report = check_constraints(
-                    w_in, w_out, pset,
+                    augmented,
                     ScpConstraints(((-9.0, 9.0),) * 12, ((-9.0, 9.0),) * 20,
                                    -300.0, band))
                 got = [any(r.startswith(f"plant {i}:")
@@ -463,9 +469,8 @@ class TestExactBand:
 
 class TestJ1Fitness:
     def test_identity_banks_match_raw_central_plant(self, grid):
-        w_in, w_out = identity_banks(1, 1)
-        j1, idx, p_cp = j1_fitness(w_in, w_out, sampled(static_trio(), grid),
-                                   grid)
+        j1, idx, p_cp = j1_fitness(
+            under(identity_banks(1, 1), static_trio(), grid), grid)
         assert idx == 1
         assert j1 == pytest.approx(1.0 / np.sqrt(10.0), abs=1e-6)
 
@@ -473,7 +478,8 @@ class TestJ1Fitness:
         # normalizing each plant towards gain 1 shrinks the spread
         w_in = CompensatorBank((FirstOrderSection(0.0, 1.0, 0.0, 1.0),), "in")
         w_out = w_in
-        base, _, _ = j1_fitness(w_in, w_out, sampled(static_trio(), grid), grid)
+        base, _, _ = j1_fitness(under((w_in, w_out), static_trio(), grid),
+                                grid)
         assert base > 0
 
     def test_product_route_matches_augmented_state_space(self, grid,
@@ -498,7 +504,7 @@ class TestJ1Fitness:
         for sections in (static, dynamic):
             w_in = CompensatorBank(sections[:3], "in")
             w_out = CompensatorBank(sections[3:], "out")
-            j1_fitness(w_in, w_out, sampled(pset, grid), grid)
+            j1_fitness(under((w_in, w_out), pset, grid), grid)
             assert len(captured) == len(pset)
             for got, p in zip(captured, pset):
                 aug = augment_plant(w_out, p, w_in)
@@ -538,25 +544,25 @@ class TestJ1Fitness:
             w_in, w_out = random_bank(rng, 2, "in"), random_bank(rng, 3, "out")
             if k % 2:
                 w_in = CompensatorBank((near_origin,) + w_in.sections[1:], "in")
-            j1_fitness(w_in, w_out, sampled(pset, grid), grid)
+            j1_fitness(under((w_in, w_out), pset, grid), grid)
             for got, p in zip(captured, pset, strict=True):
                 want = pole_counts(augment_plant(w_out, p, w_in))
                 assert got.poles == want
                 seen.add(want)
         assert {(1, 0), (1, 3), (2, 1)} <= seen
 
-    def test_augmented_once_per_banks(self):
-        # a member augmented under these banks is kept; under other banks
-        # it is augmented anew from its raw plant, keeping poles and zeros
+    def test_augmented_once_per_banks(self, grid):
+        # a member augmented under other banks is augmented anew from its
+        # raw plant, keeping poles and zeros
         pset = mimo_family(2, 3)
         rng = np.random.default_rng(31)
         first = (random_bank(rng, 3, "in"), random_bank(rng, 5, "out"))
         second = (random_bank(rng, 3, "in"), random_bank(rng, 5, "out"))
-        members = augment(*first, pset)
-        assert all(a is b for a, b in zip(augment(*first, members), members))
+        members = under(first, pset, grid)
         again = augment(*second, members)
         for m, n, p in zip(members, again, pset, strict=True):
             assert n.plant is p and n.poles is m.poles and n.zeros is m.zeros
+            assert n.banks == second
             want = augment_plant(second[1], p, second[0])
             assert all(np.array_equal(getattr(n.augmented, k), getattr(want, k))
                        for k in "ABCD")
@@ -576,8 +582,7 @@ class TestJ1Fitness:
         scaled = PlantSet(tuple(
             StateSpacePlant(p.A, p.B @ g_in, g_out @ p.C, g_out @ p.D @ g_in,
                             p.label) for p in pset))
-        j1, idx, _ = j1_fitness(w_in, w_out, sampled(pset, grid), grid)
-        ref, ref_idx, _ = j1_fitness(*identity_banks(3, 5), sampled(scaled, grid),
-                                     grid)
+        j1, idx, _ = j1_fitness(under((w_in, w_out), pset, grid), grid)
+        ref, ref_idx, _ = j1_fitness(sampled(scaled, grid), grid)
         assert idx == ref_idx
         assert j1 == pytest.approx(ref, rel=1e-13, abs=0.0)

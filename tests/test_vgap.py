@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rssd.vgap
-from conftest import identity_banks, random_siso, random_stable_siso
+from conftest import random_siso, random_stable_siso
 from rssd.errors import ComputationFailed, DetVanishesOnContour
 from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, cascade, eval_response
 from rssd.scp import j1_fitness, sampled_member
@@ -556,8 +556,7 @@ class TestCentralPlant:
         for pset in seeded_families():
             members = [sampled_member(p, coarse_grid) for p in pset]
             assert all(m.augmented is p for m, p in zip(members, pset))
-            j1, index, p_cp = j1_fitness(*identity_banks(pset.m, pset.r),
-                                         members, coarse_grid)
+            j1, index, p_cp = j1_fitness(members, coarse_grid)
             want = central_plant(pset, coarse_grid)
             assert index == want.index and p_cp is pset[index]
             assert np.float64(j1).tobytes() == np.float64(want.epsilon).tobytes()
