@@ -66,15 +66,15 @@ class UsageError(Exception):
     pass
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _out_dir(path) -> Path:
+    """``path``, created: a command calls this just before its first write."""
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _resolve(args):
-    cfg = fileio.load_config(args.config) if args.config else fileio.config_from_obj({})
-    return cfg, _out_dir(args)
+def _config(args):
+    return fileio.load_config(args.config) if args.config else fileio.config_from_obj({})
 
 
 def _matrix_list(M):
@@ -83,10 +83,10 @@ def _matrix_list(M):
 
 def cmd_vgap(args) -> int:
     pset = fileio.load_plantset(args.plantset)
-    cfg, out = _resolve(args)
-    mat = gap_matrix(pset, cfg.grid)
+    mat = gap_matrix(pset, _config(args).grid)
     result = central_from_matrix(mat)
     labels = [p.label for p in pset]
+    out = _out_dir(args.out)
     with open(out / "gap_matrix.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["label", *labels])
@@ -108,7 +108,7 @@ def cmd_synth(args) -> int:
     if args.seed is not None and args.seed < 0:  # numpy's generators refuse it
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     pset = fileio.load_plantset(args.plantset)
-    cfg, out = _resolve(args)
+    cfg = _config(args)
     seed = args.seed if args.seed is not None else cfg.seed
     if seed is None:
         raise UsageError("synth requires a seed (config or --seed)")
@@ -133,6 +133,7 @@ def cmd_synth(args) -> int:
         "rssd_generations": report.rssd_generations,
         "seeds": report.seeds,
     }
+    out = _out_dir(args.out)
     (out / "synthesis_report.json").write_text(fileio.canonical_json(obj))
     if report.feasible:
         fileio.save_controller(report.gain, report.w_in, report.w_out,
@@ -143,7 +144,7 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
+def _analysis_bundle(pset, gain, w_in, w_out, grid, out) -> dict:
     eig_keys = ["re", "im", "zeta", "wn"]
 
     def one(plant):
@@ -173,6 +174,7 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
         return tables, curves
 
     results = [one(plant) for plant in pset]
+    out = _out_dir(out)
     summary = {}
     for idx, (plant, (tables, curves)) in enumerate(zip(pset, results)):
         label = plant.label
@@ -191,12 +193,12 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out: Path) -> dict:
 def cmd_analyze(args) -> int:
     pset = fileio.load_plantset(args.plantset)
     gain, w_in, w_out = fileio.load_controller(args.controller)
-    cfg, out = _resolve(args)
-    summary = _analysis_bundle(pset, gain, w_in, w_out, cfg.grid, out)
+    summary = _analysis_bundle(pset, gain, w_in, w_out, _config(args).grid,
+                               args.out)
     flagged = [lab for lab, t in summary.items() if t.get("unstable")]
     if flagged:
         print("unstable loops: " + ", ".join(flagged))
-    print(f"analysis written to {out}")
+    print(f"analysis written to {Path(args.out)}")
     return EXIT_OK
 
 
@@ -204,7 +206,6 @@ def cmd_sim(args) -> int:
     pset = fileio.load_plantset(args.plantset)
     gain, w_in, w_out = fileio.load_controller(args.controller)
     scenario, metric_args = fileio.load_scenario(args.scenario)
-    out = _out_dir(args)
 
     results = [simulate(plant, gain, w_in, w_out, scenario) for plant in pset]
     # time and reference come from the scenario alone (a diverged trace keeps
@@ -212,21 +213,23 @@ def cmd_sim(args) -> int:
     time = fileio.CsvText(results[0].time)
     refs = [fileio.CsvText(ref) for ref in results[0].reference.T]
     report = {}
+    for plant, traces in zip(pset, results):
+        try:  # before the first write: a steady window with no sample exits 3
+            metrics = tracking_metrics(traces, **metric_args)
+            report[plant.label] = {"diverged": False, "passed": metrics.passed,
+                                   "channels": list(metrics.channels)}
+        except DivergentTrace as exc:
+            report[plant.label] = {"diverged": True,
+                                   "divergence_time": exc.time}
+    out = _out_dir(args.out)
     for idx, (plant, traces) in enumerate(zip(pset, results)):
-        label = plant.label
         header, cols = ["time"], [time]
         for ch, ref in enumerate(refs):
             header += [f"ref_{ch}", f"y_{ch}", f"err_{ch}"]
             cols += [ref, traces.outputs[:, ch], traces.errors[:, ch]]
         header += [f"u_{ch}" for ch in range(traces.inputs.shape[1])]
         cols += list(traces.inputs.T)
-        try:  # before the first write: a steady window with no sample exits 3
-            metrics = tracking_metrics(traces, **metric_args)
-            report[label] = {"diverged": False, "passed": metrics.passed,
-                             "channels": list(metrics.channels)}
-        except DivergentTrace as exc:
-            report[label] = {"diverged": True, "divergence_time": exc.time}
-        fileio.write_csv(out / f"traces_{idx}_{label}.csv", header, cols)
+        fileio.write_csv(out / f"traces_{idx}_{plant.label}.csv", header, cols)
     (out / "tracking_report.json").write_text(fileio.canonical_json(report))
     print(f"simulation written to {out}")
     return EXIT_OK

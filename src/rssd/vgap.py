@@ -23,17 +23,17 @@ the smaller Gram.
 prunes: the maximum of sigma_max Psi over any grid subset is a lower bound
 on each delta (the refined peak never falls below the grid maximum, and a
 pair failing the winding condition reads 1, which sigma_max Psi never
-exceeds).  Rows are ranked first on every ``COARSE_STRIDE``-th grid point,
-a row's bound is retaken on the full grid only when it reaches the front,
+exceeds).  Rows are ranked once, on every ``COARSE_STRIDE``-th grid point,
 and a row whose bound already loses to the best row found is never
-evaluated exactly.  Pair (i, j), i < j, reads only P_j's left factor and
-P_i's right one, so the first member needs no left factor and the last no
-right one.
+evaluated exactly.  Row maxima within ``TIE_RTOL`` of the least one tie, so
+the smallest tying index, not rounding, picks between equivalent members;
+``central_from_matrix`` applies the same rule.  Pair (i, j), i < j, reads
+only P_j's left factor and P_i's right one, so the first member needs no
+left factor and the last no right one.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -54,9 +54,11 @@ from .sweep import grid_peak
 # An eigenvalue of A_z this close (relative) to an imaginary-axis eigenvalue
 # of A_x lies inside the contour's right indentation around that pole.
 SHARED_AXIS_RTOL = 1e-6
-# central_plant first bounds each pair by sigma_max Psi at every this many
-# grid points; most rows are never bounded on the full grid.
+# central_plant bounds each pair by sigma_max Psi at every this many points.
 COARSE_STRIDE = 8
+# Row maxima within this relative distance of the least one tie with it, and
+# the smallest tying index is the central plant, whatever the rounding.
+TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -217,17 +219,15 @@ def _grid_psi(s1: SampledPlant, s2: SampledPlant, points=slice(None)):
             @ s1.right[points])
 
 
-def _grid_sigma(s1: SampledPlant, s2: SampledPlant, points=slice(None)):
-    """sigma_max of Psi(P1(jw), P2(jw)) at the grid points ``points`` selects,
-    read from the samples; each point's value does not depend on the others
-    selected."""
-    return sigma_max(_grid_psi(s1, s2, points))
+def _grid_sigma(s1: SampledPlant, s2: SampledPlant):
+    """sigma_max of Psi(P1(jw), P2(jw)) on the grid, read from the samples."""
+    return sigma_max(_grid_psi(s1, s2))
 
 
 def _coarse_sigma(samples, pairs) -> np.ndarray:
     """``_grid_sigma`` of each pair (i, j) of ``samples`` on every
     ``COARSE_STRIDE``-th grid point, one row per pair, from one stacked
-    ``sigma_max``."""
+    ``sigma_max``; each point's value does not depend on the others."""
     coarse = slice(None, None, COARSE_STRIDE)
     psi = np.concatenate([_grid_psi(samples[i], samples[j], coarse)
                           for i, j in pairs])
@@ -237,18 +237,13 @@ def _coarse_sigma(samples, pairs) -> np.ndarray:
 def _psi_sigma(s1: SampledPlant, s2: SampledPlant):
     """sigma_max of Psi(P1(jw), P2(jw)) as a batch function of omega.
 
-    The grid itself is read from the samples and evaluated once: later calls
-    on the grid return the stored array.  Refinement points off the grid are
-    evaluated from state space, P2's left factor and P1's right one from one
-    stacked eigh.
+    The grid itself is read from the samples.  Refinement points off the
+    grid are evaluated from state space, P2's left factor and P1's right one
+    from one stacked eigh.
     """
-    on_grid = []
-
     def fun(omegas):
         if omegas is s1.grid.points:
-            if not on_grid:
-                on_grid.append(_grid_sigma(s1, s2))
-            return on_grid[0]
+            return _grid_sigma(s1, s2)
         s = 1j * np.asarray(omegas, dtype=float)
         r1 = eval_response(s1.plant, s)
         r2 = eval_response(s2.plant, s)
@@ -263,9 +258,9 @@ def _clip(value) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
-def _pair_gap(s1: SampledPlant, s2: SampledPlant, psi) -> VgapResult:
-    """nu_gap of two samples, with ``psi = _psi_sigma(s1, s2)``; the condition
-    is decided from eigenvalues alone, only the peak of Psi on the grid."""
+def _pair_gap(s1: SampledPlant, s2: SampledPlant) -> VgapResult:
+    """nu_gap of two samples; the condition is decided from eigenvalues
+    alone, only the peak of Psi on the grid."""
     try:
         wno = winding_number_det(s1.plant, s2.plant)
     except DetVanishesOnContour:
@@ -273,7 +268,7 @@ def _pair_gap(s1: SampledPlant, s2: SampledPlant, psi) -> VgapResult:
     # wno + eta(P1) - eta(P2) - eta_0(P2) must vanish
     if wno + s1.poles[0] - sum(s2.poles) != 0:
         return VgapResult(1.0, False)
-    return VgapResult(_clip(grid_peak(psi, s1.grid)[0]), True)
+    return VgapResult(_clip(grid_peak(_psi_sigma(s1, s2), s1.grid)[0]), True)
 
 
 def nu_gap(p1: StateSpacePlant | SampledPlant, p2: StateSpacePlant | SampledPlant,
@@ -282,8 +277,7 @@ def nu_gap(p1: StateSpacePlant | SampledPlant, p2: StateSpacePlant | SampledPlan
 
     Either plant may be passed already sampled on ``grid``.
     """
-    s1, s2 = sample(p1, grid), sample(p2, grid)
-    return _pair_gap(s1, s2, _psi_sigma(s1, s2))
+    return _pair_gap(sample(p1, grid), sample(p2, grid))
 
 
 def gap_matrix(pset: PlantSet, grid: FrequencyGrid) -> np.ndarray:
@@ -297,59 +291,51 @@ def gap_matrix(pset: PlantSet, grid: FrequencyGrid) -> np.ndarray:
     return mat
 
 
+def _central(row_max) -> int:
+    """The smallest index whose row maximum ties with the least one."""
+    return int(np.argmax(row_max <= row_max.min() * (1.0 + TIE_RTOL)))
+
+
 def central_from_matrix(mat: np.ndarray) -> CentralPlantResult:
-    """The first row of a gap matrix with the smallest maximum."""
+    """The central row of a gap matrix: the first row whose maximum ties,
+    within ``TIE_RTOL``, with the smallest."""
     row_max = mat.max(axis=1)
-    index = int(np.argmin(row_max))
+    index = _central(row_max)
     return CentralPlantResult(index, float(row_max[index]))
 
 
 def central_plant(members, grid: FrequencyGrid) -> CentralPlantResult:
-    """Plant with the smallest maximum nu-gap; ties break to smallest index.
+    """Plant with the smallest maximum nu-gap; rows within ``TIE_RTOL`` of it
+    tie, and the smallest tying index wins.
 
     ``members``: plants, each a StateSpacePlant or already sampled on
     ``grid``.  Returns ``central_from_matrix(gap_matrix(members, grid))`` bit
     for bit, evaluating only the rows that can still decide it.  A pair's
-    clipped maximum of sigma_max Psi over any grid points is a lower bound
-    on its gap, and a row's largest bound one on its maximum.  Rows leave a
-    queue in ascending (bound, index), first bounded on every
-    ``COARSE_STRIDE``-th point.  A row leaving on that bound is queued anew
-    on its full-grid bound (the values ``grid_peak`` starts from); a row
-    leaving on its full-grid bound evaluates all its pairs exactly, in
-    ``gap_matrix``'s operand order, so its maximum equals the matrix's.
-    Once the front (bound, index) exceeds the best (row maximum, index)
-    found, no queued row can win.  So rows are evaluated exactly in the
-    order, and up to the row, that full-grid bounds alone would give.
-    Exact values are kept, so no pair is evaluated twice.  A pair failing
-    the winding condition reads 1 while its bound may be far below, so both
-    of its rows can survive; sets holding such pairs do evaluate more than
-    one row.
+    clipped maximum of sigma_max Psi on every ``COARSE_STRIDE``-th grid point
+    is a lower bound on its gap, and a row's largest bound one on its
+    maximum.  Rows are taken in ascending (bound, index) and each evaluates
+    all its pairs exactly, in ``gap_matrix``'s operand order, so its maximum
+    equals the matrix's; no pair is evaluated twice.  Once a bound exceeds
+    the least maximum found by more than ``TIE_RTOL``, no later row can win
+    or tie.  A pair failing the winding condition reads 1 while its bound
+    may be far below, so sets holding such pairs evaluate more than one row.
     """
     samples = [sample(p, grid) for p in members]
     n = len(samples)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    psi = {(i, j): _psi_sigma(samples[i], samples[j]) for i, j in pairs}
     low = np.zeros((n, n))
     if pairs:
         for (i, j), row in zip(pairs, _coarse_sigma(samples, pairs)):
             low[i, j] = low[j, i] = _clip(row.max())
-    queue = [(bound, i, False) for i, bound in enumerate(low.max(axis=1))]
-    heapq.heapify(queue)
 
-    best = (np.inf, n)  # (row maximum, index) of the best row so far
-    exact = {}
-    while queue:
-        bound, i, full = heapq.heappop(queue)
-        if (bound, i) > best:
+    exact, row_max = {}, np.full(n, np.inf)  # rows not evaluated never tie
+    for bound, i in sorted(zip(low.max(axis=1), range(n))):
+        if bound > row_max.min() * (1.0 + TIE_RTOL):
             break
-        pairs = [(min(i, j), max(i, j)) for j in range(n) if j != i]
-        if not full:
-            bound = max((_clip(psi[p](grid.points).max()) for p in pairs),
-                        default=0.0)
-            heapq.heappush(queue, (bound, i, True))
-            continue
-        for a, b in pairs:
+        row = [(min(i, j), max(i, j)) for j in range(n) if j != i]
+        for a, b in row:
             if (a, b) not in exact:
-                exact[a, b] = _pair_gap(samples[a], samples[b], psi[a, b]).value
-        best = min(best, (max((exact[p] for p in pairs), default=0.0), i))
-    return CentralPlantResult(best[1], float(best[0]))
+                exact[a, b] = _pair_gap(samples[a], samples[b]).value
+        row_max[i] = max((exact[p] for p in row), default=0.0)
+    index = _central(row_max)
+    return CentralPlantResult(index, float(row_max[index]))

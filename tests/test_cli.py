@@ -210,8 +210,10 @@ class TestVgapCommand:
             StateSpacePlant.siso(-1.0, 1e160, "huge"),
             StateSpacePlant.siso(-1.0, 1.0, "lag"))), path)
         extra = ["--config", CONFIG] if command == "synth" else []
-        assert run(command, str(path), *extra, "--out", str(tmp_path)) == 4
+        out = tmp_path / "out"
+        assert run(command, str(path), *extra, "--out", str(out)) == 4
         assert "plant 'huge': |P(jw)|^2 overflows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_parse_exit(self, tmp_path):
         assert run("vgap", str(tmp_path / "nope.json"),
@@ -300,7 +302,7 @@ class TestSynthCommand:
                    "--out", str(out)) == 3
         assert ("target modes give 2 eigenvector columns for 1 outputs"
                 in capsys.readouterr().err)
-        assert not (out / "synthesis_report.json").exists()
+        assert not out.exists()
 
     def test_singular_pencil_exit_4(self, tmp_path, capsys):
         # a 2x2 member whose B has rank 1 has no transmission zeros to
@@ -652,6 +654,8 @@ class TestBadValues:
         # the last sample is at 10.0: refused before any trace is written
         pytest.param({"duration": 10.0004, "metrics.steady_after": 10.0002},
                      id="steady-after-past-last-sample"),
+        pytest.param({"reference": [{"kind": "step", "magnitude": 1.0}] * 2},
+                     id="two-references-one-output"),
     ])
     def test_bad_scenario_parse_exit(self, tmp_path, capsys, changes):
         from rssd.lti import CompensatorBank
@@ -668,7 +672,7 @@ class TestBadValues:
                    "--scenario", str(tmp_path / "sc.json"),
                    "--out", str(out)) == 3
         assert "error: " in capsys.readouterr().err
-        assert not list(out.glob("traces_*.csv"))
+        assert not out.exists()
 
 
 class TestWrongShapes:

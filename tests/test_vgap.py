@@ -11,7 +11,9 @@ from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, cascade, eval_res
 from rssd.scp import j1_fitness, sampled_member
 from rssd.vgap import (
     COARSE_STRIDE,
+    TIE_RTOL,
     SampledPlant,
+    VgapResult,
     central_from_matrix,
     central_plant,
     gap_matrix,
@@ -198,30 +200,30 @@ def seeded_families():
     yield random_family(np.random.default_rng(47), 3, 3, 5)
 
 
-def row_bounds(pset, grid):
-    """Each row's largest clipped grid sigma_max Psi: on every
-    COARSE_STRIDE-th grid point, and on the full grid."""
+def coarse_row_bounds(pset, grid):
+    """Each row's largest clipped grid sigma_max Psi on every
+    COARSE_STRIDE-th grid point."""
     samples = [sample(p, grid) for p in pset]
     n = len(pset)
-    coarse, full = np.zeros((n, n)), np.zeros((n, n))
+    coarse = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             values = np.clip(rssd.vgap._grid_sigma(samples[i], samples[j]), 0, 1)
             coarse[i, j] = coarse[j, i] = values[::COARSE_STRIDE].max()
-            full[i, j] = full[j, i] = values.max()
-    return coarse.max(axis=1), full.max(axis=1)
+    return coarse.max(axis=1)
 
 
-def full_bound_search(mat, full_rows):
-    """Pairs a search ranking rows by their full-grid bounds alone evaluates
-    exactly: rows in ascending (bound, index) until one cannot win."""
+def coarse_bound_search(mat, bounds):
+    """Pairs a search ranking rows by their coarse ``bounds`` evaluates
+    exactly: rows in ascending (bound, index) until a bound exceeds the
+    least row maximum found by more than TIE_RTOL."""
     n = len(mat)
-    best, pairs = (np.inf, n), set()
-    for i in sorted(range(n), key=lambda i: (full_rows[i], i)):
-        if (full_rows[i], i) > best:
+    best, pairs = np.inf, set()
+    for i in sorted(range(n), key=lambda i: (bounds[i], i)):
+        if bounds[i] > best * (1.0 + TIE_RTOL):
             break
         pairs |= {(min(i, j), max(i, j)) for j in range(n) if j != i}
-        best = min(best, (mat[i].max(), i))
+        best = min(best, mat[i].max())
     return pairs
 
 
@@ -456,6 +458,37 @@ class TestCentralPlant:
             assert result.index == index
             assert result == central_from_matrix(gap_matrix(pset, coarse_grid))
 
+    def test_rows_one_ulp_apart_tie(self, coarse_grid, monkeypatch):
+        # row 2's maximum is 1 ulp below those of rows 0 and 1: all three
+        # tie and index 0 wins.  Each pair's coarse bound and exact value are
+        # read from the matrix, so row 2 is evaluated first and the tying
+        # bounds of rows 0 and 1 must not prune them
+        x = 0.3
+        mat = np.array([[0.0, np.nextafter(x, 1.0), 0.1],
+                        [np.nextafter(x, 1.0), 0.0, x],
+                        [0.1, x, 0.0]])
+        pset = PlantSet((static(1.0), static(2.0), static(3.0)))
+        index = {id(p): k for k, p in enumerate(pset)}
+        monkeypatch.setattr(rssd.vgap, "_coarse_sigma", lambda samples, pairs:
+                            np.array([[mat[i, j]] for i, j in pairs]))
+        monkeypatch.setattr(rssd.vgap, "_pair_gap", lambda s1, s2: VgapResult(
+            mat[index[id(s1.plant)], index[id(s2.plant)]], True))
+        want = central_from_matrix(mat)
+        assert want == rssd.vgap.CentralPlantResult(0, np.nextafter(x, 1.0))
+        assert central_plant(pset, coarse_grid) == want
+
+    def test_appended_duplicate_ties_with_its_member(self, coarse_grid):
+        # the copy's pairs with the members before it run with their operands
+        # swapped, so its row may differ from its member's in the last bits;
+        # the two tie and the member's smaller index wins on both routes
+        for pset in seeded_families():
+            c = central_plant(pset, coarse_grid).index
+            duplicated = PlantSet(pset.plants + (pset[c],))
+            result = central_plant(duplicated, coarse_grid)
+            assert result.index == c
+            assert result == central_from_matrix(gap_matrix(duplicated,
+                                                            coarse_grid))
+
     def test_exact_pairs_only_in_the_central_row(self, coarse_grid,
                                                  monkeypatch):
         # with well-separated row maxima every other row's bound exceeds the
@@ -475,53 +508,42 @@ class TestCentralPlant:
         assert 0 < calls["winding_number_det"] <= len(pset) - 1
         assert 0 < calls["grid_peak"] <= len(pset) - 1
 
-    def test_exact_pairs_those_of_the_full_bound_search(self, coarse_grid,
-                                                        monkeypatch):
-        # ranking on coarse bounds first changes which bounds are formed,
-        # never which pairs are evaluated exactly: 77 over these families
+    def test_exact_pairs_those_of_the_coarse_bound_search(self, coarse_grid,
+                                                          monkeypatch):
+        # rows are evaluated exactly in the order, and up to the row, that
+        # their coarse bounds give: 77 pairs over these families
         total = 0
         for pset in seeded_families():
             result, pairs = exact_pairs(pset, coarse_grid, monkeypatch)
             mat = gap_matrix(pset, coarse_grid)
             assert result == central_from_matrix(mat)
             assert len(pairs) == len(set(pairs))
-            assert set(pairs) == full_bound_search(mat, row_bounds(
-                pset, coarse_grid)[1])
+            assert set(pairs) == coarse_bound_search(
+                mat, coarse_row_bounds(pset, coarse_grid))
             total += len(pairs)
         assert total == 77
 
-    def test_full_grid_bound_prunes_a_row_the_coarse_one_keeps(
-            self, coarse_grid, monkeypatch):
-        pset = random_family(np.random.default_rng(72), 4, 1, 1)
-        oracle = central_from_matrix(gap_matrix(pset, coarse_grid))
-        coarse, full = row_bounds(pset, coarse_grid)
-        best = (oracle.epsilon, oracle.index)
-        kept = [i for i in range(4)
-                if i != oracle.index and (coarse[i], i) <= best < (full[i], i)]
-        assert kept
-        result, pairs = exact_pairs(pset, coarse_grid, monkeypatch)
-        assert result == oracle
-        assert len(pairs) == len(pset) - 1
-
     def test_central_row_not_first_on_coarse_bounds(self, coarse_grid,
                                                     monkeypatch):
-        # the central row is still the first evaluated exactly, as its
-        # full-grid bound is the smallest
+        # the row first on coarse bounds is evaluated exactly first; the
+        # central row's bound does not lose to its maximum, so it follows
         pset = random_family(np.random.default_rng(148), 4, 3, 5)
         mat = gap_matrix(pset, coarse_grid)
         oracle = central_from_matrix(mat)
-        coarse, full = row_bounds(pset, coarse_grid)
-        assert min(range(4), key=lambda i: (coarse[i], i)) != oracle.index
+        coarse = coarse_row_bounds(pset, coarse_grid)
+        first = min(range(4), key=lambda i: (coarse[i], i))
+        assert first != oracle.index
         result, pairs = exact_pairs(pset, coarse_grid, monkeypatch)
         assert result == oracle
-        assert set(pairs) == full_bound_search(mat, full)
-        assert all(oracle.index in pair for pair in pairs[:len(pset) - 1])
+        assert set(pairs) == coarse_bound_search(mat, coarse)
+        assert all(first in pair for pair in pairs[:len(pset) - 1])
+        assert all(oracle.index in pair for pair in pairs[len(pset) - 1:])
 
     def test_coarse_values_are_the_grids_own(self, coarse_grid):
         # each coarse bound is a maximum over a subset of the very values
-        # the full grid holds, so it never exceeds the full-grid bound; all
-        # pairs' coarse values, taken in one stacked batch, are each pair's
-        # own bit for bit
+        # the full grid holds, so it never exceeds the grid maximum the peak
+        # refinement starts from; all pairs' coarse values, taken in one
+        # stacked batch, are each pair's own bit for bit
         pset = random_family(np.random.default_rng(39), 4, 3, 5)
         samples = [sample(p, coarse_grid) for p in pset]
         pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
@@ -529,10 +551,7 @@ class TestCentralPlant:
         assert stacked.shape == (len(pairs), coarse_grid.points[::COARSE_STRIDE].size)
         for (i, j), row in zip(pairs, stacked):
             full = rssd.vgap._grid_sigma(samples[i], samples[j])
-            coarse = rssd.vgap._grid_sigma(samples[i], samples[j],
-                                           slice(None, None, COARSE_STRIDE))
-            assert np.array_equal(coarse, full[::COARSE_STRIDE])
-            assert np.array_equal(row, coarse)
+            assert np.array_equal(row, full[::COARSE_STRIDE])
 
     def test_end_members_with_one_factor(self, coarse_grid):
         # pair (i, j), i < j, reads P_j's left factor and P_i's right one:
