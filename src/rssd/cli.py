@@ -148,11 +148,12 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out) -> dict:
     eig_keys = ["re", "im", "zeta", "wn"]
 
     def one(plant):
-        """(margins.json entry, curves by column); a plant whose loop or
-        curves fail gets an error entry and no files."""
+        """(margins.json entry, curves by column); a plant whose loop,
+        curves or margins fail gets an error entry and no files."""
         try:
             cl = closed_loop(augment_plant(w_out, plant, w_in), gain)
             curves = sensitivity_curves(cl, grid)
+            margins = disk_margin(cl) if cl.stable else None
         except RssdError as exc:
             return {"error": str(exc)}, None
         tables = {"eigenvalues": [
@@ -160,9 +161,8 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out) -> dict:
              "zeta": e.damping, "wn": e.natural_frequency}
             for e in sorted_spectrum(cl.eigenvalues)
         ]}
-        if not cl.stable:
+        if margins is None:
             return {"unstable": True, **tables}, curves
-        margins = disk_margin(cl)
         tables.update({
             "unstable": False,
             "gsm": margins.gsm,

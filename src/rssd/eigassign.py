@@ -62,10 +62,7 @@ class ModeTarget:
             raise DimensionMismatch(f"unknown mode kind {self.kind!r}")
         if not (0 < self.wn_lo <= self.wn_hi):
             raise DimensionMismatch("natural-frequency bounds must be positive")
-        object.__setattr__(self, "entries", tuple(
-            e if isinstance(e, EntryConstraint) else EntryConstraint(*e)
-            for e in self.entries
-        ))
+        object.__setattr__(self, "entries", tuple(self.entries))
 
 
 @dataclass(frozen=True)

@@ -43,18 +43,11 @@ class StateSpacePlant:
     label: str = ""
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        n = A.shape[0]
+        A, B, C = (np.atleast_2d(np.asarray(M, dtype=float))
+                   for M in (self.A, self.B, self.C))
+        n, m, r = A.shape[0], B.shape[1], C.shape[0]
         if A.shape != (n, n):
             raise DimensionMismatch(f"A must be square, got {A.shape}")
-        B = np.asarray(self.B, dtype=float)
-        if B.ndim == 1:
-            B = B.reshape(n, -1) if n else B.reshape(0, B.size)
-        m = B.shape[1]
-        C = np.asarray(self.C, dtype=float)
-        if C.ndim == 1:
-            C = C.reshape(-1, n) if n else C.reshape(C.size, 0)
-        r = C.shape[0]
         object.__setattr__(self, "A", _as_matrix(A, n, n, "A"))
         object.__setattr__(self, "B", _as_matrix(B, n, m, "B"))
         object.__setattr__(self, "C", _as_matrix(C, r, n, "C"))
@@ -285,13 +278,9 @@ class CompensatorBank:
     side: str = "in"  # "in" (pre) or "out" (post)
 
     def __post_init__(self):
-        secs = tuple(
-            s if isinstance(s, FirstOrderSection) else FirstOrderSection(*s)
-            for s in self.sections
-        )
-        if not secs:
+        if not self.sections:
             raise DimensionMismatch("compensator bank must be nonempty")
-        object.__setattr__(self, "sections", secs)
+        object.__setattr__(self, "sections", tuple(self.sections))
 
     def __len__(self):
         return len(self.sections)

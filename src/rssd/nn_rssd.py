@@ -319,16 +319,15 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
         "jbar": jbar0,
         "history": [],
         "result": None,
-        "invocations": 0,
         "rssd_gens": 0,
     }
     inner_boxes = rssd_boxes(target)
 
     def run_inner(p_cp, cp_idx, w_in, w_out):
         target.require_states(p_cp.n)
-        state["invocations"] += 1
+        # each J1bar drop appends to the history and starts one invocation
         inner_seed = int(np.random.SeedSequence(
-            [rssd_cfg.seed, state["invocations"]]).generate_state(1)[0])
+            [rssd_cfg.seed, len(state["history"])]).generate_state(1)[0])
         cfg = replace(rssd_cfg, seed=inner_seed)
         jbar = state["jbar"]
         hit = {}
@@ -377,7 +376,7 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
         j1_history=state["history"], j2=res.get("j2"),
         cp_index=res.get("cp_index"), desired_eigenvalues=res.get("eigenvalues"),
         verification=verification, scp_generations=outer.generations,
-        rssd_invocations=state["invocations"],
+        rssd_invocations=len(state["history"]),
         rssd_generations=state["rssd_gens"],
         seeds={"scp": scp_cfg.seed, "rssd": rssd_cfg.seed},
     )

@@ -93,10 +93,7 @@ class Scenario:
             raise DimensionMismatch("duration must be finite")
         if self.duration < 10.0 * self.dt:
             raise DimensionMismatch("duration must cover at least 10 steps")
-        ref = tuple(s if isinstance(s, SignalSpec) else SignalSpec(**s)
-                    for s in self.reference)
-        dist = tuple(s if isinstance(s, SignalSpec) else SignalSpec(**s)
-                     for s in self.disturbance)
+        ref, dist = tuple(self.reference), tuple(self.disturbance)
         for s in ref + dist:
             if s.kind == "doublet" and s.width <= self.dt:
                 raise DimensionMismatch("doublet pulse width must exceed dt")

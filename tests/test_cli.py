@@ -117,7 +117,7 @@ MIMO_SIM_SCENARIO = {
 def mimo_analyze_inputs(tmp_path):
     """(plant set, controller) paths for four seeded 3x2 plants under one
     gain and dynamic banks: loops a, b (D != 0) and c stable, d unstable."""
-    from rssd.lti import CompensatorBank
+    from rssd.lti import CompensatorBank, FirstOrderSection
     rng = np.random.default_rng(28)
     plants = []
     for label, feed, unstable in (("a", 0.0, False), ("b", 0.4, False),
@@ -132,9 +132,11 @@ def mimo_analyze_inputs(tmp_path):
     fileio.save_plantset(PlantSet(tuple(plants)), plant_path)
     fileio.save_controller(
         -0.15 * rng.normal(size=(2, 3)),
-        CompensatorBank(((1.0, 2.0, 1.0, 4.0), (0.0, 1.0, 0.0, 1.0)), "in"),
-        CompensatorBank(((0.0, 3.0, 1.0, 3.0), (0.5, 1.0, 1.0, 2.0),
-                         (0.0, 1.0, 0.0, 1.0)), "out"), controller)
+        CompensatorBank(tuple(FirstOrderSection(*c) for c in (
+            (1.0, 2.0, 1.0, 4.0), (0.0, 1.0, 0.0, 1.0))), "in"),
+        CompensatorBank(tuple(FirstOrderSection(*c) for c in (
+            (0.0, 3.0, 1.0, 3.0), (0.5, 1.0, 1.0, 2.0),
+            (0.0, 1.0, 0.0, 1.0))), "out"), controller)
     return str(plant_path), str(controller)
 
 
@@ -426,6 +428,27 @@ class TestAnalyzeCommand:
         margins = json.loads((tmp_path / "margins.json").read_text())
         assert all(list(entry) == ["error"] for entry in margins.values())
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_margin_failure_records_error(self, tmp_path, capsys):
+        # 1e160/(s + 1)'s Hamiltonian overflows, so its disk margin fails:
+        # an error entry and no files for it, the other plant still written
+        from rssd.lti import CompensatorBank
+        plants, controller = tmp_path / "plants.json", tmp_path / "k.json"
+        fileio.save_plantset(PlantSet((
+            StateSpacePlant.siso(-1.0, 1e160, "big"),
+            StateSpacePlant.siso(-1.0, 1.0, "unit"))), plants)
+        fileio.save_controller(np.array([[-1.0]]),
+                               CompensatorBank.identity(1, "in"),
+                               CompensatorBank.identity(1, "out"), controller)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run("analyze", str(plants), "--controller", str(controller),
+                       "--out", str(out)) == 0
+        margins = json.loads((out / "margins.json").read_text())
+        assert list(margins["big"]) == ["error"]
+        assert not margins["unit"]["unstable"]
+        assert sorted(p.name for p in out.glob("*.csv")) == [
+            "curves_1_unit.csv", "eigenvalues_1_unit.csv"]
 
     def test_outputs_pinned(self, tmp_path, controller):
         assert run("analyze", FAMILY, "--config", CONFIG, "--controller",

@@ -141,6 +141,40 @@ class TestEntryConstraints:
             select_vectors([allowable_subspace(A, B, lam)], target, ((0.5,),))
 
 
+class TestComplexEntryConstraints:
+    # a complex mode's entries are complex: the NAV target constrains
+    # entries of both its complex pairs
+    LAM = complex(-1.5, 2.0)
+    ENTRIES = (EntryConstraint(0, 0.0, 0.5, -0.5, 0.0),
+               EntryConstraint(2, -0.5, 0.0, 0.0, 0.5))
+
+    def assign(self, values):
+        rng = np.random.default_rng(5)
+        A, B = rng.normal(size=(4, 4)), rng.normal(size=(4, 2))
+        mode = ModeTarget("complex", 0.5, 5.0, self.ENTRIES[:len(values)])
+        W, R = select_vectors([allowable_subspace(A, B, self.LAM)],
+                              EigTarget((mode,), zeta_min=0.3), (values,))
+        return A, B, R[:, 0] + 1j * R[:, 1], W[:, 0] + 1j * W[:, 1]
+
+    @pytest.mark.parametrize("values", [(0.3 - 0.2j,),
+                                        (0.3 - 0.2j, -0.4 + 0.1j)])
+    def test_entries_met_on_the_subspace(self, values):
+        A, B, r, w = self.assign(values)
+        np.testing.assert_allclose([r[e.state] for e in self.ENTRIES[:len(values)]],
+                                   values, rtol=0.0, atol=1e-12)
+        residual = (A - self.LAM * np.eye(4)) @ r + B @ w
+        scale = (np.linalg.norm(A) + abs(self.LAM) + np.linalg.norm(B)) \
+            * np.linalg.norm(np.concatenate([r, w]))
+        assert np.linalg.norm(residual) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("values", [(0.52 - 0.2j,),
+                                        (0.3 - 0.2j, -0.4 + 0.52j)])
+    def test_value_outside_its_box_rejected(self, values):
+        # each box is 0.5 wide, so 0.02 outside exceeds the 1% slack
+        with pytest.raises(BoundViolation):
+            self.assign(values)
+
+
 class TestDampingRegion:
     def test_boundary_damping_accepted(self):
         target = EigTarget((ModeTarget("real", 0.1, 10.0),), zeta_min=0.3)

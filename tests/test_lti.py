@@ -33,6 +33,12 @@ class TestStateSpacePlant:
             StateSpacePlant(np.zeros((2, 2)), np.ones((3, 1)),
                             np.ones((1, 2)), np.zeros((1, 1)))
 
+    def test_one_dimensional_b_rejected(self):
+        # B is an n x m matrix: a 1-D B with n > 1 is a 1 x n row, not a column
+        with pytest.raises(DimensionMismatch, match="^B: "):
+            StateSpacePlant(np.zeros((2, 2)), np.ones(2),
+                            np.ones((1, 2)), np.zeros((1, 1)))
+
     def test_static_gain(self):
         p = StateSpacePlant.from_gain(np.array([[2.0]]))
         assert p.n == 0

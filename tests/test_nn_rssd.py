@@ -198,6 +198,18 @@ class TestJ2Fitness:
         j2, K = j2_fitness(p, genome, target)
         assert j2 == PENALTY and K is None
 
+    def test_eigenvalue_right_of_sigma_max_penalized_first(self, monkeypatch):
+        # -1 lies right of sigma_max = -2: penalized before any subspace
+        calls = []
+        monkeypatch.setattr(rssd.nn_rssd, "allowable_subspace",
+                            lambda *args: calls.append(args))
+        p = StateSpacePlant.siso(1.0, 1.0)
+        target = EigTarget((ModeTarget("real", 0.5, 5.0),), zeta_min=0.3,
+                           sigma_max=-2.0)
+        genome = decode_rssd_genome([1.0], target)
+        assert j2_fitness(p, genome, target) == (PENALTY, None)
+        assert calls == []
+
 
 class TestVerifyLemma:
     def test_ill_posed_member_is_not_stable(self):
@@ -251,6 +263,29 @@ class TestRunNnRssd:
         assert not report.feasible
         assert report.j1_history == []
         assert report.gain is None
+
+    def test_refused_banks_score_two(self, grid, monkeypatch):
+        # c = 0 with a != 0 makes every section improper: decode_banks
+        # refuses each genome, which scores 2.0 and starts no inner search
+        results = []
+        real = rssd.nn_rssd.ga_minimize
+
+        def spy(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(rssd.nn_rssd, "ga_minimize", spy)
+        improper = ((1.0, 2.0), (1.0, 1.0), (0.0, 0.0), (1.0, 1.0))
+        constraints = ScpConstraints(improper, improper, dc_floor_db=0.0,
+                                     band=(0.01, 0.1))
+        _, target = family_setup()
+        report = run_nn_rssd(family(), constraints, target,
+                             GaConfig(population=6, max_generations=3, seed=7),
+                             GaConfig(population=6, max_generations=3, seed=11),
+                             grid)
+        assert [r.history for r in results] == [[2.0] * 3]
+        assert report.rssd_invocations == 0 and report.j1_history == []
+        assert not report.feasible
 
     def test_each_member_sampled_once_per_run(self, grid, monkeypatch):
         # every J1, J1bar0's under identity banks among them, reuses the

@@ -289,6 +289,15 @@ class TestCheckConstraints:
         assert not report.passed
         assert any("cancels" in r for r in report.reasons)
 
+    def test_compensator_pole_on_plant_zero_flagged(self):
+        # a section pole at -2 cancels the zero of (s+2)/((s+1)(s+3))
+        pset = PlantSet((siso([1.0, 2.0], [1.0, 4.0, 3.0]),))
+        w_in = CompensatorBank((FirstOrderSection(0.0, 2.0, 1.0, 2.0),), "in")
+        _, w_out = identity_banks(1, 1)
+        report = check_constraints(under((w_in, w_out), pset), self.make())
+        assert [r for r in report.reasons if "cancels" in r] == [
+            "plant 0: compensator pole -2 cancels a plant zero"]
+
 
 def siso(num, den):
     """Controllable-canonical realization of num(s)/den(s), den monic and

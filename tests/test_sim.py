@@ -92,9 +92,10 @@ def mimo_case(seed):
     plant = StateSpacePlant(np.diag(-rng.uniform(0.5, 3.0, 3)),
                             rng.normal(size=(3, 2)), rng.normal(size=(3, 3)),
                             0.3 * rng.normal(size=(3, 2)))
-    w_in = CompensatorBank(((1.0, 2.0, 1.0, 4.0), (0.0, 1.0, 0.0, 1.0)), "in")
-    w_out = CompensatorBank(((0.0, 3.0, 1.0, 3.0), (0.5, 1.0, 1.0, 2.0),
-                             (0.0, 1.0, 0.0, 1.0)), "out")
+    w_in = CompensatorBank(tuple(FirstOrderSection(*c) for c in (
+        (1.0, 2.0, 1.0, 4.0), (0.0, 1.0, 0.0, 1.0))), "in")
+    w_out = CompensatorBank(tuple(FirstOrderSection(*c) for c in (
+        (0.0, 3.0, 1.0, 3.0), (0.5, 1.0, 1.0, 2.0), (0.0, 1.0, 0.0, 1.0))), "out")
     gain = -0.2 * rng.normal(size=(2, 3))
     assert closed_loop(augment_plant(w_out, plant, w_in), gain).stable
     return plant, gain, w_in, w_out
@@ -293,8 +294,8 @@ def fixture_case(index):
     """A fixture plant under the fixture's synthesized controller, rounded."""
     plant = fileio.load_plantset(CONFIGS / "three_plant_family.json")[index]
     return (plant, np.array([[-1.28]]),
-            CompensatorBank(((0.0, 4.54, 0.0, 1.0),), "in"),
-            CompensatorBank(((0.0, 4.43, 0.0, 1.0),), "out"))
+            CompensatorBank((FirstOrderSection(0.0, 4.54, 0.0, 1.0),), "in"),
+            CompensatorBank((FirstOrderSection(0.0, 4.43, 0.0, 1.0),), "out"))
 
 
 class TestRecurrence:
