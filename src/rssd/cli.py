@@ -31,7 +31,6 @@ EXIT_NUMERIC = 4
 
 _FLAGS = {
     "--config": {"help": "run-configuration JSON file"},
-    "--seed": {"type": int, "help": "override the config seed"},
     "--controller": {"required": True, "help": "controller JSON file"},
     "--scenario": {"required": True, "help": "scenario JSON file"},
 }
@@ -40,7 +39,7 @@ _SUBCOMMANDS = {
     "vgap": ("pairwise nu-gap matrix and central-plant report",
              ("--config",)),
     "synth": ("two-level GA synthesis of compensators and gain",
-              ("--config", "--seed")),
+              ("--config",)),
     "analyze": ("closed-loop curves, eigenvalues, and margins",
                 ("--config", "--controller")),
     "sim": ("linear closed-loop time simulation", ("--controller", "--scenario")),
@@ -105,18 +104,13 @@ def cmd_vgap(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.seed is not None and args.seed < 0:  # numpy's generators refuse it
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     pset = fileio.load_plantset(args.plantset)
     cfg = _config(args)
-    seed = args.seed if args.seed is not None else cfg.seed
-    if seed is None:
-        raise UsageError("synth requires a seed (config or --seed)")
-    if cfg.constraints is None or cfg.target is None:
-        raise UsageError("synth requires constraints and target in the config")
+    if any(v is None for v in (cfg.seed, cfg.constraints, cfg.target)):
+        raise UsageError("synth requires seed, constraints and target in the config")
     report = run_nn_rssd(pset, cfg.constraints, cfg.target,
-                         replace(cfg.ga_scp, seed=seed),
-                         replace(cfg.ga_rssd, seed=seed + 1), cfg.grid)
+                         replace(cfg.ga_scp, seed=cfg.seed),
+                         replace(cfg.ga_rssd, seed=cfg.seed + 1), cfg.grid)
     obj = {
         "feasible": report.feasible,
         "gain": _matrix_list(report.gain),

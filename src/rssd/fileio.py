@@ -43,17 +43,27 @@ def _load_json(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-# Every reader below takes its JSON leaves through these four helpers alone.
+# Every reader below takes its JSON objects through _object and its leaves
+# through the four helpers after it alone.
 
 REQUIRED = object()  # _field's default for a key that must be present
 
 
-def _field(obj, key: str, where: str, default=REQUIRED, kind=object):
-    """``obj[key]`` of the JSON object ``obj``, ``default`` if it is absent
-    or null.  A present value must be a ``kind``; an int or a float one is
-    read by _number."""
+def _object(obj, where: str, keys) -> dict:
+    """``obj`` if it is a JSON object whose every key is one of ``keys``, the
+    keys its format defines: a typo is refused, never read as a default."""
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ParseError(f"{where}: unknown keys {unknown}")
+    return obj
+
+
+def _field(obj, key: str, where: str, default=REQUIRED, kind=object):
+    """``obj[key]`` of the ``_object`` ``obj``, ``default`` if it is absent
+    or null.  A present value must be a ``kind``; an int or a float one is
+    read by _number."""
     value = obj.get(key)
     if value is None:
         if default is REQUIRED:
@@ -105,6 +115,7 @@ def _matrix_obj(M) -> dict:
 
 
 def _matrix_from(obj, where: str) -> np.ndarray:
+    _object(obj, where, ("rows", "cols", "data"))
     rows, cols = (_field(obj, k, where, kind=int) for k in ("rows", "cols"))
     data = _list(_field(obj, "data", where), f"{where} data", rows * cols)
     return np.array([_number(v, f"{where} data") for v in data],
@@ -132,10 +143,12 @@ def plantset_obj(pset: PlantSet) -> dict:
 def plantset_from_obj(obj) -> PlantSet:
     """The plant set, with labels fit to key reports and name output files:
     unique and free of path separators."""
+    _object(obj, "plant set", ("schema", "plants"))
     if _field(obj, "schema", "plant set", SCHEMA_VERSION, int) != SCHEMA_VERSION:
         raise ParseError(f"plant set: schema is not {SCHEMA_VERSION}")
     plants = []
     for i, entry in enumerate(_field(obj, "plants", "plant set", kind=list)):
+        _object(entry, f"plant {i}", ("label", "n", "m", "r", "A", "B", "C", "D"))
         label = _field(entry, "label", f"plant {i}", "", str) or f"plant{i}"
         where = f"plant {i} ({label})"
         if "/" in label or "\\" in label:
@@ -192,6 +205,7 @@ def _bank_from(obj, key: str, side: str) -> CompensatorBank:
 
 def controller_from_obj(obj):
     """(gain, w_in, w_out) from a controller object."""
+    _object(obj, "controller", ("schema", "gain", "w_in", "w_out"))
     if _field(obj, "schema", "controller", SCHEMA_VERSION, int) != SCHEMA_VERSION:
         raise ParseError(f"controller: schema is not {SCHEMA_VERSION}")
     return (_matrix_from(_field(obj, "gain", "controller"), "controller gain"),
@@ -219,23 +233,23 @@ class RunConfig:
 
 
 def _grid_from(obj, where: str = "config grid") -> FrequencyGrid:
-    points = _field(obj, "points", where, None, list)
-    if points is None:
-        points = np.logspace(_field(obj, "lo_exp", where, kind=float),
-                             _field(obj, "hi_exp", where, kind=float),
-                             _field(obj, "count", where, kind=int))
-    else:
-        points = [_number(v, f"{where} points") for v in points]
-    return _build(FrequencyGrid, where, np.asarray(points, dtype=float))
+    _object(obj, where, ("lo_exp", "hi_exp", "count"))
+    return _build(FrequencyGrid, where,
+                  np.logspace(_field(obj, "lo_exp", where, kind=float),
+                              _field(obj, "hi_exp", where, kind=float),
+                              _field(obj, "count", where, kind=int)))
 
 
 def _target_from(obj, where: str = "config target") -> EigTarget:
+    _object(obj, where, ("modes", "zeta_min", "sigma_max"))
     modes = []
     for i, mode in enumerate(_field(obj, "modes", where, kind=list)):
         mw = f"{where} mode {i}"
+        _object(mode, mw, ("kind", "wn_lo", "wn_hi", "entries"))
         entries = []
         for j, e in enumerate(_field(mode, "entries", mw, [], list)):
             ew = f"{mw} entry {j}"
+            _object(e, ew, ("state", "re_lo", "re_hi", "im_lo", "im_hi"))
             entries.append(_build(
                 EntryConstraint, ew, _field(e, "state", ew, kind=int),
                 _field(e, "re_lo", ew, kind=float),
@@ -256,22 +270,20 @@ def _constraints_from(obj, where: str = "config constraints") -> ScpConstraints:
         return tuple(_number(v, f"{where} {key}")
                      for v in _list(value, f"{where} {key}", 2))
 
+    _object(obj, where, ("in_boxes", "out_boxes", "dc_floor_db", "band"))
     return _build(ScpConstraints, where, *(
         tuple(pair(box, key) for box in _field(obj, key, where, kind=list))
         for key in ("in_boxes", "out_boxes")),
         _field(obj, "dc_floor_db", where, kind=float),
-        pair(_field(obj, "band", where), "band"),
-        _field(obj, "cancellation_tol", where, 1e-4, float))
+        pair(_field(obj, "band", where), "band"))
 
 
 def _ga_from(obj, key: str) -> GaConfig:
     """A GA budget: the operators are constants and the seed is the run's,
-    so any key but these two is unknown."""
+    so a budget object holds these two keys alone."""
     where = f"config {key}"
-    budget = _field(obj, key, "config", {}, dict)
-    unknown = sorted(set(budget) - {"population", "max_generations"})
-    if unknown:
-        raise ParseError(f"{where} options {unknown} are unknown")
+    budget = _object(_field(obj, key, "config", {}), where,
+                     ("population", "max_generations"))
     return _build(GaConfig, where,
                   **{k: _field(budget, k, where, kind=int) for k in budget})
 
@@ -281,6 +293,8 @@ def config_from_obj(obj) -> RunConfig:
         value = _field(obj, key, "config", None)
         return None if value is None else read(value)
 
+    _object(obj, "config", ("grid", "constraints", "target", "ga_scp",
+                            "ga_rssd", "seed"))
     return RunConfig(
         grid=optional("grid", _grid_from) or FrequencyGrid.default(),
         constraints=optional("constraints", _constraints_from),
@@ -298,6 +312,7 @@ def load_config(path) -> RunConfig:
 # --- scenarios --------------------------------------------------------------
 
 def _signal_from(obj, where: str) -> SignalSpec:
+    _object(obj, where, ("kind", "magnitude", "start", "width"))
     return _build(SignalSpec, where, _field(obj, "kind", where, "zero", str),
                   *(_field(obj, k, where, 0.0, float)
                     for k in ("magnitude", "start", "width")))
@@ -310,6 +325,8 @@ METRIC_DEFAULTS = {"error_band": 0.0087, "rms_ceiling": 0.0873,
 
 def scenario_from_obj(obj) -> tuple[Scenario, dict]:
     """(scenario, tracking_metrics keyword arguments) from a scenario object."""
+    _object(obj, "scenario", ("reference", "disturbance", "uncertainty", "dt",
+                              "duration", "metrics"))
     reference, disturbance = (
         tuple(_signal_from(s, f"scenario {key} {i}") for i, s in
               enumerate(_field(obj, key, "scenario", default, list)))
@@ -317,13 +334,15 @@ def scenario_from_obj(obj) -> tuple[Scenario, dict]:
     u = _field(obj, "uncertainty", "scenario", None)
     where = "scenario uncertainty"
     uncertainty = None if u is None else UncertaintyInjection(
-        _section_from(_field(u, "weight", where), f"{where} weight"),
+        _section_from(_field(_object(u, where, ("weight", "channel", "delta")),
+                             "weight", where), f"{where} weight"),
         _field(u, "channel", where, kind=int),
         _field(u, "delta", where, 1.0, float))
     scenario = _build(Scenario, "scenario", reference, disturbance, uncertainty,
                       _field(obj, "dt", "scenario", 1e-3, float),
                       _field(obj, "duration", "scenario", 10.0, float))
-    spec = _field(obj, "metrics", "scenario", {}, dict)
+    spec = _object(_field(obj, "metrics", "scenario", {}), "scenario metrics",
+                   METRIC_DEFAULTS)
     metrics = {key: _field(spec, key, "scenario metrics", default, float)
                for key, default in METRIC_DEFAULTS.items()}
     if metrics["steady_after"] >= scenario.duration:

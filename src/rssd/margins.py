@@ -149,15 +149,17 @@ def crossings(sys: StateSpacePlant, gamma: float) -> np.ndarray:
     so a near-touch of gamma counts as a crossing."""
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     try:
-        r_inv = np.linalg.inv(gamma**2 * np.eye(sys.m) - D.T @ D)
-        b_r = B @ r_inv
-        ah = A + b_r @ D.T @ C
-        n = sys.n
-        H = np.empty((2 * n, 2 * n))
-        H[:n, :n] = ah
-        H[:n, n:] = b_r @ B.T
-        H[n:, :n] = -C.T @ (np.eye(sys.r) + D @ r_inv @ D.T) @ C
-        H[n:, n:] = -ah.T
+        # an entry of H that overflows is refused by eigvals, not warned of
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_inv = np.linalg.inv(gamma**2 * np.eye(sys.m) - D.T @ D)
+            b_r = B @ r_inv
+            ah = A + b_r @ D.T @ C
+            n = sys.n
+            H = np.empty((2 * n, 2 * n))
+            H[:n, :n] = ah
+            H[:n, n:] = b_r @ B.T
+            H[n:, :n] = -C.T @ (np.eye(sys.r) + D @ r_inv @ D.T) @ C
+            H[n:, n:] = -ah.T
         lam = np.linalg.eigvals(H)
     except OverflowError as exc:
         raise ComputationFailed(f"gamma^2 overflows at gamma={gamma:.6g}") from exc

@@ -32,6 +32,7 @@ from .vgap import SampledPlant, central_plant, spectrum_counts
 
 FEEDTHROUGH_TOL = 1e-6  # |1 - s^2| of a singular value s of D: H(1) undecided
 BAND_EDGE_RTOL = 1e-9  # a crossing this close outside the band is on its edge
+CANCELLATION_RTOL = 1e-4  # |c - p| <= this * max(1, |p|): section root c cancels p
 ORIGIN_OMEGA = 1e-12  # w -> 0+ for DC and lo = 0 when a pole sits at the origin
 ZERO_RANK_RTOL = 1e-12  # rank threshold of transmission_zeros' deflation
 
@@ -48,7 +49,6 @@ class ScpConstraints:
     out_boxes: tuple
     dc_floor_db: float
     band: tuple
-    cancellation_tol: float = 1e-4
 
     def __post_init__(self):
         lo, hi = self.band
@@ -56,8 +56,6 @@ class ScpConstraints:
             raise DimensionMismatch("crossover band must satisfy 0 <= lo < hi < inf")
         if not np.isfinite(self.dc_floor_db):
             raise DimensionMismatch("DC floor must be finite")
-        if not 0 <= self.cancellation_tol < np.inf:
-            raise DimensionMismatch("cancellation tolerance must be finite and >= 0")
         for name in ("in_boxes", "out_boxes"):
             boxes = tuple((float(a), float(b)) for a, b in getattr(self, name))
             if not all(-np.inf < a <= b < np.inf for a, b in boxes):
@@ -214,8 +212,8 @@ def _bank_poles_zeros(bank: CompensatorBank):
     return np.asarray(poles, float), np.asarray(zeros, float)
 
 
-def _near(a, b, tol) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(b))
+def _near(a, b) -> bool:
+    return abs(a - b) <= CANCELLATION_RTOL * max(1.0, abs(b))
 
 
 def _band_violation(aug: StateSpacePlant, lo: float, hi: float,
@@ -245,7 +243,7 @@ def check_constraints(members, constraints: ScpConstraints) -> ConstraintReport:
     Passes iff (i) each augmented plant clears the DC floor on its smallest
     singular value, (ii) sigma_min stays above 0 dB on the whole crossover
     band (exactly, see ``_band_violation``), and (iii) no compensator pole or
-    zero is within cancellation tolerance of a plant pole or transmission zero.
+    zero is within ``CANCELLATION_RTOL`` of a plant pole or transmission zero.
     """
     reasons = []
     lo, hi = constraints.band
@@ -271,15 +269,13 @@ def check_constraints(members, constraints: ScpConstraints) -> ConstraintReport:
         band = _band_violation(aug, lo, hi, smin_lo)
         if band is not None:
             reasons.append(f"plant {idx}: {band}")
-        p_zeros = member.zeros
-        tol = constraints.cancellation_tol
         for cz in c_zeros:
-            if any(_near(cz, pp, tol) for pp in p_poles):
+            if any(_near(cz, pp) for pp in p_poles):
                 reasons.append(
                     f"plant {idx}: compensator zero {cz:.6g} cancels a plant pole"
                 )
         for cp in c_poles:
-            if any(_near(cp, pz, tol) for pz in p_zeros):
+            if any(_near(cp, pz) for pz in member.zeros):
                 reasons.append(
                     f"plant {idx}: compensator pole {cp:.6g} cancels a plant zero"
                 )

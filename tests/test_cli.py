@@ -251,15 +251,6 @@ class TestSynthCommand:
         assert ((out1 / "controller.json").read_bytes()
                 == (out2 / "controller.json").read_bytes())
 
-    def test_seed_override_changes_run(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        run("synth", FAMILY, "--config", CONFIG, "--out", str(out1))
-        run("synth", FAMILY, "--config", CONFIG, "--seed", "99",
-            "--out", str(out2))
-        r1 = json.loads((out1 / "synthesis_report.json").read_text())
-        r2 = json.loads((out2 / "synthesis_report.json").read_text())
-        assert r1["seeds"] != r2["seeds"]
-
     def test_missing_seed_usage_error(self, tmp_path):
         cfg = json.loads(Path(CONFIG).read_text())
         del cfg["seed"]
@@ -268,12 +259,18 @@ class TestSynthCommand:
         assert run("synth", FAMILY, "--config", str(path),
                    "--out", str(tmp_path)) == 2
 
-    def test_negative_seed_usage_error(self, tmp_path, capsys):
-        # numpy's generators take no negative seed: it ended in a traceback
+    @pytest.mark.parametrize("key", ["constraints", "target"])
+    def test_missing_constraints_or_target_usage_error(self, tmp_path, capsys,
+                                                       key):
+        cfg = json.loads(Path(CONFIG).read_text())
+        del cfg[key]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
-        assert run("synth", FAMILY, "--config", CONFIG, "--seed", "-1",
+        assert run("synth", FAMILY, "--config", str(path),
                    "--out", str(out)) == 2
-        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert "synth requires seed, constraints and target" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_entry_state_beyond_the_plant_exit_3(self, tmp_path, capsys):
@@ -441,9 +438,8 @@ class TestAnalyzeCommand:
                                CompensatorBank.identity(1, "in"),
                                CompensatorBank.identity(1, "out"), controller)
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run("analyze", str(plants), "--controller", str(controller),
-                       "--out", str(out)) == 0
+        assert run("analyze", str(plants), "--controller", str(controller),
+                   "--out", str(out)) == 0
         margins = json.loads((out / "margins.json").read_text())
         assert list(margins["big"]) == ["error"]
         assert not margins["unit"]["unstable"]
@@ -619,7 +615,8 @@ class TestBadValues:
     # every bad number in a config or scenario is a parse error (exit 3),
     # never a traceback or a silently crippled run
     # a GA option sets the budget only: the operators are constants and the
-    # seed is the run's, so a config that sets one names an unknown key
+    # seed is the run's, so a config that sets one names an unknown key, as
+    # does any other key the format does not define
     @pytest.mark.parametrize("changes, message", [
         pytest.param({"ga_scp.populaton": 20}, "unknown", id="unknown-key"),
         pytest.param({"ga_scp.population": "abc"}, "error: ",
@@ -638,15 +635,21 @@ class TestBadValues:
                      id="band-infinite"),
         pytest.param({"constraints.band": [0.01]}, "error: ",
                      id="band-one-edge"),
-        pytest.param({"constraints.cancellation_tol": float("nan")}, "error: ",
+        pytest.param({"constraints.cancellation_tol": float("nan")},
+                     "unknown keys ['cancellation_tol']",
                      id="cancellation-tol-nan"),
-        pytest.param({"constraints.cancellation_tol": -1e-4}, "error: ",
+        pytest.param({"constraints.cancellation_tol": -1e-4},
+                     "unknown keys ['cancellation_tol']",
                      id="cancellation-tol-negative"),
         pytest.param({"constraints.in_boxes": [[0, 0], [5.0, 0.5], [0, 0], [1, 1]]},
                      "error: ", id="box-inverted"),
         pytest.param({"seed": "abc"}, "error: ", id="seed-string"),
+        # numpy's generators take no negative seed
+        pytest.param({"seed": -1}, "config seed: expected a count or index",
+                     id="seed-negative"),
         pytest.param({"ga_scp": [20, 4]}, "error: ", id="ga-options-list"),
-        pytest.param({"grid": {"points": [1.0, "x"]}}, "error: ",
+        pytest.param({"grid": {"points": [1.0, "x"]}},
+                     "config grid: unknown keys ['points']",
                      id="grid-point-string"),
     ])
     def test_bad_config_parse_exit(self, tmp_path, capsys, changes, message):
@@ -792,6 +795,8 @@ class TestFlags:
     # usage error (exit 2), not silently ignored
     @pytest.mark.parametrize("command, flag", [
         pytest.param("vgap", "--seed=1", id="vgap-seed"),
+        # the config's seed is the run's only seed
+        pytest.param("synth", "--seed=1", id="synth-seed"),
         pytest.param("analyze", "--seed=1", id="analyze-seed"),
         pytest.param("sim", "--seed=1", id="sim-seed"),
         pytest.param("sim", f"--config={CONFIG}", id="sim-config"),

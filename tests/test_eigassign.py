@@ -222,3 +222,27 @@ class TestDampingRegion:
                            sigma_max=-0.5)
         assert in_S1(np.array([-1.0, -0.5]), target)
         assert not in_S1(np.array([-1.0, -0.2]), target)
+
+
+class TestRefusals:
+    # each input guard refuses with its own typed error
+    @pytest.mark.parametrize("build, match", [
+        pytest.param(lambda: EntryConstraint(0, 1.0, -1.0), "empty bound box",
+                     id="empty-box"),
+        pytest.param(lambda: ModeTarget("imaginary", 1.0, 2.0),
+                     "unknown mode kind", id="unknown-kind"),
+        pytest.param(lambda: ModeTarget("real", 0.0, 2.0),
+                     "natural-frequency bounds", id="zero-wn"),
+        pytest.param(lambda: EigTarget((), 1.0), "zeta_min", id="zeta-min-one"),
+        pytest.param(lambda: allowable_subspace(np.eye(2), np.ones((3, 1)), -1.0),
+                     "inconsistent", id="b-rows"),
+        pytest.param(lambda: select_vectors(
+            [], EigTarget((ModeTarget("real", 1.0, 2.0),), 0.5), []),
+                     "one subspace required", id="subspace-count"),
+        pytest.param(lambda: compute_gain(np.ones((1, 2)), np.eye(2),
+                                          np.ones((1, 2))),
+                     "CR must be square", id="cr-not-square"),
+    ])
+    def test_refused(self, build, match):
+        with pytest.raises(DimensionMismatch, match=match):
+            build()

@@ -140,6 +140,78 @@ class TestScenarioIO:
                                       "metrics": {"steady_after": steady_after}})
 
 
+READERS = {
+    "nav_defaults.json": fileio.config_from_obj,
+    "three_plant_family.json": fileio.plantset_from_obj,
+    "nav_controller.json": fileio.controller_from_obj,
+    "paper_weight_scenario.json": fileio.scenario_from_obj,
+}
+
+
+class TestUnknownKeys:
+    # a key its format does not define, a typo say, is refused by name:
+    # ignored, it would leave its field at the default
+    @pytest.mark.parametrize("fixture, path, typo", [
+        pytest.param("nav_defaults.json", "", "ga_rsd", id="config"),
+        pytest.param("nav_defaults.json", "grid", "cont", id="grid"),
+        pytest.param("nav_defaults.json", "constraints", "dc_floor",
+                     id="constraints"),
+        pytest.param("nav_defaults.json", "target", "sigma_mx", id="target"),
+        pytest.param("nav_defaults.json", "target.modes.0", "wn_high",
+                     id="mode"),
+        pytest.param("nav_defaults.json", "target.modes.1.entries.0",
+                     "im_high", id="entry"),
+        pytest.param("nav_defaults.json", "ga_scp", "populaton",
+                     id="ga-budget"),
+        pytest.param("three_plant_family.json", "", "schemas", id="plant-set"),
+        pytest.param("three_plant_family.json", "plants.0", "d", id="plant"),
+        pytest.param("three_plant_family.json", "plants.0.A", "colls",
+                     id="matrix"),
+        pytest.param("nav_controller.json", "", "w_inn", id="controller"),
+        pytest.param("paper_weight_scenario.json", "", "disturbnce",
+                     id="scenario"),
+        pytest.param("paper_weight_scenario.json", "reference.0", "magnitud",
+                     id="signal"),
+        pytest.param("paper_weight_scenario.json", "uncertainty", "delt",
+                     id="uncertainty"),
+        pytest.param("paper_weight_scenario.json", "metrics", "steady",
+                     id="metrics"),
+    ])
+    def test_typo_refused(self, fixture, path, typo):
+        obj = json.loads((FIXTURES / fixture).read_text())
+        READERS[fixture](obj)  # the fixture as committed parses
+        inner = obj
+        for key in filter(None, path.split(".")):
+            inner = inner[int(key) if key.isdigit() else key]
+        inner[typo] = 1.0
+        with pytest.raises(ParseError, match=rf"unknown keys \['{typo}'\]"):
+            READERS[fixture](obj)
+
+
+def _plant_stating(n):
+    obj = fileio.plantset_obj(PlantSet((StateSpacePlant.siso(-1.0, 1.0),)))
+    obj["plants"][0]["n"] = n
+    return obj
+
+
+class TestRefusals:
+    # each input guard refuses with its own typed error
+    @pytest.mark.parametrize("build, error, match", [
+        pytest.param(lambda tmp: fileio.plantset_from_obj(_plant_stating(2)),
+                     ParseError, "stated dims", id="stated-order"),
+        pytest.param(lambda tmp: fileio.controller_from_obj(dict(
+            json.loads((FIXTURES / "nav_controller.json").read_text()),
+            schema=2)), ParseError, "controller: schema", id="controller-schema"),
+        pytest.param(lambda tmp: fileio.write_csv(tmp / "x.csv", ["a", "b"],
+                                                  [[1.0]]),
+                     DimensionMismatch, "one header per column",
+                     id="csv-headers"),
+    ])
+    def test_refused(self, tmp_path, build, error, match):
+        with pytest.raises(error, match=match):
+            build(tmp_path)
+
+
 def reference_csv(path, header, columns):
     """One csv.writer row per sample, each value through f"{v:.12g}"."""
     with open(path, "w", newline="") as fh:

@@ -182,3 +182,42 @@ class TestPlantSet:
                              np.ones((1, 1)), np.zeros((1, 2)))
         with pytest.raises(DimensionMismatch):
             PlantSet((p1, p2))
+
+
+class TestRefusals:
+    # each input guard refuses with its own typed error, never with whatever
+    # the unguarded arithmetic happens to raise
+    @pytest.mark.parametrize("build, error, match", [
+        pytest.param(lambda: StateSpacePlant([[np.nan]], [[1.0]], [[1.0]],
+                                             [[0.0]]),
+                     DimensionMismatch, "non-finite", id="non-finite-entry"),
+        pytest.param(lambda: StateSpacePlant(np.ones((2, 3)), np.ones((2, 1)),
+                                             np.ones((1, 2)), [[0.0]]),
+                     DimensionMismatch, "A must be square", id="a-not-square"),
+        pytest.param(lambda: PlantSet(()), DimensionMismatch, "nonempty",
+                     id="empty-plant-set"),
+        pytest.param(lambda: FrequencyGrid([1.0]), DimensionMismatch,
+                     "at least 2", id="one-point-grid"),
+        pytest.param(lambda: FrequencyGrid([-1.0, 1.0]), DimensionMismatch,
+                     "finite and >= 0", id="negative-grid-point"),
+        pytest.param(lambda: cascade(StateSpacePlant.from_gain(np.ones((2, 1))),
+                                     StateSpacePlant.siso(-1.0)),
+                     DimensionMismatch, "cascade", id="cascade-channels"),
+        pytest.param(lambda: augment_plant(CompensatorBank.identity(1, "out"),
+                                           StateSpacePlant.siso(-1.0),
+                                           CompensatorBank.identity(2, "in")),
+                     DimensionMismatch, "w_in has 2", id="w-in-channels"),
+        pytest.param(lambda: augment_plant(CompensatorBank.identity(2, "out"),
+                                           StateSpacePlant.siso(-1.0),
+                                           CompensatorBank.identity(1, "in")),
+                     DimensionMismatch, "w_out has 2", id="w-out-channels"),
+        pytest.param(lambda: FirstOrderSection(np.inf, 0.0, 1.0, 1.0),
+                     ImproperSection, "finite", id="infinite-coefficient"),
+        pytest.param(lambda: FirstOrderSection(0.0, 2.0, 0.0, 1.0).pole,
+                     ImproperSection, "no pole", id="static-section-pole"),
+        pytest.param(lambda: CompensatorBank((), "in"), DimensionMismatch,
+                     "nonempty", id="empty-bank"),
+    ])
+    def test_refused(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()

@@ -522,3 +522,21 @@ class TestSearchRelations:
                                    rtol=1e-14, atol=0.0)
         assert report_fields(got) == {**report_fields(want),
                                       "j1_history": got.j1_history}
+
+
+class TestRefusals:
+    # each input guard refuses with its own typed error
+    @pytest.mark.parametrize("build, match", [
+        pytest.param(lambda: GaConfig(max_generations=-1), "max_generations",
+                     id="negative-generations"),
+        pytest.param(lambda: GaConfig(seed=None), "seed is required",
+                     id="no-seed"),
+        pytest.param(lambda: ga_minimize(lambda g: 0.0, [0.0, 1.0], GaConfig()),
+                     "boxes must be", id="flat-boxes"),
+        pytest.param(lambda: decode_rssd_genome(
+            [1.0, 2.0], EigTarget((ModeTarget("real", 1.0, 2.0),), 0.5)),
+                     "genome length", id="long-genome"),
+    ])
+    def test_refused(self, build, match):
+        with pytest.raises(DimensionMismatch, match=match):
+            build()

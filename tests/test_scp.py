@@ -244,8 +244,8 @@ class TestScpConstraints:
     @pytest.mark.parametrize("change", [
         {"band": (0.01, np.inf)},
         {"band": (0.1, 0.01)},
-        {"cancellation_tol": np.nan},
-        {"cancellation_tol": -1e-4},
+        {"dc_floor_db": np.nan},
+        {"dc_floor_db": -np.inf},
         {"in_boxes": ((0.0, np.inf),) + WIDE[1:]},
         {"out_boxes": ((1.0, -1.0),) + WIDE[1:]},
     ], ids=lambda c: next(iter(c)))
@@ -279,6 +279,16 @@ class TestCheckConstraints:
         report = check_constraints(under(identity_banks(1, 1), pset),
                                    self.make(floor_db=-20.0, band=(0.1, 10.0)))
         assert not report.passed
+
+    def test_overflowing_hamiltonian_leaves_band_undecided(self):
+        # the crossing test's Hamiltonian of 1e160/(s+1) overflows: an
+        # undecided band is a violation, and no overflow warning escapes
+        pset = PlantSet((StateSpacePlant.siso(-1.0, 1e160),))
+        report = check_constraints(under(identity_banks(1, 1), pset),
+                                   self.make())
+        assert report.reasons == (
+            "plant 0: band undecided: Hamiltonian eigen-solve failed: "
+            "Array must not contain infs or NaNs",)
 
     def test_pole_zero_cancellation_flagged(self):
         # compensator zero at -1 cancels the plant pole at -1

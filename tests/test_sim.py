@@ -519,3 +519,20 @@ class TestWeightGainCurve:
         assert mag[-1] == pytest.approx(3.0, rel=1e-2)         # high frequency
         at = mag[np.searchsorted(omega, 3250.0)]
         assert at == pytest.approx(1.0, abs=0.01)              # 100 % point
+
+
+class TestRefusals:
+    # each input guard refuses with its own typed error
+    @pytest.mark.parametrize("build, match", [
+        pytest.param(lambda: SignalSpec("doublet", 1.0, 0.0, 0.0),
+                     "positive pulse width", id="doublet-no-width"),
+        pytest.param(lambda: Scenario((SignalSpec(),), duration=np.inf),
+                     "duration must be finite", id="infinite-duration"),
+        pytest.param(lambda: simulate(
+            StateSpacePlant.siso(-1.0), np.ones((1, 1)), *identity_banks(1, 1),
+            Scenario((SignalSpec(),), (SignalSpec(),) * 2)),
+                     "one disturbance spec", id="disturbance-count"),
+    ])
+    def test_refused(self, build, match):
+        with pytest.raises(DimensionMismatch, match=match):
+            build()

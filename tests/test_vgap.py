@@ -6,7 +6,7 @@ import pytest
 
 import rssd.vgap
 from conftest import random_siso, random_stable_siso
-from rssd.errors import ComputationFailed, DetVanishesOnContour
+from rssd.errors import ComputationFailed, DetVanishesOnContour, DimensionMismatch
 from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, cascade, eval_response
 from rssd.scp import j1_fitness, sampled_member
 from rssd.vgap import (
@@ -756,3 +756,18 @@ class TestInvariance:
             return StateSpacePlant(p.A, p.B @ V, U @ p.C, U @ p.D @ V)
 
         self.assert_same_gaps(pairs, rotated, coarse_grid)
+
+
+class TestRefusals:
+    # each input guard refuses with its own typed error
+    @pytest.mark.parametrize("build, match", [
+        pytest.param(lambda: sample(sample(static(1), FrequencyGrid.default()),
+                                    FrequencyGrid.default()),
+                     "different grid", id="other-grid"),
+        pytest.param(lambda: winding_number_det(
+            static(1), StateSpacePlant.from_gain(np.ones((2, 1)))),
+                     "share input/output", id="channel-counts"),
+    ])
+    def test_refused(self, build, match):
+        with pytest.raises(DimensionMismatch, match=match):
+            build()
