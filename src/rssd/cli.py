@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fileio
 from .errors import DimensionMismatch, DivergentTrace, ParseError, RssdError
-from .lti import augment_plant, sorted_spectrum
+from .lti import augment_plant, damping, sorted_spectrum
 from .margins import closed_loop, disk_margin, sensitivity_curves
 from .nn_rssd import run_nn_rssd
 from .sim import simulate, tracking_metrics
@@ -150,10 +150,11 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out) -> dict:
             margins = disk_margin(cl) if cl.stable else None
         except RssdError as exc:
             return {"error": str(exc)}, None
+        eig = sorted_spectrum(cl.eigenvalues)
+        zeta, wn = damping(eig)
         tables = {"eigenvalues": [
-            {"re": e.value.real, "im": e.value.imag,
-             "zeta": e.damping, "wn": e.natural_frequency}
-            for e in sorted_spectrum(cl.eigenvalues)
+            {"re": lam.real, "im": lam.imag, "zeta": z, "wn": w}
+            for lam, z, w in zip(eig.tolist(), zeta.tolist(), wn.tolist())
         ]}
         if margins is None:
             return {"unstable": True, **tables}, curves

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolation, DimensionMismatch, EmptySubspace, IllConditioned
+from .lti import damping
 from .margins import singular_values
 
 COND_LIMIT = 1e5
@@ -235,11 +236,9 @@ def in_S1(eigenvalues, target: EigTarget) -> bool:
     """Whether every eigenvalue lies in the damping region: open left half
     plane, damping ratio at least zeta_min, real part at most sigma_max."""
     lam = np.asarray(eigenvalues, dtype=complex)
-    if np.any(lam.real >= 0.0):
+    if not np.all(lam.real < 0.0):
         return False
-    # 0.1% slack so damping exactly on the constant-zeta line passes; hypot is
-    # eigen_info's scalar |lambda| bit for bit, vectorized complex abs is not
-    if np.any(-lam.real / np.hypot(lam.real, lam.imag)
-              < target.zeta_min * (1.0 - 1e-3)):
+    # 0.1% slack so damping exactly on the constant-zeta line passes
+    if np.any(damping(lam)[0] < target.zeta_min * (1.0 - 1e-3)):
         return False
     return target.sigma_max is None or not np.any(lam.real > target.sigma_max)

@@ -143,32 +143,25 @@ class FrequencyGrid:
         return FrequencyGrid(np.logspace(-3.0, 5.0, 400))
 
 
-@dataclass(frozen=True)
-class EigenInfo:
-    """Eigenvalue with its damping ratio and natural frequency."""
+def damping(eig) -> tuple[np.ndarray, np.ndarray]:
+    """(zeta, wn) of each eigenvalue: wn = |lambda|, zeta = -Re(lambda)/wn.
 
-    value: complex
-    damping: float
-    natural_frequency: float
-
-
-def eigen_info(lam: complex) -> EigenInfo:
-    """Damping/natural frequency of a single eigenvalue.
-
-    lam == 0 reports zeta=1, wn=0 (by convention, to avoid 0/0; origin
+    The origin reports zeta=1, wn=0 (by convention, to avoid 0/0; origin
     poles are handled by the imaginary-axis logic in the nu-gap code, not by
-    damping checks).
+    damping checks).  wn is Python's scalar abs(complex) bit for bit, which
+    numpy's vectorized complex abs is not.
     """
-    wn = abs(lam)
-    if wn == 0.0:
-        return EigenInfo(0j, 1.0, 0.0)
-    return EigenInfo(complex(lam), -lam.real / wn, wn)
+    eig = np.asarray(eig, dtype=complex)
+    wn = np.hypot(eig.real, eig.imag)
+    at_origin = wn == 0.0
+    zeta = np.where(at_origin, 1.0, -eig.real / np.where(at_origin, 1.0, wn))
+    return zeta, wn
 
 
-def sorted_spectrum(eig) -> list[EigenInfo]:
-    """Damping info of already computed eigenvalues, conjugate pairs adjacent."""
-    order = np.lexsort((np.sign(eig.imag), np.abs(eig.imag), eig.real))
-    return [eigen_info(lam) for lam in eig[order]]
+def sorted_spectrum(eig) -> np.ndarray:
+    """Already computed eigenvalues sorted by real part, conjugate pairs
+    adjacent (negative imaginary part first)."""
+    return eig[np.lexsort((np.sign(eig.imag), np.abs(eig.imag), eig.real))]
 
 
 def is_imag_axis(lam, rtol: float = IMAG_AXIS_RTOL):

@@ -11,6 +11,7 @@ quantified nu-gap robustness ball around the central plant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -171,6 +172,20 @@ class RssdGenome:
     entry_values: tuple
 
 
+# Genes per slot.  Each mode has one slot for its eigenvalue and one per
+# constrained entry; a complex pair's slots carry a second gene.
+SLOT_WIDTH = {"real": 1, "complex": 2}
+
+
+def _mode_boxes(mode, zeta_min: float) -> list:
+    """One mode's gene boxes, slot by slot: the natural frequency (and the
+    damping ratio of a complex pair), then each constrained entry's real (and
+    imaginary) part."""
+    slots = [((mode.wn_lo, mode.wn_hi), (zeta_min, 0.999))]
+    slots += [((e.re_lo, e.re_hi), (e.im_lo, e.im_hi)) for e in mode.entries]
+    return [box for slot in slots for box in slot[:SLOT_WIDTH[mode.kind]]]
+
+
 def rssd_boxes(target: EigTarget) -> np.ndarray:
     """Gene bound boxes for the eigenstructure search.
 
@@ -178,44 +193,35 @@ def rssd_boxes(target: EigTarget) -> np.ndarray:
     complex pairs), so every decode lands inside the admissible damping
     region by construction.
     """
-    boxes = []
-    for mode in target.modes:
-        boxes.append((mode.wn_lo, mode.wn_hi))
-        if mode.kind == "complex":
-            boxes.append((target.zeta_min, 0.999))
-        for e in mode.entries:
-            boxes.append((e.re_lo, e.re_hi))
-            if mode.kind == "complex":
-                boxes.append((e.im_lo, e.im_hi))
-    return np.asarray(boxes, dtype=float)
+    return np.asarray([box for mode in target.modes
+                       for box in _mode_boxes(mode, target.zeta_min)],
+                      dtype=float)
 
 
 def decode_rssd_genome(genes, target: EigTarget) -> RssdGenome:
-    genes = np.asarray(genes, dtype=float).ravel()
+    """Desired eigenvalues and entry values from genes in ``_mode_boxes``'
+    order, one mode after the other."""
+    flat = np.asarray(genes, dtype=float).ravel().tolist()
+    size = 0
+    for mode in target.modes:
+        size += SLOT_WIDTH[mode.kind] * (1 + len(mode.entries))
+    if len(flat) != size:
+        raise DimensionMismatch("genome length does not match target layout")
     eigenvalues, entry_values = [], []
     pos = 0
     for mode in target.modes:
-        wn = genes[pos]
-        pos += 1
-        if mode.kind == "complex":
-            zeta = genes[pos]
-            pos += 1
-            lam = complex(-zeta * wn, wn * np.sqrt(1.0 - zeta * zeta))
+        width = SLOT_WIDTH[mode.kind]
+        if width == 2:
+            wn, zeta = flat[pos], flat[pos + 1]
+            eigenvalues.append(complex(-zeta * wn, wn * math.sqrt(1.0 - zeta * zeta)))
         else:
-            lam = complex(-wn, 0.0)
-        eigenvalues.append(lam)
+            eigenvalues.append(complex(-flat[pos], 0.0))
         values = []
         for _ in mode.entries:
-            re = genes[pos]
-            pos += 1
-            im = 0.0
-            if mode.kind == "complex":
-                im = genes[pos]
-                pos += 1
-            values.append(complex(re, im))
+            pos += width
+            values.append(complex(*flat[pos:pos + width]))
         entry_values.append(tuple(values))
-    if pos != genes.size:
-        raise DimensionMismatch("genome length does not match target layout")
+        pos += width
     return RssdGenome(tuple(eigenvalues), tuple(entry_values))
 
 
@@ -227,16 +233,15 @@ def j2_fitness(p_cp: StateSpacePlant, genome: RssdGenome, target: EigTarget):
     damping-region check -> infinity norm of the 4-block operator, taken on
     its m-input factor (``ClosedLoop.factor``).
     """
-    if target.sigma_max is not None:
-        if any(l.real > target.sigma_max for l in genome.eigenvalues):
-            return PENALTY, None
+    if target.sigma_max is not None and not in_S1(genome.eigenvalues, target):
+        return PENALTY, None
     try:
         subs = [allowable_subspace(p_cp.A, p_cp.B, lam)
                 for lam in genome.eigenvalues]
         W, R = select_vectors(subs, target, genome.entry_values)
         K = compute_gain(W, R, p_cp.C)
         cl = closed_loop(p_cp, K)
-        if not in_S1(cl.eigenvalues, target) or not cl.stable:
+        if not in_S1(cl.eigenvalues, target):
             return PENALTY, None
         norm, _ = linf_norm(cl.factor, cl.eigenvalues)
     except (EmptySubspace, BoundViolation, IllConditioned, IllPosedLoop,
@@ -273,9 +278,9 @@ def verify_lemma(pset: PlantSet, w_in, w_out, K, p_cp, desired, target,
     augmented loop counts as not stable."""
     cl = closed_loop(p_cp, K)
     cl_eigs = cl.eigenvalues
-    assigned_ok = all(
-        np.min(np.abs(cl_eigs - lam)) < 1e-6 for lam in _with_conjugates(desired)
-    )
+    # a real matrix's spectrum holds each pair's conjugate bit for bit, so
+    # the conjugates of the desired eigenvalues need no check of their own
+    assigned_ok = all(np.min(np.abs(cl_eigs - lam)) < 1e-6 for lam in desired)
     s1_ok = in_S1(cl_eigs, target)
     margin = gsm(cl)
     margin_ok = margin > jbar
@@ -294,15 +299,6 @@ def verify_lemma(pset: PlantSet, w_in, w_out, K, p_cp, desired, target,
         "margin": float(margin),
         "all_plants_stable": bool(all_stable),
     }
-
-
-def _with_conjugates(eigenvalues):
-    out = []
-    for lam in eigenvalues:
-        out.append(lam)
-        if lam.imag != 0.0:
-            out.append(lam.conjugate())
-    return out
 
 
 def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,

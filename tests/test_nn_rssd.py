@@ -165,6 +165,24 @@ class TestGenome:
         genome = decode_rssd_genome([2.0, 0.6, 0.05, -0.1], target)
         assert genome.entry_values[0][0] == pytest.approx(0.05 - 0.1j)
 
+    def test_decode_reads_the_boxes_layout(self):
+        # disjoint boxes: a gene decoded in another gene's place leaves its box
+        real = ModeTarget("real", 0.5, 0.6, entries=(
+            EntryConstraint(0, 1.0, 1.1), EntryConstraint(1, 2.0, 2.1)))
+        pair = ModeTarget("complex", 3.0, 3.1, entries=(
+            EntryConstraint(0, 4.0, 4.1, 5.0, 5.1),))
+        target = EigTarget((real, pair), zeta_min=0.3)
+        boxes = rssd_boxes(target)
+        assert boxes.shape == (7, 2)
+        genes = np.random.default_rng(5).uniform(boxes[:, 0], boxes[:, 1])
+        genome = decode_rssd_genome(genes, target)
+        wn = [abs(lam) for lam in genome.eigenvalues]
+        assert 0.5 <= wn[0] <= 0.6 and 3.0 <= wn[1] <= 3.1
+        assert 0.3 <= -genome.eigenvalues[1].real / wn[1] <= 0.999
+        for mode, values in zip(target.modes, genome.entry_values):
+            assert len(values) == len(mode.entries)
+            assert all(e.contains(v) for e, v in zip(mode.entries, values))
+
     def test_decoded_eigenvalues_always_admissible(self):
         target = EigTarget((ModeTarget("complex", 1.0, 5.0),), zeta_min=0.4)
         rng = np.random.default_rng(12)
@@ -223,6 +241,35 @@ class TestVerifyLemma:
         result = verify_lemma(PlantSet((p_cp, ill)), *args)
         assert result["all_plants_stable"] is False
         assert result["assigned_eigenvalues"] and result["all_in_S1"]
+
+
+    def test_assigned_complex_pair(self):
+        # K = [-5, -2] places the double integrator's poles at -1 +/- 2j
+        p_cp = StateSpacePlant([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
+                               np.eye(2), np.zeros((2, 1)), "nominal")
+        target = EigTarget((ModeTarget("complex", 1.0, 5.0),), zeta_min=0.3)
+        w_in, w_out = identity_banks(1, 2)
+
+        def assigned(lam):
+            return verify_lemma(PlantSet((p_cp,)), w_in, w_out,
+                                np.array([[-5.0, -2.0]]), p_cp, (lam,), target,
+                                0.1)["assigned_eigenvalues"]
+
+        assert assigned(-1 + 2j) and assigned(-1 - 2j)
+        assert not assigned(-1 + 1e-5 + 2j)
+        assert not assigned(-1 + 2.00001j)
+
+    def test_real_spectrum_is_conjugate_closed_bit_for_bit(self):
+        # verify_lemma checks each desired eigenvalue alone: LAPACK returns a
+        # real matrix's complex eigenvalues as exact conjugate pairs
+        rng = np.random.default_rng(34)
+        pairs = 0
+        for _ in range(2000):
+            eig = np.linalg.eigvals(rng.normal(size=(8, 8)))
+            np.testing.assert_array_equal(np.sort_complex(eig),
+                                          np.sort_complex(eig.conj()))
+            pairs += np.count_nonzero(eig.imag > 0.0)
+        assert pairs > 2000
 
 
 class TestRunNnRssd:
@@ -536,6 +583,9 @@ class TestRefusals:
         pytest.param(lambda: decode_rssd_genome(
             [1.0, 2.0], EigTarget((ModeTarget("real", 1.0, 2.0),), 0.5)),
                      "genome length", id="long-genome"),
+        pytest.param(lambda: decode_rssd_genome(
+            [1.0], EigTarget((ModeTarget("complex", 1.0, 2.0),), 0.5)),
+                     "genome length", id="short-genome"),
     ])
     def test_refused(self, build, match):
         with pytest.raises(DimensionMismatch, match=match):
