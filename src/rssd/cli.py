@@ -73,7 +73,7 @@ def _out_dir(path) -> Path:
 
 
 def _config(args):
-    return fileio.load_config(args.config) if args.config else fileio.config_from_obj({})
+    return fileio.load_config(args.config) if args.config else fileio.RunConfig()
 
 
 def _matrix_list(M):

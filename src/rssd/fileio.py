@@ -10,10 +10,12 @@ csv-quoted header row, then one CRLF-ended row of %.12g values per sample
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from .eigassign import EigTarget, EntryConstraint, ModeTarget
 from .lti import CompensatorBank, FirstOrderSection, FrequencyGrid, PlantSet, StateSpacePlant
 from .nn_rssd import GaConfig
 from .scp import ScpConstraints
-from .sim import Scenario, SignalSpec, UncertaintyInjection
+from .sim import Scenario, SignalSpec, UncertaintyInjection, tracking_metrics
 
 SCHEMA_VERSION = 1
 CSV_CHUNK_ROWS = 512
@@ -33,21 +35,29 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _unique_keys(pairs) -> dict:
+    """json's object_pairs_hook: the object, or ParseError naming a key it
+    holds twice (json alone keeps the last value without a word)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    except OSError as exc:
+    except (OSError, ParseError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-# Every reader below takes its JSON objects through _object and its leaves
-# through the four helpers after it alone.
-
-REQUIRED = object()  # _field's default for a key that must be present
-
+# Every reader below takes its JSON objects through _object, each key
+# through _field and each leaf through a reader(value, where) after them.
 
 def _object(obj, where: str, keys) -> dict:
     """``obj`` if it is a JSON object whose every key is one of ``keys``, the
@@ -60,21 +70,15 @@ def _object(obj, where: str, keys) -> dict:
     return obj
 
 
-def _field(obj, key: str, where: str, default=REQUIRED, kind=object):
-    """``obj[key]`` of the ``_object`` ``obj``, ``default`` if it is absent
-    or null.  A present value must be a ``kind``; an int or a float one is
-    read by _number."""
+def _field(obj, key: str, where: str, read, required: bool = True):
+    """``read(obj[key], "<where> <key>")`` of the ``_object`` ``obj``, or
+    None if the key is absent or null, which a ``required`` key may not be."""
     value = obj.get(key)
     if value is None:
-        if default is REQUIRED:
+        if required:
             raise ParseError(f"{where}: missing {key!r}")
-        return default
-    if kind in (int, float):
-        return _number(value, f"{where} {key}", integer=kind is int)
-    if not isinstance(value, kind):
-        raise ParseError(f"{where} {key}: expected a {kind.__name__}, "
-                         f"got {value!r}")
-    return value
+        return None
+    return read(value, f"{where} {key}")
 
 
 def _number(value, where: str, integer: bool = False):
@@ -88,12 +92,32 @@ def _number(value, where: str, integer: bool = False):
     return int(value) if integer else float(value)
 
 
+_count = partial(_number, integer=True)
+
+
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: expected a str, got {value!r}")
+    return value
+
+
 def _list(value, where: str, length: int | None = None) -> list:
     """``value`` if it is a JSON list (of ``length`` items if given)."""
     if not isinstance(value, list) or length not in (None, len(value)):
         kind = "a list" if length is None else f"a list of {length}"
         raise ParseError(f"{where}: expected {kind}, got {value!r}")
     return value
+
+
+def _items(read):
+    """The reader of a JSON list whose item i ``read`` reads as
+    "<where> i": the tuple of what it reads."""
+    return lambda value, where: tuple(
+        read(item, f"{where} {i}") for i, item in enumerate(_list(value, where)))
+
+
+def _pair(value, where: str) -> tuple:
+    return tuple(_number(v, where) for v in _list(value, where, 2))
 
 
 def _build(cls, where: str, *args, **kwargs):
@@ -103,6 +127,13 @@ def _build(cls, where: str, *args, **kwargs):
         return cls(*args, **kwargs)
     except RssdError as exc:
         raise ParseError(f"{where}: {exc}") from exc
+
+
+def _schema(obj, where: str):
+    """ParseError unless the ``_object`` ``obj`` omits its schema or states
+    this one."""
+    if _field(obj, "schema", where, _count, False) not in (None, SCHEMA_VERSION):
+        raise ParseError(f"{where}: schema is not {SCHEMA_VERSION}")
 
 
 def _matrix_obj(M) -> dict:
@@ -116,8 +147,8 @@ def _matrix_obj(M) -> dict:
 
 def _matrix_from(obj, where: str) -> np.ndarray:
     _object(obj, where, ("rows", "cols", "data"))
-    rows, cols = (_field(obj, k, where, kind=int) for k in ("rows", "cols"))
-    data = _list(_field(obj, "data", where), f"{where} data", rows * cols)
+    rows, cols = (_field(obj, k, where, _count) for k in ("rows", "cols"))
+    data = _field(obj, "data", where, partial(_list, length=rows * cols))
     return np.array([_number(v, f"{where} data") for v in data],
                     dtype=float).reshape(rows, cols)
 
@@ -143,23 +174,20 @@ def plantset_obj(pset: PlantSet) -> dict:
 def plantset_from_obj(obj) -> PlantSet:
     """The plant set, with labels fit to key reports and name output files:
     unique and free of path separators."""
-    _object(obj, "plant set", ("schema", "plants"))
-    if _field(obj, "schema", "plant set", SCHEMA_VERSION, int) != SCHEMA_VERSION:
-        raise ParseError(f"plant set: schema is not {SCHEMA_VERSION}")
+    _schema(_object(obj, "plant set", ("schema", "plants")), "plant set")
     plants = []
-    for i, entry in enumerate(_field(obj, "plants", "plant set", kind=list)):
-        _object(entry, f"plant {i}", ("label", "n", "m", "r", "A", "B", "C", "D"))
-        label = _field(entry, "label", f"plant {i}", "", str) or f"plant{i}"
+    for i, entry in enumerate(_field(obj, "plants", "plant set", _list)):
+        _object(entry, f"plant {i}", ("label", *"nmrABCD"))
+        label = _field(entry, "label", f"plant {i}", _text, False) or f"plant{i}"
         where = f"plant {i} ({label})"
         if "/" in label or "\\" in label:
             raise ParseError(f"{where}: label contains a path separator")
         if label in (p.label for p in plants):
             raise ParseError(f"{where}: duplicate plant label {label!r}")
-        n, m, r = (_field(entry, k, where, kind=int) for k in "nmr")
-        A, B, C = (_matrix_from(_field(entry, k, where), f"{where} {k}")
-                   for k in "ABC")
-        D = _field(entry, "D", where, None)
-        D = np.zeros((r, m)) if D is None else _matrix_from(D, f"{where} D")
+        n, m, r = (_field(entry, k, where, _count) for k in "nmr")
+        A, B, C, D = (_field(entry, k, where, _matrix_from, k != "D")
+                      for k in "ABCD")
+        D = np.zeros((r, m)) if D is None else D
         plants.append(_build(StateSpacePlant, where, A, B, C, D, label))
         if (plants[-1].n, plants[-1].m, plants[-1].r) != (n, m, r):
             raise ParseError(f"{where}: stated dims (n={n}, m={m}, r={r}) "
@@ -200,15 +228,14 @@ def _bank_from(obj, key: str, side: str) -> CompensatorBank:
     where = f"controller {key}"
     return _build(CompensatorBank, where, tuple(
         _section_from(s, f"{where} section {i}")
-        for i, s in enumerate(_field(obj, key, "controller", kind=list))), side)
+        for i, s in enumerate(_field(obj, key, "controller", _list))), side)
 
 
 def controller_from_obj(obj):
     """(gain, w_in, w_out) from a controller object."""
     _object(obj, "controller", ("schema", "gain", "w_in", "w_out"))
-    if _field(obj, "schema", "controller", SCHEMA_VERSION, int) != SCHEMA_VERSION:
-        raise ParseError(f"controller: schema is not {SCHEMA_VERSION}")
-    return (_matrix_from(_field(obj, "gain", "controller"), "controller gain"),
+    _schema(obj, "controller")
+    return (_field(obj, "gain", "controller", _matrix_from),
             _bank_from(obj, "w_in", "in"), _bank_from(obj, "w_out", "out"))
 
 
@@ -220,132 +247,93 @@ def save_controller(gain, w_in, w_out, path):
     Path(path).write_text(canonical_json(controller_obj(gain, w_in, w_out)))
 
 
-# --- run configuration ------------------------------------------------------
+# --- run configurations and scenarios ---------------------------------------
 
 @dataclass(frozen=True)
 class RunConfig:
-    grid: FrequencyGrid
-    constraints: ScpConstraints | None
-    target: EigTarget | None
-    ga_scp: GaConfig  # budgets only: the run's seed replaces theirs
-    ga_rssd: GaConfig
-    seed: int | None
+    grid: FrequencyGrid = field(default_factory=FrequencyGrid.default)
+    constraints: ScpConstraints | None = None
+    target: EigTarget | None = None
+    ga_scp: GaConfig = GaConfig()  # budgets only: the run's seed replaces theirs
+    ga_rssd: GaConfig = GaConfig()
+    seed: int | None = None
 
 
-def _grid_from(obj, where: str = "config grid") -> FrequencyGrid:
-    _object(obj, where, ("lo_exp", "hi_exp", "count"))
-    return _build(FrequencyGrid, where,
-                  np.logspace(_field(obj, "lo_exp", where, kind=float),
-                              _field(obj, "hi_exp", where, kind=float),
-                              _field(obj, "count", where, kind=int)))
+def _grid_from(obj, where: str) -> FrequencyGrid:
+    """``count`` points spaced evenly in log from 10^lo_exp to 10^hi_exp."""
+    keys = {"lo_exp": _number, "hi_exp": _number, "count": _count}
+    _object(obj, where, keys)
+    return _build(FrequencyGrid, where, np.logspace(
+        *(_field(obj, key, where, read) for key, read in keys.items())))
 
 
-def _target_from(obj, where: str = "config target") -> EigTarget:
-    _object(obj, where, ("modes", "zeta_min", "sigma_max"))
-    modes = []
-    for i, mode in enumerate(_field(obj, "modes", where, kind=list)):
-        mw = f"{where} mode {i}"
-        _object(mode, mw, ("kind", "wn_lo", "wn_hi", "entries"))
-        entries = []
-        for j, e in enumerate(_field(mode, "entries", mw, [], list)):
-            ew = f"{mw} entry {j}"
-            _object(e, ew, ("state", "re_lo", "re_hi", "im_lo", "im_hi"))
-            entries.append(_build(
-                EntryConstraint, ew, _field(e, "state", ew, kind=int),
-                _field(e, "re_lo", ew, kind=float),
-                _field(e, "re_hi", ew, kind=float),
-                _field(e, "im_lo", ew, 0.0, float),
-                _field(e, "im_hi", ew, 0.0, float)))
-        modes.append(_build(ModeTarget, mw, _field(mode, "kind", mw, kind=str),
-                            _field(mode, "wn_lo", mw, kind=float),
-                            _field(mode, "wn_hi", mw, kind=float),
-                            tuple(entries)))
-    return _build(EigTarget, where, tuple(modes),
-                  _field(obj, "zeta_min", where, kind=float),
-                  _field(obj, "sigma_max", where, None, float))
+def _arguments(callee, obj, where: str) -> dict:
+    """The keyword arguments of ``callee`` that the JSON object ``obj``
+    holds, each key read by its ``TABLES[callee]`` reader.  An absent or null
+    key is left out, so that ``callee``'s own default applies; one for a
+    parameter without a default is refused as missing."""
+    params = inspect.signature(callee).parameters
+    _object(obj, where, TABLES[callee])
+    args = {key: _field(obj, key, where, read,
+                        params[key].default is params[key].empty)
+            for key, read in TABLES[callee].items()}
+    return {key: value for key, value in args.items() if value is not None}
 
 
-def _constraints_from(obj, where: str = "config constraints") -> ScpConstraints:
-    def pair(value, key):
-        return tuple(_number(v, f"{where} {key}")
-                     for v in _list(value, f"{where} {key}", 2))
-
-    _object(obj, where, ("in_boxes", "out_boxes", "dc_floor_db", "band"))
-    return _build(ScpConstraints, where, *(
-        tuple(pair(box, key) for box in _field(obj, key, where, kind=list))
-        for key in ("in_boxes", "out_boxes")),
-        _field(obj, "dc_floor_db", where, kind=float),
-        pair(_field(obj, "band", where), "band"))
+def _reader(cls):
+    """The reader of a JSON object of ``cls``'s ``_arguments``: the ``cls``
+    built from them."""
+    return lambda obj, where: _build(cls, where, **_arguments(cls, obj, where))
 
 
-def _ga_from(obj, key: str) -> GaConfig:
-    """A GA budget: the operators are constants and the seed is the run's,
-    so a budget object holds these two keys alone."""
-    where = f"config {key}"
-    budget = _object(_field(obj, key, "config", {}), where,
-                     ("population", "max_generations"))
-    return _build(GaConfig, where,
-                  **{k: _field(budget, k, where, kind=int) for k in budget})
+# Each constructor-read object's keys, with the reader of each one's value:
+# the keys its format defines, each the name of a keyword argument.  A GA
+# budget holds its two keys alone: the operators are constants, the seed the
+# run's.
+TABLES = {
+    EntryConstraint: {"state": _count, "re_lo": _number, "re_hi": _number,
+                      "im_lo": _number, "im_hi": _number},
+    ModeTarget: {"kind": _text, "wn_lo": _number, "wn_hi": _number,
+                 "entries": _items(_reader(EntryConstraint))},
+    EigTarget: {"modes": _items(_reader(ModeTarget)), "zeta_min": _number,
+                "sigma_max": _number},
+    ScpConstraints: {"in_boxes": _items(_pair), "out_boxes": _items(_pair),
+                     "dc_floor_db": _number, "band": _pair},
+    GaConfig: {"population": _count, "max_generations": _count},
+    RunConfig: {"grid": _grid_from, "constraints": _reader(ScpConstraints),
+                "target": _reader(EigTarget), "ga_scp": _reader(GaConfig),
+                "ga_rssd": _reader(GaConfig), "seed": _count},
+    SignalSpec: {"kind": _text, "magnitude": _number, "start": _number,
+                 "width": _number},
+    UncertaintyInjection: {"weight": _section_from, "channel": _count,
+                           "delta": _number},
+    Scenario: {"reference": _items(_reader(SignalSpec)),
+               "disturbance": _items(_reader(SignalSpec)),
+               "uncertainty": _reader(UncertaintyInjection),
+               "dt": _number, "duration": _number},
+    tracking_metrics: {"error_band": _number, "rms_ceiling": _number,
+                       "steady_after": _number},
+}
 
 
 def config_from_obj(obj) -> RunConfig:
-    def optional(key, read):
-        value = _field(obj, key, "config", None)
-        return None if value is None else read(value)
-
-    _object(obj, "config", ("grid", "constraints", "target", "ga_scp",
-                            "ga_rssd", "seed"))
-    return RunConfig(
-        grid=optional("grid", _grid_from) or FrequencyGrid.default(),
-        constraints=optional("constraints", _constraints_from),
-        target=optional("target", _target_from),
-        ga_scp=_ga_from(obj, "ga_scp"),
-        ga_rssd=_ga_from(obj, "ga_rssd"),
-        seed=_field(obj, "seed", "config", None, int),
-    )
+    return _reader(RunConfig)(obj, "config")
 
 
 def load_config(path) -> RunConfig:
     return config_from_obj(_load_json(path))
 
 
-# --- scenarios --------------------------------------------------------------
-
-def _signal_from(obj, where: str) -> SignalSpec:
-    _object(obj, where, ("kind", "magnitude", "start", "width"))
-    return _build(SignalSpec, where, _field(obj, "kind", where, "zero", str),
-                  *(_field(obj, k, where, 0.0, float)
-                    for k in ("magnitude", "start", "width")))
-
-
-# tracking_metrics' arguments, read from a scenario's "metrics" object
-METRIC_DEFAULTS = {"error_band": 0.0087, "rms_ceiling": 0.0873,
-                   "steady_after": 0.0}
-
-
 def scenario_from_obj(obj) -> tuple[Scenario, dict]:
-    """(scenario, tracking_metrics keyword arguments) from a scenario object."""
-    _object(obj, "scenario", ("reference", "disturbance", "uncertainty", "dt",
-                              "duration", "metrics"))
-    reference, disturbance = (
-        tuple(_signal_from(s, f"scenario {key} {i}") for i, s in
-              enumerate(_field(obj, key, "scenario", default, list)))
-        for key, default in (("reference", REQUIRED), ("disturbance", [])))
-    u = _field(obj, "uncertainty", "scenario", None)
-    where = "scenario uncertainty"
-    uncertainty = None if u is None else UncertaintyInjection(
-        _section_from(_field(_object(u, where, ("weight", "channel", "delta")),
-                             "weight", where), f"{where} weight"),
-        _field(u, "channel", where, kind=int),
-        _field(u, "delta", where, 1.0, float))
-    scenario = _build(Scenario, "scenario", reference, disturbance, uncertainty,
-                      _field(obj, "dt", "scenario", 1e-3, float),
-                      _field(obj, "duration", "scenario", 10.0, float))
-    spec = _object(_field(obj, "metrics", "scenario", {}), "scenario metrics",
-                   METRIC_DEFAULTS)
-    metrics = {key: _field(spec, key, "scenario metrics", default, float)
-               for key, default in METRIC_DEFAULTS.items()}
-    if metrics["steady_after"] >= scenario.duration:
+    """(scenario, tracking_metrics keyword arguments) from a scenario object:
+    a Scenario's keys and a "metrics" object of those arguments."""
+    fields = dict(_object(obj, "scenario", [*TABLES[Scenario], "metrics"]))
+    spec = fields.pop("metrics", None)
+    scenario = _reader(Scenario)(fields, "scenario")
+    metrics = {} if spec is None else _arguments(tracking_metrics, spec,
+                                                 "scenario metrics")
+    # absent, steady_after takes tracking_metrics' default, the trace's start
+    if "steady_after" in metrics and metrics["steady_after"] >= scenario.duration:
         raise ParseError("scenario metrics steady_after: must be below the duration")
     return scenario, metrics
 

@@ -43,6 +43,12 @@ HAMILTONIAN_AXIS_RTOL = 1e-7
 # linf_norm's bound is within 2 LINF_TOL (relative) above the norm.
 LINF_TOL = 1e-10
 LINF_MAX_ITER = 50
+# closed_loop refuses an (I - K D) whose sigma_min is at most this times
+# max(1, sigma_max): forming I - K D from I and K D leaves rounding errors of
+# about eps * max(1, |K D|), a scale max(1, sigma_max) holds within 2.  Unlike
+# a determinant the test does not shrink with m; past it M = (I - K D)^(-1)
+# may keep as few as 4 correct digits, and none when I - K D is noise.
+WELL_POSED_RTOL = 1e-12
 
 
 def modulus(z: np.ndarray) -> np.ndarray:
@@ -232,7 +238,8 @@ def closed_loop(plant: StateSpacePlant, gain) -> ClosedLoop:
             f"gain shape {K.shape} does not match plant (m={plant.m}, r={plant.r})"
         )
     ikd = np.eye(plant.m) - K @ plant.D
-    if abs(np.linalg.det(ikd)) < 1e-12:
+    sv = singular_values(ikd)  # none when m = 0: nothing to invert
+    if sv.size and not sv[-1] > WELL_POSED_RTOL * max(1.0, sv[0]):
         raise IllPosedLoop("(I - K D) is singular")
     M = np.linalg.inv(ikd)
     if plant.n:

@@ -235,9 +235,11 @@ class TrackingReport:
     channels: tuple  # per-channel dicts
 
 
-def tracking_metrics(traces: TraceSet, error_band: float, rms_ceiling: float,
+def tracking_metrics(traces: TraceSet, error_band: float = 0.0087,
+                     rms_ceiling: float = 0.0873,
                      steady_after: float = 0.0) -> TrackingReport:
-    """Per-channel max steady error and RMS deviation against ceilings.
+    """Per-channel max steady error and RMS deviation against ceilings: by
+    default the paper's 0.5 deg error band and 5 deg RMS ceiling (in rad).
 
     steady_after masks the initial transient out of the max-error check and
     must leave a sample in it; RMS is taken over the whole trace.

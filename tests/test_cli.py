@@ -664,6 +664,25 @@ class TestBadValues:
         assert "error: " in err and message in err
         assert not (out / "synthesis_report.json").exists()
 
+    @pytest.mark.parametrize("duplicate, key", [
+        pytest.param('"seed": 1, "seed": 2', "seed", id="top-level"),
+        pytest.param('"ga_scp": {"population": 8, "population": 30}',
+                     "population", id="nested"),
+    ])
+    def test_duplicate_key_parse_exit(self, tmp_path, capsys, duplicate, key):
+        # json alone keeps the last of two equal keys, so the fixture's
+        # config with its own key replaced so would run on the second value
+        cfg = json.loads(Path(CONFIG).read_text())
+        for replaced in json.loads("{" + duplicate + "}"):
+            del cfg[replaced]
+        (tmp_path / "cfg.json").write_text(
+            "{" + duplicate + ", " + json.dumps(cfg)[1:])
+        out = tmp_path / "out"
+        assert run("synth", FAMILY, "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(out)) == 3
+        assert f"duplicate key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("changes", [
         pytest.param({"metrics.error_band": "abc"}, id="error-band-string"),
         pytest.param({"dt": float("nan")}, id="dt-nan"),

@@ -2,7 +2,8 @@
 functions by name and fails a traced run in which one is never called, its
 set-up writes inputs through rssd.fileio, and README's library example runs
 as written.  Inside src/: the analysis layer takes singular values from one
-kernel, which gives a zero block's without LAPACK."""
+kernel, which gives a zero block's without LAPACK, and no module reads the
+process environment."""
 
 import ast
 import contextlib
@@ -188,3 +189,30 @@ def test_no_lapack_call_on_a_zero_block(monkeypatch, tmp_path, workload):
                          str(tmp_path / "config.json"),
                          "--out", str(tmp_path / "out")]) == 0
     assert zero_calls == []
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """Each name, attribute or import of ``os.environ`` or ``getenv`` (and
+    their bytes twins) in ``source``, as 'line: name'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = ([alias.name for alias in node.names]
+                 if isinstance(node, ast.ImportFrom) else
+                 [getattr(node, "id", None) or getattr(node, "attr", None)])
+        found += [(node.lineno, name) for name in names
+                  if name in ENVIRONMENT_NAMES]
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_no_module_reads_the_environment():
+    # README promises that a run's settings come from its input files
+    # alone; a setting read from the environment would break it unseen
+    for path in sorted((ROOT / "src" / "rssd").glob("*.py")):
+        assert not environment_reads(path.read_text()), path.name
+    assert environment_reads(
+        "import os\nx = os.environ['A']\nfrom os import getenv\n"
+        "y = getenv('B')\nz = os.getenvb(b'C')\n# environ in a comment\n"
+    ) == ["2: environ", "3: getenv", "4: getenv", "5: getenvb"]

@@ -1,13 +1,24 @@
 import csv
 import json
+from dataclasses import MISSING, fields, is_dataclass
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rssd import fileio
+from rssd.eigassign import EigTarget, EntryConstraint, ModeTarget
 from rssd.errors import DimensionMismatch, ParseError
-from rssd.lti import PlantSet, StateSpacePlant
+from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant
+from rssd.nn_rssd import GaConfig
+from rssd.scp import ScpConstraints
+from rssd.sim import (
+    Scenario,
+    SignalSpec,
+    UncertaintyInjection,
+    tracking_metrics,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "configs"
 
@@ -186,6 +197,103 @@ class TestUnknownKeys:
         inner[typo] = 1.0
         with pytest.raises(ParseError, match=rf"unknown keys \['{typo}'\]"):
             READERS[fixture](obj)
+
+
+# every key of every constructor-read object, each at a value other than
+# its constructor's default
+ENTRY = {"state": 1, "re_lo": -1.0, "re_hi": 1.0, "im_lo": -0.5, "im_hi": 0.5}
+MODE = {"kind": "complex", "wn_lo": 1.0, "wn_hi": 2.0, "entries": [ENTRY]}
+TARGET = {"modes": [MODE], "zeta_min": 0.3, "sigma_max": -0.5}
+CONSTRAINTS = {"in_boxes": [[0.0, 1.0]] * 4, "out_boxes": [[0.0, 1.0]] * 4,
+               "dc_floor_db": 6.0, "band": [0.1, 1.0]}
+GA = {"population": 8, "max_generations": 3}
+SIGNAL = {"kind": "step", "magnitude": 1.0, "start": 0.5, "width": 0.25}
+UNCERTAINTY = {"weight": [3.0, 923.9, 1.0, 9239.0], "channel": 0, "delta": -1.0}
+FULL = {
+    EntryConstraint: ENTRY,
+    ModeTarget: MODE,
+    EigTarget: TARGET,
+    ScpConstraints: CONSTRAINTS,
+    GaConfig: GA,
+    fileio.RunConfig: {"grid": {"lo_exp": -1, "hi_exp": 1, "count": 5},
+                       "constraints": CONSTRAINTS, "target": TARGET,
+                       "ga_scp": GA, "ga_rssd": GA, "seed": 3},
+    SignalSpec: SIGNAL,
+    UncertaintyInjection: UNCERTAINTY,
+    Scenario: {"reference": [SIGNAL], "disturbance": [SIGNAL],
+               "uncertainty": UNCERTAINTY, "dt": 0.01, "duration": 5.0},
+    tracking_metrics: {"error_band": 0.1, "rms_ceiling": 0.2,
+                       "steady_after": 1.0},
+}
+
+
+def defaults(callee) -> dict:
+    """{argument: default} of each of callee's arguments that has one: a
+    dataclass's from its fields, a function's from its signature."""
+    if is_dataclass(callee):
+        return {f.name: f.default_factory() if f.default is MISSING
+                else f.default for f in fields(callee)
+                if f.default is not MISSING or f.default_factory is not MISSING}
+    return {name: p.default for name, p in signature(callee).parameters.items()
+            if p.default is not p.empty}
+
+
+def value_read(callee, obj, key):
+    """The value that the JSON object obj gives callee's argument key."""
+    if is_dataclass(callee):
+        return getattr(fileio._reader(callee)(obj, "x"), key)
+    return fileio._arguments(callee, obj, "x").get(key, defaults(callee)[key])
+
+
+def same(a, b) -> bool:
+    if isinstance(a, FrequencyGrid):
+        return np.array_equal(a.points, b.points)
+    return a == b
+
+
+def keys(optional: bool) -> list:
+    return [pytest.param(callee, key, id=f"{callee.__name__}-{key}")
+            for callee, table in fileio.TABLES.items() for key in table
+            if (key in defaults(callee)) is optional]
+
+
+class TestReadingRule:
+    # each constructor-read object is read through one rule: a present,
+    # non-null key passes its value by name, an absent or null one takes
+    # the constructor's default, and one with no default is missing
+    def test_every_table_sampled(self):
+        assert set(FULL) == set(fileio.TABLES)
+        for callee, table in fileio.TABLES.items():
+            assert set(FULL[callee]) == set(table), callee.__name__
+
+    @pytest.mark.parametrize("callee, key", keys(optional=True))
+    @pytest.mark.parametrize("absent", [True, False], ids=["omitted", "null"])
+    def test_optional_key_takes_the_default(self, callee, key, absent):
+        obj = json.loads(json.dumps(FULL[callee]))
+        default = defaults(callee)[key]
+        assert not same(value_read(callee, obj, key), default)
+        if absent:
+            del obj[key]
+        else:
+            obj[key] = None
+        assert same(value_read(callee, obj, key), default)
+
+    @pytest.mark.parametrize("callee, key", keys(optional=False))
+    @pytest.mark.parametrize("absent", [True, False], ids=["omitted", "null"])
+    def test_required_key_refused_by_name(self, callee, key, absent):
+        obj = json.loads(json.dumps(FULL[callee]))
+        if absent:
+            del obj[key]
+        else:
+            obj[key] = None
+        with pytest.raises(ParseError, match=rf"^x: missing '{key}'$"):
+            value_read(callee, obj, key)
+
+    def test_metrics_default_to_the_paper_ceilings(self):
+        _, metrics = fileio.scenario_from_obj({"reference": []})
+        assert metrics == {}
+        assert defaults(tracking_metrics) == {
+            "error_band": 0.0087, "rms_ceiling": 0.0873, "steady_after": 0.0}
 
 
 def _plant_stating(n):

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from conftest import random_stable_siso
-from rssd.errors import ComputationFailed, UnstableLoop
+from rssd.errors import ComputationFailed, IllPosedLoop, UnstableLoop
 from rssd.lti import FrequencyGrid, StateSpacePlant, eval_response
 from rssd.margins import (
     LINF_TOL,
@@ -236,6 +236,44 @@ class TestClosedLoop:
         ], axis=1)
         got = eval_response(cl.realization, s)
         np.testing.assert_allclose(got, expected, rtol=1e-10)
+
+
+def plant_with_feedthrough(D):
+    """A one-state plant whose feedthrough is the square D."""
+    m = len(D)
+    return StateSpacePlant([[-1.0]], np.ones((1, m)), np.ones((m, 1)), D)
+
+
+class TestWellPosedness:
+    # I - K D is judged by sigma_min against max(1, sigma_max), the scale
+    # of the rounding in forming it; its determinant scales with the m-th
+    # power
+
+    def test_small_but_well_conditioned_loop_accepted(self):
+        # I - K D = 1e-5 I: condition number 1, determinant 1e-15
+        cl = closed_loop(plant_with_feedthrough((1 - 1e-5) * np.eye(3)),
+                         np.eye(3))
+        np.testing.assert_allclose(cl.M, 1e5 * np.eye(3), rtol=1e-9)
+
+    def test_near_singular_loop_with_unit_determinant_refused(self):
+        # I - K = [[1 - 1e6, 1e6], [-1e6, 1 + 1e6]]: determinant 1,
+        # condition number 4e12
+        K = 1e6 * np.array([[1.0, -1.0], [1.0, -1.0]])
+        assert abs(np.linalg.det(np.eye(2) - K)) > 0.5
+        with pytest.raises(IllPosedLoop, match="singular"):
+            closed_loop(plant_with_feedthrough(np.eye(2)), K)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_rounding_noise_loop_refused(self, m):
+        # 1 - 49 (1/49) is 1.1e-16 in floats, not 0: I - K D is noise
+        with pytest.raises(IllPosedLoop, match="singular"):
+            closed_loop(plant_with_feedthrough(np.eye(m) / 49), 49 * np.eye(m))
+
+    def test_loop_without_inputs_accepted(self):
+        # I - K D is 0x0: there is nothing to invert
+        cl = closed_loop(StateSpacePlant.from_gain(np.zeros((2, 0))),
+                         np.zeros((0, 2)))
+        assert cl.M.shape == (0, 0) and cl.stable
 
 
 class TestSensitivity:
