@@ -34,16 +34,6 @@ _FLAGS = {
     "--controller": {"required": True, "help": "controller JSON file"},
     "--scenario": {"required": True, "help": "scenario JSON file"},
 }
-# each command takes a plant set, --out and only the flags it reads
-_SUBCOMMANDS = {
-    "vgap": ("pairwise nu-gap matrix and central-plant report",
-             ("--config",)),
-    "synth": ("two-level GA synthesis of compensators and gain",
-              ("--config",)),
-    "analyze": ("closed-loop curves, eigenvalues, and margins",
-                ("--config", "--controller")),
-    "sim": ("linear closed-loop time simulation", ("--controller", "--scenario")),
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simultaneous-stabilization controller synthesis toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _SUBCOMMANDS.items():
+    for name, (_, help_text, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("plantset", help="plant-set JSON file")
         cmd.add_argument("--out", default=".", help="output directory")
@@ -230,11 +220,16 @@ def cmd_sim(args) -> int:
     return EXIT_OK
 
 
+# each command takes a plant set, --out and only the flags it reads
 _COMMANDS = {
-    "vgap": cmd_vgap,
-    "synth": cmd_synth,
-    "analyze": cmd_analyze,
-    "sim": cmd_sim,
+    "vgap": (cmd_vgap, "pairwise nu-gap matrix and central-plant report",
+             ("--config",)),
+    "synth": (cmd_synth, "two-level GA synthesis of compensators and gain",
+              ("--config",)),
+    "analyze": (cmd_analyze, "closed-loop curves, eigenvalues, and margins",
+                ("--config", "--controller")),
+    "sim": (cmd_sim, "linear closed-loop time simulation",
+            ("--controller", "--scenario")),
 }
 
 
@@ -242,7 +237,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolation, DimensionMismatch, EmptySubspace, IllConditioned
-from .lti import damping
+from .lti import damping, is_stable
 from .margins import singular_values
 
 COND_LIMIT = 1e5
@@ -233,10 +233,11 @@ def compute_gain(W, R, C) -> np.ndarray:
 
 
 def in_S1(eigenvalues, target: EigTarget) -> bool:
-    """Whether every eigenvalue lies in the damping region: open left half
-    plane, damping ratio at least zeta_min, real part at most sigma_max."""
+    """Whether every eigenvalue lies in the damping region: stable by
+    ``is_stable``, damping ratio at least zeta_min, real part at most
+    sigma_max."""
     lam = np.asarray(eigenvalues, dtype=complex)
-    if not np.all(lam.real < 0.0):
+    if not is_stable(lam):
         return False
     # 0.1% slack so damping exactly on the constant-zeta line passes
     if np.any(damping(lam)[0] < target.zeta_min * (1.0 - 1e-3)):

@@ -224,11 +224,11 @@ def controller_obj(gain, w_in: CompensatorBank, w_out: CompensatorBank) -> dict:
     }
 
 
-def _bank_from(obj, key: str, side: str) -> CompensatorBank:
+def _bank_from(obj, key: str) -> CompensatorBank:
     where = f"controller {key}"
     return _build(CompensatorBank, where, tuple(
         _section_from(s, f"{where} section {i}")
-        for i, s in enumerate(_field(obj, key, "controller", _list))), side)
+        for i, s in enumerate(_field(obj, key, "controller", _list))))
 
 
 def controller_from_obj(obj):
@@ -236,7 +236,7 @@ def controller_from_obj(obj):
     _object(obj, "controller", ("schema", "gain", "w_in", "w_out"))
     _schema(obj, "controller")
     return (_field(obj, "gain", "controller", _matrix_from),
-            _bank_from(obj, "w_in", "in"), _bank_from(obj, "w_out", "out"))
+            _bank_from(obj, "w_in"), _bank_from(obj, "w_out"))
 
 
 def load_controller(path):

@@ -170,6 +170,13 @@ def is_imag_axis(lam, rtol: float = IMAG_AXIS_RTOL):
     return np.abs(lam.real) <= rtol * np.maximum(1.0, np.abs(lam))
 
 
+def is_stable(lam) -> bool:
+    """The stability rule: every eigenvalue has Re < 0 and lies off the
+    ``is_imag_axis`` band, so a marginal one is unstable, as is a NaN."""
+    lam = np.asarray(lam, dtype=complex)
+    return bool(np.all((lam.real < 0.0) & ~is_imag_axis(lam)))
+
+
 def eval_response(plant: StateSpacePlant, s_values) -> np.ndarray:
     """P(s) evaluated at an array of complex points; shape (k, r, m).
 
@@ -259,7 +266,7 @@ class FirstOrderSection:
         return None if self.a == 0.0 else -self.b / self.a
 
     def require_stable(self):
-        if not self.is_static and self.pole >= 0.0:
+        if not self.is_static and not is_stable(self.pole):
             raise UnstableSection(f"section pole {self.pole:.6g} not in C-")
 
 
@@ -268,7 +275,6 @@ class CompensatorBank:
     """Diagonal bank of first-order sections, one per channel."""
 
     sections: tuple
-    side: str = "in"  # "in" (pre) or "out" (post)
 
     def __post_init__(self):
         if not self.sections:
@@ -302,11 +308,9 @@ class CompensatorBank:
             C[ch, i] = s.b / s.c - s.a * s.d / s.c**2
             D[ch, ch] = s.a / s.c
             i += 1
-        return StateSpacePlant(A, B, C, D, f"bank_{self.side}")
+        return StateSpacePlant(A, B, C, D)
 
     @staticmethod
-    def identity(channels: int, side: str = "in") -> "CompensatorBank":
+    def identity(channels: int) -> "CompensatorBank":
         return CompensatorBank(
-            tuple(FirstOrderSection(0.0, 1.0, 0.0, 1.0) for _ in range(channels)),
-            side,
-        )
+            tuple(FirstOrderSection(0.0, 1.0, 0.0, 1.0) for _ in range(channels)))

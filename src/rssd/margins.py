@@ -22,9 +22,10 @@ margin they give err low: on the safe side of the nu-gap certificate.
 
 The positive-feedback convention u = K y is used throughout, so the output
 sensitivity is S_o = (I - P K)^(-1) and closed-loop stability is decided by
-the eigenvalues of A + B (I - K D)^(-1) K C.  The disk-margin loop is
-L = -K P (input) or -P K (output) so classical negative-feedback margin
-formulas apply; its sensitivities are blocks of the 4-block operator.
+``lti.is_stable`` on the eigenvalues of A + B (I - K D)^(-1) K C.  The
+disk-margin loop is L = -K P (input) or -P K (output) so classical
+negative-feedback margin formulas apply; its sensitivities are blocks of
+the 4-block operator.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ComputationFailed, IllPosedLoop, UnstableLoop
-from .lti import FrequencyGrid, StateSpacePlant, eval_response, is_imag_axis
+from .lti import FrequencyGrid, StateSpacePlant, eval_response, is_imag_axis, is_stable
 
 # Hamiltonian eigenvalues with |Re| below this (relative) are axis crossings.
 HAMILTONIAN_AXIS_RTOL = 1e-7
@@ -83,9 +84,12 @@ def sigma_max(mats: np.ndarray) -> np.ndarray:
     the root of the largest eigenvalue of its smaller Gram (``eigvalsh``'s;
     a 1x1 Gram's is its entry).  Where a Gram overflows or is not finite
     (its largest entry times its order, a bound on its trace, is not) it
-    raises ComputationFailed."""
+    raises ComputationFailed.  A stack of matrices without rows or columns
+    gives zeros."""
     if mats.shape[-2:] == (1, 1):
         return modulus(mats[..., 0, 0])
+    if not mats.size:
+        return np.zeros(mats.shape[:-2])
     ct = mats.conj().swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = ct @ mats if mats.shape[-2] >= mats.shape[-1] else mats @ ct
@@ -105,7 +109,7 @@ class ClosedLoop:
     M: np.ndarray
     a_cl: np.ndarray
     eigenvalues: np.ndarray  # of a_cl
-    stable: bool
+    stable: bool  # lti.is_stable(eigenvalues)
 
     @cached_property
     def _c_cl(self) -> np.ndarray:
@@ -247,17 +251,16 @@ def closed_loop(plant: StateSpacePlant, gain) -> ClosedLoop:
         eig = np.linalg.eigvals(a_cl)
     else:
         a_cl, eig = np.zeros((0, 0)), np.zeros(0, complex)
-    return ClosedLoop(plant, K, M, a_cl, eig, bool(np.all(eig.real < 0)))
+    return ClosedLoop(plant, K, M, a_cl, eig, is_stable(eig))
 
 
 def gsm(cl: ClosedLoop) -> float:
-    """Generalized stability margin b in [0, 1]; 0 when not internally stable."""
+    """Generalized stability margin b in [0, 1]; 0 when not internally stable
+    or when the loop has no inputs (a zero norm)."""
     if not cl.stable:
         return 0.0
-    norm, _ = linf_norm(cl.factor, cl.eigenvalues)
-    if not np.isfinite(norm) or norm <= 0:
-        return 0.0
-    return float(1.0 / norm)
+    norm, _ = linf_norm(cl.factor, cl.eigenvalues)  # finite: no pole on the axis
+    return 0.0 if norm == 0.0 else float(1.0 / norm)
 
 
 def sensitivity_curves(cl: ClosedLoop, grid: FrequencyGrid) -> dict:

@@ -34,7 +34,7 @@ from .errors import (
     OutOfBox,
     UnstableSection,
 )
-from .lti import CompensatorBank, FrequencyGrid, PlantSet, StateSpacePlant, augment_plant
+from .lti import CompensatorBank, FrequencyGrid, PlantSet, StateSpacePlant
 from .margins import closed_loop, gsm, linf_norm
 from .scp import (
     ScpConstraints,
@@ -243,11 +243,10 @@ def j2_fitness(p_cp: StateSpacePlant, genome: RssdGenome, target: EigTarget):
         cl = closed_loop(p_cp, K)
         if not in_S1(cl.eigenvalues, target):
             return PENALTY, None
+        # finite: in_S1 holds no eigenvalue on the axis
         norm, _ = linf_norm(cl.factor, cl.eigenvalues)
     except (EmptySubspace, BoundViolation, IllConditioned, IllPosedLoop,
             ComputationFailed, np.linalg.LinAlgError):
-        return PENALTY, None
-    if not np.isfinite(norm):
         return PENALTY, None
     return float(norm), K
 
@@ -271,31 +270,26 @@ class SynthesisReport:
     seeds: dict
 
 
-def verify_lemma(pset: PlantSet, w_in, w_out, K, p_cp, desired, target,
-                 jbar) -> dict:
-    """Independent re-verification of the three feasibility conditions plus
-    the explicit per-plant eigenvalue stability check; an ill-posed
-    augmented loop counts as not stable."""
-    cl = closed_loop(p_cp, K)
-    cl_eigs = cl.eigenvalues
+def verify_lemma(plants, cp_index: int, K, desired, target, jbar) -> dict:
+    """Independent re-verification, on the augmented set ``plants``, of the
+    three feasibility conditions at the central plant ``plants[cp_index]``
+    plus the explicit stability check of every loop; an ill-posed loop
+    counts as not stable."""
+    cl = closed_loop(plants[cp_index], K)
     # a real matrix's spectrum holds each pair's conjugate bit for bit, so
     # the conjugates of the desired eigenvalues need no check of their own
-    assigned_ok = all(np.min(np.abs(cl_eigs - lam)) < 1e-6 for lam in desired)
-    s1_ok = in_S1(cl_eigs, target)
+    assigned_ok = all(np.min(np.abs(cl.eigenvalues - lam)) < 1e-6 for lam in desired)
     margin = gsm(cl)
-    margin_ok = margin > jbar
     all_stable = True
-    for plant in pset:
-        aug = augment_plant(w_out, plant, w_in)
+    for plant in plants:
         try:
-            stable = closed_loop(aug, K).stable
+            all_stable &= closed_loop(plant, K).stable
         except IllPosedLoop:
-            stable = False
-        all_stable = all_stable and stable
+            all_stable = False
     return {
         "assigned_eigenvalues": bool(assigned_ok),
-        "all_in_S1": bool(s1_ok),
-        "margin_exceeds_bound": bool(margin_ok),
+        "all_in_S1": bool(in_S1(cl.eigenvalues, target)),
+        "margin_exceeds_bound": bool(margin > jbar),
         "margin": float(margin),
         "all_plants_stable": bool(all_stable),
     }
@@ -319,7 +313,8 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
     }
     inner_boxes = rssd_boxes(target)
 
-    def run_inner(p_cp, cp_idx, w_in, w_out):
+    def run_inner(augmented, cp_idx):
+        p_cp = augmented[cp_idx].augmented
         target.require_states(p_cp.n)
         # each J1bar drop appends to the history and starts one invocation
         inner_seed = int(np.random.SeedSequence(
@@ -331,16 +326,15 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
         def inner_fitness(genes):
             genome = decode_rssd_genome(genes, target)
             j2, K = j2_fitness(p_cp, genome, target)
-            if K is not None and j2 < 1.0 / jbar and "K" not in hit:
-                hit.update(j2=j2, K=K, eigenvalues=genome.eigenvalues)
+            if K is not None and j2 < 1.0 / jbar and not hit:
+                hit.update(j2=j2, K=K, eigenvalues=genome.eigenvalues,
+                           members=augmented, cp_index=cp_idx, jbar=jbar)
             return j2
 
-        res = ga_minimize(inner_fitness, inner_boxes, cfg,
-                          stop=lambda: "K" in hit)
+        res = ga_minimize(inner_fitness, inner_boxes, cfg, stop=lambda: bool(hit))
         state["rssd_gens"] += res.generations
-        if "K" in hit:
-            state["result"] = {**hit, "w_in": w_in, "w_out": w_out,
-                               "p_cp": p_cp, "cp_index": cp_idx, "jbar": jbar}
+        if hit:
+            state["result"] = hit
 
     def scp_fitness(genes):
         try:
@@ -351,11 +345,11 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
         report = check_constraints(augmented, constraints)
         if not report.passed:
             return 1.0 + len(report.reasons)
-        j1, cp_idx, p_cp = j1_fitness(augmented, grid)
+        j1, cp_idx = j1_fitness(augmented, grid)
         if j1 < state["jbar"]:
             state["jbar"] = max(j1, JBAR_FLOOR)
             state["history"].append(state["jbar"])
-            run_inner(p_cp, cp_idx, w_in, w_out)
+            run_inner(augmented, cp_idx)
         return j1
 
     outer = ga_minimize(scp_fitness, np.asarray(constraints.boxes, float),
@@ -363,12 +357,13 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
 
     res = state["result"] or {}
     verification = {} if not res else verify_lemma(
-        pset, res["w_in"], res["w_out"], res["K"], res["p_cp"],
+        [m.augmented for m in res["members"]], res["cp_index"], res["K"],
         res["eigenvalues"], target, res["jbar"])
+    w_in, w_out = res["members"][0].banks if res else (None, None)
     return SynthesisReport(
         feasible=bool(res) and all(v for k, v in verification.items()
                                    if k != "margin"),
-        gain=res.get("K"), w_in=res.get("w_in"), w_out=res.get("w_out"),
+        gain=res.get("K"), w_in=w_in, w_out=w_out,
         j1_history=state["history"], j2=res.get("j2"),
         cp_index=res.get("cp_index"), desired_eigenvalues=res.get("eigenvalues"),
         verification=verification, scp_generations=outer.generations,

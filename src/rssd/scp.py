@@ -107,8 +107,8 @@ def sampled_member(plant: StateSpacePlant, grid: FrequencyGrid) -> Member:
                   np.linalg.eigvals(plant.A) if plant.n else np.array([]),
                   transmission_zeros(plant),
                   eval_response(plant, 1j * grid.points),
-                  (CompensatorBank.identity(plant.m, "in"),
-                   CompensatorBank.identity(plant.r, "out")),
+                  (CompensatorBank.identity(plant.m),
+                   CompensatorBank.identity(plant.r)),
                   plant)
 
 
@@ -136,8 +136,7 @@ def decode_banks(genes, constraints: ScpConstraints):
         sec.require_stable()
         sections.append(sec)
     k = len(constraints.in_boxes) // 4
-    return (CompensatorBank(tuple(sections[:k]), "in"),
-            CompensatorBank(tuple(sections[k:]), "out"))
+    return CompensatorBank(tuple(sections[:k])), CompensatorBank(tuple(sections[k:]))
 
 
 def transmission_zeros(plant: StateSpacePlant) -> np.ndarray:
@@ -283,9 +282,9 @@ def check_constraints(members, constraints: ScpConstraints) -> ConstraintReport:
 
 
 def j1_fitness(members, grid: FrequencyGrid):
-    """(J1, central index, augmented central plant) for the augmented set
-    {W_out P_i W_in} of ``members``, ``sampled_member``s on ``grid`` all
-    under the same ``banks``.
+    """(J1, central index) for the augmented set {W_out P_i W_in} of
+    ``members``, ``sampled_member``s on ``grid`` all under the same
+    ``banks``; the central plant is that member's ``augmented``.
 
     Only the banks' work is redone per genome.  Each augmented member's grid
     response is the product W_out(jw) P_i(jw) W_in(jw) of the banks'
@@ -310,4 +309,4 @@ def j1_fitness(members, grid: FrequencyGrid):
             spectrum_counts(np.append(m.poles, sections)),
             left=i > 0, right=i < last))
     result = central_plant(augmented, grid)
-    return result.epsilon, result.index, augmented[result.index].plant
+    return result.epsilon, result.index

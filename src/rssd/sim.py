@@ -114,7 +114,7 @@ class TraceSet:
 
 def _uncertainty_plant(inj: UncertaintyInjection, channels: int) -> StateSpacePlant:
     """State-space form of I + delta * G(s) acting on one output channel."""
-    g = CompensatorBank((inj.weight,), "out").realization
+    g = CompensatorBank((inj.weight,)).realization
     e = np.zeros((channels, 1))
     e[inj.channel, 0] = 1.0
     A = g.A

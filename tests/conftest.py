@@ -35,7 +35,7 @@ def random_siso(rng, max_order=2) -> StateSpacePlant:
 
 
 def identity_banks(m, r):
-    return CompensatorBank.identity(m, "in"), CompensatorBank.identity(r, "out")
+    return CompensatorBank.identity(m), CompensatorBank.identity(r)
 
 
 def mimo_family(seed, members):

@@ -302,7 +302,7 @@ def test_criterion_10_format_fixtures():
     assert gain.shape == (3, 5)
     assert len(w_in) == 3 and len(w_out) == 5
 
-    sys = CompensatorBank((w_in.sections[0],), "in").realization
+    sys = CompensatorBank((w_in.sections[0],)).realization
     dc = float(eval_response(sys, np.array([0.0 + 0.0j]))[0, 0, 0].real)
     assert abs(dc - 0.7287) < 1e-4
     report(10, f"controller fixture round-trips byte-identically, "

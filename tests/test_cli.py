@@ -133,10 +133,10 @@ def mimo_analyze_inputs(tmp_path):
     fileio.save_controller(
         -0.15 * rng.normal(size=(2, 3)),
         CompensatorBank(tuple(FirstOrderSection(*c) for c in (
-            (1.0, 2.0, 1.0, 4.0), (0.0, 1.0, 0.0, 1.0))), "in"),
+            (1.0, 2.0, 1.0, 4.0), (0.0, 1.0, 0.0, 1.0)))),
         CompensatorBank(tuple(FirstOrderSection(*c) for c in (
             (0.0, 3.0, 1.0, 3.0), (0.5, 1.0, 1.0, 2.0),
-            (0.0, 1.0, 0.0, 1.0))), "out"), controller)
+            (0.0, 1.0, 0.0, 1.0)))), controller)
     return str(plant_path), str(controller)
 
 
@@ -166,8 +166,8 @@ def command_args(command, tmp_path):
     fixture's config for synth, a unit 1x1 controller for analyze and sim."""
     from rssd.lti import CompensatorBank
     controller = tmp_path / "unit.json"
-    fileio.save_controller(np.ones((1, 1)), CompensatorBank.identity(1, "in"),
-                           CompensatorBank.identity(1, "out"), controller)
+    fileio.save_controller(np.ones((1, 1)), CompensatorBank.identity(1),
+                           CompensatorBank.identity(1), controller)
     return {"vgap": [], "synth": ["--config", CONFIG],
             "analyze": ["--controller", str(controller)],
             "sim": ["--controller", str(controller),
@@ -363,8 +363,8 @@ class TestAnalyzeCommand:
         # zero gain does not stabilize the unstable family
         gain = np.zeros((1, 1))
         from rssd.lti import CompensatorBank
-        fileio.save_controller(gain, CompensatorBank.identity(1, "in"),
-                               CompensatorBank.identity(1, "out"),
+        fileio.save_controller(gain, CompensatorBank.identity(1),
+                               CompensatorBank.identity(1),
                                tmp_path / "zero.json")
         assert run("analyze", FAMILY, "--controller",
                    str(tmp_path / "zero.json"), "--out", str(tmp_path)) == 0
@@ -435,8 +435,8 @@ class TestAnalyzeCommand:
             StateSpacePlant.siso(-1.0, 1e160, "big"),
             StateSpacePlant.siso(-1.0, 1.0, "unit"))), plants)
         fileio.save_controller(np.array([[-1.0]]),
-                               CompensatorBank.identity(1, "in"),
-                               CompensatorBank.identity(1, "out"), controller)
+                               CompensatorBank.identity(1),
+                               CompensatorBank.identity(1), controller)
         out = tmp_path / "out"
         assert run("analyze", str(plants), "--controller", str(controller),
                    "--out", str(out)) == 0
@@ -484,7 +484,7 @@ class TestAnalyzeCommand:
                                 np.zeros((2, 2)), "mimo")
         summary = cli._analysis_bundle(
             PlantSet((plant,)), -0.2 * np.eye(2), CompensatorBank.identity(2),
-            CompensatorBank.identity(2, "out"), grid, tmp_path)
+            CompensatorBank.identity(2), grid, tmp_path)
         assert not summary["mimo"]["unstable"]
         assert counts == {"batches": 5}
 
@@ -531,8 +531,8 @@ class TestSimCommand:
     def test_divergent_pairing_reported(self, tmp_path):
         from rssd.lti import CompensatorBank
         fileio.save_controller(np.array([[0.1]]),
-                               CompensatorBank.identity(1, "in"),
-                               CompensatorBank.identity(1, "out"),
+                               CompensatorBank.identity(1),
+                               CompensatorBank.identity(1),
                                tmp_path / "weak.json")
         scenario = {
             "reference": [{"kind": "step", "magnitude": 1.0}],
@@ -683,6 +683,29 @@ class TestBadValues:
         assert f"duplicate key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, path", [
+        pytest.param("plants", "plants.0.label", id="plant-label"),
+        pytest.param("config", "target.modes.0.kind", id="mode-kind"),
+        pytest.param("scenario", "reference.0.kind", id="signal-kind"),
+    ])
+    def test_non_string_text_parse_exit(self, tmp_path, capsys, kind, path):
+        from rssd.lti import CompensatorBank
+        controller = tmp_path / "unit.json"
+        fileio.save_controller(np.ones((1, 1)), CompensatorBank.identity(1),
+                               CompensatorBank.identity(1), controller)
+        source = {"plants": FAMILY, "config": CONFIG, "scenario": SCENARIO}[kind]
+        obj = json.loads(Path(source).read_text())
+        _set(obj, path, 5)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(obj))
+        argv = {"plants": ["vgap", str(edited)],
+                "config": ["synth", FAMILY, "--config", str(edited)],
+                "scenario": ["sim", FAMILY, "--controller", str(controller),
+                             "--scenario", str(edited)]}[kind]
+        assert run(*argv, "--out", str(tmp_path / "out")) == 3
+        assert "expected a str, got 5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("changes", [
         pytest.param({"metrics.error_band": "abc"}, id="error-band-string"),
         pytest.param({"dt": float("nan")}, id="dt-nan"),
@@ -705,8 +728,8 @@ class TestBadValues:
     def test_bad_scenario_parse_exit(self, tmp_path, capsys, changes):
         from rssd.lti import CompensatorBank
         fileio.save_controller(np.ones((1, 1)),
-                               CompensatorBank.identity(1, "in"),
-                               CompensatorBank.identity(1, "out"),
+                               CompensatorBank.identity(1),
+                               CompensatorBank.identity(1),
                                tmp_path / "unit.json")
         scenario = json.loads(Path(SCENARIO).read_text())
         for path, value in changes.items():
@@ -744,8 +767,8 @@ class TestWrongShapes:
         from rssd.lti import CompensatorBank
         controller = tmp_path / "unit.json"
         fileio.save_controller(np.ones((1, 1)),
-                               CompensatorBank.identity(1, "in"),
-                               CompensatorBank.identity(1, "out"), controller)
+                               CompensatorBank.identity(1),
+                               CompensatorBank.identity(1), controller)
         source = {"plants": FAMILY, "config": CONFIG, "scenario": SCENARIO}[kind]
         obj = json.loads(Path(source).read_text())
         if path is None:
@@ -789,8 +812,8 @@ class TestPoleOnGrid:
         from rssd.lti import CompensatorBank
         controller = tmp_path / "half.json"
         fileio.save_controller(np.array([[0.5]]),
-                               CompensatorBank.identity(1, "in"),
-                               CompensatorBank.identity(1, "out"), controller)
+                               CompensatorBank.identity(1),
+                               CompensatorBank.identity(1), controller)
         out = tmp_path / "out"
         assert run("analyze", plants, "--controller", str(controller),
                    "--config", config, "--out", str(out)) == 0

@@ -216,3 +216,39 @@ def test_no_module_reads_the_environment():
         "import os\nx = os.environ['A']\nfrom os import getenv\n"
         "y = getenv('B')\nz = os.getenvb(b'C')\n# environ in a comment\n"
     ) == ["2: environ", "3: getenv", "4: getenv", "5: getenvb"]
+
+
+def sign_tests(source: str) -> list[str]:
+    """Each comparison of a ``.real`` or ``.pole`` attribute with the
+    constant 0 in ``source``, as 'function: line'."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(o, ast.Attribute) and o.attr in ("real", "pole")
+                    for o in operands)
+                    and any(isinstance(o, ast.Constant) and o.value == 0
+                            and not isinstance(o.value, bool)
+                            for o in operands)):
+                found.append(f"{function}: {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_stability_rule():
+    # lti.is_stable alone decides stability from a sign; vgap._rhp_count
+    # counts right-half-plane poles and gives no verdict
+    allowed = {"lti.py": {"is_stable"}, "vgap.py": {"_rhp_count"}}
+    for path in sorted((ROOT / "src" / "rssd").glob("*.py")):
+        functions = {site.split(":")[0] for site in sign_tests(path.read_text())}
+        assert functions <= allowed.get(path.name, set()), path.name
+    assert sign_tests(
+        "def f(eig, sec):\n    return eig.real < 0 or sec.pole >= 0.0\n"
+        "def g(x):\n    return 0 > x.real, x.real < 1, x.imag < 0\n"
+    ) == ["f: 2", "f: 2", "g: 4"]

@@ -16,6 +16,7 @@ from rssd.eigassign import (
     in_S1,
     select_vectors,
 )
+from rssd.lti import IMAG_AXIS_RTOL
 
 
 def double_integrator():
@@ -189,6 +190,11 @@ class TestDampingRegion:
         assert not in_S1(np.array([-1.0, 0.1]), target)
         assert not in_S1(np.array([0.0j]), target)
 
+    def test_marginal_rejected(self):
+        # -1e-12 has damping 1 but lies inside the imaginary-axis band
+        target = EigTarget((ModeTarget("real", 0.1, 10.0),), zeta_min=0.3)
+        assert not in_S1(np.array([-1e-12]), target)
+
     def test_nan_rejected(self):
         # a spectrum outside the open left half plane in any way fails, so a
         # caller needs no stability test beside this one
@@ -201,6 +207,7 @@ class TestDampingRegion:
         # one ulp decides
         def reference(eigs, target):
             return all(lam.real < 0.0
+                       and -lam.real > IMAG_AXIS_RTOL * max(1.0, abs(lam))
                        and not -lam.real / abs(lam) < target.zeta_min * (1.0 - 1e-3)
                        and not (target.sigma_max is not None
                                 and lam.real > target.sigma_max)

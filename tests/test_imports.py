@@ -53,8 +53,8 @@ if code:
     sys.exit(f"vgap exited with {code}")
 loaded["vgap"] = "scipy" in sys.modules
 
-check_constraints(augment(CompensatorBank.identity(2, "in"),
-                          CompensatorBank.identity(3, "out"),
+check_constraints(augment(CompensatorBank.identity(2),
+                          CompensatorBank.identity(3),
                           [sampled_member(p, FrequencyGrid.default())
                            for p in tall]),
                   ScpConstraints((), (), -60.0, (0.1, 1.0)))

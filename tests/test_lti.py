@@ -18,6 +18,7 @@ from rssd.lti import (
     damping,
     eval_response,
     is_imag_axis,
+    is_stable,
     sorted_spectrum,
 )
 
@@ -141,8 +142,8 @@ class TestCascadeAugment:
 
     def test_augment_identity_banks_is_plant(self):
         p = StateSpacePlant.siso(-1.0, 2.0)
-        aug = augment_plant(CompensatorBank.identity(1, "out"), p,
-                            CompensatorBank.identity(1, "in"))
+        aug = augment_plant(CompensatorBank.identity(1), p,
+                            CompensatorBank.identity(1))
         s = np.array([1j, 5j])
         np.testing.assert_allclose(eval_response(aug, s),
                                    eval_response(p, s), rtol=1e-12)
@@ -164,16 +165,51 @@ class TestFirstOrderSection:
         with pytest.raises(UnstableSection):
             sec.require_stable()
 
+    def test_marginal_pole_flagged(self):
+        # pole -1e-12 lies inside the imaginary-axis band
+        sec = FirstOrderSection(0.0, 1.0, 1.0, 1e-12)
+        assert sec.pole == -1e-12
+        with pytest.raises(UnstableSection):
+            sec.require_stable()
+
     def test_static_section(self):
         sec = FirstOrderSection(0.0, 3.0, 0.0, 2.0)
         assert sec.is_static
         assert sec.b / sec.d == pytest.approx(1.5)
 
 
+class TestStabilityRule:
+    # one rule for every loop and section: Re < 0 and off the is_imag_axis
+    # band, so a marginal eigenvalue is not stable, and neither is a NaN
+    @pytest.mark.parametrize("lam, stable", [
+        pytest.param([-1.0, -2.0 + 3.0j, -2.0 - 3.0j], True, id="left"),
+        pytest.param([-1e-12], False, id="marginal"),
+        pytest.param([-1e-8 + 1j, -1e-8 - 1j], True, id="off-the-band"),
+        pytest.param([-1e-2 + 1e8j, -1e-2 - 1e8j], False, id="relative-band"),
+        pytest.param([0.0], False, id="origin"),
+        pytest.param([-1.0, 1e-3], False, id="right"),
+        pytest.param([complex(np.nan, 0.0)], False, id="nan"),
+        pytest.param([], True, id="no-eigenvalues"),
+    ])
+    def test_rule(self, lam, stable):
+        assert is_stable(lam) is stable
+
+    def test_band_is_the_axis_test(self):
+        # left of the axis, an eigenvalue is stable exactly where
+        # is_imag_axis says it is off the axis, at the same tolerance
+        rng = np.random.default_rng(36)
+        im = rng.choice([0.0, 1.0], 4000) * 10.0 ** rng.uniform(-3, 8, 4000)
+        re = -rng.uniform(0.5, 1.5, 4000) * 1e-9 * np.maximum(1.0, np.abs(im))
+        lam = re + 1j * im
+        got = [is_stable([x]) for x in lam]
+        assert got == list(~is_imag_axis(lam))
+        assert set(got) == {True, False}
+
+
 class TestRealizeBank:
     def test_dynamic_section_response(self):
         sec = FirstOrderSection(1.0, 7.36, 0.007, 10.1)
-        sys = CompensatorBank((sec,), "in").realization
+        sys = CompensatorBank((sec,)).realization
         s = np.array([0.0j, 3j, 100j])
         expected = (s + 7.36) / (0.007 * s + 10.1)
         got = eval_response(sys, s)[:, 0, 0]
@@ -181,7 +217,7 @@ class TestRealizeBank:
 
     def test_mixed_static_dynamic_diagonal(self):
         bank = CompensatorBank((FirstOrderSection(0.0, 2.0, 0.0, 1.0),
-                                FirstOrderSection(0.0, 1.0, 1.0, 1.0)), "in")
+                                FirstOrderSection(0.0, 1.0, 1.0, 1.0)))
         sys = bank.realization
         assert sys.n == 1
         resp = eval_response(sys, np.array([1j]))[0]
@@ -218,19 +254,19 @@ class TestRefusals:
         pytest.param(lambda: cascade(StateSpacePlant.from_gain(np.ones((2, 1))),
                                      StateSpacePlant.siso(-1.0)),
                      DimensionMismatch, "cascade", id="cascade-channels"),
-        pytest.param(lambda: augment_plant(CompensatorBank.identity(1, "out"),
+        pytest.param(lambda: augment_plant(CompensatorBank.identity(1),
                                            StateSpacePlant.siso(-1.0),
-                                           CompensatorBank.identity(2, "in")),
+                                           CompensatorBank.identity(2)),
                      DimensionMismatch, "w_in has 2", id="w-in-channels"),
-        pytest.param(lambda: augment_plant(CompensatorBank.identity(2, "out"),
+        pytest.param(lambda: augment_plant(CompensatorBank.identity(2),
                                            StateSpacePlant.siso(-1.0),
-                                           CompensatorBank.identity(1, "in")),
+                                           CompensatorBank.identity(1)),
                      DimensionMismatch, "w_out has 2", id="w-out-channels"),
         pytest.param(lambda: FirstOrderSection(np.inf, 0.0, 1.0, 1.0),
                      ImproperSection, "finite", id="infinite-coefficient"),
         pytest.param(lambda: FirstOrderSection(0.0, 2.0, 0.0, 1.0).pole,
                      ImproperSection, "no pole", id="static-section-pole"),
-        pytest.param(lambda: CompensatorBank((), "in"), DimensionMismatch,
+        pytest.param(lambda: CompensatorBank(()), DimensionMismatch,
                      "nonempty", id="empty-bank"),
     ])
     def test_refused(self, build, error, match):

@@ -94,6 +94,13 @@ class TestLinfNorm:
         assert np.isinf(norm)
         assert omega == 0.0
 
+    @pytest.mark.parametrize("m, r", [pytest.param(0, 1, id="no-inputs"),
+                                      pytest.param(1, 0, id="no-outputs")])
+    def test_system_without_channels_has_zero_norm(self, m, r):
+        sys = StateSpacePlant([[-1.0]], np.ones((1, m)), np.ones((r, 1)),
+                              np.zeros((r, m)))
+        assert linf_norm(sys) == (0.0, 0.0)
+
     def test_feedthrough_limit(self):
         # (s + 10)/(s + 1): high-frequency gain 1 < DC gain 10
         sys = StateSpacePlant(np.array([[-1.0]]), np.array([[1.0]]),
@@ -122,6 +129,16 @@ class TestSingularValues:
         stacks = one_by_one_stacks(rng, 20_000)
         for mats in stacks + [1e150 * stacks[0], 1e-150 * stacks[0]]:
             assert same_bits(sigma_max(mats), singular_values(mats)[..., 0])
+
+    @pytest.mark.parametrize("shape", [
+        pytest.param((3, 2, 0), id="no-columns"),
+        pytest.param((3, 0, 2), id="no-rows"),
+        pytest.param((0, 0), id="empty-matrix"),
+        pytest.param((0, 2, 2), id="no-matrices"),
+    ])
+    def test_sigma_max_of_an_empty_stack_is_zero(self, shape):
+        got = sigma_max(np.zeros(shape, complex))
+        np.testing.assert_array_equal(got, np.zeros(shape[:-2]))
 
     def test_single_matrix_and_other_shapes(self):
         rng = np.random.default_rng(3)
@@ -215,6 +232,35 @@ class TestClosedLoop:
     def test_unstable_loop_zero_margin(self):
         p = StateSpacePlant.siso(1.0, 1.0)
         assert gsm(closed_loop(p, np.array([[0.0]]))) == 0.0
+
+    def test_marginal_loop_is_unstable(self, grid):
+        # 1/s under K = -1e-12 has its pole at -1e-12, inside the axis band
+        cl = closed_loop(StateSpacePlant.siso(0.0, 1.0), np.array([[-1e-12]]))
+        assert cl.eigenvalues[0] == -1e-12 and not cl.stable
+        assert gsm(cl) == 0.0
+        assert list(sensitivity_curves(cl, grid)) == ["omega", "sigma_max",
+                                                      "sigma_min"]
+        with pytest.raises(UnstableLoop):
+            disk_margin(cl)
+
+    def test_lightly_damped_loop_is_stable(self):
+        # the oscillator under K = -2e-8 has poles at -1e-8 +/- j, |lambda| = 1:
+        # ten times the band's half-width off the axis
+        p = StateSpacePlant([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]],
+                            [[0.0, 1.0]], [[0.0]])
+        cl = closed_loop(p, np.array([[-2e-8]]))
+        np.testing.assert_allclose(cl.eigenvalues.real, -1e-8, rtol=1e-6)
+        np.testing.assert_allclose(np.abs(cl.eigenvalues), 1.0, rtol=1e-12)
+        assert cl.stable
+        assert 0.0 < gsm(cl) < 1e-7
+        assert disk_margin(cl).disk_alpha > 0.0
+
+    def test_loop_without_inputs_zero_margin(self):
+        # its 4-block factor has no inputs: a zero norm
+        p = StateSpacePlant([[-1.0]], np.zeros((1, 0)), [[1.0]],
+                            np.zeros((1, 0)))
+        cl = closed_loop(p, np.zeros((0, 1)))
+        assert cl.stable and gsm(cl) == 0.0
 
     def test_closed_loop_matrix_positive_feedback(self):
         p = StateSpacePlant.siso(-1.0, 1.0)

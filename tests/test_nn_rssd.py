@@ -8,7 +8,7 @@ import rssd.margins
 import rssd.nn_rssd
 import rssd.scp
 import rssd.vgap
-from conftest import identity_banks, mimo_family
+from conftest import mimo_family
 from rssd.eigassign import EigTarget, EntryConstraint, ModeTarget
 from rssd.errors import ComputationFailed, DimensionMismatch
 from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, augment_plant
@@ -235,25 +235,34 @@ class TestVerifyLemma:
         p_cp = StateSpacePlant.siso(1.0, 1.0, label="nominal")
         ill = StateSpacePlant([[1.0]], [[1.0]], [[1.0]], [[-0.5]], "ill")
         target = EigTarget((ModeTarget("real", 0.5, 3.0),), zeta_min=0.3)
-        w_in, w_out = identity_banks(1, 1)
-        args = (w_in, w_out, np.array([[-2.0]]), p_cp, (-1 + 0j,), target, 0.1)
-        assert verify_lemma(PlantSet((p_cp,)), *args)["all_plants_stable"]
-        result = verify_lemma(PlantSet((p_cp, ill)), *args)
+        args = (0, np.array([[-2.0]]), (-1 + 0j,), target, 0.1)
+        assert verify_lemma([p_cp], *args)["all_plants_stable"]
+        result = verify_lemma([p_cp, ill], *args)
         assert result["all_plants_stable"] is False
         assert result["assigned_eigenvalues"] and result["all_in_S1"]
 
+    def test_marginal_member_is_not_stable(self):
+        # K = -2 puts 5e-13/s's loop at -1e-12, inside the axis band
+        p_cp = StateSpacePlant.siso(1.0, 1.0, label="nominal")
+        marginal = StateSpacePlant([[0.0]], [[1.0]], [[5e-13]], [[0.0]],
+                                   "marginal")
+        K = np.array([[-2.0]])
+        assert closed_loop(marginal, K).eigenvalues[0] == -1e-12
+        target = EigTarget((ModeTarget("real", 0.5, 3.0),), zeta_min=0.3)
+        result = verify_lemma([marginal, p_cp], 1, K, (-1 + 0j,), target, 0.1)
+        assert result["all_plants_stable"] is False
+        assert result["assigned_eigenvalues"] and result["all_in_S1"]
+        assert result["margin_exceeds_bound"]
 
     def test_assigned_complex_pair(self):
         # K = [-5, -2] places the double integrator's poles at -1 +/- 2j
         p_cp = StateSpacePlant([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
                                np.eye(2), np.zeros((2, 1)), "nominal")
         target = EigTarget((ModeTarget("complex", 1.0, 5.0),), zeta_min=0.3)
-        w_in, w_out = identity_banks(1, 2)
 
         def assigned(lam):
-            return verify_lemma(PlantSet((p_cp,)), w_in, w_out,
-                                np.array([[-5.0, -2.0]]), p_cp, (lam,), target,
-                                0.1)["assigned_eigenvalues"]
+            return verify_lemma([p_cp], 0, np.array([[-5.0, -2.0]]), (lam,),
+                                target, 0.1)["assigned_eigenvalues"]
 
         assert assigned(-1 + 2j) and assigned(-1 - 2j)
         assert not assigned(-1 + 1e-5 + 2j)
@@ -361,9 +370,11 @@ class TestRunNnRssd:
         assert len(j1_calls) >= 2
         for p in pset:
             assert sum(q is p for q in evaluated) == 1
-        banks = [q.label for q in evaluated if all(q is not p for p in pset)]
-        assert banks == ["bank_out", "bank_in"] * len(j1_calls)
-        for members, _ in j1_calls:
+        banks = [q for q in evaluated if all(q is not p for p in pset)]
+        assert len(banks) == 2 * len(j1_calls)
+        for (members, _), post, pre in zip(j1_calls, banks[::2], banks[1::2]):
+            assert post is members[0].banks[1].realization
+            assert pre is members[0].banks[0].realization
             assert all(m.plant is p for m, p in zip(members, pset, strict=True))
             assert all(m.response.shape == (grid.points.size, 1, 1)
                        for m in members)

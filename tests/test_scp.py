@@ -293,7 +293,7 @@ class TestCheckConstraints:
     def test_pole_zero_cancellation_flagged(self):
         # compensator zero at -1 cancels the plant pole at -1
         pset = PlantSet((StateSpacePlant.siso(-1.0, 10.0),))
-        w_in = CompensatorBank((FirstOrderSection(1.0, 1.0, 0.1, 1.0),), "in")
+        w_in = CompensatorBank((FirstOrderSection(1.0, 1.0, 0.1, 1.0),))
         _, w_out = identity_banks(1, 1)
         report = check_constraints(under((w_in, w_out), pset), self.make())
         assert not report.passed
@@ -302,7 +302,7 @@ class TestCheckConstraints:
     def test_compensator_pole_on_plant_zero_flagged(self):
         # a section pole at -2 cancels the zero of (s+2)/((s+1)(s+3))
         pset = PlantSet((siso([1.0, 2.0], [1.0, 4.0, 3.0]),))
-        w_in = CompensatorBank((FirstOrderSection(0.0, 2.0, 1.0, 2.0),), "in")
+        w_in = CompensatorBank((FirstOrderSection(0.0, 2.0, 1.0, 2.0),))
         _, w_out = identity_banks(1, 1)
         report = check_constraints(under((w_in, w_out), pset), self.make())
         assert [r for r in report.reasons if "cancels" in r] == [
@@ -325,13 +325,13 @@ def siso(num, den):
     return StateSpacePlant(A, B, c.reshape(1, n), [[d]])
 
 
-def random_bank(rng, channels, side):
+def random_bank(rng, channels):
     """Stable lead/lag sections: poles in [-10, -0.01], gains either side of 1."""
     d = 10.0 ** rng.uniform(-2.0, 1.0, channels)
     a = rng.uniform(0.0, 2.0, channels)
     b = d * 10.0 ** rng.uniform(-1.5, 0.5, channels)
     return CompensatorBank(tuple(FirstOrderSection(*coef) for coef in
-                                 zip(a, b, np.ones(channels), d)), side)
+                                 zip(a, b, np.ones(channels), d)))
 
 
 def dense_sigma_min(sys, omega):
@@ -386,7 +386,7 @@ class TestExactBand:
                  (0.01, 0.02))
         outcomes = set()
         for _ in range(4):
-            w_in, w_out = random_bank(rng, 3, "in"), random_bank(rng, 5, "out")
+            w_in, w_out = random_bank(rng, 3), random_bank(rng, 5)
             augs = [augment_plant(w_out, p, w_in) for p in pset]
             augmented = augment(w_in, w_out, members)
             for band in bands:
@@ -488,17 +488,16 @@ class TestExactBand:
 
 class TestJ1Fitness:
     def test_identity_banks_match_raw_central_plant(self, grid):
-        j1, idx, p_cp = j1_fitness(
+        j1, idx = j1_fitness(
             under(identity_banks(1, 1), static_trio(), grid), grid)
         assert idx == 1
         assert j1 == pytest.approx(1.0 / np.sqrt(10.0), abs=1e-6)
 
     def test_good_compensator_shrinks_j1(self, grid):
         # normalizing each plant towards gain 1 shrinks the spread
-        w_in = CompensatorBank((FirstOrderSection(0.0, 1.0, 0.0, 1.0),), "in")
+        w_in = CompensatorBank((FirstOrderSection(0.0, 1.0, 0.0, 1.0),))
         w_out = w_in
-        base, _, _ = j1_fitness(under((w_in, w_out), static_trio(), grid),
-                                grid)
+        base, _ = j1_fitness(under((w_in, w_out), static_trio(), grid), grid)
         assert base > 0
 
     def test_product_route_matches_augmented_state_space(self, grid,
@@ -521,8 +520,8 @@ class TestJ1Fitness:
 
         monkeypatch.setattr(rssd.scp, "central_plant", spy)
         for sections in (static, dynamic):
-            w_in = CompensatorBank(sections[:3], "in")
-            w_out = CompensatorBank(sections[3:], "out")
+            w_in = CompensatorBank(sections[:3])
+            w_out = CompensatorBank(sections[3:])
             j1_fitness(under((w_in, w_out), pset, grid), grid)
             assert len(captured) == len(pset)
             for got, p in zip(captured, pset):
@@ -560,9 +559,9 @@ class TestJ1Fitness:
         monkeypatch.setattr(rssd.scp, "central_plant", spy)
         seen = set()
         for k in range(4):
-            w_in, w_out = random_bank(rng, 2, "in"), random_bank(rng, 3, "out")
+            w_in, w_out = random_bank(rng, 2), random_bank(rng, 3)
             if k % 2:
-                w_in = CompensatorBank((near_origin,) + w_in.sections[1:], "in")
+                w_in = CompensatorBank((near_origin,) + w_in.sections[1:])
             j1_fitness(under((w_in, w_out), pset, grid), grid)
             for got, p in zip(captured, pset, strict=True):
                 want = pole_counts(augment_plant(w_out, p, w_in))
@@ -575,8 +574,8 @@ class TestJ1Fitness:
         # raw plant, keeping poles and zeros
         pset = mimo_family(2, 3)
         rng = np.random.default_rng(31)
-        first = (random_bank(rng, 3, "in"), random_bank(rng, 5, "out"))
-        second = (random_bank(rng, 3, "in"), random_bank(rng, 5, "out"))
+        first = (random_bank(rng, 3), random_bank(rng, 5))
+        second = (random_bank(rng, 3), random_bank(rng, 5))
         members = under(first, pset, grid)
         again = augment(*second, members)
         for m, n, p in zip(members, again, pset, strict=True):
@@ -592,16 +591,15 @@ class TestJ1Fitness:
         pset = mimo_family(2, 3)
         w_in = CompensatorBank(tuple(FirstOrderSection(0.0, b, 0.0, d)
                                      for b, d in ((0.3, 1.0), (1.2, 2.0),
-                                                  (0.9, 0.5))), "in")
+                                                  (0.9, 0.5))))
         w_out = CompensatorBank(tuple(FirstOrderSection(0.0, b, 0.0, 1.0)
-                                      for b in (1.4, 0.2, 0.8, 1.1, 0.6)),
-                                "out")
+                                      for b in (1.4, 0.2, 0.8, 1.1, 0.6)))
         g_in = np.diag([s.b / s.d for s in w_in.sections])
         g_out = np.diag([s.b / s.d for s in w_out.sections])
         scaled = PlantSet(tuple(
             StateSpacePlant(p.A, p.B @ g_in, g_out @ p.C, g_out @ p.D @ g_in,
                             p.label) for p in pset))
-        j1, idx, _ = j1_fitness(under((w_in, w_out), pset, grid), grid)
-        ref, ref_idx, _ = j1_fitness(sampled(scaled, grid), grid)
+        j1, idx = j1_fitness(under((w_in, w_out), pset, grid), grid)
+        ref, ref_idx = j1_fitness(sampled(scaled, grid), grid)
         assert idx == ref_idx
         assert j1 == pytest.approx(ref, rel=1e-13, abs=0.0)

@@ -93,9 +93,9 @@ def mimo_case(seed):
                             rng.normal(size=(3, 2)), rng.normal(size=(3, 3)),
                             0.3 * rng.normal(size=(3, 2)))
     w_in = CompensatorBank(tuple(FirstOrderSection(*c) for c in (
-        (1.0, 2.0, 1.0, 4.0), (0.0, 1.0, 0.0, 1.0))), "in")
+        (1.0, 2.0, 1.0, 4.0), (0.0, 1.0, 0.0, 1.0))))
     w_out = CompensatorBank(tuple(FirstOrderSection(*c) for c in (
-        (0.0, 3.0, 1.0, 3.0), (0.5, 1.0, 1.0, 2.0), (0.0, 1.0, 0.0, 1.0))), "out")
+        (0.0, 3.0, 1.0, 3.0), (0.5, 1.0, 1.0, 2.0), (0.0, 1.0, 0.0, 1.0))))
     gain = -0.2 * rng.normal(size=(2, 3))
     assert closed_loop(augment_plant(w_out, plant, w_in), gain).stable
     return plant, gain, w_in, w_out
@@ -294,8 +294,8 @@ def fixture_case(index):
     """A fixture plant under the fixture's synthesized controller, rounded."""
     plant = fileio.load_plantset(CONFIGS / "three_plant_family.json")[index]
     return (plant, np.array([[-1.28]]),
-            CompensatorBank((FirstOrderSection(0.0, 4.54, 0.0, 1.0),), "in"),
-            CompensatorBank((FirstOrderSection(0.0, 4.43, 0.0, 1.0),), "out"))
+            CompensatorBank((FirstOrderSection(0.0, 4.54, 0.0, 1.0),)),
+            CompensatorBank((FirstOrderSection(0.0, 4.43, 0.0, 1.0),)))
 
 
 class TestRecurrence:
@@ -512,7 +512,7 @@ class TestWeightGainCurve:
     def test_published_weight_values(self):
         G = FirstOrderSection(3.0, 923.9, 1.0, 9239.0)
         grid = FrequencyGrid(np.union1d(FrequencyGrid.default().points, [3250.0]))
-        g = CompensatorBank((G,), side="out").realization
+        g = CompensatorBank((G,)).realization
         omega = grid.points
         mag = np.abs(eval_response(g, 1j * omega)[:, 0, 0])
         assert mag[0] == pytest.approx(0.1, rel=1e-3)          # DC

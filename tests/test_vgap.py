@@ -575,9 +575,9 @@ class TestCentralPlant:
         for pset in seeded_families():
             members = [sampled_member(p, coarse_grid) for p in pset]
             assert all(m.augmented is p for m, p in zip(members, pset))
-            j1, index, p_cp = j1_fitness(members, coarse_grid)
+            j1, index = j1_fitness(members, coarse_grid)
             want = central_plant(pset, coarse_grid)
-            assert index == want.index and p_cp is pset[index]
+            assert index == want.index
             assert np.float64(j1).tobytes() == np.float64(want.epsilon).tobytes()
 
 
