@@ -44,11 +44,11 @@ HAMILTONIAN_AXIS_RTOL = 1e-7
 # linf_norm's bound is within 2 LINF_TOL (relative) above the norm.
 LINF_TOL = 1e-10
 LINF_MAX_ITER = 50
-# closed_loop refuses an (I - K D) whose sigma_min is at most this times
-# max(1, sigma_max): forming I - K D from I and K D leaves rounding errors of
-# about eps * max(1, |K D|), a scale max(1, sigma_max) holds within 2.  Unlike
-# a determinant the test does not shrink with m; past it M = (I - K D)^(-1)
-# may keep as few as 4 correct digits, and none when I - K D is noise.
+# is_well_posed refuses an I + X whose sigma_min is at most this times
+# max(1, sigma_max): forming I + X from I and X leaves rounding errors of
+# about eps * max(1, |X|), a scale max(1, sigma_max) holds within 2.  Unlike
+# a determinant the test does not shrink with m; past it (I + X)^(-1) may
+# keep as few as 4 correct digits, and none when I + X is noise.
 WELL_POSED_RTOL = 1e-12
 
 
@@ -77,6 +77,14 @@ def singular_values(mats: np.ndarray) -> np.ndarray:
     if not mats.any():
         return np.zeros(mats.shape[:-2] + (min(mats.shape[-2:]),))
     return np.linalg.svd(mats, compute_uv=False)
+
+
+def is_well_posed(mat: np.ndarray) -> bool:
+    """Whether the square I + X ``mat`` (closed_loop's I - K D, the nu-gap's
+    I + D_x) has sigma_min > ``WELL_POSED_RTOL`` * max(1, sigma_max); one
+    without rows has nothing to invert and is."""
+    sv = singular_values(mat)
+    return not sv.size or sv[-1] > WELL_POSED_RTOL * max(1.0, sv[0])
 
 
 def sigma_max(mats: np.ndarray) -> np.ndarray:
@@ -242,8 +250,7 @@ def closed_loop(plant: StateSpacePlant, gain) -> ClosedLoop:
             f"gain shape {K.shape} does not match plant (m={plant.m}, r={plant.r})"
         )
     ikd = np.eye(plant.m) - K @ plant.D
-    sv = singular_values(ikd)  # none when m = 0: nothing to invert
-    if sv.size and not sv[-1] > WELL_POSED_RTOL * max(1.0, sv[0]):
+    if not is_well_posed(ikd):
         raise IllPosedLoop("(I - K D) is singular")
     M = np.linalg.inv(ikd)
     if plant.n:

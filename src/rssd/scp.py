@@ -28,7 +28,7 @@ from .lti import (
     eval_response,
 )
 from .margins import crossings, singular_values
-from .vgap import SampledPlant, central_plant, spectrum_counts
+from .vgap import SampledPlant, central_plant
 
 FEEDTHROUGH_TOL = 1e-6  # |1 - s^2| of a singular value s of D: H(1) undecided
 BAND_EDGE_RTOL = 1e-9  # a crossing this close outside the band is on its edge
@@ -288,25 +288,20 @@ def j1_fitness(members, grid: FrequencyGrid):
 
     Only the banks' work is redone per genome.  Each augmented member's grid
     response is the product W_out(jw) P_i(jw) W_in(jw) of the banks'
-    responses and the member's, its pole counts are those of P_i's poles and
-    the sections' poles, and it forms only the factors its pairs read.  Its
-    realization, ``augmented``, gives the winding test and the responses off
-    the grid.
+    responses and the member's, and it forms only the factors its pairs
+    read.  Its realization, ``augmented``, gives the winding condition and
+    the responses off the grid.
     """
     w_in, w_out = members[0].banks
     s = 1j * grid.points
     # the banks are diagonal: scale P_i's rows and columns by their entries
     post = np.diagonal(eval_response(w_out.realization, s), axis1=1, axis2=2)
     pre = np.diagonal(eval_response(w_in.realization, s), axis1=1, axis2=2)
-    sections = np.concatenate([_bank_poles_zeros(w_in)[0],
-                               _bank_poles_zeros(w_out)[0]])
     last = len(members) - 1
     augmented = []
     for i, m in enumerate(members):
         response = post[:, :, None] * m.response * pre[:, None, :]
-        augmented.append(SampledPlant.of(
-            m.augmented, grid, response,
-            spectrum_counts(np.append(m.poles, sections)),
-            left=i > 0, right=i < last))
+        augmented.append(SampledPlant.of(m.augmented, grid, response,
+                                         left=i > 0, right=i < last))
     result = central_plant(augmented, grid)
     return result.epsilon, result.index

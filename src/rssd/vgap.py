@@ -4,20 +4,21 @@ The gap between two plants is the L-infinity peak of
 
     Psi = (I + P2 P2*)^(-1/2) (P1 - P2) (I + P1* P1)^(-1/2)
 
-when the determinant and winding-number conditions hold, and 1 otherwise.
-Both are taken of det(I + P2~(s) P1(s)) with P2~ the paraconjugate
-P2(-s)^T, which keeps them well defined for non-square plants and makes the
-gap symmetric for mixed stable/unstable pairs, and decided exactly from the
-eigenvalues of one state-space realization of I + P2~ P1 and its inverse
-(Vinnicombe, IEEE TAC 38(9), 1993): the grid carries only the peak of Psi.
-Every member of a set is evaluated once on the grid (``sample``); each
-pair then only combines the stored responses and factors.  A caller that
-already has a member's grid response and pole counts, such as a product of
-factors it sampled itself, builds the sample from them (``SampledPlant.of``),
-forming only the factor sides its pairs read.  sigma_max Psi per point is
-``margins.sigma_max``, the kernel the L-infinity iteration samples with: a
-SISO pair's |Psi| from ``margins.modulus``, else the largest eigenvalue of
-the smaller Gram.
+when the winding condition holds, and 1 otherwise.  The condition is
+wno det(G2~* G1) = 0 in Vinnicombe's graph-symbol form (IEEE TAC 38(9),
+1993), taken of det(I + P2~(s) P1(s)) with P2~ the paraconjugate P2(-s)^T,
+which keeps it well defined for non-square plants and symmetric for mixed
+stable/unstable pairs.  It is decided exactly from the eigenvalues of one
+state-space realization of I + P2~ P1 and its inverse, and no member's
+poles are counted apart (``winding_number_det``): the grid carries only the
+peak of Psi.  Every member of a set is evaluated once on the grid
+(``sample``); each pair then only combines the stored responses and
+factors.  A caller that already has a member's grid response, such as a
+product of factors it sampled itself, builds the sample from it
+(``SampledPlant.of``), forming only the factor sides its pairs read.
+sigma_max Psi per point is ``margins.sigma_max``, the kernel the
+L-infinity iteration samples with: a SISO pair's |Psi| from
+``margins.modulus``, else the largest eigenvalue of the smaller Gram.
 
 ``central_plant`` needs only min_i max_j delta_ij and its index, so it
 prunes: the maximum of sigma_max Psi over any grid subset is a lower bound
@@ -48,7 +49,7 @@ from .lti import (
     eval_response,
     is_imag_axis,
 )
-from .margins import sigma_max, singular_values
+from .margins import is_well_posed, sigma_max
 from .sweep import grid_peak
 
 # An eigenvalue of A_z this close (relative) to an imaginary-axis eigenvalue
@@ -75,57 +76,39 @@ class CentralPlantResult:
 
 @dataclass(frozen=True)
 class SampledPlant:
-    """A plant with its response on ``grid``, the per-point factors a pair
-    needs, (I + P P*)^(-1/2) and (I + P* P)^(-1/2), and its ``pole_counts``.
-    A factor no pair reads is None."""
+    """A plant with its response on ``grid`` and the per-point factors a
+    pair needs, (I + P P*)^(-1/2) and (I + P* P)^(-1/2).  A factor no pair
+    reads is None."""
 
     plant: StateSpacePlant
     grid: FrequencyGrid
     response: np.ndarray
     left: np.ndarray | None
     right: np.ndarray | None
-    poles: tuple[int, int]
 
     @staticmethod
     def of(plant: StateSpacePlant, grid: FrequencyGrid, response: np.ndarray,
-           poles: tuple[int, int], left: bool = True,
-           right: bool = True) -> "SampledPlant":
-        """``plant`` with ``response``, its value at 1j * grid.points, its
-        ``pole_counts`` and the factors ``left`` and ``right`` ask for."""
+           left: bool = True, right: bool = True) -> "SampledPlant":
+        """``plant`` with ``response``, its value at 1j * grid.points, and
+        the factors ``left`` and ``right`` ask for."""
         left, right = _factors(response, left, right, (plant,))
-        return SampledPlant(plant, grid, response, left, right, poles)
+        return SampledPlant(plant, grid, response, left, right)
 
 
 def sample(plant: StateSpacePlant | SampledPlant,
            grid: FrequencyGrid) -> SampledPlant:
-    """Evaluate ``plant`` once on ``grid`` for any number of nu-gap pairs; a
-    plant already sampled on ``grid`` is returned as it is."""
+    """Evaluate ``plant`` once on ``grid`` and form both factors, for any
+    number of nu-gap pairs; a plant already sampled on ``grid`` is returned
+    as it is."""
     if isinstance(plant, SampledPlant):
         if plant.grid is not grid:
             raise DimensionMismatch("plant was sampled on a different grid")
         return plant
-    return SampledPlant.of(plant, grid, eval_response(plant, 1j * grid.points),
-                           pole_counts(plant))
+    return SampledPlant.of(plant, grid, eval_response(plant, 1j * grid.points))
 
 
 def _rhp_count(eig: np.ndarray) -> int:
     return int(np.count_nonzero(~is_imag_axis(eig) & (eig.real > 0)))
-
-
-def spectrum_counts(eig: np.ndarray) -> tuple[int, int]:
-    """(open-RHP count, imaginary-axis count) of the eigenvalues ``eig``."""
-    return _rhp_count(eig), int(np.count_nonzero(is_imag_axis(eig)))
-
-
-def pole_counts(plant: StateSpacePlant) -> tuple[int, int]:
-    """(open-RHP pole count, imaginary-axis pole count) from eigenvalues of A.
-
-    No minimality reduction is attempted; non-minimal realizations count
-    every A-eigenvalue.
-    """
-    if plant.n == 0:
-        return 0, 0
-    return spectrum_counts(np.linalg.eigvals(plant.A))
 
 
 def paraconjugate(plant: StateSpacePlant) -> StateSpacePlant:
@@ -136,26 +119,26 @@ def paraconjugate(plant: StateSpacePlant) -> StateSpacePlant:
 
 
 def winding_number_det(p1: StateSpacePlant, p2: StateSpacePlant) -> int:
-    """Winding number (RHP zeros minus RHP poles) of det(I + P2~ P1).
+    """wno det(G2~* G1) = Z - n_2, with Z the right-half-plane zeros of
+    det(I + P2~ P1) and n_2 the order of P2; the nu-gap's condition is 0.
 
     With X = P2~ P1 realized as one cascade (A_x, B_x, C_x, D_x),
     det(I + X(s)) = det(I + D_x) det(sI - A_z) / det(sI - A_x) with
-    A_z = A_x - B_x (I + D_x)^(-1) C_x, so the count is
-    #RHP eig(A_z) - #RHP eig(A_x) over the whole right half-plane.  The
-    contour passes right of imaginary-axis eigenvalues of A_x: a zero there
-    is a cancellation and is not counted.  Any other imaginary-axis
-    eigenvalue of A_z, or a singular I + D_x, puts a zero of the
-    determinant on the contour and raises DetVanishesOnContour.
+    A_z = A_x - B_x (I + D_x)^(-1) C_x, so Z = #RHP eig(A_z); the contour
+    passes right of imaginary-axis eigenvalues of A_x, where a zero is a
+    cancellation.  A_x = [[A_1, 0], [., -A_2^T]] is block triangular, so
+    #RHP eig(A_x) = eta(P1) + n_2 - eta(P2) - eta_0(P2), and Vinnicombe's
+    wno det(I + P2~ P1) + eta(P1) - eta(P2) - eta_0(P2) is Z - n_2: no pole
+    is counted.  Any other imaginary-axis eigenvalue of A_z, or an I + D_x
+    that ``is_well_posed`` refuses, puts a zero of the determinant on the
+    contour and raises DetVanishesOnContour.
     """
     if (p1.m, p1.r) != (p2.m, p2.r):
         raise DimensionMismatch("plants must share input/output dimensions")
     x = cascade(p1, paraconjugate(p2))
     ipd = np.eye(p1.m) + x.D
-    if abs(np.linalg.det(ipd)) <= 1e-9 * (
-            1.0 + singular_values(p1.D)[0] * singular_values(p2.D)[0]):
+    if not is_well_posed(ipd):
         raise DetVanishesOnContour("det(I + P2~ P1) vanishes at infinity")
-    if x.n == 0:
-        return 0
     poles = np.linalg.eigvals(x.A)
     zeros = np.linalg.eigvals(x.A - x.B @ np.linalg.solve(ipd, x.C))
     axis_poles = poles[is_imag_axis(poles)]
@@ -164,7 +147,7 @@ def winding_number_det(p1: StateSpacePlant, p2: StateSpacePlant) -> int:
         <= SHARED_AXIS_RTOL * np.maximum(1.0, np.abs(axis_poles)), axis=1)
     if np.any(is_imag_axis(zeros) & ~indented):
         raise DetVanishesOnContour("det(I + P2~ P1) vanishes on the imaginary axis")
-    return _rhp_count(zeros[~indented]) - _rhp_count(poles)
+    return _rhp_count(zeros[~indented]) - p2.n
 
 
 def _ct(mats):
@@ -265,8 +248,7 @@ def _pair_gap(s1: SampledPlant, s2: SampledPlant) -> VgapResult:
         wno = winding_number_det(s1.plant, s2.plant)
     except DetVanishesOnContour:
         return VgapResult(1.0, False)
-    # wno + eta(P1) - eta(P2) - eta_0(P2) must vanish
-    if wno + s1.poles[0] - sum(s2.poles) != 0:
+    if wno != 0:
         return VgapResult(1.0, False)
     return VgapResult(_clip(grid_peak(_psi_sigma(s1, s2), s1.grid)[0]), True)
 

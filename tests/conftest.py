@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from rssd.lti import CompensatorBank, FrequencyGrid, PlantSet, StateSpacePlant
+from rssd.lti import (
+    CompensatorBank,
+    FrequencyGrid,
+    PlantSet,
+    StateSpacePlant,
+    eval_response,
+    is_imag_axis,
+)
+from rssd.vgap import paraconjugate
 
 
 @pytest.fixture
@@ -54,3 +62,60 @@ def mimo_family(seed, members):
         StateSpacePlant(T @ np.diag(poles * scales[k]) @ T.T, B, C,
                         np.zeros((r, m)), f"member{k}")
         for k in order))
+
+
+def oscillator_family(rng):
+    """Three 3-output x 2-input order-4 plants sharing B, C and a state
+    basis: poles (0.7, -1, -1.5, -2), (+-2j, 0.7, -1.5) and
+    (0.8, 0.3, -1.5, -2.5)."""
+    T, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    B, C = rng.normal(size=(4, 2)), rng.normal(size=(3, 4))
+    oscillator = np.diag([0.0, 0.0, 0.7, -1.5])
+    oscillator[0, 1], oscillator[1, 0] = 2.0, -2.0
+    return PlantSet(tuple(
+        StateSpacePlant(T @ block @ T.T, B, C, np.zeros((3, 2)))
+        for block in (np.diag([0.7, -1.0, -1.5, -2.0]), oscillator,
+                      np.diag([0.8, 0.3, -1.5, -2.5]))))
+
+
+def eig_counts(plant):
+    """(open-RHP count, imaginary-axis count) of the eigenvalues of A."""
+    eig = np.linalg.eigvals(plant.A)
+    axis = is_imag_axis(eig)
+    return int(np.count_nonzero(~axis & (eig.real > 0))), int(np.count_nonzero(axis))
+
+
+def reference_winding(p1, p2, indent=1e-3, radius=1e6, num=4000):
+    """Winding number of det(I + P2~ P1) from densely sampled phase.
+
+    The contour runs up the imaginary axis from -j radius to j radius,
+    indented right around the axis poles of P1 and P2~, and closes along the
+    right semicircle of that radius.
+    """
+    p2t = paraconjugate(p2)
+    poles = [lam.imag for p in (p1, p2t) if p.n for lam in np.linalg.eigvals(p.A)
+             if abs(lam.real) < 1e-9]
+    w = np.logspace(-6, np.log10(radius), num)
+    axis = np.concatenate([-w[::-1], [0.0], w])
+    pieces, lo = [], -np.inf
+    for w0 in sorted(set(np.round(poles, 9))):
+        pieces.append(1j * axis[(axis > lo) & (axis < w0 - indent)])
+        theta = np.linspace(-np.pi / 2, np.pi / 2, 200)
+        pieces.append(1j * w0 + indent * np.exp(1j * theta))
+        lo = w0 + indent
+    pieces.append(1j * axis[axis > lo])
+    pieces.append(radius * np.exp(1j * np.linspace(np.pi / 2, -np.pi / 2, 2000)))
+    s = np.concatenate(pieces)
+    det = np.linalg.det(np.eye(p1.m) + eval_response(p2t, s) @ eval_response(p1, s))
+    steps = np.angle(det[1:] / det[:-1])
+    assert np.max(np.abs(steps)) < np.pi / 2, "reference contour too coarse"
+    # the closed path runs clockwise around the right half-plane
+    return int(np.rint(-steps.sum() / (2.0 * np.pi)))
+
+
+def reference_condition(p1, p2):
+    """Vinnicombe's winding index wno det(I + P2~ P1) + eta(P1) - eta(P2)
+    - eta_0(P2), from the dense-phase winding number and the eigenvalues of
+    each plant's A; the nu-gap's condition holds iff it is 0."""
+    (eta1, _), (eta2, eta0_2) = eig_counts(p1), eig_counts(p2)
+    return reference_winding(p1, p2) + eta1 - eta2 - eta0_2

@@ -243,7 +243,7 @@ def sign_tests(source: str) -> list[str]:
 
 def test_one_stability_rule():
     # lti.is_stable alone decides stability from a sign; vgap._rhp_count
-    # counts right-half-plane poles and gives no verdict
+    # counts the right-half-plane zeros of det(I + P2~ P1) and gives no verdict
     allowed = {"lti.py": {"is_stable"}, "vgap.py": {"_rhp_count"}}
     for path in sorted((ROOT / "src" / "rssd").glob("*.py")):
         functions = {site.split(":")[0] for site in sign_tests(path.read_text())}

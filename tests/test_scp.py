@@ -4,7 +4,13 @@ from scipy.linalg import block_diag
 
 import rssd.margins
 import rssd.scp
-from conftest import identity_banks, mimo_family
+from conftest import (
+    eig_counts,
+    identity_banks,
+    mimo_family,
+    oscillator_family,
+    reference_condition,
+)
 from rssd.errors import ComputationFailed, DimensionMismatch, OutOfBox, UnstableSection
 from rssd.lti import (
     CompensatorBank,
@@ -26,7 +32,7 @@ from rssd.scp import (
     sampled_member,
     transmission_zeros,
 )
-from rssd.vgap import central_plant, pole_counts
+from rssd.vgap import central_plant, winding_number_det
 
 
 def static_trio():
@@ -534,20 +540,13 @@ class TestJ1Fitness:
 
     def test_pole_counts_from_member_and_section_poles(self, grid,
                                                        monkeypatch):
-        # each augmented member counts P_i's poles and the sections' poles,
-        # as eig of the cascade's A would: here a member with poles at +-2j,
-        # seeded dynamic banks, and a section pole within IMAG_AXIS_RTOL of
-        # the origin
+        # the winding condition of each augmented pair counts P_i's poles
+        # and the sections' poles, as eig of each augmented A would: here a
+        # member with poles at +-2j, seeded dynamic banks, and a section pole
+        # within IMAG_AXIS_RTOL of the origin
         rng = np.random.default_rng(23)
-        T, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        B, C = rng.normal(size=(4, 2)), rng.normal(size=(3, 4))
-        oscillator = np.diag([0.0, 0.0, 0.7, -1.5])
-        oscillator[0, 1], oscillator[1, 0] = 2.0, -2.0
-        pset = PlantSet(tuple(
-            StateSpacePlant(T @ block @ T.T, B, C, np.zeros((3, 2)))
-            for block in (np.diag([0.7, -1.0, -1.5, -2.0]), oscillator,
-                          np.diag([0.8, 0.3, -1.5, -2.5]))))
-        assert [pole_counts(p) for p in pset] == [(1, 0), (1, 2), (2, 0)]
+        pset = oscillator_family(rng)
+        assert [eig_counts(p) for p in pset] == [(1, 0), (1, 2), (2, 0)]
         near_origin = FirstOrderSection(1.0, 2.0, 1.0, 1e-10)
         assert is_imag_axis(near_origin.pole)
         captured = []
@@ -563,10 +562,12 @@ class TestJ1Fitness:
             if k % 2:
                 w_in = CompensatorBank((near_origin,) + w_in.sections[1:])
             j1_fitness(under((w_in, w_out), pset, grid), grid)
-            for got, p in zip(captured, pset, strict=True):
-                want = pole_counts(augment_plant(w_out, p, w_in))
-                assert got.poles == want
-                seen.add(want)
+            plants = [got.plant for got in captured]
+            assert len(plants) == len(pset)
+            for a in plants:
+                seen.add(eig_counts(a))
+                for b in plants:
+                    assert winding_number_det(a, b) == reference_condition(a, b)
         assert {(1, 0), (1, 3), (2, 1)} <= seen
 
     def test_augmented_once_per_banks(self, grid):

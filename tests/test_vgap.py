@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from collections import Counter
 
@@ -5,8 +6,19 @@ import numpy as np
 import pytest
 
 import rssd.vgap
-from conftest import random_siso, random_stable_siso
-from rssd.errors import ComputationFailed, DetVanishesOnContour, DimensionMismatch
+from conftest import (
+    mimo_family,
+    oscillator_family,
+    random_siso,
+    random_stable_siso,
+    reference_condition,
+)
+from rssd.errors import (
+    ComputationFailed,
+    DetVanishesOnContour,
+    DimensionMismatch,
+    RssdError,
+)
 from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, cascade, eval_response
 from rssd.scp import j1_fitness, sampled_member
 from rssd.vgap import (
@@ -19,7 +31,6 @@ from rssd.vgap import (
     gap_matrix,
     nu_gap,
     paraconjugate,
-    pole_counts,
     sample,
     winding_number_det,
 )
@@ -31,6 +42,25 @@ def static(k):
 
 def static_gap(k1, k2):
     return abs(k1 - k2) / np.sqrt((1 + k1 ** 2) * (1 + k2 ** 2))
+
+
+def oscillator(w, T=np.eye(2)):
+    """1/(s^2 + w^2), poles at +-j w, in the state basis T x."""
+    Ti = np.linalg.inv(T)
+    return StateSpacePlant(T @ [[0.0, 1.0], [-w * w, 0.0]] @ Ti,
+                           T @ [[0.0], [1.0]], [[1.0, 0.0]] @ Ti, [[0.0]],
+                           f"osc{w}")
+
+
+MIXED = np.array([[2.0, 1.0], [1.0, 1.0]])
+
+
+def condition(p1, p2):
+    """Whether the nu-gap's winding condition holds for the ordered pair."""
+    try:
+        return winding_number_det(p1, p2) == 0
+    except DetVanishesOnContour:
+        return False
 
 
 def random_plant(rng, m, r, unstable, order=3):
@@ -155,34 +185,6 @@ def golden_grid_peak(f_batch, grid, max_refined=8, rel_tol=1e-4, rounds=40):
     return float(best_v)
 
 
-def reference_winding(p1, p2, indent=1e-3, radius=1e6, num=4000):
-    """Winding number of det(I + P2~ P1) from densely sampled phase.
-
-    The contour runs up the imaginary axis from -j radius to j radius,
-    indented right around the axis poles of P1 and P2~, and closes along the
-    right semicircle of that radius.
-    """
-    p2t = paraconjugate(p2)
-    poles = [lam.imag for p in (p1, p2t) if p.n for lam in np.linalg.eigvals(p.A)
-             if abs(lam.real) < 1e-9]
-    w = np.logspace(-6, np.log10(radius), num)
-    axis = np.concatenate([-w[::-1], [0.0], w])
-    pieces, lo = [], -np.inf
-    for w0 in sorted(set(np.round(poles, 9))):
-        pieces.append(1j * axis[(axis > lo) & (axis < w0 - indent)])
-        theta = np.linspace(-np.pi / 2, np.pi / 2, 200)
-        pieces.append(1j * w0 + indent * np.exp(1j * theta))
-        lo = w0 + indent
-    pieces.append(1j * axis[axis > lo])
-    pieces.append(radius * np.exp(1j * np.linspace(np.pi / 2, -np.pi / 2, 2000)))
-    s = np.concatenate(pieces)
-    det = np.linalg.det(np.eye(p1.m) + eval_response(p2t, s) @ eval_response(p1, s))
-    steps = np.angle(det[1:] / det[:-1])
-    assert np.max(np.abs(steps)) < np.pi / 2, "reference contour too coarse"
-    # the closed path runs clockwise around the right half-plane
-    return int(np.rint(-steps.sum() / (2.0 * np.pi)))
-
-
 def seeded_families():
     """The 24 families of the bitwise pruning test, then those seeded 43
     (five members, well-separated rows) and 47 (three members)."""
@@ -243,17 +245,6 @@ def exact_pairs(pset, grid, monkeypatch):
     return result, pairs
 
 
-class TestPoleCounts:
-    def test_stable_plant(self):
-        assert pole_counts(StateSpacePlant.siso(-1.0, 1.0)) == (0, 0)
-
-    def test_unstable_and_axis(self):
-        A = np.diag([1.0, 0.0, -2.0])
-        p = StateSpacePlant(A, np.ones((3, 1)), np.ones((1, 3)),
-                            np.zeros((1, 1)))
-        assert pole_counts(p) == (1, 1)
-
-
 class TestParaconjugate:
     def test_response_is_conjugate_transpose_on_axis(self):
         rng = np.random.default_rng(3)
@@ -268,22 +259,19 @@ class TestParaconjugate:
 
 class TestWindingNumber:
     def test_static_versus_unstable(self):
-        # det(I + P2~ P1) for P1 = 2, P2 = 1/(s-1): one RHP zero, no RHP pole
+        # det(I + P2~ P1) = (s + 1)/(s - 1) for P1 = 2, P2 = 1/(s-1): one RHP
+        # zero, n_2 = 1 state
         p1 = static(2.0)
         p2 = StateSpacePlant.siso(1.0, 1.0)
-        assert winding_number_det(p1, p2) == 1
+        assert winding_number_det(p1, p2) == 0
 
     def test_symmetric_orderings_compensate(self):
+        # wno det(I + P2~ P1) is 1 one way and 0 the other; each order's
+        # pole counts make up the difference
         p1 = static(2.0)
         p2 = StateSpacePlant.siso(1.0, 1.0)
-        w12 = winding_number_det(p1, p2)
-        w21 = winding_number_det(p2, p1)
-        eta1, _ = pole_counts(p1)
-        eta2, eta0_2 = pole_counts(p2)
-        assert w12 + eta1 - eta2 - eta0_2 == 0
-        eta2b, eta0b = pole_counts(p1)
-        eta1b, _ = pole_counts(p2)
-        assert w21 + eta1b - eta2b - eta0b == 0
+        assert winding_number_det(p1, p2) == reference_condition(p1, p2) == 0
+        assert winding_number_det(p2, p1) == reference_condition(p2, p1) == 0
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("unstable", [(False, False), (False, True),
@@ -293,8 +281,8 @@ class TestWindingNumber:
         for _ in range(6):
             p1 = random_plant(rng, m, m, unstable[0])
             p2 = random_plant(rng, m, m, unstable[1])
-            assert winding_number_det(p1, p2) == reference_winding(p1, p2)
-            assert winding_number_det(p2, p1) == reference_winding(p2, p1)
+            assert winding_number_det(p1, p2) == reference_condition(p1, p2)
+            assert winding_number_det(p2, p1) == reference_condition(p2, p1)
 
     def test_shared_axis_eigenvalue_is_a_cancellation(self):
         # P2 = 1/(s+1) carries an unobservable integrator (in a mixed state
@@ -308,7 +296,7 @@ class TestWindingNumber:
         x = cascade(p1, paraconjugate(p2))
         assert np.min(np.abs(np.linalg.eigvals(x.A - x.B @ x.C))) < 1e-12
         for a, b in ((p1, p2), (p2, p1)):
-            assert winding_number_det(a, b) == reference_winding(a, b)
+            assert winding_number_det(a, b) == reference_condition(a, b)
 
     def test_double_integrator_cancelled_by_double_zero(self):
         # P1 = s^2/(s+1)^2 against P2 = 1/s^2: the hidden Jordan block at 0
@@ -318,7 +306,7 @@ class TestWindingNumber:
         p2 = StateSpacePlant([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
                              [[1.0, 0.0]], [[0.0]])
         for a, b in ((p1, p2), (p2, p1)):
-            assert winding_number_det(a, b) == reference_winding(a, b)
+            assert winding_number_det(a, b) == reference_condition(a, b)
 
     def test_axis_zero_off_the_indentations_fails_condition(self, grid):
         # det(1 + P2~ P1) = s/(s+1) for P1 = 2/(s+1), P2 = -1/2
@@ -338,6 +326,15 @@ class TestWindingNumber:
             winding_number_det(p1, p2)
         assert nu_gap(p1, p2, grid).value == 1.0
 
+    @pytest.mark.parametrize("m", [1, 8, 9, 10])
+    def test_well_posed_feedthrough_at_any_channel_count(self, m, grid):
+        # I + D_x = 0.1 I for P1 = I, P2 = -0.9 I has sigma_min 0.1 at every
+        # m; its determinant 0.1^m once fell below a fixed floor from m = 9
+        got = nu_gap(StateSpacePlant.from_gain(np.eye(m)),
+                     StateSpacePlant.from_gain(-0.9 * np.eye(m)), grid)
+        assert got.condition_met
+        assert got.value == pytest.approx(static_gap(1.0, -0.9), abs=1e-12)
+
 class TestNuGap:
     def test_static_pair_closed_form(self, grid):
         got = nu_gap(static(1.0), static(2.0), grid)
@@ -347,6 +344,22 @@ class TestNuGap:
     def test_identical_plants(self, grid):
         p = StateSpacePlant.siso(-1.0, 1.0)
         assert nu_gap(p, p, grid).value < 1e-7
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: oscillator(1.0), id="1/(s2+1)"),
+        pytest.param(lambda: oscillator(1.0, MIXED), id="1/(s2+1)-mixed"),
+        pytest.param(lambda: oscillator(2.0), id="1/(s2+4)"),
+        pytest.param(lambda: oscillator(2.0, MIXED), id="1/(s2+4)-mixed"),
+        pytest.param(lambda: oscillator_family(np.random.default_rng(23))[1],
+                     id="3x2-2j"),
+    ])
+    def test_identity_with_imaginary_axis_poles(self, build, grid):
+        # P's axis poles and P~'s mirror copies form Jordan pairs in A_x,
+        # which eigvals may split off the axis band (by 6e-9 for 1/(s^2+1));
+        # the condition counts no pole
+        p = build()
+        assert winding_number_det(p, p) == 0
+        assert nu_gap(p, p, grid) == VgapResult(0.0, True)
 
     def test_integrator_inverted_integrator_distance_one(self, grid):
         # 1/s versus s/(0.001 s + 1): nearly inverse behaviour, gap ~ 1
@@ -406,6 +419,70 @@ class TestNuGap:
         s2 = sample(StateSpacePlant.siso(-1.0, 1.0, "lag"), grid)
         with pytest.raises(ComputationFailed, match="plant 'huge' or 'lag':"):
             rssd.vgap._psi_sigma(s1, s2)(np.array([1e-3]))
+
+
+def degenerate_catalogue():
+    """16 SISO plants at the edges of what the nu-gap takes."""
+    T = np.array([[1.0, 0.4], [-0.3, 2.0]])
+    Ti = np.linalg.inv(T)
+    hidden = np.diag([1.0, -1.0])  # the unstable mode is uncontrollable
+    B, C = np.array([[0.0], [1.0]]), np.array([[1.0, 1.0]])
+    return {
+        "zero": static(0.0), "one": static(1.0), "minus-one": static(-1.0),
+        "lag": StateSpacePlant.siso(-1.0), "unstable": StateSpacePlant.siso(1.0),
+        "integrator": StateSpacePlant.siso(0.0), "oscillator": oscillator(1.0),
+        "zero-B": StateSpacePlant([[-1.0]], [[0.0]], [[1.0]], [[0.0]]),
+        "zero-C": StateSpacePlant([[-1.0]], [[1.0]], [[0.0]], [[0.0]]),
+        "hidden-diagonal": StateSpacePlant(hidden, B, C, [[0.0]]),
+        "hidden-mixed": StateSpacePlant(T @ hidden @ Ti, T @ B, C @ Ti, [[0.0]]),
+        "feedthrough": StateSpacePlant([[-1.0]], [[1.0]], [[1.0]], [[1.0]]),
+        "huge": static(1e150), "tiny": static(1e-150),
+        "fast": StateSpacePlant.siso(-1e8, 1e8),
+        "slow": StateSpacePlant.siso(-1e-8, 1e-8),
+    }
+
+
+class TestDegeneratePlants:
+    def test_every_ordered_pair(self, grid):
+        # each pair reads a value in [0, 1] or raises a typed error, with no
+        # floating-point exception on the way; each plant is 0 from itself
+        plants = degenerate_catalogue()
+        assert len(plants) == 16
+        with np.errstate(over="raise", invalid="raise", divide="raise",
+                         under="ignore"):
+            for (a, p1), (b, p2) in itertools.product(plants.items(), repeat=2):
+                try:
+                    got = nu_gap(p1, p2, grid)
+                except RssdError:
+                    assert a != b
+                    continue
+                assert 0.0 <= got.value <= 1.0, (a, b)
+                if a == b:
+                    assert got == VgapResult(0.0, True), a
+
+
+class TestMetricAxioms:
+    @staticmethod
+    def families():
+        rng = np.random.default_rng(61)
+        yield from (random_family(rng, 5, 1, 1), random_family(rng, 5, 2, 3),
+                    axis_chain(rng, 6, 1, 1), axis_chain(rng, 6, 3, 2))
+        for m, r in [(2, 3), (3, 2), (2, 2)]:
+            yield PlantSet(tuple(mixed_pair(rng, m, r)))
+        yield mimo_family(1, 5)
+
+    def test_condition_symmetric(self, coarse_grid):
+        # det(I + P1~ P2)(s) = det(I + P2~ P1)(-s), so the condition holds in
+        # one order exactly when it does in the other
+        met = Counter()
+        for pset in self.families():
+            for a, b in itertools.combinations(pset, 2):
+                assert condition(a, b) == condition(b, a)
+                assert (nu_gap(a, b, coarse_grid).condition_met
+                        == nu_gap(b, a, coarse_grid).condition_met
+                        == condition(a, b))
+                met[condition(a, b)] += 1
+        assert met[True] > 0 and met[False] > 0
 
 
 class TestCentralPlant:
@@ -560,8 +637,7 @@ class TestCentralPlant:
             n = len(pset)
             samples = [SampledPlant.of(p, coarse_grid,
                                        eval_response(p, 1j * coarse_grid.points),
-                                       pole_counts(p), left=i > 0,
-                                       right=i < n - 1)
+                                       left=i > 0, right=i < n - 1)
                        for i, p in enumerate(pset)]
             assert samples[0].left is None and samples[-1].right is None
             assert central_plant(samples, coarse_grid) == central_from_matrix(
@@ -618,14 +694,10 @@ class TestSampling:
             sizes.append(np.size(s_values))
             return eval_response(plant, s_values)
 
-        counts = []
         monkeypatch.setattr(rssd.vgap, "eval_response", counted)
-        monkeypatch.setattr(rssd.vgap, "pole_counts",
-                            lambda plant: counts.append(plant) or pole_counts(plant))
         result = central_plant(pset, coarse_grid)
         assert result.epsilon < 1.0
         assert sizes.count(coarse_grid.points.size) == len(pset)
-        assert len(counts) == len(pset)
 
     @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4), (1, 1)])
     @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
