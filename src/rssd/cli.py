@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -148,15 +148,7 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out) -> dict:
         ]}
         if margins is None:
             return {"unstable": True, **tables}, curves
-        tables.update({
-            "unstable": False,
-            "gsm": margins.gsm,
-            "disk_alpha": margins.disk_alpha,
-            "mdgm_db": margins.mdgm_db,
-            "mdpm_deg": margins.mdpm_deg,
-            "degenerate": margins.degenerate,
-        })
-        return tables, curves
+        return {"unstable": False, **asdict(margins), **tables}, curves
 
     results = [one(plant) for plant in pset]
     out = _out_dir(out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolation, DimensionMismatch, EmptySubspace, IllConditioned
+from .errors import BoundViolation, DimensionMismatch, IllConditioned
 from .lti import damping, is_stable
 from .margins import singular_values
 
@@ -117,13 +117,18 @@ class SubspaceBasis:
 
 
 def allowable_subspace(A, B, lam: complex) -> SubspaceBasis:
-    """Null space of [A - lambda I, B] (real-augmented for complex lambda)."""
+    """Null space of [A - lambda I, B] (real-augmented for complex lambda).
+
+    The block has n (2n) rows and n + m (2(n + m)) columns, so the basis has
+    at least m (2m) columns: never none, since B must have a column.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n = A.shape[0]
     m = B.shape[1]
-    if A.shape != (n, n) or B.shape[0] != n:
-        raise DimensionMismatch("inconsistent (A, B) dimensions")
+    if A.shape != (n, n) or B.shape[0] != n or not m:
+        raise DimensionMismatch(
+            f"inconsistent (A, B) shapes {A.shape}, {B.shape} (m must be > 0)")
     lam = complex(lam)
     eye = np.eye(n)
     if lam.imag == 0.0:
@@ -138,19 +143,13 @@ def allowable_subspace(A, B, lam: complex) -> SubspaceBasis:
     _, sv, vt = np.linalg.svd(block)
     tol = NULLSPACE_RTOL * (sv[0] if sv.size else 1.0)
     rank = int(np.count_nonzero(sv > tol))
-    null = vt[rank:].T
-    if null.shape[1] == 0:
-        raise EmptySubspace(f"no allowable directions for lambda={lam}")
-    return SubspaceBasis(lam, null, n, m)
+    return SubspaceBasis(lam, vt[rank:].T, n, m)
 
 
 def _normalize(vec: np.ndarray) -> np.ndarray:
-    nrm = np.linalg.norm(vec)
-    if nrm == 0.0:
-        return vec
-    vec = vec / nrm
-    nz = np.nonzero(np.abs(vec) > 1e-12)[0]
-    if nz.size and vec[nz[0]] < 0:
+    vec = vec / np.linalg.norm(vec)
+    nz = np.nonzero(np.abs(vec) > 1e-12)[0]  # never empty: vec is a unit SVD row
+    if vec[nz[0]] < 0:
         vec = -vec
     return vec
 

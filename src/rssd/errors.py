@@ -37,10 +37,6 @@ class UnstableLoop(RssdError):
     """Closed loop is not internally stable."""
 
 
-class EmptySubspace(RssdError):
-    """Numerical null space of [A - lambda I, B] is empty."""
-
-
 class BoundViolation(RssdError):
     """Achieved constrained eigenvector entries leave their bound boxes."""
 

@@ -332,9 +332,6 @@ def scenario_from_obj(obj) -> tuple[Scenario, dict]:
     scenario = _reader(Scenario)(fields, "scenario")
     metrics = {} if spec is None else _arguments(tracking_metrics, spec,
                                                  "scenario metrics")
-    # absent, steady_after takes tracking_metrics' default, the trace's start
-    if "steady_after" in metrics and metrics["steady_after"] >= scenario.duration:
-        raise ParseError("scenario metrics steady_after: must be below the duration")
     return scenario, metrics
 
 

@@ -185,8 +185,6 @@ def eval_response(plant: StateSpacePlant, s_values) -> np.ndarray:
     plant, since no finite value is right there.
     """
     s = np.asarray(s_values, dtype=complex).ravel()
-    if plant.n == 0:
-        return np.broadcast_to(plant.D, (s.size, plant.r, plant.m)).astype(complex)
     eye = np.eye(plant.n)
     lhs = s[:, None, None] * eye - plant.A
     try:
@@ -204,11 +202,10 @@ def cascade(first: StateSpacePlant, second: StateSpacePlant,
         raise DimensionMismatch(
             f"cascade: second.m={second.m} != first.r={first.r}"
         )
-    n1, n2 = first.n, second.n
     A = np.block([
-        [first.A, np.zeros((n1, n2))],
+        [first.A, np.zeros((first.n, second.n))],
         [second.B @ first.C, second.A],
-    ]) if n1 + n2 else np.zeros((0, 0))
+    ])
     B = np.vstack([first.B, second.B @ first.D])
     C = np.hstack([second.D @ first.C, second.C])
     D = second.D @ first.D

@@ -154,7 +154,6 @@ class MarginReport:
     disk_alpha: float
     mdgm_db: float
     mdpm_deg: float
-    worst_omega: dict
     degenerate: bool = False
 
 
@@ -199,7 +198,7 @@ def linf_norm(sys: StateSpacePlant, poles=None) -> tuple[float, float]:
     frequency is reported.  ``poles``: eig(sys.A) if known.
     """
     if poles is None:
-        poles = np.linalg.eigvals(sys.A) if sys.n else np.zeros(0, complex)
+        poles = np.linalg.eigvals(sys.A)
     eig = np.asarray(poles)
     on_axis = is_imag_axis(eig)
     if np.any(on_axis):
@@ -226,7 +225,7 @@ def linf_norm(sys: StateSpacePlant, poles=None) -> tuple[float, float]:
         lb, omega = peak(np.arange(1.0, sys.n + 1) * max(1.0, np.abs(eig).max()))
     if lb == 0.0:
         return 0.0, 0.0
-    if not sys.n:
+    if not sys.n:  # sigma_max(D) exactly: the iteration would add 2 LINF_TOL
         return lb, omega
 
     for _ in range(LINF_MAX_ITER):
@@ -253,11 +252,8 @@ def closed_loop(plant: StateSpacePlant, gain) -> ClosedLoop:
     if not is_well_posed(ikd):
         raise IllPosedLoop("(I - K D) is singular")
     M = np.linalg.inv(ikd)
-    if plant.n:
-        a_cl = plant.A + plant.B @ M @ K @ plant.C
-        eig = np.linalg.eigvals(a_cl)
-    else:
-        a_cl, eig = np.zeros((0, 0)), np.zeros(0, complex)
+    a_cl = plant.A + plant.B @ M @ K @ plant.C
+    eig = np.linalg.eigvals(a_cl)
     return ClosedLoop(plant, K, M, a_cl, eig, is_stable(eig))
 
 
@@ -305,27 +301,19 @@ def disk_margin(cl: ClosedLoop) -> MarginReport:
 
     alpha = 1 / ||(S - T)/2||_inf with L = -K P (input) or L = -P K (output);
     MDGM = +/-20 log10((2+alpha)/(2-alpha)) dB, MDPM = +/-2 atan(alpha/2).
+    ``analyze`` writes the report's fields as the loop's ``margins.json`` entry.
     """
     if not cl.stable:
         raise UnstableLoop("disk margin requires a stable loop")
     real, m, r = cl.realization, cl.plant.m, cl.plant.r
     # (S - T)/2 = S - I/2, read off the 4-block: S_i = -(u <- w1) and
     # S_o = I + (y <- w2)
-    halves = {
-        "input": StateSpacePlant(real.A, -real.B[:, :m], real.C[r:],
-                                 -real.D[r:, :m] - 0.5 * np.eye(m)),
-        "output": StateSpacePlant(real.A, real.B[:, m:], real.C[:r],
-                                  real.D[:r, m:] + 0.5 * np.eye(r)),
-    }
-    alpha = np.inf
-    worst = {}
-    for where, half in halves.items():
-        norm, omega = linf_norm(half, cl.eigenvalues)
-        a = 1.0 / norm if norm > 0 else np.inf
-        worst[where] = {"alpha": float(a), "omega": float(omega)}
-        if a < alpha:
-            alpha = float(a)
-            worst["worst"] = where
+    halves = (StateSpacePlant(real.A, -real.B[:, :m], real.C[r:],
+                              -real.D[r:, :m] - 0.5 * np.eye(m)),
+              StateSpacePlant(real.A, real.B[:, m:], real.C[:r],
+                              real.D[:r, m:] + 0.5 * np.eye(r)))
+    norms = [linf_norm(half, cl.eigenvalues)[0] for half in halves]
+    alpha = min(1.0 / norm if norm > 0 else np.inf for norm in norms)
     degenerate = bool(np.allclose(cl.gain, 0.0))
     if alpha >= 2.0 - 1e-9:
         alpha = max(alpha, 2.0)
@@ -339,6 +327,5 @@ def disk_margin(cl: ClosedLoop) -> MarginReport:
         disk_alpha=float(alpha),
         mdgm_db=float(mdgm),
         mdpm_deg=float(mdpm),
-        worst_omega=worst,
         degenerate=degenerate,
     )

@@ -27,7 +27,6 @@ from .errors import (
     BoundViolation,
     ComputationFailed,
     DimensionMismatch,
-    EmptySubspace,
     IllConditioned,
     IllPosedLoop,
     ImproperSection,
@@ -245,8 +244,8 @@ def j2_fitness(p_cp: StateSpacePlant, genome: RssdGenome, target: EigTarget):
             return PENALTY, None
         # finite: in_S1 holds no eigenvalue on the axis
         norm, _ = linf_norm(cl.factor, cl.eigenvalues)
-    except (EmptySubspace, BoundViolation, IllConditioned, IllPosedLoop,
-            ComputationFailed, np.linalg.LinAlgError):
+    except (BoundViolation, IllConditioned, IllPosedLoop, ComputationFailed,
+            np.linalg.LinAlgError):
         return PENALTY, None
     return float(norm), K
 

@@ -103,9 +103,7 @@ def sampled_member(plant: StateSpacePlant, grid: FrequencyGrid) -> Member:
     """``plant`` as a ``Member`` with its ``response`` on ``grid``, augmented
     under identity banks: W_out P W_in is P itself, so no cascade runs, and
     J1 under those banks is the family's own central-plant gap."""
-    return Member(plant,
-                  np.linalg.eigvals(plant.A) if plant.n else np.array([]),
-                  transmission_zeros(plant),
+    return Member(plant, np.linalg.eigvals(plant.A), transmission_zeros(plant),
                   eval_response(plant, 1j * grid.points),
                   (CompensatorBank.identity(plant.m),
                    CompensatorBank.identity(plant.r)),
@@ -222,7 +220,7 @@ def _band_violation(aug: StateSpacePlant, lo: float, hi: float,
     while sigma_min > 1).  An undecided band is a violation, never a pass."""
     if not smin_lo > 1.0:
         return f"sigma_min <= 0 dB inside band near {lo:.4g} rad/s"
-    if aug.n == 0:
+    if aug.n == 0:  # no crossing; the feedthrough test would call 0 dB undecided
         return None
     s2 = singular_values(aug.D) ** 2
     if np.any(np.abs(1.0 - s2) <= FEEDTHROUGH_TOL):

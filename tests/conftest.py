@@ -42,6 +42,40 @@ def random_siso(rng, max_order=2) -> StateSpacePlant:
     return StateSpacePlant(A, B, C, np.zeros((1, 1)))
 
 
+def static(k):
+    return StateSpacePlant.from_gain(np.array([[float(k)]]), label=f"k{k}")
+
+
+def oscillator(w, T=np.eye(2)):
+    """1/(s^2 + w^2), poles at +-j w, in the state basis T x."""
+    Ti = np.linalg.inv(T)
+    return StateSpacePlant(T @ [[0.0, 1.0], [-w * w, 0.0]] @ Ti,
+                           T @ [[0.0], [1.0]], [[1.0, 0.0]] @ Ti, [[0.0]],
+                           f"osc{w}")
+
+
+def degenerate_catalogue():
+    """16 SISO plants at the edges of what the library takes, five of them
+    static (n = 0)."""
+    T = np.array([[1.0, 0.4], [-0.3, 2.0]])
+    Ti = np.linalg.inv(T)
+    hidden = np.diag([1.0, -1.0])  # the unstable mode is uncontrollable
+    B, C = np.array([[0.0], [1.0]]), np.array([[1.0, 1.0]])
+    return {
+        "zero": static(0.0), "one": static(1.0), "minus-one": static(-1.0),
+        "lag": StateSpacePlant.siso(-1.0), "unstable": StateSpacePlant.siso(1.0),
+        "integrator": StateSpacePlant.siso(0.0), "oscillator": oscillator(1.0),
+        "zero-B": StateSpacePlant([[-1.0]], [[0.0]], [[1.0]], [[0.0]]),
+        "zero-C": StateSpacePlant([[-1.0]], [[1.0]], [[0.0]], [[0.0]]),
+        "hidden-diagonal": StateSpacePlant(hidden, B, C, [[0.0]]),
+        "hidden-mixed": StateSpacePlant(T @ hidden @ Ti, T @ B, C @ Ti, [[0.0]]),
+        "feedthrough": StateSpacePlant([[-1.0]], [[1.0]], [[1.0]], [[1.0]]),
+        "huge": static(1e150), "tiny": static(1e-150),
+        "fast": StateSpacePlant.siso(-1e8, 1e8),
+        "slow": StateSpacePlant.siso(-1e-8, 1e-8),
+    }
+
+
 def identity_banks(m, r):
     return CompensatorBank.identity(m), CompensatorBank.identity(r)
 

@@ -528,6 +528,27 @@ class TestSimCommand:
         for entry in report.values():
             assert entry["diverged"] is False and entry["passed"] is True
 
+    def test_steady_window_at_the_last_sample(self, tmp_path):
+        # steady_after = duration leaves the sample at t = duration alone in
+        # the window, so each max steady error is that sample's |error|
+        from rssd.lti import CompensatorBank
+        fileio.save_controller(np.ones((1, 1)), CompensatorBank.identity(1),
+                               CompensatorBank.identity(1), tmp_path / "unit.json")
+        scenario = json.loads(Path(SCENARIO).read_text())
+        _set(scenario, "metrics.steady_after", scenario["duration"])
+        (tmp_path / "sc.json").write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        assert run("sim", FAMILY, "--controller", str(tmp_path / "unit.json"),
+                   "--scenario", str(tmp_path / "sc.json"),
+                   "--out", str(out)) == 0
+        report = json.loads((out / "tracking_report.json").read_text())
+        for idx, label in enumerate(("nominal", "fast", "slow")):
+            last = list(csv.reader((out / f"traces_{idx}_{label}.csv").open()))[-1]
+            assert last[0] == "10"
+            (channel,) = report[label]["channels"]
+            assert channel["max_steady_error"] == pytest.approx(
+                abs(float(last[3])), rel=1e-11)
+
     def test_divergent_pairing_reported(self, tmp_path):
         from rssd.lti import CompensatorBank
         fileio.save_controller(np.array([[0.1]]),
@@ -718,7 +739,6 @@ class TestBadValues:
                                       "channel": 2.5}}, id="channel-fraction"),
         # a steady window with no sample in it would pass any error band
         pytest.param({"metrics.steady_after": 50.0}, id="steady-after-past-end"),
-        pytest.param({"metrics.steady_after": 10.0}, id="steady-after-at-end"),
         # the last sample is at 10.0: refused before any trace is written
         pytest.param({"duration": 10.0004, "metrics.steady_after": 10.0002},
                      id="steady-after-past-last-sample"),

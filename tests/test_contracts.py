@@ -2,8 +2,9 @@
 functions by name and fails a traced run in which one is never called, its
 set-up writes inputs through rssd.fileio, and README's library example runs
 as written.  Inside src/: the analysis layer takes singular values from one
-kernel, which gives a zero block's without LAPACK, and no module reads the
-process environment."""
+kernel, which gives a zero block's without LAPACK, no module reads the
+process environment, one rule decides stability, and one code path serves
+every system order."""
 
 import ast
 import contextlib
@@ -252,3 +253,70 @@ def test_one_stability_rule():
         "def f(eig, sec):\n    return eig.real < 0 or sec.pole >= 0.0\n"
         "def g(x):\n    return 0 > x.real, x.real < 1, x.imag < 0\n"
     ) == ["f: 2", "f: 2", "g: 4"]
+
+
+def _is_order(expr, names) -> bool:
+    """Whether ``expr`` is a system's order: ``X.n``, a name in ``names`` or
+    an arithmetic of those."""
+    if isinstance(expr, ast.BinOp):
+        return _is_order(expr.left, names) or _is_order(expr.right, names)
+    return (isinstance(expr, ast.Attribute) and expr.attr == "n"
+            or isinstance(expr, ast.Name) and expr.id in names)
+
+
+def _tests_order(test, names) -> bool:
+    """Whether the condition ``test`` takes an order's truth or compares
+    one with 0."""
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        return _tests_order(test.operand, names)
+    if isinstance(test, ast.BoolOp):
+        return any(_tests_order(value, names) for value in test.values)
+    if isinstance(test, ast.Compare):
+        operands = [test.left, *test.comparators]
+        return (any(_is_order(o, names) for o in operands)
+                and any(isinstance(o, ast.Constant) and o.value == 0
+                        for o in operands))
+    return _is_order(test, names)
+
+
+def order_tests(source: str) -> list[str]:
+    """Each if, while, conditional expression, comprehension filter or
+    boolean operand in ``source`` that tests a system's order, as
+    'function: line'; within a function, a name assigned from ``X.n`` is
+    an order too."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = (zip(target.elts, node.value.elts)
+                             if isinstance(target, ast.Tuple)
+                             and isinstance(node.value, ast.Tuple)
+                             else [(target, node.value)])
+                    names |= {t.id for t, v in pairs if isinstance(t, ast.Name)
+                              and _is_order(v, set())}
+        for node in ast.walk(fn):
+            tests = ([node.test] if isinstance(node, (ast.If, ast.IfExp, ast.While))
+                     else node.ifs if isinstance(node, ast.comprehension)
+                     else node.values if isinstance(node, ast.BoolOp) else [])
+            found |= {(t.lineno, fn.name) for t in tests if _tests_order(t, names)}
+    return [f"{name}: {line}" for line, name in sorted(found)]
+
+
+def test_one_path_per_system_size():
+    # numpy carries a static system (n = 0) through the general code, so only
+    # linf_norm (sigma_max(D) exactly, without the iteration's 2 LINF_TOL)
+    # and _band_violation (no crossing to test) take a branch on the order
+    allowed = {"margins.py": {"linf_norm"}, "scp.py": {"_band_violation"}}
+    for path in sorted((ROOT / "src" / "rssd").glob("*.py")):
+        functions = {site.split(":")[0] for site in order_tests(path.read_text())}
+        assert functions <= allowed.get(path.name, set()), path.name
+    assert order_tests(
+        "def f(p, q):\n    n1, n2 = p.n, q.n\n    a = 1 if n1 + n2 else 0\n"
+        "    if not q.n or p.m:\n        pass\n    while p.n == 0:\n        pass\n"
+        "    b = [x for x in p.A if n2]\n    c = p.m and q.n\n"
+        "    if p.n != (n1, 2) or p.n > 1 or p.m == 0:\n        pass\n"
+    ) == ["f: 3", "f: 4", "f: 6", "f: 8", "f: 9"]

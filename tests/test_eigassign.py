@@ -4,7 +4,6 @@ import pytest
 from rssd.errors import (
     BoundViolation,
     DimensionMismatch,
-    EmptySubspace,
     IllConditioned,
 )
 from rssd.eigassign import (
@@ -49,6 +48,31 @@ class TestAllowableSubspace:
             r, w = col[:3], col[3:]
             assert np.linalg.norm((A - lam * np.eye(3)) @ r + B @ w) < 1e-10
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_never_empty(self, seed):
+        # the block has n (2n) rows and n + m (2(n + m)) columns, so it has
+        # at least m (2m) null directions: on an eigenvalue of A too, and
+        # for a rank-deficient B
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        blocks = np.zeros((4, 4))
+        blocks[:2, :2] = [[-0.5, 2.0], [-2.0, -0.5]]
+        blocks[2:, 2:] = rng.normal(size=(2, 2))
+        A = Q @ blocks @ Q.T
+        b = rng.normal(size=(4, 2))
+        lams = [-1.3, complex(-0.4, 1.1), *np.linalg.eigvals(A)]
+        for B in (b, np.column_stack([b, b[:, :1], np.zeros(4)])):
+            m = B.shape[1]
+            for lam in lams:
+                sub = allowable_subspace(A, B, lam)
+                assert sub.basis.shape[1] >= (2 * m if sub.is_complex else m)
+
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, 1j], ids=["off", "on", "complex"])
+    def test_input_matrix_without_columns_refused(self, lam):
+        A, _, _ = double_integrator()  # eig(A) = {0, 0}
+        with pytest.raises(DimensionMismatch, match="m must be > 0"):
+            allowable_subspace(A, np.zeros((2, 0)), lam)
+
 
 class TestGainComputation:
     def test_double_integrator_oracle(self):
@@ -90,7 +114,7 @@ class TestGainComputation:
                     zeta_min=0.1)
                 W, R = select_vectors(subs, target, tuple(() for _ in range(n)))
                 K = compute_gain(W, R, C)
-            except (EmptySubspace, IllConditioned):
+            except IllConditioned:
                 continue
             got = np.sort(np.linalg.eigvals(A + B @ K @ C).real)
             assert np.allclose(np.sort(lams), got, atol=1e-6)
