@@ -20,6 +20,7 @@ from .margins import singular_values
 
 COND_LIMIT = 1e5
 NULLSPACE_RTOL = 1e-10
+ZETA_MAX = 0.999  # a pair's damping ratio stays below 1, where it turns real
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,12 @@ class ModeTarget:
             raise DimensionMismatch("natural-frequency bounds must be positive")
         object.__setattr__(self, "entries", tuple(self.entries))
 
+    @property
+    def width(self) -> int:
+        """Real parts of the mode's eigenvalue, of each of its entries and of
+        its R and W columns: 1 for a real pole, 2 for a conjugate pair."""
+        return 2 if self.kind == "complex" else 1
+
 
 @dataclass(frozen=True)
 class EigTarget:
@@ -78,6 +85,10 @@ class EigTarget:
         if not 0.0 < self.zeta_min < 1.0:
             raise DimensionMismatch("zeta_min must be in (0, 1)")
         object.__setattr__(self, "modes", tuple(self.modes))
+        if self.zeta_min > ZETA_MAX and any(m.width == 2 for m in self.modes):
+            raise DimensionMismatch(
+                f"zeta_min {self.zeta_min} is above a conjugate pair's largest "
+                f"damping ratio {ZETA_MAX}")
 
     def require_states(self, n: int):
         """DimensionMismatch unless every constrained entry names one of the
@@ -91,8 +102,8 @@ class EigTarget:
 
     def require_outputs(self, r: int):
         """DimensionMismatch unless the modes give one eigenvector column per
-        output (1 per real mode, 2 per complex pair), so that CR is square."""
-        cols = sum(2 if mode.kind == "complex" else 1 for mode in self.modes)
+        output (``ModeTarget.width`` each), so that CR is square."""
+        cols = sum(mode.width for mode in self.modes)
         if cols != r:
             raise DimensionMismatch(
                 f"target modes give {cols} eigenvector columns for {r} outputs")
@@ -109,11 +120,16 @@ class SubspaceBasis:
     eigenvalue: complex
     basis: np.ndarray
     n: int
-    m: int
 
     @property
-    def is_complex(self) -> bool:
-        return self.eigenvalue.imag != 0.0
+    def width(self) -> int:
+        """Real parts per direction: 1 for a real eigenvalue, 2 for a complex one."""
+        return 1 if self.eigenvalue.imag == 0.0 else 2
+
+    def rows(self, state: int) -> list:
+        """Rows of ``state``'s real (then imaginary) part, state + j n for j
+        below ``width``; the width n state rows come before the input rows."""
+        return [state + j * self.n for j in range(self.width)]
 
 
 def allowable_subspace(A, B, lam: complex) -> SubspaceBasis:
@@ -143,7 +159,7 @@ def allowable_subspace(A, B, lam: complex) -> SubspaceBasis:
     _, sv, vt = np.linalg.svd(block)
     tol = NULLSPACE_RTOL * (sv[0] if sv.size else 1.0)
     rank = int(np.count_nonzero(sv > tol))
-    return SubspaceBasis(lam, vt[rank:].T, n, m)
+    return SubspaceBasis(lam, vt[rank:].T, n)
 
 
 def _normalize(vec: np.ndarray) -> np.ndarray:
@@ -156,28 +172,14 @@ def _normalize(vec: np.ndarray) -> np.ndarray:
 
 def _pick_member(sub: SubspaceBasis, entries, values):
     """Subspace member whose constrained R-entries best match ``values``."""
-    basis = sub.basis
-    n = sub.n
     if not entries:
-        return _normalize(basis[:, 0])
-    if sub.is_complex:
-        rows, targ = [], []
-        for e, v in zip(entries, values):
-            rows.extend([e.state, n + e.state])
-            targ.extend([complex(v).real, complex(v).imag])
-    else:
-        rows = [e.state for e in entries]
-        targ = [complex(v).real for v in values]
-    sel = basis[rows, :]
-    coef, *_ = np.linalg.lstsq(sel, np.asarray(targ, dtype=float), rcond=None)
-    return basis @ coef
-
-
-def _achieved_entries(vec, sub: SubspaceBasis, entries):
-    n = sub.n
-    if sub.is_complex:
-        return [complex(vec[e.state], vec[n + e.state]) for e in entries]
-    return [complex(vec[e.state], 0.0) for e in entries]
+        return _normalize(sub.basis[:, 0])
+    rows = [row for e in entries for row in sub.rows(e.state)]
+    targ = [part for v in values
+            for part in (complex(v).real, complex(v).imag)[:sub.width]]
+    coef, *_ = np.linalg.lstsq(sub.basis[rows, :], np.asarray(targ, dtype=float),
+                               rcond=None)
+    return sub.basis @ coef
 
 
 def select_vectors(subspaces, target: EigTarget, entry_values) -> tuple[np.ndarray, np.ndarray]:
@@ -192,28 +194,21 @@ def select_vectors(subspaces, target: EigTarget, entry_values) -> tuple[np.ndarr
         raise DimensionMismatch("one subspace required per desired mode")
     for sub in subspaces:
         target.require_states(sub.n)
-    r_cols, w_cols = [], []
+    r_rows, w_rows = [], []
     for sub, mode, values in zip(subspaces, target.modes, entry_values):
         vec = _pick_member(sub, mode.entries, values)
-        achieved = _achieved_entries(vec, sub, mode.entries)
-        for e, got in zip(mode.entries, achieved):
+        for e in mode.entries:
+            got = complex(*vec[sub.rows(e.state)])
             if not e.contains(got, slack=1e-2):
                 raise BoundViolation(
                     f"entry at state {e.state} achieved {got:.4g}, "
                     f"outside box [{e.re_lo},{e.re_hi}]+j[{e.im_lo},{e.im_hi}]"
                 )
-        n, m = sub.n, sub.m
-        if sub.is_complex:
-            r_cols.append(vec[:n])
-            r_cols.append(vec[n:2 * n])
-            w_cols.append(vec[2 * n:2 * n + m])
-            w_cols.append(vec[2 * n + m:])
-        else:
-            r_cols.append(vec[:n])
-            w_cols.append(vec[n:])
-    R = np.column_stack(r_cols)
-    W = np.column_stack(w_cols)
-    return W, R
+        w, n = sub.width, sub.n
+        r_rows.append(vec[:w * n].reshape(w, n))
+        w_rows.append(vec[w * n:].reshape(w, -1))
+    # W and R hold the rows as columns, in C order for compute_gain
+    return np.concatenate(w_rows).T.copy(), np.concatenate(r_rows).T.copy()
 
 
 def compute_gain(W, R, C) -> np.ndarray:

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from .eigassign import (
+    ZETA_MAX,
     EigTarget,
     allowable_subspace,
     compute_gain,
@@ -171,18 +173,13 @@ class RssdGenome:
     entry_values: tuple
 
 
-# Genes per slot.  Each mode has one slot for its eigenvalue and one per
-# constrained entry; a complex pair's slots carry a second gene.
-SLOT_WIDTH = {"real": 1, "complex": 2}
-
-
 def _mode_boxes(mode, zeta_min: float) -> list:
-    """One mode's gene boxes, slot by slot: the natural frequency (and the
-    damping ratio of a complex pair), then each constrained entry's real (and
-    imaginary) part."""
-    slots = [((mode.wn_lo, mode.wn_hi), (zeta_min, 0.999))]
+    """One mode's gene boxes in ``mode.width``-gene slots: the natural
+    frequency (then the damping ratio of a pair), then each constrained
+    entry's real (then imaginary) part."""
+    slots = [((mode.wn_lo, mode.wn_hi), (zeta_min, ZETA_MAX))]
     slots += [((e.re_lo, e.re_hi), (e.im_lo, e.im_hi)) for e in mode.entries]
-    return [box for slot in slots for box in slot[:SLOT_WIDTH[mode.kind]]]
+    return [box for slot in slots for box in slot[:mode.width]]
 
 
 def rssd_boxes(target: EigTarget) -> np.ndarray:
@@ -199,28 +196,18 @@ def rssd_boxes(target: EigTarget) -> np.ndarray:
 
 def decode_rssd_genome(genes, target: EigTarget) -> RssdGenome:
     """Desired eigenvalues and entry values from genes in ``_mode_boxes``'
-    order, one mode after the other."""
+    slots, one mode after the other."""
     flat = np.asarray(genes, dtype=float).ravel().tolist()
-    size = 0
-    for mode in target.modes:
-        size += SLOT_WIDTH[mode.kind] * (1 + len(mode.entries))
-    if len(flat) != size:
+    if len(flat) != sum(m.width * (1 + len(m.entries)) for m in target.modes):
         raise DimensionMismatch("genome length does not match target layout")
+    genes = iter(flat)
     eigenvalues, entry_values = [], []
-    pos = 0
     for mode in target.modes:
-        width = SLOT_WIDTH[mode.kind]
-        if width == 2:
-            wn, zeta = flat[pos], flat[pos + 1]
-            eigenvalues.append(complex(-zeta * wn, wn * math.sqrt(1.0 - zeta * zeta)))
-        else:
-            eigenvalues.append(complex(-flat[pos], 0.0))
-        values = []
-        for _ in mode.entries:
-            pos += width
-            values.append(complex(*flat[pos:pos + width]))
-        entry_values.append(tuple(values))
-        pos += width
+        # a real pole is a pair's formula at zeta = 1
+        wn, zeta = (*islice(genes, mode.width), 1.0)[:2]
+        eigenvalues.append(complex(-zeta * wn, wn * math.sqrt(1.0 - zeta * zeta)))
+        entry_values.append(tuple(complex(*islice(genes, mode.width))
+                                  for _ in mode.entries))
     return RssdGenome(tuple(eigenvalues), tuple(entry_values))
 
 

@@ -303,6 +303,21 @@ class TestSynthCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_pair_damped_above_its_box_exit_3(self, tmp_path, capsys):
+        # a pair's damping gene lies in (zeta_min, ZETA_MAX): above 0.999 that
+        # box was inverted, and the search died in numpy with exit 1
+        cfg = json.loads(Path(CONFIG).read_text())
+        cfg["target"]["modes"][0]["kind"] = "complex"
+        cfg["target"]["zeta_min"] = 0.9995
+        path = tmp_path / "damped.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run("synth", FAMILY, "--config", str(path),
+                   "--out", str(out)) == 3
+        assert ("zeta_min 0.9995 is above a conjugate pair's largest damping "
+                "ratio 0.999" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_singular_pencil_exit_4(self, tmp_path, capsys):
         # a 2x2 member whose B has rank 1 has no transmission zeros to
         # check against: every s drops its system pencil's rank

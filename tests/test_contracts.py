@@ -3,8 +3,8 @@ functions by name and fails a traced run in which one is never called, its
 set-up writes inputs through rssd.fileio, and README's library example runs
 as written.  Inside src/: the analysis layer takes singular values from one
 kernel, which gives a zero block's without LAPACK, no module reads the
-process environment, one rule decides stability, and one code path serves
-every system order."""
+process environment, one rule decides stability, one code path serves
+every system order, and one property reads a mode's width from its kind."""
 
 import ast
 import contextlib
@@ -253,6 +253,37 @@ def test_one_stability_rule():
         "def f(eig, sec):\n    return eig.real < 0 or sec.pole >= 0.0\n"
         "def g(x):\n    return 0 > x.real, x.real < 1, x.imag < 0\n"
     ) == ["f: 2", "f: 2", "g: 4"]
+
+
+def kind_literals(source: str) -> list[str]:
+    """Each string constant ``"complex"`` in ``source``, as 'class: line' of
+    the innermost class holding it ('None: line' outside every class)."""
+    found = []
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Constant) and node.value == "complex":
+            found.append(f"{cls}: {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_home_for_a_modes_width():
+    # ModeTarget.width alone turns a mode's kind into its count of real
+    # parts; every R/W column count and genome slot reads it, and a
+    # subspace takes its width from its eigenvalue
+    allowed = {"eigassign.py": {"ModeTarget"}}
+    for path in sorted((ROOT / "src" / "rssd").glob("*.py")):
+        classes = {site.split(":")[0] for site in kind_literals(path.read_text())}
+        assert classes <= allowed.get(path.name, set()), path.name
+    assert kind_literals(
+        'WIDTH = {"real": 1, "complex": 2}\nclass T:\n    def cols(self, m):\n'
+        '        return 2 if m.kind == "complex" else 1\nz = complex(1.0)\n'
+    ) == ["None: 1", "T: 4"]
 
 
 def _is_order(expr, names) -> bool:

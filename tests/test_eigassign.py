@@ -65,7 +65,7 @@ class TestAllowableSubspace:
             m = B.shape[1]
             for lam in lams:
                 sub = allowable_subspace(A, B, lam)
-                assert sub.basis.shape[1] >= (2 * m if sub.is_complex else m)
+                assert sub.basis.shape[1] >= sub.width * m
 
     @pytest.mark.parametrize("lam", [-1.0, 0.0, 1j], ids=["off", "on", "complex"])
     def test_input_matrix_without_columns_refused(self, lam):
@@ -181,8 +181,10 @@ class TestComplexEntryConstraints:
                               EigTarget((mode,), zeta_min=0.3), (values,))
         return A, B, R[:, 0] + 1j * R[:, 1], W[:, 0] + 1j * W[:, 1]
 
+    # without entries the pair is the basis' first column, split into R and
+    # W by the same stacked layout
     @pytest.mark.parametrize("values", [(0.3 - 0.2j,),
-                                        (0.3 - 0.2j, -0.4 + 0.1j)])
+                                        (0.3 - 0.2j, -0.4 + 0.1j), ()])
     def test_entries_met_on_the_subspace(self, values):
         A, B, r, w = self.assign(values)
         np.testing.assert_allclose([r[e.state] for e in self.ENTRIES[:len(values)]],
@@ -270,6 +272,11 @@ class TestRefusals:
         pytest.param(lambda: ModeTarget("real", 0.0, 2.0),
                      "natural-frequency bounds", id="zero-wn"),
         pytest.param(lambda: EigTarget((), 1.0), "zeta_min", id="zeta-min-one"),
+        # a pair's damping box would be (0.9995, ZETA_MAX), inverted
+        pytest.param(lambda: EigTarget((ModeTarget("real", 1.0, 2.0),
+                                        ModeTarget("complex", 1.0, 2.0)), 0.9995),
+                     "above a conjugate pair's largest damping ratio 0.999",
+                     id="zeta-min-above-pair"),
         pytest.param(lambda: allowable_subspace(np.eye(2), np.ones((3, 1)), -1.0),
                      "inconsistent", id="b-rows"),
         pytest.param(lambda: select_vectors(

@@ -9,7 +9,7 @@ import rssd.nn_rssd
 import rssd.scp
 import rssd.vgap
 from conftest import mimo_family
-from rssd.eigassign import EigTarget, EntryConstraint, ModeTarget
+from rssd.eigassign import ZETA_MAX, EigTarget, EntryConstraint, ModeTarget, in_S1
 from rssd.errors import ComputationFailed, DimensionMismatch
 from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, augment_plant
 from rssd.margins import closed_loop, gsm
@@ -182,6 +182,23 @@ class TestGenome:
         for mode, values in zip(target.modes, genome.entry_values):
             assert len(values) == len(mode.entries)
             assert all(e.contains(v) for e, v in zip(mode.entries, values))
+
+    @pytest.mark.parametrize("kind, zeta_min", [("complex", ZETA_MAX),
+                                                ("real", 0.9995)])
+    def test_damping_bound_searched(self, kind, zeta_min):
+        # a pair at zeta_min = ZETA_MAX has a zero-width damping box, and a
+        # real pole no damping gene at all
+        target = EigTarget((ModeTarget(kind, 1.0, 5.0),), zeta_min)
+        boxes = rssd_boxes(target)
+        assert np.all(boxes[:, 0] <= boxes[:, 1])
+        decoded = []
+
+        def fitness(genes):
+            decoded.append(decode_rssd_genome(genes, target).eigenvalues)
+            return 0.0
+
+        ga_minimize(fitness, boxes, GaConfig(population=4, max_generations=2))
+        assert decoded and all(in_S1(lams, target) for lams in decoded)
 
     def test_decoded_eigenvalues_always_admissible(self):
         target = EigTarget((ModeTarget("complex", 1.0, 5.0),), zeta_min=0.4)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -5,13 +7,20 @@ from scipy.linalg import block_diag
 import rssd.margins
 import rssd.scp
 from conftest import (
+    degenerate_catalogue,
     eig_counts,
     identity_banks,
     mimo_family,
     oscillator_family,
     reference_condition,
 )
-from rssd.errors import ComputationFailed, DimensionMismatch, OutOfBox, UnstableSection
+from rssd.errors import (
+    ComputationFailed,
+    DimensionMismatch,
+    OutOfBox,
+    RssdError,
+    UnstableSection,
+)
 from rssd.lti import (
     CompensatorBank,
     FirstOrderSection,
@@ -313,6 +322,22 @@ class TestCheckConstraints:
         report = check_constraints(under((w_in, w_out), pset), self.make())
         assert [r for r in report.reasons if "cancels" in r] == [
             "plant 0: compensator pole -2 cancels a plant zero"]
+
+    @pytest.mark.parametrize("name", list(degenerate_catalogue()))
+    def test_degenerate_plant_under_identity_banks(self, name, grid):
+        # a verdict whose reasons print finite numbers, or a typed error
+        # (a plant with no path through it has no system pencil to deflate)
+        with np.errstate(over="raise", invalid="raise", divide="raise",
+                         under="ignore"):
+            try:
+                report = check_constraints(
+                    [sampled_member(degenerate_catalogue()[name], grid)],
+                    self.make())
+            except RssdError:
+                return
+        assert report.passed == (not report.reasons)
+        assert not any(re.search(r"\b(nan|inf)\b", r, re.I)
+                       for r in report.reasons)
 
 
 def siso(num, den):

@@ -430,6 +430,24 @@ class TestDegeneratePlants:
                 if a == b:
                     assert got == VgapResult(0.0, True), a
 
+    def test_central_plant_reads_the_matrix(self, grid):
+        # the whole catalogue, each of whose rows reaches 1, and each run of
+        # three neighbours, whose central plants differ: a finite matrix and
+        # central_plant's row equal to the matrix's, or a typed error
+        plants = list(degenerate_catalogue().values())
+        families = [plants] + [plants[k:k + 3] for k in range(len(plants) - 2)]
+        with np.errstate(over="raise", invalid="raise", divide="raise",
+                         under="ignore"):
+            for family in families:
+                pset = PlantSet(tuple(family))
+                try:
+                    mat = gap_matrix(pset, grid)
+                    got = central_plant(pset, grid)
+                except RssdError:
+                    continue
+                assert np.isfinite(mat).all()
+                assert got == central_from_matrix(mat)
+
 
 class TestMetricAxioms:
     @staticmethod
