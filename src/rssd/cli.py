@@ -66,8 +66,21 @@ def _config(args):
     return fileio.load_config(args.config) if args.config else fileio.RunConfig()
 
 
-def _matrix_list(M):
-    return None if M is None else fileio._matrix_obj(M)
+# the synthesis report's values JSON cannot hold as they are
+_AS_JSON = {"gain": fileio._matrix_obj, "w_in": fileio._bank_obj,
+            "w_out": fileio._bank_obj,
+            "desired_eigenvalues": lambda eig: [[lam.real, lam.imag] for lam in eig]}
+
+
+def _controller(args, pset):
+    """--controller's (gain, w_in, w_out), refused before any plant is
+    computed unless it fits ``pset``: m and r sections, an m x r gain."""
+    gain, w_in, w_out = fileio.load_controller(args.controller)
+    if (len(w_in), len(w_out), gain.shape) != (pset.m, pset.r, (pset.m, pset.r)):
+        raise DimensionMismatch(
+            f"controller (w_in {len(w_in)}, w_out {len(w_out)} sections, gain "
+            f"{gain.shape}) does not fit plants with m={pset.m}, r={pset.r}")
+    return gain, w_in, w_out
 
 
 def cmd_vgap(args) -> int:
@@ -101,22 +114,8 @@ def cmd_synth(args) -> int:
     report = run_nn_rssd(pset, cfg.constraints, cfg.target,
                          replace(cfg.ga_scp, seed=cfg.seed),
                          replace(cfg.ga_rssd, seed=cfg.seed + 1), cfg.grid)
-    obj = {
-        "feasible": report.feasible,
-        "gain": _matrix_list(report.gain),
-        "w_in": None if report.w_in is None else fileio._bank_obj(report.w_in),
-        "w_out": None if report.w_out is None else fileio._bank_obj(report.w_out),
-        "j1_history": report.j1_history,
-        "j2": report.j2,
-        "central_index": report.cp_index,
-        "desired_eigenvalues": None if report.desired_eigenvalues is None else
-            [[l.real, l.imag] for l in report.desired_eigenvalues],
-        "verification": report.verification,
-        "scp_generations": report.scp_generations,
-        "rssd_invocations": report.rssd_invocations,
-        "rssd_generations": report.rssd_generations,
-        "seeds": report.seeds,
-    }
+    obj = {key: value if value is None or key not in _AS_JSON else
+           _AS_JSON[key](value) for key, value in vars(report).items()}
     out = _out_dir(args.out)
     (out / "synthesis_report.json").write_text(fileio.canonical_json(obj))
     if report.feasible:
@@ -169,7 +168,7 @@ def _analysis_bundle(pset, gain, w_in, w_out, grid, out) -> dict:
 
 def cmd_analyze(args) -> int:
     pset = fileio.load_plantset(args.plantset)
-    gain, w_in, w_out = fileio.load_controller(args.controller)
+    gain, w_in, w_out = _controller(args, pset)
     summary = _analysis_bundle(pset, gain, w_in, w_out, _config(args).grid,
                                args.out)
     flagged = [lab for lab, t in summary.items() if t.get("unstable")]
@@ -181,7 +180,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_sim(args) -> int:
     pset = fileio.load_plantset(args.plantset)
-    gain, w_in, w_out = fileio.load_controller(args.controller)
+    gain, w_in, w_out = _controller(args, pset)
     scenario, metric_args = fileio.load_scenario(args.scenario)
 
     results = [simulate(plant, gain, w_in, w_out, scenario) for plant in pset]

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ComputationFailed, IllPosedLoop, UnstableLoop
+from .errors import ComputationFailed, DimensionMismatch, IllPosedLoop, UnstableLoop
 from .lti import FrequencyGrid, StateSpacePlant, eval_response, is_imag_axis, is_stable
 
 # Hamiltonian eigenvalues with |Re| below this (relative) are axis crossings.
@@ -245,7 +245,7 @@ def closed_loop(plant: StateSpacePlant, gain) -> ClosedLoop:
     """Well-posed positive-feedback loop, its state matrix and spectrum."""
     K = np.atleast_2d(np.asarray(gain, dtype=float))
     if K.shape != (plant.m, plant.r):
-        raise IllPosedLoop(
+        raise DimensionMismatch(
             f"gain shape {K.shape} does not match plant (m={plant.m}, r={plant.r})"
         )
     ikd = np.eye(plant.m) - K @ plant.D

@@ -12,7 +12,7 @@ quantified nu-gap robustness ball around the central plant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
@@ -241,19 +241,23 @@ def j2_fitness(p_cp: StateSpacePlant, genome: RssdGenome, target: EigTarget):
 
 @dataclass
 class SynthesisReport:
-    feasible: bool
-    gain: np.ndarray | None
-    w_in: CompensatorBank | None
-    w_out: CompensatorBank | None
+    """One synthesis, field for field the keys of synthesis_report.json; the
+    certificate's fields keep their defaults when no inner search met
+    J2 < 1/J1bar."""
+
     j1_history: list
-    j2: float | None
-    cp_index: int | None
-    desired_eigenvalues: tuple | None
-    verification: dict
     scp_generations: int
     rssd_invocations: int
     rssd_generations: int
     seeds: dict
+    feasible: bool = False
+    gain: np.ndarray | None = None
+    w_in: CompensatorBank | None = None
+    w_out: CompensatorBank | None = None
+    j2: float | None = None
+    central_index: int | None = None
+    desired_eigenvalues: tuple | None = None
+    verification: dict = field(default_factory=dict)
 
 
 def verify_lemma(plants, cp_index: int, K, desired, target, jbar) -> dict:
@@ -281,6 +285,24 @@ def verify_lemma(plants, cp_index: int, K, desired, target, jbar) -> dict:
     }
 
 
+def run_inner(p_cp: StateSpacePlant, target: EigTarget, jbar: float, cfg: GaConfig):
+    """One inner search at the central plant ``p_cp``: the generations it
+    ran and the (J2, K, desired eigenvalues) of its first genome with
+    J2 < 1/jbar, or None."""
+    target.require_states(p_cp.n)
+    found = []
+
+    def fitness(genes):
+        genome = decode_rssd_genome(genes, target)
+        j2, K = j2_fitness(p_cp, genome, target)
+        if K is not None and j2 < 1.0 / jbar:
+            found.append((j2, K, genome.eigenvalues))
+        return j2
+
+    res = ga_minimize(fitness, rssd_boxes(target), cfg, stop=lambda: bool(found))
+    return res.generations, (found[0] if found else None)
+
+
 def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
                 scp_cfg: GaConfig, rssd_cfg: GaConfig,
                 grid: FrequencyGrid) -> SynthesisReport:
@@ -290,39 +312,12 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
     # every genome reuses each member's poles, zeros and response; J1bar0
     # is J1 under the identity banks the members start under
     members = [sampled_member(p, grid) for p in pset]
-    jbar0 = max(j1_fitness(members, grid)[0], JBAR_FLOOR)
-    state = {
-        "jbar": jbar0,
-        "history": [],
-        "result": None,
-        "rssd_gens": 0,
-    }
-    inner_boxes = rssd_boxes(target)
-
-    def run_inner(augmented, cp_idx):
-        p_cp = augmented[cp_idx].augmented
-        target.require_states(p_cp.n)
-        # each J1bar drop appends to the history and starts one invocation
-        inner_seed = int(np.random.SeedSequence(
-            [rssd_cfg.seed, len(state["history"])]).generate_state(1)[0])
-        cfg = replace(rssd_cfg, seed=inner_seed)
-        jbar = state["jbar"]
-        hit = {}
-
-        def inner_fitness(genes):
-            genome = decode_rssd_genome(genes, target)
-            j2, K = j2_fitness(p_cp, genome, target)
-            if K is not None and j2 < 1.0 / jbar and not hit:
-                hit.update(j2=j2, K=K, eigenvalues=genome.eigenvalues,
-                           members=augmented, cp_index=cp_idx, jbar=jbar)
-            return j2
-
-        res = ga_minimize(inner_fitness, inner_boxes, cfg, stop=lambda: bool(hit))
-        state["rssd_gens"] += res.generations
-        if hit:
-            state["result"] = hit
+    jbar = [max(j1_fitness(members, grid)[0], JBAR_FLOOR)]  # J1bar0, then each drop
+    inner_gens = []  # one entry per inner invocation
+    certificate = None  # (augmented members, central index, J1bar, J2, K, eigenvalues)
 
     def scp_fitness(genes):
+        nonlocal certificate
         try:
             w_in, w_out = decode_banks(genes, constraints)
         except (OutOfBox, ImproperSection, UnstableSection):
@@ -332,28 +327,28 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
         if not report.passed:
             return 1.0 + len(report.reasons)
         j1, cp_idx = j1_fitness(augmented, grid)
-        if j1 < state["jbar"]:
-            state["jbar"] = max(j1, JBAR_FLOOR)
-            state["history"].append(state["jbar"])
-            run_inner(augmented, cp_idx)
+        # each J1bar drop starts one inner search, and none follows one at the floor
+        if j1 < jbar[-1] and not (len(jbar) > 1 and jbar[-1] == JBAR_FLOOR):
+            jbar.append(max(j1, JBAR_FLOOR))
+            inner_seed = int(np.random.SeedSequence(
+                [rssd_cfg.seed, len(jbar) - 1]).generate_state(1)[0])
+            generations, hit = run_inner(augmented[cp_idx].augmented, target,
+                                         jbar[-1], replace(rssd_cfg, seed=inner_seed))
+            inner_gens.append(generations)
+            if hit is not None:
+                certificate = (augmented, cp_idx, jbar[-1], *hit)
         return j1
 
     outer = ga_minimize(scp_fitness, np.asarray(constraints.boxes, float),
-                        scp_cfg, stop=lambda: state["result"] is not None)
-
-    res = state["result"] or {}
-    verification = {} if not res else verify_lemma(
-        [m.augmented for m in res["members"]], res["cp_index"], res["K"],
-        res["eigenvalues"], target, res["jbar"])
-    w_in, w_out = res["members"][0].banks if res else (None, None)
-    return SynthesisReport(
-        feasible=bool(res) and all(v for k, v in verification.items()
-                                   if k != "margin"),
-        gain=res.get("K"), w_in=w_in, w_out=w_out,
-        j1_history=state["history"], j2=res.get("j2"),
-        cp_index=res.get("cp_index"), desired_eigenvalues=res.get("eigenvalues"),
-        verification=verification, scp_generations=outer.generations,
-        rssd_invocations=len(state["history"]),
-        rssd_generations=state["rssd_gens"],
-        seeds={"scp": scp_cfg.seed, "rssd": rssd_cfg.seed},
-    )
+                        scp_cfg, stop=lambda: certificate is not None)
+    report = SynthesisReport(jbar[1:], outer.generations, len(inner_gens), sum(inner_gens),
+                             {"scp": scp_cfg.seed, "rssd": rssd_cfg.seed})
+    if certificate is None:
+        return report
+    augmented, cp_idx, bound, j2, K, eigenvalues = certificate
+    verification = verify_lemma([m.augmented for m in augmented], cp_idx, K,
+                                eigenvalues, target, bound)
+    w_in, w_out = augmented[0].banks
+    return replace(report, gain=K, w_in=w_in, w_out=w_out, j2=j2, central_index=cp_idx,
+                   desired_eigenvalues=eigenvalues, verification=verification,
+                   feasible=all(v for k, v in verification.items() if k != "margin"))

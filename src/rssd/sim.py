@@ -180,7 +180,7 @@ def simulate(plant: StateSpacePlant, gain, w_in: CompensatorBank,
                 f"uncertainty channel {scenario.uncertainty.channel} is not "
                 f"one of the {aug.r} output channels")
         aug = cascade(aug, _uncertainty_plant(scenario.uncertainty, aug.r))
-    cl = closed_loop(aug, gain)  # IllPosedLoop on a bad shape or singular I - K D
+    cl = closed_loop(aug, gain)  # IllPosedLoop on a singular I - K D
     if len(scenario.reference) != aug.r:
         raise DimensionMismatch("one reference spec per output channel required")
     if scenario.disturbance and len(scenario.disturbance) != aug.r:

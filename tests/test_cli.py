@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -9,8 +10,16 @@ import pytest
 
 from rssd import fileio
 from rssd.cli import main
-from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, eval_response
+from rssd.lti import (
+    CompensatorBank,
+    FrequencyGrid,
+    PlantSet,
+    StateSpacePlant,
+    augment_plant,
+    eval_response,
+)
 from rssd.margins import closed_loop
+from rssd.nn_rssd import SynthesisReport
 
 FIXTURES = Path(__file__).resolve().parent.parent / "configs"
 FAMILY = str(FIXTURES / "three_plant_family.json")
@@ -236,6 +245,13 @@ class TestSynthCommand:
         assert report["feasible"]
         assert {p.name for p in out.iterdir()} == {
             "synthesis_report.json", "controller.json"}
+
+    def test_report_keys_are_the_report_fields(self, tmp_path):
+        # the JSON object is SynthesisReport field for field
+        assert run("synth", FAMILY, "--config", CONFIG,
+                   "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "synthesis_report.json").read_text())
+        assert set(report) == {f.name for f in dataclasses.fields(SynthesisReport)}
 
     def test_outputs_pinned(self, tmp_path):
         assert run("synth", FAMILY, "--config", CONFIG,
@@ -583,6 +599,32 @@ class TestSimCommand:
             label: {"diverged": True, "divergence_time": t}
             for label, t in (("nominal", 21.02), ("fast", 22.594),
                              ("slow", 19.496))}
+
+
+class TestMisfitController:
+    # a controller that does not fit the plant set is refused before any
+    # plant is computed, by analyze and sim alike: exit 3 and no --out
+    @pytest.fixture(params=["sections", "gain"])
+    def misfit(self, request, tmp_path):
+        if request.param == "sections":  # 3 input, 5 output sections
+            return str(FIXTURES / "nav_controller.json")
+        path = tmp_path / "k2x2.json"  # one section each, a 2x2 gain
+        fileio.save_controller(np.eye(2), CompensatorBank.identity(1),
+                               CompensatorBank.identity(1), path)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["analyze", "sim"])
+    def test_refused_before_any_plant(self, tmp_path, capsys, monkeypatch,
+                                      misfit, command):
+        counts = {"augmented": 0}
+        count_calls(monkeypatch, augment_plant, counts, "augmented")
+        extra = ["--scenario", SCENARIO] if command == "sim" else []
+        out = tmp_path / "out"
+        assert run(command, FAMILY, "--controller", misfit, *extra,
+                   "--out", str(out)) == 3
+        assert "does not fit plants with m=1, r=1" in capsys.readouterr().err
+        assert counts == {"augmented": 0}
+        assert not out.exists()
 
 
 class TestPlantLabels:

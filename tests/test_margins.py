@@ -1,4 +1,6 @@
+import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from scipy.linalg import block_diag
 
 from conftest import degenerate_catalogue, identity_banks, random_stable_siso
 from rssd.errors import ComputationFailed, IllPosedLoop, RssdError, UnstableLoop
-from rssd.lti import FrequencyGrid, StateSpacePlant, eval_response, is_imag_axis
+from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, eval_response, is_imag_axis
 from rssd.margins import (
     LINF_TOL,
     closed_loop,
@@ -21,9 +23,10 @@ from rssd.margins import (
     singular_values,
     uncertainty_bounds,
 )
-from rssd.scp import transmission_zeros
+from rssd.scp import ScpConstraints, check_constraints, sampled_member, transmission_zeros
 from rssd.sim import Scenario, SignalSpec, simulate
 from rssd.sweep import grid_peak
+from rssd.vgap import central_plant, nu_gap
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -458,3 +461,73 @@ class TestDegenerateCatalogue:
                 traces = settled(simulate, plant, K, *identity_banks(1, 1), step)
                 assert traces is None or traces.diverged or \
                     np.isfinite(traces.outputs).all()
+
+
+def mimo_sweep():
+    """Order-3 plants shaped 3x2, 2x3 and 2x2 (outputs x inputs), each with
+    C scaled by 1, 1e150 and 1e-150, by shape."""
+    rng = np.random.default_rng(40)
+    T, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    A = T @ np.diag([-0.5, -1.0, -2.0]) @ T.T
+    family = {}
+    for r, m in ((3, 2), (2, 3), (2, 2)):
+        B, C = rng.normal(size=(3, m)), rng.normal(size=(r, 3))
+        family[f"{r}x{m}"] = [
+            StateSpacePlant(A, B, scale * C, np.zeros((r, m)), f"{r}x{m}@{scale:g}")
+            for scale in (1.0, 1e150, 1e-150)]
+    return family
+
+
+class TestMimoSweep:
+    # non-square and square plants at extreme output scales: each call gives
+    # a finite value, a documented inf or a typed RssdError, with no
+    # floating-point exception on the way; underflow is benign
+    @pytest.mark.parametrize("shape", list(mimo_sweep()))
+    def test_through_the_api(self, shape, grid):
+        plants = mimo_sweep()[shape]
+        r, m = plants[0].r, plants[0].m
+        rng = np.random.default_rng(41)
+        gains = (np.zeros((m, r)), -0.5 * rng.normal(size=(m, r)))
+        step = Scenario((SignalSpec("step", 1.0),) * r, duration=1.0)
+        unit = ((0.0, 0.0), (1.0, 1.0), (0.0, 0.0), (1.0, 1.0))
+        constraints = ScpConstraints(unit * m, unit * r, -20.0, (0.01, 0.1))
+        stable_loops = 0
+        with np.errstate(over="raise", invalid="raise", divide="raise",
+                         under="ignore"):
+            for plant in plants:
+                assert np.isfinite(settled(eval_response, plant,
+                                           1j * grid.points)).all()
+                norm, _ = settled(linf_norm, plant) or (0.0, 0.0)
+                assert np.isfinite(norm)
+                zeros = settled(transmission_zeros, plant)
+                assert zeros is None or np.isfinite(zeros).all()
+                for K in gains:
+                    cl = settled(closed_loop, plant, K)
+                    if cl is None:
+                        continue
+                    assert np.isfinite(cl.eigenvalues).all()
+                    margin = settled(gsm, cl)
+                    assert margin is None or 0.0 <= margin <= 1.0
+                    for col, vals in (settled(sensitivity_curves, cl, grid)
+                                      or {}).items():
+                        assert (np.isfinite(vals).all() or col.endswith("_bound")
+                                and not np.isnan(vals).any()), col
+                    report = settled(disk_margin, cl) if cl.stable else None
+                    stable_loops += cl.stable
+                    assert report is None or (
+                        np.isfinite([report.gsm, report.mdpm_deg]).all()
+                        and not np.isnan([report.disk_alpha, report.mdgm_db]).any())
+                    traces = settled(simulate, plant, K, *identity_banks(m, r), step)
+                    assert traces is None or traces.diverged or \
+                        np.isfinite(traces.outputs).all()
+                verdict = settled(check_constraints, [sampled_member(plant, grid)],
+                                  constraints)
+                assert verdict is None or verdict.passed == (not verdict.reasons)
+                assert verdict is None or not any(
+                    re.search(r"\b(nan|inf)\b", why, re.I) for why in verdict.reasons)
+            for p1, p2 in itertools.product(plants, repeat=2):
+                gap = settled(nu_gap, p1, p2, grid)
+                assert gap is None or 0.0 <= gap.value <= 1.0
+            central = settled(central_plant, PlantSet(tuple(plants)), grid)
+            assert central is None or np.isfinite(central.epsilon)
+        assert stable_loops >= len(plants)  # every open loop is stable

@@ -14,6 +14,7 @@ from rssd.errors import ComputationFailed, DimensionMismatch
 from rssd.lti import FrequencyGrid, PlantSet, StateSpacePlant, augment_plant
 from rssd.margins import closed_loop, gsm
 from rssd.nn_rssd import (
+    JBAR_FLOOR,
     PENALTY,
     GaConfig,
     decode_rssd_genome,
@@ -454,6 +455,24 @@ class TestRunNnRssd:
         assert report.feasible
         assert report.j1_history[-1] == pytest.approx(1e-3)
 
+    def test_floor_starts_one_inner_search(self, grid):
+        # two copies of one plant give J1 = 0 < JBAR_FLOOR on every genome,
+        # and no gain meets sigma_max = -100: after the one inner search at
+        # the floor, no later genome starts another
+        pset = PlantSet((StateSpacePlant.siso(1.0, label="a"),
+                         StateSpacePlant.siso(1.0, label="b")))
+        constraints, _ = family_setup()
+        target = EigTarget((ModeTarget("real", 0.5, 30.0),), zeta_min=0.3,
+                           sigma_max=-100.0)
+        report = run_nn_rssd(pset, constraints, target,
+                             GaConfig(population=6, max_generations=3, seed=7),
+                             GaConfig(population=6, max_generations=3, seed=11),
+                             grid)
+        assert not report.feasible
+        assert report.rssd_invocations == 1
+        assert report.j1_history == [JBAR_FLOOR]
+        assert report.rssd_generations == 3
+
 
 def square_family(members=3):
     """2 x 2 members of order 4 with one RHP pole, each scaling every pole
@@ -524,7 +543,7 @@ class TestTwoLevelSearch:
         K = report.gain
         augmented = [augment_plant(report.w_out, p, report.w_in) for p in pset]
         assert all(closed_loop(aug, K).stable for aug in augmented)
-        p_cp = augmented[report.cp_index]
+        p_cp = augmented[report.central_index]
         omega = np.concatenate([[0.0], np.logspace(-4, 6, 4000)])
         worst = max(dense_nu_gap_peak(p_cp, aug, omega) for aug in augmented)
         assert gsm(closed_loop(p_cp, K)) > worst
@@ -566,8 +585,8 @@ class TestSearchRelations:
         perm = mimo_family(2, 3)
         got = two_level_search(perm)
         assert got.feasible and got.gain.tobytes() == want.gain.tobytes()
-        assert got.cp_index != want.cp_index
-        assert perm[got.cp_index].label == pset[want.cp_index].label
+        assert got.central_index != want.central_index
+        assert perm[got.central_index].label == pset[want.central_index].label
         np.testing.assert_allclose(got.j1_history, want.j1_history,
                                    rtol=1e-14, atol=0.0)
 
@@ -586,12 +605,12 @@ class TestSearchRelations:
             return report
 
         monkeypatch.setattr(rssd.nn_rssd, "check_constraints", check)
-        other = (want.cp_index + 1) % len(pset)
+        other = (want.central_index + 1) % len(pset)
         got = two_level_search(PlantSet(pset.plants + (pset[other],)))
         assert passed and all(passed)
         assert report_fields(got) == report_fields(want)
 
-        got = two_level_search(PlantSet(pset.plants + (pset[want.cp_index],)))
+        got = two_level_search(PlantSet(pset.plants + (pset[want.central_index],)))
         assert all(passed)
         np.testing.assert_allclose(got.j1_history, want.j1_history,
                                    rtol=1e-14, atol=0.0)

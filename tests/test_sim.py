@@ -253,7 +253,7 @@ class TestSimulate:
         p, _ = lag_loop()
         w_in, w_out = identity_banks(1, 1)
         sc = Scenario((SignalSpec("step", 1.0),), dt=1e-3, duration=1.0)
-        with pytest.raises(IllPosedLoop):
+        with pytest.raises(DimensionMismatch, match="gain shape"):
             simulate(p, np.array([[-1.0, 0.5]]), w_in, w_out, sc)
 
     def test_singular_feedthrough_loop_is_ill_posed(self):
