@@ -19,6 +19,12 @@ iteration and the nu-gap grid engine sample through ``sigma_max``.
 L-infinity norms are certified upper bounds from a Hamiltonian iteration
 over all of [0, inf], so the generalized stability margin and the disk
 margin they give err low: on the safe side of the nu-gap certificate.
+``hamiltonians`` builds the iteration's Hamiltonians, stacked, and
+``crossings`` reads it for one system.  ``linf_norm`` also takes systems of
+one shape (J2 scores a chunk of GA candidates so) and iterates them in
+lockstep, paying numpy's per-call cost once per step, not once per system.
+Each system keeps its own special cases and its own failure, a
+ComputationFailed in its result slot, which the one-system form raises.
 
 The positive-feedback convention u = K y is used throughout, so the output
 sensitivity is S_o = (I - P K)^(-1) and closed-loop stability is decided by
@@ -33,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -157,35 +164,95 @@ class MarginReport:
     degenerate: bool = False
 
 
-def crossings(sys: StateSpacePlant, gamma: float) -> np.ndarray:
-    """Sorted w >= 0 where gamma is a singular value of sys(jw): the imaginary
-    eigenvalues of the Bruinsma-Steinbuch Hamiltonian H(gamma) (Syst. Control
-    Lett. 14, 1990), with gamma^2 I - D^T D invertible.  H is real, so a
-    crossing appears once per eigenvalue of its +-jw pair: twice, or more
-    where the pair is repeated.  The axis test is looser than the pole test,
-    so a near-touch of gamma counts as a crossing."""
-    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+def hamiltonians(systems, gammas) -> np.ndarray:
+    """The Bruinsma-Steinbuch Hamiltonian H(gamma) (Syst. Control Lett. 14,
+    1990) of each system at its gamma, stacked: systems of one (n, m, r), each
+    with R = gamma^2 I - D^T D invertible (LinAlgError where one is not).  A
+    gamma^2 that overflows raises ComputationFailed; an entry of H that
+    overflows is left for eigvals to refuse."""
     try:
-        # an entry of H that overflows is refused by eigvals, not warned of
-        with np.errstate(over="ignore", invalid="ignore"):
-            r_inv = np.linalg.inv(gamma**2 * np.eye(sys.m) - D.T @ D)
-            b_r = B @ r_inv
-            ah = A + b_r @ D.T @ C
-            n = sys.n
-            H = np.empty((2 * n, 2 * n))
-            H[:n, :n] = ah
-            H[:n, n:] = b_r @ B.T
-            H[n:, :n] = -C.T @ (np.eye(sys.r) + D @ r_inv @ D.T) @ C
-            H[n:, n:] = -ah.T
-        lam = np.linalg.eigvals(H)
+        g2 = np.array([gamma**2 for gamma in gammas])
     except OverflowError as exc:
-        raise ComputationFailed(f"gamma^2 overflows at gamma={gamma:.6g}") from exc
+        raise ComputationFailed(
+            f"gamma^2 overflows at gamma={max(gammas):.6g}") from exc
+    A, B, C, D = (np.array([getattr(s, x) for s in systems]) for x in "ABCD")
+    n, m, r = systems[0].n, systems[0].m, systems[0].r
+    Bt, Ct, Dt = (x.swapaxes(-1, -2) for x in (B, C, D))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_inv = np.linalg.inv(g2[:, None, None] * np.eye(m) - Dt @ D)
+        b_r = B @ r_inv
+        ah = A + b_r @ Dt @ C
+        H = np.empty((len(g2), 2 * n, 2 * n))
+        H[:, :n, :n] = ah
+        H[:, :n, n:] = b_r @ Bt
+        H[:, n:, :n] = -Ct @ (np.eye(r) + D @ r_inv @ Dt) @ C
+        H[:, n:, n:] = -ah.swapaxes(-1, -2)
+    return H
+
+
+def _crossings(pairs) -> list:
+    """``crossings`` of each (system, gamma) of one shape, from one stacked
+    ``hamiltonians`` and one eigvals."""
+    try:
+        lams = np.linalg.eigvals(hamiltonians(*zip(*pairs)))
     except np.linalg.LinAlgError as exc:
         raise ComputationFailed(f"Hamiltonian eigen-solve failed: {exc}") from exc
-    return np.sort(np.abs(lam[is_imag_axis(lam, HAMILTONIAN_AXIS_RTOL)].imag))
+    return [np.sort(np.abs(lam[is_imag_axis(lam, HAMILTONIAN_AXIS_RTOL)].imag))
+            for lam in lams]
 
 
-def linf_norm(sys: StateSpacePlant, poles=None) -> tuple[float, float]:
+def crossings(sys: StateSpacePlant, gamma: float) -> np.ndarray:
+    """Sorted w >= 0 where gamma is a singular value of sys(jw): the imaginary
+    eigenvalues of ``hamiltonians``' H(gamma), with gamma^2 I - D^T D
+    invertible.  H is real, so a crossing appears once per eigenvalue of its
+    +-jw pair: twice, or more where the pair is repeated.  The axis test is
+    looser than the pole test, so a near-touch of gamma counts as a
+    crossing."""
+    return _crossings([(sys, gamma)])[0]
+
+
+def _each(fn, items) -> list:
+    """fn(items), one result per item, from one stacked call; where that
+    raises, fn of each item alone, and an item whose call raises gets the
+    ComputationFailed (a LinAlgError's message in one) in its place."""
+    try:
+        return fn(items)
+    except (ComputationFailed, np.linalg.LinAlgError) as exc:
+        if len(items) > 1:
+            return [_each(fn, [item])[0] for item in items]
+        return [exc if isinstance(exc, ComputationFailed)
+                else ComputationFailed(str(exc))]
+
+
+def _sampled(pairs) -> list:
+    """sigma_max of each (system, frequencies) pair's response: one
+    ``eval_response`` per system and one ``sigma_max`` over all samples."""
+    resps = [eval_response(sys, 1j * w) for sys, w in pairs]
+    sig = sigma_max(np.concatenate(resps))
+    ends = accumulate(len(resp) for resp in resps)
+    return [sig[end - len(resp):end] for resp, end in zip(resps, ends)]
+
+
+def _peaks(systems, candidates) -> list:
+    """Each system's largest sigma_max over its candidate frequencies, and
+    where, each distinct candidate sampled once in increasing order through
+    one ``_sampled`` call; a system whose samples fail gets its
+    ComputationFailed instead."""
+    ws = []
+    for w in candidates:
+        w = np.sort(w)  # never empty; np.unique would import numpy.ma
+        ws.append(w[np.concatenate([[True], w[1:] != w[:-1]])])
+    peaks = []
+    for w, sig in zip(ws, _each(_sampled, list(zip(systems, ws)))):
+        if not isinstance(sig, ComputationFailed):
+            i = int(np.argmax(sig))
+            sig = ((float(sig[i]), float(w[i])) if np.isfinite(sig[i]) else
+                   ComputationFailed(f"sigma_max is {sig[i]} at w={w[i]}"))
+        peaks.append(sig)
+    return peaks
+
+
+def linf_norm(sys, poles=None):
     """Certified upper bound on sup sigma_max(sys(jw)) over w in [0, inf].
 
     Bruinsma-Steinbuch iteration: starting from the best of w = 0, |lambda|,
@@ -196,49 +263,92 @@ def linf_norm(sys: StateSpacePlant, poles=None) -> tuple[float, float]:
     in +-jw pairs and poles in conjugate pairs.  Returns (gamma, frequency
     of lb).  Imaginary-axis poles make the norm infinite; the offending pole
     frequency is reported.  ``poles``: eig(sys.A) if known.
+
+    ``sys`` may also be a sequence of systems of one (m, r), those with
+    states of one order n, with ``poles`` a sequence too (or None).  They
+    iterate in lockstep: each step builds every unsettled system's H in one
+    ``hamiltonians`` call, solves them in one eigvals, samples each through
+    its own ``eval_response`` and takes one ``sigma_max`` of all samples.
+    The result lists each system's (gamma, w), or the ComputationFailed it
+    alone raises (a non-finite sigma_max, an overflowing gamma^2, a singular
+    R, no settling in LINF_MAX_ITER steps): a stacked call that raises is
+    repeated one system at a time.
     """
-    if poles is None:
-        poles = np.linalg.eigvals(sys.A)
-    eig = np.asarray(poles)
-    on_axis = is_imag_axis(eig)
-    if np.any(on_axis):
-        return np.inf, float(np.abs(eig[on_axis][0].imag))
+    single = isinstance(sys, StateSpacePlant)
+    systems = [sys] if single else list(sys)
+    if single or poles is None:
+        poles = [poles] * len(systems)
+    if len({(s.m, s.r) for s in systems}) > 1 or \
+            len({s.n for s in systems if s.n}) > 1:
+        raise DimensionMismatch("linf_norm: the systems differ in shape")
+    eigs = [np.asarray(np.linalg.eigvals(s.A) if p is None else p)
+            for s, p in zip(systems, poles)]
+    out = [None] * len(systems)
+    lbs = {}  # index -> (lb, its frequency) of each unsettled system
 
-    def peak(omegas):
-        # never empty; np.unique would import numpy.ma
-        w = np.sort(omegas)
-        omegas = w[np.concatenate([[True], w[1:] != w[:-1]])]
-        resp = eval_response(sys, 1j * omegas)
-        sig = sigma_max(resp)
-        i = int(np.argmax(sig))
-        if not np.isfinite(sig[i]):
-            raise ComputationFailed(f"sigma_max is {sig[i]} at w={omegas[i]}")
-        return float(sig[i]), float(omegas[i])
+    def settle(i, result):
+        out[i] = result
+        lbs.pop(i, None)
 
-    lb, omega = peak(np.concatenate([[0.0], np.abs(eig), np.abs(eig.imag)]))
-    # sigma_max(D) <= |D|_F, so D's SVD is taken only where it could beat lb
-    if (1.0 + 1e-12) * np.linalg.norm(sys.D) > lb and \
-            (d_gain := singular_values(sys.D)[0]) > lb:
-        lb, omega = float(d_gain), np.inf
-    if lb == 0.0 and sys.n:
-        # a nonzero strictly proper sys vanishes at fewer than n frequencies
-        lb, omega = peak(np.arange(1.0, sys.n + 1) * max(1.0, np.abs(eig).max()))
-    if lb == 0.0:
-        return 0.0, 0.0
-    if not sys.n:  # sigma_max(D) exactly: the iteration would add 2 LINF_TOL
-        return lb, omega
+    def sample(candidates):
+        """{index: peak} over each listed system's candidate frequencies; a
+        system whose samples fail is settled with its failure."""
+        found = {}
+        for i, peak in zip(candidates, _peaks(
+                [systems[i] for i in candidates], candidates.values())
+                if candidates else ()):
+            if isinstance(peak, ComputationFailed):
+                settle(i, peak)
+            else:
+                found[i] = peak
+        return found
+
+    for i, eig in enumerate(eigs):
+        on_axis = is_imag_axis(eig)
+        if np.any(on_axis):
+            out[i] = (np.inf, float(np.abs(eig[on_axis][0].imag)))
+    lbs.update(sample({i: np.concatenate([[0.0], np.abs(eig), np.abs(eig.imag)])
+                       for i, eig in enumerate(eigs) if out[i] is None}))
+    for i, (lb, _) in list(lbs.items()):
+        # sigma_max(D) <= |D|_F, so D's SVD is taken only where it could beat lb
+        D = systems[i].D
+        if (1.0 + 1e-12) * np.linalg.norm(D) > lb and \
+                (d_gain := singular_values(D)[0]) > lb:
+            lbs[i] = (float(d_gain), np.inf)
+    # a nonzero strictly proper system vanishes at fewer than n frequencies
+    lbs.update(sample({
+        i: np.arange(1.0, systems[i].n + 1) * max(1.0, np.abs(eigs[i]).max())
+        for i, (lb, _) in lbs.items() if lb == 0.0 and systems[i].n}))
+    for i, (lb, omega) in list(lbs.items()):
+        if lb == 0.0:
+            settle(i, (0.0, 0.0))
+        elif not systems[i].n:  # sigma_max(D) exactly: the iteration would add 2 LINF_TOL
+            settle(i, (lb, omega))
 
     for _ in range(LINF_MAX_ITER):
-        gamma = (1.0 + 2.0 * LINF_TOL) * lb
-        w = crossings(sys, gamma)
-        if w.size == 0:
-            return gamma, omega
-        value, w_best = peak(np.concatenate([w, 0.5 * (w[:-1] + w[1:])]))
-        if value <= lb:
-            return gamma, omega
-        lb, omega = value, w_best
-    raise ComputationFailed(
-        f"L-infinity iteration did not settle in {LINF_MAX_ITER} steps")
+        if not lbs:
+            break
+        gammas = {i: (1.0 + 2.0 * LINF_TOL) * lb for i, (lb, _) in lbs.items()}
+        candidates = {}
+        for (i, gamma), w in zip(gammas.items(), _each(
+                _crossings, [(systems[i], gamma) for i, gamma in gammas.items()])):
+            if isinstance(w, ComputationFailed):
+                settle(i, w)
+            elif w.size == 0:
+                settle(i, (gamma, lbs[i][1]))
+            else:
+                candidates[i] = np.concatenate([w, 0.5 * (w[:-1] + w[1:])])
+        for i, (value, w_best) in sample(candidates).items():
+            if value <= lbs[i][0]:
+                settle(i, (gammas[i], lbs[i][1]))
+            else:
+                lbs[i] = (value, w_best)
+    for i in list(lbs):
+        settle(i, ComputationFailed(
+            f"L-infinity iteration did not settle in {LINF_MAX_ITER} steps"))
+    if single and isinstance(out[0], ComputationFailed):
+        raise out[0]
+    return out[0] if single else out
 
 
 def closed_loop(plant: StateSpacePlant, gain) -> ClosedLoop:

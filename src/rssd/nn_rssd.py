@@ -7,6 +7,14 @@ constrained eigenvector entries for a static output-feedback gain whose
 closed-loop infinity norm J2 drops below 1/J1bar; that gain then
 simultaneously stabilizes every plant in the augmented set with a
 quantified nu-gap robustness ball around the central plant.
+
+``ga_minimize`` hands its fitness chunks of a generation's unscored
+genomes.  The inner fitness scores a chunk with one ``j2_fitness`` call,
+whose norms are one stacked ``linf_norm``; the outer one scores genome by
+genome, since each genome may start an inner search.  Chunks start at one
+genome and at most double, so a search that certifies on its first genome
+(the three-plant fixture) computes no norm it does not use, and a long one
+at most one chunk's tail beyond its certifying genome.
 """
 
 from __future__ import annotations
@@ -86,14 +94,22 @@ class GaResult:
     generations: int
 
 
-def ga_minimize(fitness, boxes, config: GaConfig, stop=None) -> GaResult:
+def ga_minimize(fitness, boxes, config: GaConfig) -> GaResult:
     """Box-constrained real-coded GA minimization.
 
     Elitism guarantees the best-so-far never worsens; runs are bit
-    reproducible under a fixed seed.  ``fitness`` is called once per
-    distinct genome of this run: elites and unchanged children reuse the
-    stored value.  ``stop`` is polled after every individual so a caller
-    can terminate mid-generation.
+    reproducible under a fixed seed.  Each distinct genome of this run is
+    scored once: elites and unchanged children reuse the stored value.
+
+    ``fitness`` takes a chunk of genomes, the rows of an array, and returns
+    ``(fits, done)``: the fitness of each genome of the chunk, or of a
+    prefix of it when ``done``, which ends the run after the prefix's last
+    genome.  A chunk holds distinct unscored genomes of one generation, in
+    population order.  The first chunk of a run holds one genome and no
+    later one more than the run has scored, so a run that ends on its first
+    genome scores no other, and a long one hands most of a generation per
+    call.  Best tracking, ``history`` and ``generations`` are those of
+    scoring one genome at a time in population order.
     """
     boxes = np.asarray(boxes, dtype=float)
     if boxes.ndim != 2 or boxes.shape[1] != 2 or boxes.size == 0:
@@ -108,19 +124,27 @@ def ga_minimize(fitness, boxes, config: GaConfig, stop=None) -> GaResult:
     scored = {}  # genes.tobytes() -> fitness, for this call only
 
     for gen in range(config.max_generations):
-        fits = np.empty(pop.shape[0])
-        for i, genes in enumerate(pop):
-            key = genes.tobytes()
+        keys = [genes.tobytes() for genes in pop]
+        first = {}  # each unscored genome's first population index
+        for i, key in enumerate(keys):
             if key not in scored:
-                scored[key] = fitness(genes)
-            fits[i] = scored[key]
+                first.setdefault(key, i)
+        fresh, end, done = list(first), len(pop), False
+        while fresh and not done:
+            chunk = fresh[:max(1, len(scored))]
+            values, done = fitness(pop[[first[key] for key in chunk]])
+            scored.update(zip(chunk, values))
+            if done:
+                end = first[chunk[len(values) - 1]] + 1
+            del fresh[:len(chunk)]
+        fits = np.array([scored[key] for key in keys[:end]], dtype=float)
+        for i in range(end):
             if fits[i] < best_fit:
                 best_fit = float(fits[i])
-                best_genes = genes.copy()
-            if stop is not None and stop():
-                history.append(best_fit)
-                return GaResult(best_genes, best_fit, history, gen + 1)
+                best_genes = pop[i].copy()
         history.append(best_fit)
+        if done:
+            return GaResult(best_genes, best_fit, history, gen + 1)
 
         order = np.argsort(fits, kind="stable")
         elites = pop[order[:ELITES]].copy()
@@ -211,30 +235,39 @@ def decode_rssd_genome(genes, target: EigTarget) -> RssdGenome:
     return RssdGenome(tuple(eigenvalues), tuple(entry_values))
 
 
-def j2_fitness(p_cp: StateSpacePlant, genome: RssdGenome, target: EigTarget):
-    """(J2, K) for one decoded genome, or (penalty, None) on any guard.
+def j2_fitness(p_cp: StateSpacePlant, genomes, target: EigTarget):
+    """(J2s, gains) for a chunk of decoded genomes: each genome's J2 and K,
+    or (PENALTY, None) where a guard refuses it.
 
-    Pipeline: allowable subspaces -> constrained vector selection ->
+    Per genome: allowable subspaces -> constrained vector selection ->
     K = W (CR)^(-1) under the condition-number guard -> full-spectrum
-    damping-region check -> infinity norm of the 4-block operator, taken on
-    its m-input factor (``ClosedLoop.factor``).
+    damping-region check.  Then one ``linf_norm`` call over the loops that
+    pass takes the infinity norm of each one's 4-block operator, on its
+    m-input factor (``ClosedLoop.factor``); a norm that fails is a guard.
     """
-    if target.sigma_max is not None and not in_S1(genome.eigenvalues, target):
-        return PENALTY, None
-    try:
-        subs = [allowable_subspace(p_cp.A, p_cp.B, lam)
-                for lam in genome.eigenvalues]
-        W, R = select_vectors(subs, target, genome.entry_values)
-        K = compute_gain(W, R, p_cp.C)
-        cl = closed_loop(p_cp, K)
-        if not in_S1(cl.eigenvalues, target):
-            return PENALTY, None
+    j2s, gains = [PENALTY] * len(genomes), [None] * len(genomes)
+    loops = {}  # genome index -> (K, factor, poles) of a loop past every guard
+    for i, genome in enumerate(genomes):
+        if target.sigma_max is not None and not in_S1(genome.eigenvalues, target):
+            continue
+        try:
+            subs = [allowable_subspace(p_cp.A, p_cp.B, lam)
+                    for lam in genome.eigenvalues]
+            W, R = select_vectors(subs, target, genome.entry_values)
+            K = compute_gain(W, R, p_cp.C)
+            cl = closed_loop(p_cp, K)
+            if in_S1(cl.eigenvalues, target):
+                loops[i] = (K, cl.factor, cl.eigenvalues)
+        except (BoundViolation, IllConditioned, IllPosedLoop, ComputationFailed,
+                np.linalg.LinAlgError):
+            continue
+    if loops:
+        Ks, factors, poles = zip(*loops.values())
         # finite: in_S1 holds no eigenvalue on the axis
-        norm, _ = linf_norm(cl.factor, cl.eigenvalues)
-    except (BoundViolation, IllConditioned, IllPosedLoop, ComputationFailed,
-            np.linalg.LinAlgError):
-        return PENALTY, None
-    return float(norm), K
+        for i, K, norm in zip(loops, Ks, linf_norm(factors, poles)):
+            if not isinstance(norm, ComputationFailed):
+                j2s[i], gains[i] = float(norm[0]), K
+    return j2s, gains
 
 
 # --- driver -----------------------------------------------------------------
@@ -292,14 +325,17 @@ def run_inner(p_cp: StateSpacePlant, target: EigTarget, jbar: float, cfg: GaConf
     target.require_states(p_cp.n)
     found = []
 
-    def fitness(genes):
-        genome = decode_rssd_genome(genes, target)
-        j2, K = j2_fitness(p_cp, genome, target)
-        if K is not None and j2 < 1.0 / jbar:
-            found.append((j2, K, genome.eigenvalues))
-        return j2
+    def fitness(chunk):
+        # everything up to and including the first genome that meets the bound
+        genomes = [decode_rssd_genome(genes, target) for genes in chunk]
+        j2s, gains = j2_fitness(p_cp, genomes, target)
+        for i, (j2, K) in enumerate(zip(j2s, gains)):
+            if K is not None and j2 < 1.0 / jbar:
+                found.append((j2, K, genomes[i].eigenvalues))
+                return j2s[:i + 1], True
+        return j2s, False
 
-    res = ga_minimize(fitness, rssd_boxes(target), cfg, stop=lambda: bool(found))
+    res = ga_minimize(fitness, rssd_boxes(target), cfg)
     return res.generations, (found[0] if found else None)
 
 
@@ -316,7 +352,16 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
     inner_gens = []  # one entry per inner invocation
     certificate = None  # (augmented members, central index, J1bar, J2, K, eigenvalues)
 
-    def scp_fitness(genes):
+    def scp_fitness(chunk):
+        # one genome at a time: a certificate ends the search at its genome
+        fits = []
+        for genes in chunk:
+            fits.append(scp_score(genes))
+            if certificate is not None:
+                return fits, True
+        return fits, False
+
+    def scp_score(genes):
         nonlocal certificate
         try:
             w_in, w_out = decode_banks(genes, constraints)
@@ -339,8 +384,7 @@ def run_nn_rssd(pset: PlantSet, constraints: ScpConstraints, target: EigTarget,
                 certificate = (augmented, cp_idx, jbar[-1], *hit)
         return j1
 
-    outer = ga_minimize(scp_fitness, np.asarray(constraints.boxes, float),
-                        scp_cfg, stop=lambda: certificate is not None)
+    outer = ga_minimize(scp_fitness, np.asarray(constraints.boxes, float), scp_cfg)
     report = SynthesisReport(jbar[1:], outer.generations, len(inner_gens), sum(inner_gens),
                              {"scp": scp_cfg.seed, "rssd": rssd_cfg.seed})
     if certificate is None:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rssd.nn_rssd
 from rssd import fileio
 from rssd.cli import main
 from rssd.lti import (
@@ -257,6 +258,20 @@ class TestSynthCommand:
         assert run("synth", FAMILY, "--config", CONFIG,
                    "--out", str(tmp_path)) == 0
         assert_pinned(tmp_path, SYNTH_SHA256)
+
+    def test_scores_one_genome_in_j2(self, tmp_path, monkeypatch):
+        # the fixture certifies on its first genome, which is the whole of
+        # the inner search's first chunk
+        chunks = []
+
+        def spy(p_cp, genomes, target, _fn=rssd.nn_rssd.j2_fitness):
+            chunks.append(len(genomes))
+            return _fn(p_cp, genomes, target)
+
+        monkeypatch.setattr(rssd.nn_rssd, "j2_fitness", spy)
+        assert run("synth", FAMILY, "--config", CONFIG,
+                   "--out", str(tmp_path)) == 0
+        assert chunks == [1]
 
     def test_identical_invocations_identical_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -11,7 +11,7 @@ import rssd.nn_rssd
 import rssd.sweep
 from conftest import random_stable_siso
 from rssd.eigassign import EigTarget, ModeTarget
-from rssd.errors import ComputationFailed
+from rssd.errors import ComputationFailed, DimensionMismatch
 from rssd.lti import FrequencyGrid, StateSpacePlant, eval_response
 from rssd.margins import closed_loop, crossings, disk_margin, linf_norm
 from rssd.nn_rssd import PENALTY, decode_rssd_genome, j2_fitness
@@ -266,11 +266,12 @@ class TestFactor:
 
 
 def double_integrator_case():
+    """j2_fitness' arguments for a chunk of one genome."""
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     p = StateSpacePlant(A, np.array([[0.0], [1.0]]), np.eye(2), np.zeros((2, 1)))
     target = EigTarget((ModeTarget("real", 0.5, 3.0),
                         ModeTarget("real", 0.5, 3.0)), zeta_min=0.5)
-    return p, decode_rssd_genome([1.0, 2.0], target), target
+    return p, [decode_rssd_genome([1.0, 2.0], target)], target
 
 
 class TestJ2Path:
@@ -282,7 +283,7 @@ class TestJ2Path:
             return closed_loop(plant, gain)
 
         monkeypatch.setattr(rssd.nn_rssd, "closed_loop", counted)
-        j2, K = j2_fitness(*double_integrator_case())
+        (j2,), (K,) = j2_fitness(*double_integrator_case())
         assert K is not None and np.isfinite(j2)
         assert len(calls) == 1
 
@@ -296,7 +297,7 @@ class TestJ2Path:
 
         # closed_loop, the S1 check and linf_norm's pole test share one solve
         monkeypatch.setattr(np.linalg, "eigvals", recorded)
-        j2, K = j2_fitness(*double_integrator_case())
+        (j2,), (K,) = j2_fitness(*double_integrator_case())
         monkeypatch.undo()
         assert K is not None and np.isfinite(j2)
         cl = closed_loop(double_integrator_case()[0], K)
@@ -306,11 +307,11 @@ class TestJ2Path:
         assert j2 == linf_norm(cl.factor)[0]
 
     def test_failed_norm_penalized(self, monkeypatch):
-        def failing(sys, poles=None):
-            raise ComputationFailed("no convergence")
+        def failing(systems, poles=None):
+            return [ComputationFailed("no convergence") for _ in systems]
 
         monkeypatch.setattr(rssd.nn_rssd, "linf_norm", failing)
-        assert j2_fitness(*double_integrator_case()) == (PENALTY, None)
+        assert j2_fitness(*double_integrator_case()) == ([PENALTY], [None])
 
 
 def test_norm_does_not_sweep_a_grid(monkeypatch):
@@ -412,6 +413,64 @@ class TestDistinctSamples:
         assert len(cases) == 24 * 4 + 9
         for sys, poles in cases:
             assert linf_norm(sys, poles) == repeated_sample_norm(sys, poles)
+
+    def test_stacks_bit_equal_to_repeated_sampling(self):
+        # each (n, m, r) group of the cases as one stack, in lockstep
+        groups = {}
+        for sys, poles in oracle_cases():
+            groups.setdefault((sys.n, sys.m, sys.r), []).append((sys, poles))
+        assert max(map(len, groups.values())) >= 24
+        for cases in groups.values():
+            got = linf_norm([sys for sys, _ in cases], [p for _, p in cases])
+            assert got == [repeated_sample_norm(*case) for case in cases]
+
+    def test_mixed_stack_slots_are_the_single_forms(self):
+        # each system's special case and failure stays in its own slot
+        stack = [
+            resonance(0.0, 2.0),  # poles on the axis: inf
+            # (s + 0.5)/(s + 1) with a hidden mode: sigma_max(D) at w = inf
+            StateSpacePlant(np.diag([-1.0, -2.0]), [[1.0], [0.0]],
+                            [[-0.5, 0.0]], [[1.0]]),
+            StateSpacePlant.from_gain([[3.0]]),  # static
+            # 1/(s+1) + 1/(s+2) whose C^T C overflows in H
+            StateSpacePlant(np.diag([-1.0, -2.0]), [[1.0], [1e-160]],
+                            [[1.0, 1e160]], [[0.0]]),
+            StateSpacePlant(np.diag([-1.0, -2.0]), [[1.0], [0.0]],
+                            [[1e155, 0.0]], [[0.0]]),  # gamma^2 overflows
+            resonance(0.1, 1.0),
+            StateSpacePlant(np.diag([-1.0, -2.0]), np.ones((2, 1)),
+                            np.zeros((1, 2)), [[0.0]]),  # zero
+        ]
+        want = []
+        for sys in stack:
+            try:
+                want.append(linf_norm(sys))
+            except ComputationFailed as exc:
+                want.append(str(exc))
+        got = linf_norm(stack)
+        assert [str(x) if isinstance(x, ComputationFailed) else x
+                for x in got] == want
+        assert np.isinf(want[0][0]) and np.isinf(want[1][1])
+        assert want[2] == (3.0, 0.0)
+        assert want[3] == ("Hamiltonian eigen-solve failed: "
+                           "Array must not contain infs or NaNs")
+        assert want[4].startswith("gamma^2 overflows")
+        assert want[5] == repeated_sample_norm(stack[5]) and want[6] == (0.0, 0.0)
+
+    def test_unsettled_slot_fails_alone(self, monkeypatch):
+        # with one step allowed, the resonance (start 5.0 at w = 1, below its
+        # peak 5.0252) cannot settle while the first-order lag does
+        monkeypatch.setattr(rssd.margins, "LINF_MAX_ITER", 1)
+        lag = StateSpacePlant(np.diag([-1.0, -2.0]), [[1.0], [0.0]],
+                              [[1.0, 0.0]], [[0.0]])
+        stuck, settled = linf_norm([resonance(0.1, 1.0), lag])
+        assert isinstance(stuck, ComputationFailed)
+        assert "did not settle" in str(stuck)
+        assert settled == linf_norm(lag)
+
+    def test_shapes_must_match(self):
+        with pytest.raises(DimensionMismatch, match="differ in shape"):
+            linf_norm([resonance(0.1, 1.0), random_loop(np.random.default_rng(3))])
 
     def test_each_call_samples_increasing_frequencies(self, monkeypatch):
         calls = []

@@ -17,6 +17,7 @@ from rssd.nn_rssd import (
     JBAR_FLOOR,
     PENALTY,
     GaConfig,
+    GaResult,
     decode_rssd_genome,
     ga_minimize,
     j2_fitness,
@@ -44,16 +45,66 @@ def family_setup():
     return constraints, target
 
 
+def per_genome(f):
+    """A chunk fitness that scores every genome of its chunk with ``f``."""
+    return lambda chunk: ([f(genes) for genes in chunk], False)
+
+
+def one_at_a_time_ga(f, boxes, config, stop=lambda: False):
+    """ga_minimize as it was before chunks: ``f`` scores one genome per call,
+    and ``stop`` is polled after every individual.  Returns the GaResult and,
+    per generation, the genomes scored in it, in order.  The reference for
+    the chunk protocol."""
+    boxes = np.asarray(boxes, dtype=float)
+    lo, hi = boxes[:, 0], boxes[:, 1]
+    rng = np.random.default_rng(config.seed)
+    pop = rng.uniform(lo, hi, size=(config.population, boxes.shape[0]))
+    best_genes, best_fit, history, scored, fresh = None, np.inf, [], {}, []
+    for gen in range(config.max_generations):
+        fresh.append([])
+        fits = np.empty(pop.shape[0])
+        for i, genes in enumerate(pop):
+            key = genes.tobytes()
+            if key not in scored:
+                scored[key] = f(genes)
+                fresh[-1].append(key)
+            fits[i] = scored[key]
+            if fits[i] < best_fit:
+                best_fit, best_genes = float(fits[i]), genes.copy()
+            if stop():
+                history.append(best_fit)
+                return GaResult(best_genes, best_fit, history, gen + 1), fresh
+        history.append(best_fit)
+        order = np.argsort(fits, kind="stable")
+        children = [*pop[order[:rssd.nn_rssd.ELITES]].copy()]
+        while len(children) < pop.shape[0]:
+            pa = rssd.nn_rssd._tournament(rng, fits)
+            pb = rssd.nn_rssd._tournament(rng, fits)
+            ca, cb = pop[pa].copy(), pop[pb].copy()
+            if rng.random() < rssd.nn_rssd.CROSSOVER_PROB:
+                ca, cb = rssd.nn_rssd._blend(rng, pop[pa], pop[pb], lo, hi)
+            for child in (ca, cb):
+                rssd.nn_rssd._mutate(rng, child, lo, hi)
+                if len(children) < pop.shape[0]:
+                    children.append(child)
+        pop = np.asarray(children)
+    return GaResult(best_genes, best_fit, history, config.max_generations), fresh
+
+
+def bumpy(g):
+    return float(np.sum((g - 0.3) ** 2) + 0.1 * np.sum(np.cos(5 * g)))
+
+
 class TestGaMinimize:
     def test_sphere_convergence(self):
         cfg = GaConfig(population=30, max_generations=60, seed=42)
-        res = ga_minimize(lambda g: float(np.sum((g - 1.0) ** 2)),
+        res = ga_minimize(per_genome(lambda g: float(np.sum((g - 1.0) ** 2))),
                           [(-5, 5)] * 3, cfg)
         assert res.best_fitness < 1e-3
 
     def test_seeded_determinism(self):
         cfg = GaConfig(population=20, max_generations=20, seed=9)
-        f = lambda g: float(np.sum(g ** 2))
+        f = per_genome(lambda g: float(np.sum(g ** 2)))
         a = ga_minimize(f, [(-2, 2)] * 2, cfg)
         b = ga_minimize(f, [(-2, 2)] * 2, cfg)
         assert np.array_equal(a.best_genes, b.best_genes)
@@ -61,8 +112,8 @@ class TestGaMinimize:
 
     def test_elitism_monotone_history(self):
         cfg = GaConfig(population=16, max_generations=30, seed=3)
-        res = ga_minimize(lambda g: float(np.sum(np.abs(g))), [(-1, 1)] * 4,
-                          cfg)
+        res = ga_minimize(per_genome(lambda g: float(np.sum(np.abs(g)))),
+                          [(-1, 1)] * 4, cfg)
         assert np.all(np.diff(res.history) <= 0)
 
     def test_identical_population_no_mutation_flat(self):
@@ -75,20 +126,28 @@ class TestGaMinimize:
         cfg = GaConfig(population=8, max_generations=5, seed=1)
         # degenerate boxes: every individual starts as (2, -1), and every
         # child of crossover or mutation is clipped back to it
-        res = ga_minimize(f, [(2, 2), (-1, -1)], cfg)
+        res = ga_minimize(per_genome(f), [(2, 2), (-1, -1)], cfg)
         assert res.history == [5.0] * 5
         assert len(calls) == 1  # one distinct genome is scored once
 
     def test_early_stop_mid_generation(self):
         calls = []
 
-        def f(g):
-            calls.append(1)
-            return float(g[0] ** 2)
+        def f(chunk):
+            # the third genome ends the run: it is the first of the third
+            # chunk (sizes 1, 1, 2), so the prefix is shorter than the chunk
+            fits = []
+            for genes in chunk:
+                calls.append(1)
+                fits.append(float(genes[0] ** 2))
+                if len(calls) == 3:
+                    return fits, True
+            return fits, False
 
         cfg = GaConfig(population=10, max_generations=50, seed=2)
-        ga_minimize(f, [(-1, 1)], cfg, stop=lambda: len(calls) >= 3)
+        res = ga_minimize(f, [(-1, 1)], cfg)
         assert len(calls) == 3
+        assert res.generations == 1 and len(res.history) == 1
 
     def test_each_distinct_genome_scored_once(self):
         keys = []
@@ -99,7 +158,7 @@ class TestGaMinimize:
 
         # elites and unchanged children repeat genomes in every generation
         cfg = GaConfig(population=10, max_generations=8, seed=21)
-        ga_minimize(f, [(-2, 2)] * 3, cfg)
+        ga_minimize(per_genome(f), [(-2, 2)] * 3, cfg)
         assert len(keys) == len(set(keys)) == 51
 
     def test_memo_does_not_outlive_the_call(self):
@@ -107,17 +166,15 @@ class TestGaMinimize:
         f = lambda g: (calls.append(1), float(g[0])) [1]
         cfg = GaConfig(population=4, max_generations=1, seed=0)
         # a degenerate box makes the whole population one genome
-        ga_minimize(f, [(0.5, 0.5)], cfg)
-        ga_minimize(f, [(0.5, 0.5)], cfg)
+        ga_minimize(per_genome(f), [(0.5, 0.5)], cfg)
+        ga_minimize(per_genome(f), [(0.5, 0.5)], cfg)
         assert len(calls) == 2
 
     def test_seeded_result_pinned(self):
         # values from the GA before genomes were memoized: skipping repeat
         # evaluations leaves the RNG stream and the result untouched
-        f = lambda g: float(np.sum((g - 0.3) ** 2)
-                            + 0.1 * np.sum(np.cos(5 * g)))
         cfg = GaConfig(population=10, max_generations=8, seed=21)
-        res = ga_minimize(f, [(-2, 2)] * 3, cfg)
+        res = ga_minimize(per_genome(bumpy), [(-2, 2)] * 3, cfg)
         assert res.history == [
             0.9633539867584178, 0.9633539867584178, 0.7077589887854625,
             0.7077589887854625, 0.7077589887854625, 0.7077589887854625,
@@ -140,10 +197,85 @@ class TestGaMinimize:
         cfg = GaConfig(population=12, max_generations=10, seed=5)
         seen = []
         f = lambda g: (seen.append(g.copy()), float(g[0])) [1]
-        ga_minimize(f, [(2.0, 3.0)], cfg)
+        ga_minimize(per_genome(f), [(2.0, 3.0)], cfg)
         arr = np.asarray(seen)
         assert arr.min() >= 2.0 and arr.max() <= 3.0
         assert np.any(arr == 2.0)  # a child pushed below the box was clipped
+
+
+def ga_fields(res):
+    return (res.best_genes.tobytes(), res.best_fitness, res.history,
+            res.generations)
+
+
+class TestChunkProtocol:
+    """ga_minimize hands its fitness chunks of a generation's distinct
+    unscored genomes; scoring one genome per call is the reference."""
+
+    CONFIGS = [GaConfig(population=10, max_generations=8, seed=21),
+               GaConfig(population=6, max_generations=5, seed=3),
+               GaConfig(population=12, max_generations=4, seed=7)]
+    BOXES = [(-2, 2)] * 3
+
+    @staticmethod
+    def chunked(f, chunks, stop_after=None):
+        """A chunk fitness scoring with ``f`` that logs each chunk's genomes
+        and ends the run after the ``stop_after``-th genome it scores."""
+        scored = []
+
+        def fitness(chunk):
+            chunks.append([genes.tobytes() for genes in chunk])
+            fits = []
+            for genes in chunk:
+                fits.append(f(genes))
+                scored.append(genes.tobytes())
+                if len(scored) == stop_after:
+                    return fits, True
+            return fits, False
+
+        return fitness
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_chunks_split_each_generation_doubling_from_one(self, cfg):
+        chunks = []
+        ga_minimize(self.chunked(bumpy, chunks), self.BOXES, cfg)
+        _, fresh = one_at_a_time_ga(bumpy, self.BOXES, cfg)
+        assert sum(chunks, []) == sum(fresh, [])
+        scored = 0
+        for generation in fresh:
+            while generation:
+                # the first chunk holds one genome, no later chunk more than
+                # the run has scored, and none crosses a generation
+                size = min(max(1, scored), len(generation))
+                assert chunks.pop(0) == generation[:size]
+                generation, scored = generation[size:], scored + size
+        assert chunks == []
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_result_equals_one_genome_per_call(self, cfg):
+        res = ga_minimize(per_genome(bumpy), self.BOXES, cfg)
+        want, _ = one_at_a_time_ga(bumpy, self.BOXES, cfg)
+        assert ga_fields(res) == ga_fields(want)
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_done_ends_the_run_after_the_prefix(self, cfg):
+        _, fresh = one_at_a_time_ga(bumpy, self.BOXES, cfg)
+        ends = np.cumsum([len(generation) for generation in fresh])
+        # a whole first chunk, mid-chunk prefixes, the last genome of a
+        # generation and the first of the next
+        for stop_after in (1, 2, 3, 5, ends[0], ends[0] + 1, ends[1] - 1):
+            chunks, calls, ref_calls = [], [], []
+            res = ga_minimize(
+                self.chunked(lambda g: (calls.append(1), bumpy(g))[1], chunks,
+                             stop_after), self.BOXES, cfg)
+            want, _ = one_at_a_time_ga(
+                lambda g: (ref_calls.append(1), bumpy(g))[1], self.BOXES, cfg,
+                stop=lambda: len(ref_calls) >= stop_after)
+            assert ga_fields(res) == ga_fields(want)
+            assert res.generations == 1 + int(np.searchsorted(ends, stop_after))
+            # the run ends inside its last chunk, whose tail is not scored
+            assert len(calls) == stop_after
+            assert len(sum(chunks[:-1], [])) < stop_after
 
 
 class TestGenome:
@@ -198,7 +330,8 @@ class TestGenome:
             decoded.append(decode_rssd_genome(genes, target).eigenvalues)
             return 0.0
 
-        ga_minimize(fitness, boxes, GaConfig(population=4, max_generations=2))
+        ga_minimize(per_genome(fitness), boxes,
+                    GaConfig(population=4, max_generations=2))
         assert decoded and all(in_S1(lams, target) for lams in decoded)
 
     def test_decoded_eigenvalues_always_admissible(self):
@@ -220,7 +353,7 @@ class TestJ2Fitness:
         target = EigTarget((ModeTarget("real", 0.5, 3.0),
                             ModeTarget("real", 0.5, 3.0)), zeta_min=0.5)
         genome = decode_rssd_genome([1.0, 2.0], target)
-        j2, K = j2_fitness(p, genome, target)
+        (j2,), (K,) = j2_fitness(p, [genome], target)
         assert np.isfinite(j2)
         np.testing.assert_allclose(K, [[-2.0, -3.0]], atol=1e-9)
 
@@ -231,8 +364,7 @@ class TestJ2Fitness:
         p = StateSpacePlant(A, B, np.array([[1.0, 0.0]]), np.zeros((1, 1)))
         target = EigTarget((ModeTarget("real", 0.5, 5.0),), zeta_min=0.3)
         genome = decode_rssd_genome([1.0], target)
-        j2, K = j2_fitness(p, genome, target)
-        assert j2 == PENALTY and K is None
+        assert j2_fitness(p, [genome], target) == ([PENALTY], [None])
 
     def test_eigenvalue_right_of_sigma_max_penalized_first(self, monkeypatch):
         # -1 lies right of sigma_max = -2: penalized before any subspace
@@ -243,8 +375,34 @@ class TestJ2Fitness:
         target = EigTarget((ModeTarget("real", 0.5, 5.0),), zeta_min=0.3,
                            sigma_max=-2.0)
         genome = decode_rssd_genome([1.0], target)
-        assert j2_fitness(p, genome, target) == (PENALTY, None)
+        assert j2_fitness(p, [genome], target) == ([PENALTY], [None])
         assert calls == []
+
+    def test_chunk_is_its_genomes_one_norm_call(self, monkeypatch):
+        # penalized genomes keep their slots; the loops past every guard
+        # share one linf_norm call, and each slot equals the genome alone
+        pset = mimo_family(1, 3)
+        _, target = mimo_setup()
+        boxes = rssd_boxes(target)
+        rng = np.random.default_rng(41)
+        genomes = [decode_rssd_genome(rng.uniform(boxes[:, 0], boxes[:, 1]),
+                                      target) for _ in range(12)]
+        alone = [j2_fitness(pset[0], [genome], target) for genome in genomes]
+        norm_calls = []
+
+        def counted(systems, poles=None, _fn=rssd.nn_rssd.linf_norm):
+            norm_calls.append(len(systems))
+            return _fn(systems, poles)
+
+        monkeypatch.setattr(rssd.nn_rssd, "linf_norm", counted)
+        j2s, gains = j2_fitness(pset[0], genomes, target)
+        want = [K for _, (K,) in alone]
+        assert j2s == [j2 for (j2,), _ in alone]
+        assert [K is None for K in gains] == [K is None for K in want]
+        assert all(np.array_equal(K, W) for K, W in zip(gains, want)
+                   if K is not None)
+        assert norm_calls == [sum(K is not None for K in gains)]
+        assert 0 < norm_calls[0] < len(genomes)
 
 
 class TestVerifyLemma:
@@ -616,6 +774,52 @@ class TestSearchRelations:
                                    rtol=1e-14, atol=0.0)
         assert report_fields(got) == {**report_fields(want),
                                       "j1_history": got.j1_history}
+
+
+class TestSpeculativeWork:
+    def test_two_level_flow_adds_at_most_one_chunk_tail(self, monkeypatch):
+        # chunks of the inner search compute norms only for the tail of the
+        # chunk holding the certifying genome, beyond the norms of a search
+        # that hands its fitness one genome per call
+        norms, tails = [], []
+        real_ga, real_norm = ga_minimize, rssd.nn_rssd.linf_norm
+
+        def counted_norm(systems, poles=None):
+            norms.append(len(systems))
+            return real_norm(systems, poles)
+
+        def chunked(fitness, boxes, cfg):
+            def recorded(chunk):
+                values, done = fitness(chunk)
+                if done:
+                    tails.append(len(chunk) - len(values))
+                return values, done
+
+            return real_ga(recorded, boxes, cfg)
+
+        def one_at_a_time(fitness, boxes, cfg):
+            def single(chunk):
+                values = []
+                for genes in chunk:
+                    value, done = fitness(genes[None])
+                    values += value
+                    if done:
+                        return values, True
+                return values, False
+
+            return real_ga(single, boxes, cfg)
+
+        monkeypatch.setattr(rssd.nn_rssd, "linf_norm", counted_norm)
+        monkeypatch.setattr(rssd.nn_rssd, "ga_minimize", chunked)
+        got = two_level_search(mimo_family(1, 3))
+        computed = sum(norms)
+        del norms[:]
+        monkeypatch.setattr(rssd.nn_rssd, "ga_minimize", one_at_a_time)
+        want = two_level_search(mimo_family(1, 3))
+        assert report_fields(got) == report_fields(want)
+        # the inner search's last chunk ends first, then the outer's
+        assert got.feasible and len(tails) == 2
+        assert 0 < sum(norms) <= computed <= sum(norms) + tails[0]
 
 
 class TestRefusals:

@@ -499,16 +499,17 @@ class TestExactBand:
         assert not self.check(StateSpacePlant.from_gain([[1.0]]), (0.0, 1.0)).passed
 
     def test_norm_and_band_share_one_hamiltonian(self, monkeypatch):
-        real = rssd.margins.crossings
-        assert rssd.scp.crossings is real
+        # the band reads crossings and the norm its stacked form: both
+        # build H through margins.hamiltonians alone
+        assert rssd.scp.crossings is rssd.margins.crossings
+        real = rssd.margins.hamiltonians
         gammas = []
 
-        def spy(sys, gamma):
-            gammas.append(gamma)
-            return real(sys, gamma)
+        def spy(systems, sys_gammas):
+            gammas.extend(sys_gammas)
+            return real(systems, sys_gammas)
 
-        monkeypatch.setattr(rssd.margins, "crossings", spy)
-        monkeypatch.setattr(rssd.scp, "crossings", spy)
+        monkeypatch.setattr(rssd.margins, "hamiltonians", spy)
         lag = siso([2.0], [1.0, 1.0])
         assert linf_norm(lag)[0] == pytest.approx(2.0)
         assert gammas and all(g > 1.0 for g in gammas)
