@@ -21,8 +21,9 @@ over all of [0, inf], so the generalized stability margin and the disk
 margin they give err low: on the safe side of the nu-gap certificate.
 ``hamiltonians`` builds the iteration's Hamiltonians, stacked, and
 ``crossings`` reads it for one system.  ``linf_norm`` also takes systems of
-one shape (J2 scores a chunk of GA candidates so) and iterates them in
-lockstep, paying numpy's per-call cost once per step, not once per system.
+one (n, m, r) (J2 scores a chunk of GA candidates so): each round answers
+the requests of every system's ``_iteration`` in one stacked call of each
+kind, paying numpy's per-call cost once per round, not once per system.
 Each system keeps its own special cases and its own failure, a
 ComputationFailed in its result slot, which the one-system form raises.
 
@@ -39,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -224,32 +224,60 @@ def _each(fn, items) -> list:
                 else ComputationFailed(str(exc))]
 
 
-def _sampled(pairs) -> list:
-    """sigma_max of each (system, frequencies) pair's response: one
-    ``eval_response`` per system and one ``sigma_max`` over all samples."""
-    resps = [eval_response(sys, 1j * w) for sys, w in pairs]
-    sig = sigma_max(np.concatenate(resps))
-    ends = accumulate(len(resp) for resp in resps)
-    return [sig[end - len(resp):end] for resp, end in zip(resps, ends)]
-
-
-def _peaks(systems, candidates) -> list:
-    """Each system's largest sigma_max over its candidate frequencies, and
-    where, each distinct candidate sampled once in increasing order through
-    one ``_sampled`` call; a system whose samples fail gets its
-    ComputationFailed instead."""
-    ws = []
-    for w in candidates:
+def _peaks(pairs) -> list:
+    """Each (system, frequencies) pair's largest sigma_max over its distinct
+    frequencies, sampled once each in increasing order, and where: one
+    ``eval_response`` per system and one ``sigma_max`` over all samples.  A
+    non-finite sigma_max raises ComputationFailed."""
+    ws, resps = [], []
+    for sys, w in pairs:
         w = np.sort(w)  # never empty; np.unique would import numpy.ma
         ws.append(w[np.concatenate([[True], w[1:] != w[:-1]])])
-    peaks = []
-    for w, sig in zip(ws, _each(_sampled, list(zip(systems, ws)))):
-        if not isinstance(sig, ComputationFailed):
-            i = int(np.argmax(sig))
-            sig = ((float(sig[i]), float(w[i])) if np.isfinite(sig[i]) else
-                   ComputationFailed(f"sigma_max is {sig[i]} at w={w[i]}"))
-        peaks.append(sig)
+        resps.append(eval_response(sys, 1j * ws[-1]))
+    sig = sigma_max(np.concatenate(resps))
+    peaks, start = [], 0
+    for w in ws:
+        s, start = sig[start:start + w.size], start + w.size
+        i = int(np.argmax(s))
+        if not np.isfinite(s[i]):
+            raise ComputationFailed(f"sigma_max is {s[i]} at w={w[i]}")
+        peaks.append((float(s[i]), float(w[i])))
     return peaks
+
+
+def _iteration(sys: StateSpacePlant, eig: np.ndarray):
+    """``linf_norm`` of one system as a generator: where it samples or solves
+    it yields the request (_peaks, frequencies) or (_crossings, gamma) and
+    receives the answer, or has the answer's ComputationFailed thrown in.
+    Returns (gamma, w) or raises ComputationFailed."""
+    on_axis = is_imag_axis(eig)
+    if np.any(on_axis):
+        return np.inf, float(np.abs(eig[on_axis][0].imag))
+    lb, omega = yield _peaks, np.concatenate([[0.0], np.abs(eig), np.abs(eig.imag)])
+    # sigma_max(D) <= |D|_F, so D's SVD is taken only where it could beat lb
+    if (1.0 + 1e-12) * np.linalg.norm(sys.D) > lb and \
+            (d_gain := singular_values(sys.D)[0]) > lb:
+        lb, omega = float(d_gain), np.inf
+    if lb == 0.0 and sys.n:
+        # a nonzero strictly proper sys vanishes at fewer than n frequencies
+        lb, omega = yield _peaks, (np.arange(1.0, sys.n + 1)
+                                   * max(1.0, np.abs(eig).max()))
+    if lb == 0.0:
+        return 0.0, 0.0
+    if not sys.n:  # sigma_max(D) exactly: the iteration would add 2 LINF_TOL
+        return lb, omega
+
+    for _ in range(LINF_MAX_ITER):
+        gamma = (1.0 + 2.0 * LINF_TOL) * lb
+        w = yield _crossings, gamma
+        if w.size == 0:
+            return gamma, omega
+        value, w_best = yield _peaks, np.concatenate([w, 0.5 * (w[:-1] + w[1:])])
+        if value <= lb:
+            return gamma, omega
+        lb, omega = value, w_best
+    raise ComputationFailed(
+        f"L-infinity iteration did not settle in {LINF_MAX_ITER} steps")
 
 
 def linf_norm(sys, poles=None):
@@ -264,88 +292,45 @@ def linf_norm(sys, poles=None):
     of lb).  Imaginary-axis poles make the norm infinite; the offending pole
     frequency is reported.  ``poles``: eig(sys.A) if known.
 
-    ``sys`` may also be a sequence of systems of one (m, r), those with
-    states of one order n, with ``poles`` a sequence too (or None).  They
-    iterate in lockstep: each step builds every unsettled system's H in one
-    ``hamiltonians`` call, solves them in one eigvals, samples each through
-    its own ``eval_response`` and takes one ``sigma_max`` of all samples.
-    The result lists each system's (gamma, w), or the ComputationFailed it
-    alone raises (a non-finite sigma_max, an overflowing gamma^2, a singular
-    R, no settling in LINF_MAX_ITER steps): a stacked call that raises is
+    ``sys`` may also be a sequence of systems of one (n, m, r), with
+    ``poles`` a sequence of one entry per system (or None).  Each system's
+    ``_iteration`` runs in lockstep with the others: each round answers
+    every pending ``_peaks`` request in one stacked call and every pending
+    ``_crossings`` request in another, so one ``hamiltonians`` call and one
+    eigvals serve every system's H and one ``sigma_max`` all samples.  The
+    result lists each system's (gamma, w), or the ComputationFailed it alone
+    raises (a non-finite sigma_max, an overflowing gamma^2, a singular R, no
+    settling in LINF_MAX_ITER steps): a stacked call that raises is
     repeated one system at a time.
     """
     single = isinstance(sys, StateSpacePlant)
     systems = [sys] if single else list(sys)
-    if single or poles is None:
-        poles = [poles] * len(systems)
-    if len({(s.m, s.r) for s in systems}) > 1 or \
-            len({s.n for s in systems if s.n}) > 1:
+    poles = [poles] * len(systems) if single or poles is None else list(poles)
+    if len(poles) != len(systems):
+        raise DimensionMismatch(f"linf_norm: {len(poles)} pole sets "
+                                f"for {len(systems)} systems")
+    if len({(s.n, s.m, s.r) for s in systems}) > 1:
         raise DimensionMismatch("linf_norm: the systems differ in shape")
-    eigs = [np.asarray(np.linalg.eigvals(s.A) if p is None else p)
+    runs = [_iteration(s, np.asarray(np.linalg.eigvals(s.A) if p is None else p))
             for s, p in zip(systems, poles)]
-    out = [None] * len(systems)
-    lbs = {}  # index -> (lb, its frequency) of each unsettled system
-
-    def settle(i, result):
-        out[i] = result
-        lbs.pop(i, None)
-
-    def sample(candidates):
-        """{index: peak} over each listed system's candidate frequencies; a
-        system whose samples fail is settled with its failure."""
-        found = {}
-        for i, peak in zip(candidates, _peaks(
-                [systems[i] for i in candidates], candidates.values())
-                if candidates else ()):
-            if isinstance(peak, ComputationFailed):
-                settle(i, peak)
-            else:
-                found[i] = peak
-        return found
-
-    for i, eig in enumerate(eigs):
-        on_axis = is_imag_axis(eig)
-        if np.any(on_axis):
-            out[i] = (np.inf, float(np.abs(eig[on_axis][0].imag)))
-    lbs.update(sample({i: np.concatenate([[0.0], np.abs(eig), np.abs(eig.imag)])
-                       for i, eig in enumerate(eigs) if out[i] is None}))
-    for i, (lb, _) in list(lbs.items()):
-        # sigma_max(D) <= |D|_F, so D's SVD is taken only where it could beat lb
-        D = systems[i].D
-        if (1.0 + 1e-12) * np.linalg.norm(D) > lb and \
-                (d_gain := singular_values(D)[0]) > lb:
-            lbs[i] = (float(d_gain), np.inf)
-    # a nonzero strictly proper system vanishes at fewer than n frequencies
-    lbs.update(sample({
-        i: np.arange(1.0, systems[i].n + 1) * max(1.0, np.abs(eigs[i]).max())
-        for i, (lb, _) in lbs.items() if lb == 0.0 and systems[i].n}))
-    for i, (lb, omega) in list(lbs.items()):
-        if lb == 0.0:
-            settle(i, (0.0, 0.0))
-        elif not systems[i].n:  # sigma_max(D) exactly: the iteration would add 2 LINF_TOL
-            settle(i, (lb, omega))
-
-    for _ in range(LINF_MAX_ITER):
-        if not lbs:
-            break
-        gammas = {i: (1.0 + 2.0 * LINF_TOL) * lb for i, (lb, _) in lbs.items()}
-        candidates = {}
-        for (i, gamma), w in zip(gammas.items(), _each(
-                _crossings, [(systems[i], gamma) for i, gamma in gammas.items()])):
-            if isinstance(w, ComputationFailed):
-                settle(i, w)
-            elif w.size == 0:
-                settle(i, (gamma, lbs[i][1]))
-            else:
-                candidates[i] = np.concatenate([w, 0.5 * (w[:-1] + w[1:])])
-        for i, (value, w_best) in sample(candidates).items():
-            if value <= lbs[i][0]:
-                settle(i, (gammas[i], lbs[i][1]))
-            else:
-                lbs[i] = (value, w_best)
-    for i in list(lbs):
-        settle(i, ComputationFailed(
-            f"L-infinity iteration did not settle in {LINF_MAX_ITER} steps"))
+    out = [None] * len(runs)
+    answers = dict.fromkeys(range(len(runs)))  # None starts a run
+    while answers:
+        requests = {}
+        for i, answer in answers.items():
+            step = runs[i].throw if isinstance(answer, ComputationFailed) else runs[i].send
+            try:
+                requests[i] = step(answer)
+            except StopIteration as stop:
+                out[i] = stop.value
+            except ComputationFailed as exc:
+                out[i] = exc
+        answers = {}
+        for fn in (_peaks, _crossings):
+            ids = [i for i, (f, _) in requests.items() if f is fn]
+            if ids:
+                answers.update(zip(ids, _each(
+                    fn, [(systems[i], requests[i][1]) for i in ids])))
     if single and isinstance(out[0], ComputationFailed):
         raise out[0]
     return out[0] if single else out

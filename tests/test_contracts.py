@@ -339,9 +339,9 @@ def order_tests(source: str) -> list[str]:
 
 def test_one_path_per_system_size():
     # numpy carries a static system (n = 0) through the general code, so only
-    # linf_norm (sigma_max(D) exactly, without the iteration's 2 LINF_TOL)
+    # _iteration (sigma_max(D) exactly, without the iteration's 2 LINF_TOL)
     # and _band_violation (no crossing to test) take a branch on the order
-    allowed = {"margins.py": {"linf_norm"}, "scp.py": {"_band_violation"}}
+    allowed = {"margins.py": {"_iteration"}, "scp.py": {"_band_violation"}}
     for path in sorted((ROOT / "src" / "rssd").glob("*.py")):
         functions = {site.split(":")[0] for site in order_tests(path.read_text())}
         assert functions <= allowed.get(path.name, set()), path.name

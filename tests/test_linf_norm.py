@@ -13,7 +13,8 @@ from conftest import random_stable_siso
 from rssd.eigassign import EigTarget, ModeTarget
 from rssd.errors import ComputationFailed, DimensionMismatch
 from rssd.lti import FrequencyGrid, StateSpacePlant, eval_response
-from rssd.margins import closed_loop, crossings, disk_margin, linf_norm
+from rssd.margins import (closed_loop, crossings, disk_margin, hamiltonians,
+                          linf_norm)
 from rssd.nn_rssd import PENALTY, decode_rssd_genome, j2_fitness
 from rssd.sweep import grid_peak
 
@@ -431,7 +432,6 @@ class TestDistinctSamples:
             # (s + 0.5)/(s + 1) with a hidden mode: sigma_max(D) at w = inf
             StateSpacePlant(np.diag([-1.0, -2.0]), [[1.0], [0.0]],
                             [[-0.5, 0.0]], [[1.0]]),
-            StateSpacePlant.from_gain([[3.0]]),  # static
             # 1/(s+1) + 1/(s+2) whose C^T C overflows in H
             StateSpacePlant(np.diag([-1.0, -2.0]), [[1.0], [1e-160]],
                             [[1.0, 1e160]], [[0.0]]),
@@ -451,11 +451,27 @@ class TestDistinctSamples:
         assert [str(x) if isinstance(x, ComputationFailed) else x
                 for x in got] == want
         assert np.isinf(want[0][0]) and np.isinf(want[1][1])
-        assert want[2] == (3.0, 0.0)
-        assert want[3] == ("Hamiltonian eigen-solve failed: "
+        assert want[2] == ("Hamiltonian eigen-solve failed: "
                            "Array must not contain infs or NaNs")
-        assert want[4].startswith("gamma^2 overflows")
-        assert want[5] == repeated_sample_norm(stack[5]) and want[6] == (0.0, 0.0)
+        assert want[3].startswith("gamma^2 overflows")
+        assert want[4] == repeated_sample_norm(stack[4]) and want[5] == (0.0, 0.0)
+
+    def test_sampling_failure_stays_in_its_slot(self):
+        # the middle member's response is about 1e200: its Gram overflows
+        def member(gain):
+            return StateSpacePlant(-np.diag([1.0, 2.0]),
+                                   gain * np.array([[1.0, 0.5], [0.0, 1.0]]),
+                                   np.eye(2), np.zeros((2, 2)))
+
+        stack = [member(1.0), member(1e200), member(3.0)]
+        with pytest.raises(ComputationFailed) as single:
+            linf_norm(stack[1])
+        first, failed, last = linf_norm(stack)
+        assert str(single.value) == \
+            "a Gram for sigma_max overflows or is not finite"
+        assert isinstance(failed, ComputationFailed)
+        assert str(failed) == str(single.value)
+        assert first == linf_norm(stack[0]) and last == linf_norm(stack[2])
 
     def test_unsettled_slot_fails_alone(self, monkeypatch):
         # with one step allowed, the resonance (start 5.0 at w = 1, below its
@@ -469,8 +485,42 @@ class TestDistinctSamples:
         assert settled == linf_norm(lag)
 
     def test_shapes_must_match(self):
-        with pytest.raises(DimensionMismatch, match="differ in shape"):
-            linf_norm([resonance(0.1, 1.0), random_loop(np.random.default_rng(3))])
+        for other in (random_loop(np.random.default_rng(3)),
+                      StateSpacePlant.from_gain([[3.0]])):  # static beside order 2
+            with pytest.raises(DimensionMismatch, match="differ in shape"):
+                linf_norm([resonance(0.1, 1.0), other])
+
+    def test_poles_must_match_the_stack(self):
+        sys = resonance(0.1, 1.0)
+        with pytest.raises(DimensionMismatch, match="1 pole sets for 2"):
+            linf_norm([sys, sys], [np.linalg.eigvals(sys.A)])
+
+    def test_stacks_keep_the_lockstep(self, monkeypatch):
+        # a stack builds each member's Hamiltonians and takes no more
+        # hamiltonians calls than its slowest member takes alone (one H
+        # per call)
+        sizes = []
+
+        def spy(systems, gammas):
+            sizes.append(len(gammas))
+            return hamiltonians(systems, gammas)
+
+        monkeypatch.setattr(rssd.margins, "hamiltonians", spy)
+        groups = {}
+        for sys, poles in oracle_cases():
+            groups.setdefault((sys.n, sys.m, sys.r), []).append((sys, poles))
+        big = [cases for cases in groups.values() if len(cases) >= 24]
+        assert len(big) == 4
+        for cases in big:
+            alone = []
+            for case in cases:
+                sizes.clear()
+                linf_norm(*case)
+                alone.append(sum(sizes))
+            sizes.clear()
+            linf_norm([sys for sys, _ in cases], [p for _, p in cases])
+            assert len(sizes) == max(alone)
+            assert sum(sizes) == sum(alone)
 
     def test_each_call_samples_increasing_frequencies(self, monkeypatch):
         calls = []
